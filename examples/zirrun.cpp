@@ -648,16 +648,6 @@ main(int argc, char** argv)
                      "contract to persist)\n");
         return kExitUserError;
     }
-    if (!ckptDir.empty() && backend == Backend::Native) {
-        std::fprintf(stderr,
-                     "zirrun: --ckpt-dir is not supported with "
-                     "--backend=native: compiled regions do not expose a "
-                     "serializable state image; use --backend=fused or "
-                     "--backend=vm for durable checkpoints "
-                     "(docs/ROBUSTNESS.md, \"Checkpointing & "
-                     "migration\")\n");
-        return kExitUserError;
-    }
     if (!ckptDir.empty() && !listen && !faultStr.empty()) {
         std::fprintf(stderr,
                      "zirrun: --ckpt-dir cannot be combined with "

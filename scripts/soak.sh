@@ -17,9 +17,9 @@
 # with `--backend=fused`: the fused bytecode interpreter must compose
 # with every robustness control exactly like the VM — same exit code in
 # every cell.  The cgen matrix (docs/CODEGEN.md) repeats that grid with
-# `--backend=native` (dlopen'd compiled regions), adds the loud-refusal
-# cells (stage restart / checkpointing) and a warm-.so-cache
-# byte-equality check.
+# `--backend=native` (dlopen'd compiled regions), adds stage-scoped
+# restart and checkpointing cells whose output must match their VM
+# twins, and a warm-.so-cache byte-equality check.
 #
 # The migrate matrix (docs/ROBUSTNESS.md, "Checkpointing & migration")
 # checks the zero-loss claims end to end through the CLI: a faulted run
@@ -31,7 +31,7 @@
 # The crash matrix (docs/ROBUSTNESS.md, "Durable checkpoints & live
 # migration") SIGKILLs a run mid-stream — no drain, no warning — then
 # resumes from --ckpt-dir and byte-compares the output against a
-# fault-free run, across {vm,fused} x {solo,--listen}.  It also drives
+# fault-free run, across {vm,fused,native} solo and --listen.  It also drives
 # a live session migration between two servers under neighbor load and
 # a rejected migration (dead peer) that must roll back losslessly.
 #
@@ -68,6 +68,27 @@ check() {
         fail=$((fail + 1))
     elif [ "$got" -ne "$want" ]; then
         echo "FAIL $desc: exit $got, expected $want"
+        fail=$((fail + 1))
+    else
+        pass=$((pass + 1))
+    fi
+}
+
+# check_same DESC CMD_A CMD_B: both must exit 0 and print identical
+# "consumed ... emitted ...; first bytes: ..." summaries — the
+# CLI-visible form of byte-identity (a zero-loss restart against its
+# clean run, or one backend against its VM twin).
+check_same() {
+    desc="$1"; acmd="$2"; bcmd="$3"
+    a=$(timeout "$DEADLINE_S" sh -c "$acmd" 2>/dev/null | grep '^consumed')
+    b=$(timeout "$DEADLINE_S" sh -c "$bcmd" 2>/dev/null | grep '^consumed')
+    if [ -z "$a" ] || [ -z "$b" ]; then
+        echo "FAIL $desc: a run did not complete"
+        fail=$((fail + 1))
+    elif [ "$a" != "$b" ]; then
+        echo "FAIL $desc: summaries differ"
+        echo "  reference: $a"
+        echo "  candidate: $b"
         fail=$((fail + 1))
     else
         pass=$((pass + 1))
@@ -282,10 +303,10 @@ fuse_matrix() {
 # Cgen matrix: {backend=native} x {fault} x {restart} x {serve}.  The
 # native backend dlopens compiled regions behind the same ExecNode seam
 # (docs/CODEGEN.md), so every robustness cell must exit exactly like
-# its VM/fused twins; the refusal cells pin the loud compile-time
-# errors for the unsupported combinations, and the warm-cache cell
-# proves a second run (served from the .so cache) emits the same
-# summary as the cold one.  Runs against a private cache dir so the
+# its VM/fused twins; the stage-restart and checkpoint cells must print
+# the same summary as their VM twins, and the warm-cache cell proves a
+# second run (served from the .so cache) emits the same summary as the
+# cold one.  Runs against a private cache dir so the
 # matrix is deterministic and leaves nothing behind.
 cgen_matrix() {
     cache=$(mktemp -d /tmp/ziria-soak-cgen.XXXXXX)
@@ -323,18 +344,26 @@ cgen_matrix() {
             --cgen-cache-dir "$cache" --serve=2000 \
             --inject-fault throw@100 --restart 3 --backoff-ms 1
 
-    # Loud refusals (docs/ROBUSTNESS.md support matrix): both are user
-    # errors at compile time, never silent fallbacks.
-    check 2 "cgen/refuse stage restart" \
-            $BIN examples/zir/pipeline.zir --backend=native --bytes 4096 \
-            --restart 2 --restart-scope stage
-    check 2 "cgen/refuse checkpoint" \
-            $BIN examples/zir/scrambler.zir --backend=native --bytes 4096 \
-            --restart 1 --checkpoint=64
+    # Stage-scoped restart and checkpointing (docs/ROBUSTNESS.md): a
+    # compiled region snapshots like the fused interpreter, so each
+    # cell must print the same summary as its VM twin.
+    stg="$BIN examples/zir/pipeline.zir --cgen-cache-dir $cache \
+         --bytes 4096 --restart 2 --backoff-ms 1 --restart-scope stage"
+    ckp="$BIN examples/zir/scrambler.zir --cgen-cache-dir $cache \
+         --bytes 4096 --restart 3 --backoff-ms 1 --checkpoint=64"
+    check_same "cgen/stage restart matches vm" \
+        "$stg --backend=vm --inject-fault throw@2" \
+        "$stg --backend=native --inject-fault throw@2"
+    check_same "cgen/threaded stage restart matches vm" \
+        "$stg --backend=vm --deadline-ms 2000" \
+        "$stg --backend=native --deadline-ms 2000"
+    check_same "cgen/checkpoint restart matches vm" \
+        "$ckp --backend=vm --inject-fault throw@7" \
+        "$ckp --backend=native --inject-fault throw@7"
     ckd=$(mktemp -d /tmp/ziria-soak-cgen-ckd.XXXXXX)
-    check 2 "cgen/refuse ckpt-dir" \
-            $BIN examples/zir/scrambler.zir --backend=native --bytes 4096 \
-            --restart 1 --checkpoint=64 --ckpt-dir "$ckd"
+    check_same "cgen/ckpt-dir matches vm" \
+        "$ckp --backend=vm --ckpt-dir $ckd/vm" \
+        "$ckp --backend=native --ckpt-dir $ckd/native"
     rm -rf "$ckd"
 
     # Warm cache: the second clean run must be served from the .so
@@ -361,32 +390,11 @@ migrate_matrix() {
     sc="$BIN examples/zir/scrambler.zir --bytes 4096"
     pl="$BIN examples/zir/pipeline.zir --bytes 4096"
 
-    # check_same DESC CLEAN_CMD FAULTED_CMD: both must exit 0 and print
-    # identical "consumed ... emitted ...; first bytes: ..." summaries —
-    # the CLI-visible form of the zero-loss restart guarantee.
-    check_same() {
-        desc="$1"; cleancmd="$2"; faultcmd="$3"
-        a=$(timeout "$DEADLINE_S" sh -c "$cleancmd" 2>/dev/null \
-            | grep '^consumed')
-        b=$(timeout "$DEADLINE_S" sh -c "$faultcmd" 2>/dev/null \
-            | grep '^consumed')
-        if [ -z "$a" ] || [ -z "$b" ]; then
-            echo "FAIL $desc: a run did not complete"
-            fail=$((fail + 1))
-        elif [ "$a" != "$b" ]; then
-            echo "FAIL $desc: checkpointed run diverged from clean run"
-            echo "  clean:        $a"
-            echo "  checkpointed: $b"
-            fail=$((fail + 1))
-        else
-            pass=$((pass + 1))
-        fi
-    }
-
-    for backend in vm fused; do
+    cache=$(mktemp -d /tmp/ziria-soak-migrate-cgen.XXXXXX)
+    for backend in vm fused native; do
         for opt in none all; do
             tag="migrate/scrambler/$backend/$opt"
-            c="$sc --opt $opt --backend=$backend"
+            c="$sc --opt $opt --backend=$backend --cgen-cache-dir $cache"
             # Checkpointing a clean run must not perturb its output.
             check_same "$tag ckpt clean identity" "$c" "$c --checkpoint=64"
             # The headline claim: a faulted, checkpoint-restarted run is
@@ -408,15 +416,19 @@ migrate_matrix() {
     # Per-stage restart on the threaded pipeline (splits at |>>>|):
     # transient faults heal without tearing down healthy stages,
     # permanent ones exhaust the budget exactly like pipeline scope.
-    for opt in none all; do
-        tag="migrate/pipeline/stage-scope/$opt"
-        c="$pl --opt $opt --restart-scope stage"
-        check 0 "$tag clean"            $c --restart 3 --backoff-ms 1
-        check 0 "$tag transient heals"  $c --inject-fault throw@2 \
-                --restart 3 --backoff-ms 1
-        check 5 "$tag permanent exhausts" $c --inject-fault throw@2:0 \
-                --restart 2 --backoff-ms 1
+    for backend in vm fused native; do
+        for opt in none all; do
+            tag="migrate/pipeline/stage-scope/$backend/$opt"
+            c="$pl --opt $opt --backend=$backend --cgen-cache-dir $cache \
+               --restart-scope stage"
+            check 0 "$tag clean"            $c --restart 3 --backoff-ms 1
+            check 0 "$tag transient heals"  $c --inject-fault throw@2 \
+                    --restart 3 --backoff-ms 1
+            check 5 "$tag permanent exhausts" $c --inject-fault throw@2:0 \
+                    --restart 2 --backoff-ms 1
+        done
     done
+    rm -rf "$cache"
 
     # SIGTERM drain with a session mid-stream: the server must
     # checkpoint it, report the drain, and exit 0 within the timeout.
@@ -488,11 +500,13 @@ crash_matrix() {
     work="${TMPDIR:-/tmp}/ziria_soak_crash.$$"
     mkdir -p "$work"
 
-    # --- solo legs: {vm,fused} ------------------------------------
-    for backend in vm fused; do
+    # --- solo legs: {vm,fused,native} -----------------------------
+    # The reference run also warms the private .so cache, so the
+    # native victim starts as fast as the others.
+    for backend in vm fused native; do
         tag="crash/solo/$backend"
         c="$BIN examples/zir/scrambler.zir --backend=$backend \
-           --bytes 67108864"
+           --cgen-cache-dir $work/cgen --bytes 67108864"
         ref="$work/ref_$backend.bin"
         out="$work/out_$backend.bin"
         ck="$work/ck_$backend"

@@ -41,10 +41,12 @@ enum class QueueWait : uint8_t {
 /**
  * Bounded SPSC queue of fixed-width elements.
  *
- * Implemented with a mutex + condition variables.  On the single-core
- * evaluation host a lock-free spin design would burn the producer's whole
- * timeslice, so blocking waits are the right trade-off; the interface is
- * the same either way.
+ * Implemented with a mutex + condition variables: the termination
+ * properties above need sleeping waiters that close()/cancel() can wake
+ * and waits that time out, which condition variables give directly, and
+ * a stage thread that spins on an empty queue would take CPU from the
+ * stage it waits on whenever threads outnumber cores.  The interface
+ * would stay the same with a lock-free ring.
  */
 class SpscQueue
 {

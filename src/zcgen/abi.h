@@ -4,7 +4,7 @@
  *
  * A generated region is `extern "C" int zr_region_<i>(ZrCtx*)` returning
  * the ExecNode status (0 = Yield, 1 = NeedInput, 2 = Done).  The host
- * (CgenNode) points the context at its frame/state/register spaces
+ * (FusedNode) points the context at its frame/state/register spaces
  * before each call; the generated code reads and writes them directly
  * and calls back through the function pointers for closures it could
  * not inline (host bridges), LUTs, and runtime diagnostics (traps throw
@@ -43,7 +43,7 @@ struct ZrCtx
     const uint8_t* ctrlPtr; ///< control value after Done
     uint64_t ctrlWidth;     ///< mutated by the Ctrl instruction
 
-    void* host;             ///< the owning CgenNode
+    void* host;             ///< the owning FusedNode
     void (*hostInto)(void* host, int32_t idx, uint8_t* dst);
     int64_t (*hostInt)(void* host, int32_t idx);
     void (*hostAction)(void* host, int32_t idx);

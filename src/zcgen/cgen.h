@@ -10,7 +10,7 @@
  * inlined as scalar/array code — then compiled with the system C++
  * compiler into a shared object and bound through `dlopen` behind the
  * unchanged ExecNode seam.  Region finding reuses the fused backend's
- * maximal-fusible-subtree walk (`buildNodeFusedWith`), so native blocks
+ * maximal-fusible-subtree walk (`buildNodeFused`), so native blocks
  * and `|>>>|` boundaries keep their VM-spine fallback and the Spin
  * livelock diagnostic is preserved verbatim.
  *
@@ -106,10 +106,10 @@ std::string fnv1a64Hex(const std::string& data);
 
 /**
  * Build the execution tree with the native backend: the fused region
- * walk runs unchanged, but each region becomes a CgenNode executing
- * dlopen'd machine code (or the bytecode interpreter when compilation
- * is unavailable — counted in @p cstats->fallbacks and in the
- * `ziria.cgen.fallbacks` metric).  Drop-in replacement for
+ * walk runs unchanged, then each region's FusedNode is bound to
+ * dlopen'd machine code (or stays on the bytecode interpreter when
+ * compilation is unavailable — counted in @p cstats->fallbacks and in
+ * the `ziria.cgen.fallbacks` metric).  Drop-in replacement for
  * buildNodeFused.  @p cacheDir empty means the default cache location.
  */
 NodePtr buildNodeNative(const CompPtr& c, ExprCompiler& ec,

@@ -32,6 +32,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <set>
 
 #include "support/panic.h"
@@ -112,7 +113,7 @@ intLit(int64_t v)
 class CppEmitter
 {
   public:
-    CppEmitter(FrameLayout& layout, int indent)
+    CppEmitter(const FrameLayout& layout, int indent)
         : layout_(layout), ind_(indent)
     {
     }
@@ -166,7 +167,7 @@ class CppEmitter
           }
           case StmtKind::For: {
             const auto& fo = static_cast<const ForStmt&>(*s);
-            size_t ivOff = layout_.add(fo.inductionVar());
+            std::string ivCell = cell(fo.inductionVar());
             TypeKind ivk = fo.inductionVar()->type->kind();
             // hi is evaluated once, before lo (closure order).
             std::string h = intExpr(fo.hi());
@@ -175,7 +176,7 @@ class CppEmitter
             line("for (int64_t " + iv + " = " + l + "; " + iv + " < " +
                  h + "; ++" + iv + ") {");
             indented([&] {
-                store(ivk, frAt(ivOff), iv);  // writeIntRaw
+                store(ivk, ivCell, iv);  // writeIntRaw
                 stmtList(fo.body());
             });
             line("}");
@@ -194,12 +195,12 @@ class CppEmitter
           }
           case StmtKind::VarDecl: {
             const auto& d = static_cast<const VarDeclStmt&>(*s);
-            size_t off = layout_.add(d.var());
+            std::string c = cell(d.var());
             size_t w = d.var()->type->byteWidth();
             if (d.init())
-                intoExpr(d.init(), frAt(off));
+                intoExpr(d.init(), c);
             else
-                line("memset(" + frAt(off) + ", 0, " + num(w) + ");");
+                line("memset(" + c + ", 0, " + num(w) + ");");
             return;
           }
           case StmtKind::Eval: {
@@ -229,9 +230,8 @@ class CppEmitter
             return declInt(intLit(v));
           }
           case ExprKind::Var: {
-            size_t off =
-                layout_.add(static_cast<const VarExpr&>(*e).var());
-            return declInt(load(k, frAt(off)));
+            return declInt(
+                load(k, cell(static_cast<const VarExpr&>(*e).var())));
           }
           case ExprKind::Bin:
             return binInt(static_cast<const BinExpr&>(*e), k);
@@ -316,9 +316,9 @@ class CppEmitter
             return r;
           }
           case ExprKind::Var: {
-            size_t off =
-                layout_.add(static_cast<const VarExpr&>(*e).var());
-            return declDbl("zr_ldd(" + frAt(off) + ")");
+            return declDbl("zr_ldd(" +
+                           cell(static_cast<const VarExpr&>(*e).var()) +
+                           ")");
           }
           case ExprKind::Bin: {
             const auto& b = static_cast<const BinExpr&>(*e);
@@ -527,9 +527,7 @@ class CppEmitter
     {
         switch (e->kind()) {
           case ExprKind::Var: {
-            size_t off =
-                layout_.add(static_cast<const VarExpr&>(*e).var());
-            return declPtr(frAt(off));
+            return declPtr(cell(static_cast<const VarExpr&>(*e).var()));
           }
           case ExprKind::Index: {
             const auto& i = static_cast<const IndexExpr&>(*e);
@@ -784,8 +782,7 @@ class CppEmitter
         for (size_t i = 0; i < c.args().size(); ++i) {
             if (f->paramByRef(i))
                 continue;
-            size_t off = layout_.add(inl.params[i]);
-            intoExpr(c.args()[i], frAt(off));
+            intoExpr(c.args()[i], cell(inl.params[i]));
         }
         stmtList(inl.body);
         return inl.ret;
@@ -1005,10 +1002,32 @@ class CppEmitter
         return "(fr + " + num(off) + ")";
     }
 
-    FrameLayout& layout_;
+    /**
+     * The cell of @p v.  Variables the closures use live in the frame.
+     * The parameters and locals of a function inlined here are fresh
+     * clones no closure ever allocated; they are dead at every park
+     * point, so they become C++ locals rather than new frame cells.
+     * Fused and native builds thus share one frame layout, which keeps
+     * their snapshots interchangeable.
+     */
+    std::string
+    cell(const VarRef& v)
+    {
+        if (layout_.has(v.get()))
+            return frAt(layout_.offsetOf(v.get()));
+        auto it = locals_.find(v.get());
+        if (it == locals_.end()) {
+            size_t w = v->type->byteWidth();
+            it = locals_.emplace(v.get(), declBuf(w > 0 ? w : 1)).first;
+        }
+        return it->second;
+    }
+
+    const FrameLayout& layout_;
     int ind_;
     int tmp_ = 0;
     std::string body_;
+    std::map<const VarSym*, std::string> locals_;
 };
 
 // -----------------------------------------------------------------------
@@ -1019,7 +1038,7 @@ class CppEmitter
 class RegionEmitter
 {
   public:
-    RegionEmitter(const FuseProgram& p, int idx, FrameLayout& layout)
+    RegionEmitter(const FuseProgram& p, int idx, const FrameLayout& layout)
         : p_(p), idx_(idx), layout_(layout)
     {
     }
@@ -1332,7 +1351,7 @@ class RegionEmitter
 
     const FuseProgram& p_;
     int idx_;
-    FrameLayout& layout_;
+    const FrameLayout& layout_;
     int bridges_ = 0;
     std::string out_;
 };
@@ -1513,12 +1532,13 @@ static void zr_nat_mk_complex16(const uint8_t* const* a, uint8_t* r)
 } // namespace
 
 EmitUnit
-emitUnit(const std::vector<const FuseProgram*>& progs, ExprCompiler& ec)
+emitUnit(const std::vector<const FuseProgram*>& progs,
+         const FrameLayout& layout)
 {
     EmitUnit u;
     u.source = kPreamble;
     for (size_t i = 0; i < progs.size(); ++i) {
-        RegionEmitter re(*progs[i], static_cast<int>(i), ec.layout());
+        RegionEmitter re(*progs[i], static_cast<int>(i), layout);
         u.source += re.emit();
         u.source += "\n";
         u.hostBridges += re.hostBridges();

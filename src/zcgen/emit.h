@@ -2,7 +2,7 @@
  * @file
  * Internal: translate lowered fused regions into one C++ source unit.
  *
- * Not installed API — only cgen_node.cc (the build driver) and the
+ * Not installed API — only native.cc (the build driver) and the
  * tests include this.  docs/CODEGEN.md describes the emission strategy.
  */
 #ifndef ZIRIA_ZCGEN_EMIT_H
@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "zexpr/compile_expr.h"
+#include "zexpr/frame.h"
 #include "zfuse/bytecode.h"
 
 namespace ziria {
@@ -27,12 +27,13 @@ struct EmitUnit
 /**
  * Emit C++ for @p progs: region @p i becomes `zr_region_<i>`.  Closure
  * ASTs the emitter cannot express compile to host-callback bridges
- * instead (semantics preserved, counted in hostBridges).  May allocate
- * fresh frame slots in @p ec's layout (re-inlined call parameters), so
- * it must run before the frame is sized.
+ * instead (semantics preserved, counted in hostBridges).  Only reads
+ * @p layout, the one the regions were lowered against: the frame stays
+ * exactly as the fused interpreter lays it out (re-inlined call
+ * parameters become C++ locals).
  */
 EmitUnit emitUnit(const std::vector<const zfuse::FuseProgram*>& progs,
-                  ExprCompiler& ec);
+                  const FrameLayout& layout);
 
 } // namespace zcgen
 } // namespace ziria

@@ -216,12 +216,15 @@ errorMessage(const std::exception_ptr& ep)
 } // namespace
 
 ThreadedPipeline::ThreadedPipeline(std::vector<NodePtr> stages,
+                                   std::vector<FrameRange> stage_frames,
                                    size_t frame_size, size_t in_width,
                                    size_t out_width, size_t queue_cap)
-    : stages_(std::move(stages)), frame_(frame_size), inWidth_(in_width),
-      outWidth_(out_width), queueCap_(queue_cap)
+    : stages_(std::move(stages)), frames_(std::move(stage_frames)),
+      frame_(frame_size), inWidth_(in_width), outWidth_(out_width),
+      queueCap_(queue_cap)
 {
     ZIRIA_ASSERT(!stages_.empty());
+    ZIRIA_ASSERT(frames_.size() == stages_.size());
 }
 
 RunStats
@@ -291,12 +294,13 @@ ThreadedPipeline::rearm(std::vector<std::unique_ptr<SpscQueue>>& queues,
 /**
  * Per-stage re-arm (RestartScope::Stage): only the failed stage loses
  * state.  It is reset() and — when a boundary snapshot exists —
- * restore()d to the last quiescent restart boundary; healthy stages
- * keep their live node trees and will resume mid-stream.  The queues
- * adjacent to the failed stage are reopen()ed (their in-flight elements
- * belonged to the discarded work); every other queue keeps its backlog
- * and only has its teardown latches cleared.  Queues whose producer
- * already finished are re-closed so consumers still see end-of-stream.
+ * restore()d to the last quiescent restart boundary, node state and
+ * frame slice alike; healthy stages keep their live node trees and will
+ * resume mid-stream.  The queues adjacent to the failed stage are
+ * reopen()ed (their in-flight elements belonged to the discarded
+ * work); every other queue keeps its backlog and only has its teardown
+ * latches cleared.  Queues whose producer already finished are
+ * re-closed so consumers still see end-of-stream.
  * Finally every live stage — quiescent now, all threads joined — gets a
  * fresh boundary snapshot, so a future failure of *any* stage rolls
  * back only to this boundary.
@@ -315,6 +319,12 @@ ThreadedPipeline::rearmStage(
             StateReader r(carry[failed].snap.data(),
                           carry[failed].snap.size());
             stages_[failed]->restore(frame_, r);
+            const FrameRange& fr = frames_[failed];
+            const size_t n = fr.end - fr.begin;
+            if (r.u64() != n)
+                throw StateFormatError("stage frame slice mismatch");
+            if (n)  // an empty frame has no storage to point into
+                r.bytes(frame_.at(fr.begin), n);
             metrics::Registry::global()
                 .counter("restart.stage.restored")
                 .inc();
@@ -345,6 +355,8 @@ ThreadedPipeline::rearmStage(
             continue;
         StateWriter w;
         stages_[i]->snapshot(frame_, w);
+        w.blob(frame_.at(frames_[i].begin),
+               frames_[i].end - frames_[i].begin);
         carry[i].snap = w.take();
     }
 

@@ -37,10 +37,11 @@
  * (docs/ROBUSTNESS.md, "Per-stage restart"): healthy stages keep their
  * live node state and resume mid-stream, non-adjacent queues keep their
  * backlogs (uncancel()), and only the failed stage is reset() — then
- * restore()d from its node-state snapshot taken at the last restart
- * boundary, so repeated failures do not compound the rollback.  Only
- * the queues adjacent to the failed stage are reopen()ed; their
- * in-flight elements are the bounded loss of a stage restart.
+ * restore()d from its node-state snapshot and frame slice taken at the
+ * last restart boundary, so repeated failures do not compound the
+ * rollback.  Only the queues adjacent to the failed stage are
+ * reopen()ed; their in-flight elements are the bounded loss of a stage
+ * restart.
  */
 #ifndef ZIRIA_ZEXEC_THREADED_H
 #define ZIRIA_ZEXEC_THREADED_H
@@ -62,13 +63,26 @@ class SpscQueue;
 class ThreadedPipeline
 {
   public:
+    /** Byte range [begin, end) of the shared frame owned by one stage. */
+    struct FrameRange
+    {
+        size_t begin = 0;
+        size_t end = 0;
+    };
+
     /**
-     * @param stages     per-stage node trees, upstream first
-     * @param frame_size shared frame size
-     * @param queue_cap  elements per interthread queue
+     * @param stages       per-stage node trees, upstream first
+     * @param stage_frames each stage's frame cells, same order; a
+     *                     stage-scoped restart saves and restores the
+     *                     failed stage's slice next to its node
+     *                     snapshot, which does not cover frame cells
+     *                     written by fused closures
+     * @param frame_size   shared frame size
+     * @param queue_cap    elements per interthread queue
      */
-    ThreadedPipeline(std::vector<NodePtr> stages, size_t frame_size,
-                     size_t in_width, size_t out_width,
+    ThreadedPipeline(std::vector<NodePtr> stages,
+                     std::vector<FrameRange> stage_frames,
+                     size_t frame_size, size_t in_width, size_t out_width,
                      size_t queue_cap = 4096);
 
     size_t inWidth() const { return inWidth_; }
@@ -146,8 +160,9 @@ class ThreadedPipeline
         uint64_t emitted = 0;
         std::vector<uint8_t> pendingOut;  ///< yielded element whose push
                                           ///< was torn down; re-pushed first
-        std::vector<uint8_t> snap;  ///< node-state snapshot at the last
-                                    ///< quiescent restart boundary
+        std::vector<uint8_t> snap;  ///< node-state snapshot + frame
+                                    ///< slice at the last quiescent
+                                    ///< restart boundary
     };
 
     RunStats runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
@@ -160,6 +175,7 @@ class ThreadedPipeline
                     std::vector<StageCarry>& carry, size_t failed);
 
     std::vector<NodePtr> stages_;
+    std::vector<FrameRange> frames_;  ///< per stage
     Frame frame_;
     size_t inWidth_;
     size_t outWidth_;

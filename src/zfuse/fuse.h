@@ -21,15 +21,20 @@
 #ifndef ZIRIA_ZFUSE_FUSE_H
 #define ZIRIA_ZFUSE_FUSE_H
 
-#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "zast/comp.h"
+#include "zcgen/abi.h"
 #include "zexec/pipeline.h"
 #include "zfuse/bytecode.h"
 
 namespace ziria {
+
+namespace zcgen {
+class Library;
+}
 
 /** Statistics from one fused build (CompileReport::fuse). */
 struct FuseStats
@@ -57,49 +62,49 @@ std::shared_ptr<const zfuse::FuseProgram>
 lowerFused(const CompPtr& c, ExprCompiler& ec, const BuildOptions& opt,
            BuildStats* stats = nullptr, FuseStats* fstats = nullptr);
 
+class FusedNode;
+
 /**
  * Build the execution tree with the fused backend: maximal fusible
  * subtrees become FusedNodes, the rest VM nodes.  Drop-in replacement
  * for buildNode (same width normalization and instrumentation shims).
+ * Every FusedNode made is appended to @p regions (if given) in build
+ * order, and reported to tracing shims as @p regionKind — the native
+ * backend (src/zcgen/) binds compiled code into them afterwards.
  */
 NodePtr buildNodeFused(const CompPtr& c, ExprCompiler& ec,
                        const BuildOptions& opt, BuildStats* stats,
                        FuseStats* fstats = nullptr,
-                       const std::string& path = "root");
+                       const std::string& path = "root",
+                       std::vector<FusedNode*>* regions = nullptr,
+                       const char* regionKind = "fused");
 
 /**
- * Creates the execution node for one lowered fused region.  The fused
- * backend plugs in FusedNode; the native backend (src/zcgen/) plugs in
- * a node that will run the region as dlopen'd machine code.
+ * One fused region (behind ExecNode; one per region): the bytecode
+ * interpreter, with an optional compiled fast path.  Once bindNative()
+ * has attached a `zr_region_<i>` entry (src/zcgen/), advance() calls
+ * it instead of interpreting.  Both engines run the same state machine
+ * over the same state: the registers, state block and channel
+ * continuations below, plus the parked bytecode pc, spins and out/ctrl
+ * pointers held in the ZrCtx the generated code reads and writes
+ * (zcgen/abi.h).  Snapshots are therefore identical whichever engine
+ * runs the region, and interchangeable between the two.
  */
-using RegionFactory =
-    std::function<NodePtr(std::shared_ptr<const zfuse::FuseProgram>)>;
-
-/**
- * The generalized fused build: identical maximal-fusible-subtree
- * region finding and VM-spine fallback, but each region node is made
- * by @p makeRegion and reported as @p regionKind to tracing shims.
- * `buildNodeFused` is this with a FusedNode factory.
- */
-NodePtr buildNodeFusedWith(const CompPtr& c, ExprCompiler& ec,
-                           const BuildOptions& opt, BuildStats* stats,
-                           FuseStats* fstats, const std::string& path,
-                           const RegionFactory& makeRegion,
-                           const char* regionKind);
-
-/** The bytecode interpreter node (behind ExecNode; one per region). */
 class FusedNode : public ExecNode
 {
   public:
     explicit FusedNode(std::shared_ptr<const zfuse::FuseProgram> prog);
+    // ctx_ holds `this` and pointers into the node's own arrays.
+    FusedNode(const FusedNode&) = delete;
+    FusedNode& operator=(const FusedNode&) = delete;
 
     void start(Frame& f) override;
     /** Total by construction: zero state block + re-enter at entry. */
     void reset(Frame& f) override { start(f); }
     Status advance(Frame& f) override;
     void supply(Frame& f, const uint8_t* in) override;
-    const uint8_t* out() const override { return outPtr_; }
-    const uint8_t* ctrl() const override { return ctrlPtr_; }
+    const uint8_t* out() const override { return ctx_.outPtr; }
+    const uint8_t* ctrl() const override { return ctx_.ctrlPtr; }
 
     /**
      * Serialize the register / state-block / channel spaces plus the
@@ -107,11 +112,16 @@ class FusedNode : public ExecNode
      * tags so restore() can re-point them into the new instance.  Frame
      * cells written by compiled Action/EvalInto closures are NOT
      * enumerable from the instruction stream, so whole-frame coverage
-     * comes from the PipelineSnapshot container, not from this node
+     * comes from the PipelineSnapshot container (or, per stage, from
+     * the ThreadedPipeline frame slice), not from this node
      * (docs/ROBUSTNESS.md, "Checkpointing & migration").
      */
     void snapshot(const Frame& f, StateWriter& w) const override;
     void restore(Frame& f, StateReader& r) override;
+
+    /** Run this region as compiled code; @p lib keeps the .so alive. */
+    void bindNative(std::shared_ptr<zcgen::Library> lib,
+                    zcgen::ZrRegionFn fn);
 
     const zfuse::FuseProgram& program() const { return *prog_; }
 
@@ -123,16 +133,27 @@ class FusedNode : public ExecNode
             : state_.data() + enc;
     }
 
+    // Host callbacks from generated code (ZrCtx::host is `this`).
+    static void cbInto(void* host, int32_t idx, uint8_t* dst);
+    static int64_t cbInt(void* host, int32_t idx);
+    static void cbAction(void* host, int32_t idx);
+    static void cbLut(void* host, int32_t idx, uint8_t* dst);
+    static void cbTrapMsg(void* host, const char* msg);
+    static void cbTrapIndex(void* host, int64_t k, int64_t n);
+    static void cbTrapSlice(void* host, int64_t k, int64_t kEnd,
+                            int64_t n);
+
     std::shared_ptr<const zfuse::FuseProgram> prog_;
     std::vector<int64_t> regs_;
     std::vector<uint8_t> state_;
     std::vector<uint32_t> chProdPc_;
     std::vector<uint32_t> chConsPc_;
     std::vector<uint8_t> chFull_;
-    uint32_t pc_ = 0;
-    uint64_t spins_ = 0;  ///< repeat livelock guard (reset on any I/O)
-    const uint8_t* outPtr_ = nullptr;
-    const uint8_t* ctrlPtr_ = nullptr;
+    /** Points at the arrays above, which therefore never reallocate. */
+    zcgen::ZrCtx ctx_;
+    Frame* curFrame_ = nullptr;  ///< frame of the running compiled call
+    std::shared_ptr<zcgen::Library> lib_;
+    zcgen::ZrRegionFn fn_ = nullptr;
 };
 
 } // namespace ziria

@@ -14,6 +14,14 @@
  * Dispatch is computed-goto under GCC/Clang (one indirect branch per
  * instruction, the classic direct-threaded interpreter) with a switch
  * fallback elsewhere.  The jump-table order must match `enum class Op`.
+ *
+ * A region bound to compiled code (bindNative, src/zcgen/) skips the
+ * interpreter: advance() is one branch plus the indirect call into the
+ * generated function, which runs the same protocol over the same
+ * state through the node's ZrCtx.  When no compiled entry is bound —
+ * no compiler on the host, a failed compile, a missing symbol — the
+ * node simply interprets, so the fallback ladder (native -> fused)
+ * changes speed, never observable behaviour.
  */
 #include "zfuse/fuse.h"
 
@@ -45,6 +53,30 @@ FusedNode::FusedNode(std::shared_ptr<const FuseProgram> prog)
     setInWidth(prog_->inWidth);
     setOutWidth(prog_->outWidth);
     setCtrlWidth(prog_->ctrlWidth);
+
+    std::memset(&ctx_, 0, sizeof(ctx_));
+    ctx_.st = state_.data();
+    ctx_.regs = regs_.data();
+    ctx_.chProdPc = chProdPc_.data();
+    ctx_.chConsPc = chConsPc_.data();
+    ctx_.chFull = chFull_.data();
+    ctx_.ctrlWidth = prog_->ctrlWidth;
+    ctx_.host = this;
+    ctx_.hostInto = &FusedNode::cbInto;
+    ctx_.hostInt = &FusedNode::cbInt;
+    ctx_.hostAction = &FusedNode::cbAction;
+    ctx_.hostLut = &FusedNode::cbLut;
+    ctx_.trapMsg = &FusedNode::cbTrapMsg;
+    ctx_.trapIndex = &FusedNode::cbTrapIndex;
+    ctx_.trapSlice = &FusedNode::cbTrapSlice;
+}
+
+void
+FusedNode::bindNative(std::shared_ptr<zcgen::Library> lib,
+                      zcgen::ZrRegionFn fn)
+{
+    lib_ = std::move(lib);
+    fn_ = fn;
 }
 
 void
@@ -55,10 +87,63 @@ FusedNode::start(Frame&)
     std::fill(chProdPc_.begin(), chProdPc_.end(), 0);
     std::fill(chConsPc_.begin(), chConsPc_.end(), 0);
     std::fill(chFull_.begin(), chFull_.end(), 0);
-    pc_ = 0;
-    spins_ = 0;
-    outPtr_ = nullptr;
-    ctrlPtr_ = nullptr;
+    ctx_.pc = 0;
+    ctx_.spins = 0;
+    ctx_.outPtr = nullptr;
+    ctx_.ctrlPtr = nullptr;
+}
+
+// ---- host callbacks from generated code ------------------------------
+
+void
+FusedNode::cbInto(void* host, int32_t idx, uint8_t* dst)
+{
+    auto* n = static_cast<FusedNode*>(host);
+    n->prog_->intoFns[idx](*n->curFrame_, dst);
+}
+
+int64_t
+FusedNode::cbInt(void* host, int32_t idx)
+{
+    auto* n = static_cast<FusedNode*>(host);
+    return n->prog_->intFns[idx](*n->curFrame_);
+}
+
+void
+FusedNode::cbAction(void* host, int32_t idx)
+{
+    auto* n = static_cast<FusedNode*>(host);
+    n->prog_->actions[idx](*n->curFrame_);
+}
+
+void
+FusedNode::cbLut(void* host, int32_t idx, uint8_t* dst)
+{
+    auto* n = static_cast<FusedNode*>(host);
+    n->prog_->luts[idx]->apply(*n->curFrame_, dst);
+}
+
+// Traps throw host-side so diagnostics match the interpreter and the
+// closures byte-for-byte.  The generated objects are compiled with
+// exceptions enabled by the same toolchain, so FatalError unwinds
+// cleanly through the .so frames.
+void
+FusedNode::cbTrapMsg(void*, const char* msg)
+{
+    fatal(msg);
+}
+
+void
+FusedNode::cbTrapIndex(void*, int64_t k, int64_t n)
+{
+    fatalf("array index out of bounds: ", k, " not in [0, ", n, ")");
+}
+
+void
+FusedNode::cbTrapSlice(void*, int64_t k, int64_t kEnd, int64_t n)
+{
+    fatalf("slice out of bounds: [", k, ", ", kEnd, ") not within [0, ",
+           n, ")");
 }
 
 namespace {
@@ -123,11 +208,11 @@ FusedNode::snapshot(const Frame& f, StateWriter& w) const
         w.u32(chConsPc_[i]);
         w.u8(chFull_[i]);
     }
-    w.u32(pc_);
-    w.u64(spins_);
+    w.u32(ctx_.pc);
+    w.u64(ctx_.spins);
     w.u64(ctrlWidth_);  // the Ctrl op mutates it at run time
-    writePtrTag(w, outPtr_, f, state_);
-    writePtrTag(w, ctrlPtr_, f, state_);
+    writePtrTag(w, ctx_.outPtr, f, state_);
+    writePtrTag(w, ctx_.ctrlPtr, f, state_);
 }
 
 void
@@ -137,10 +222,11 @@ FusedNode::restore(Frame& f, StateReader& r)
     if (regBytes != regs_.size() * sizeof(int64_t))
         throw StateFormatError("fused register space size mismatch");
     r.bytes(regs_.data(), regBytes);
-    std::vector<uint8_t> st = r.blob();
-    if (st.size() != state_.size())
+    // Read in place: ctx_ (and compiled code through it) points into
+    // these buffers, so they must never be replaced.
+    if (r.u64() != state_.size())
         throw StateFormatError("fused state block size mismatch");
-    state_ = std::move(st);
+    r.bytes(state_.data(), state_.size());
     uint64_t nch = r.u64();
     if (nch != chProdPc_.size())
         throw StateFormatError("fused channel count mismatch");
@@ -158,20 +244,22 @@ FusedNode::restore(Frame& f, StateReader& r)
     uint32_t pc = r.u32();
     if (pc >= nInstr)
         throw StateFormatError("fused pc out of range");
-    pc_ = pc;
-    spins_ = r.u64();
+    ctx_.pc = pc;
+    ctx_.spins = r.u64();
     setCtrlWidth(static_cast<size_t>(r.u64()));
-    outPtr_ = readPtrTag(r, f, state_, outWidth());
-    ctrlPtr_ = readPtrTag(r, f, state_, ctrlWidth_);
+    ctx_.ctrlWidth = ctrlWidth_;
+    ctx_.outPtr = readPtrTag(r, f, state_, outWidth());
+    ctx_.ctrlPtr = readPtrTag(r, f, state_, ctrlWidth_);
 }
 
 void
 FusedNode::supply(Frame& f, const uint8_t* in)
 {
     // advance() only returns NeedInput parked on an external take, so
-    // pc_ identifies exactly where the element goes — the VM's
-    // supply-then-consume order collapses to one direct write.
-    const Instr& i = prog_->instrs[pc_];
+    // the parked pc identifies exactly where the element goes — the
+    // VM's supply-then-consume order collapses to one direct write.
+    // Compiled code parks on the same bytecode pc.
+    const Instr& i = prog_->instrs[ctx_.pc];
     switch (i.op) {
       case Op::TakeExt:
         std::memcpy(loc(f, i.a), in, i.b);
@@ -189,9 +277,17 @@ FusedNode::supply(Frame& f, const uint8_t* in)
 Status
 FusedNode::advance(Frame& f)
 {
+    if (fn_) {
+        ctx_.fr = f.at(0);
+        curFrame_ = &f;
+        int rc = fn_(&ctx_);
+        setCtrlWidth(ctx_.ctrlWidth);
+        return static_cast<Status>(rc);
+    }
+
     const Instr* code = prog_->instrs.data();
     const FuseChannel* chans = prog_->channels.data();
-    uint32_t pc = pc_;
+    uint32_t pc = ctx_.pc;
 
 #if defined(__GNUC__) || defined(__clang__)
     // Direct-threaded dispatch; table order MUST match enum class Op.
@@ -219,22 +315,22 @@ FusedNode::advance(Frame& f)
         const Instr& i = code[pc];
         if (regs_[i.c]) {
             regs_[i.c] = 0;
-            spins_ = 0;
+            ctx_.spins = 0;
             ++pc;
             NEXT();
         }
-        pc_ = pc;
+        ctx_.pc = pc;
         return Status::NeedInput;
     }
     OP(TakeManyExt)
     {
         const Instr& i = code[pc];
         if (regs_[i.c] >= static_cast<int64_t>(i.d)) {
-            spins_ = 0;
+            ctx_.spins = 0;
             ++pc;
             NEXT();
         }
-        pc_ = pc;
+        ctx_.pc = pc;
         return Status::NeedInput;
     }
     OP(TakeCh)
@@ -244,12 +340,12 @@ FusedNode::advance(Frame& f)
             std::memcpy(loc(f, i.a), state_.data() + chans[i.c].bufOff,
                         i.b);
             chFull_[i.c] = 0;
-            spins_ = 0;
+            ctx_.spins = 0;
             ++pc;
         } else {
             chConsPc_[i.c] = pc;
             pc = chProdPc_[i.c];
-            spins_ = 0;
+            ctx_.spins = 0;
         }
         NEXT();
     }
@@ -257,14 +353,14 @@ FusedNode::advance(Frame& f)
     {
         const Instr& i = code[pc];
         if (regs_[i.e] >= static_cast<int64_t>(i.d)) {
-            spins_ = 0;
+            ctx_.spins = 0;
             ++pc;
         } else if (chFull_[i.c]) {
             std::memcpy(loc(f, i.a) + regs_[i.e] * i.b,
                         state_.data() + chans[i.c].bufOff, i.b);
             ++regs_[i.e];
             chFull_[i.c] = 0;
-            spins_ = 0;
+            ctx_.spins = 0;
             // pc unchanged: re-run until all n elements are in.
         } else {
             chConsPc_[i.c] = pc;
@@ -274,9 +370,9 @@ FusedNode::advance(Frame& f)
     }
     OP(EmitExt)
     {
-        outPtr_ = loc(f, code[pc].a);
-        spins_ = 0;
-        pc_ = pc + 1;
+        ctx_.outPtr = loc(f, code[pc].a);
+        ctx_.spins = 0;
+        ctx_.pc = pc + 1;
         return Status::Yield;
     }
     OP(EmitChSig)
@@ -285,7 +381,7 @@ FusedNode::advance(Frame& f)
         chFull_[i.a] = 1;
         chProdPc_[i.a] = pc + 1;
         pc = chConsPc_[i.a];
-        spins_ = 0;
+        ctx_.spins = 0;
         NEXT();
     }
     OP(EmitCh)
@@ -295,7 +391,7 @@ FusedNode::advance(Frame& f)
         chFull_[i.c] = 1;
         chProdPc_[i.c] = pc + 1;
         pc = chConsPc_[i.c];
-        spins_ = 0;
+        ctx_.spins = 0;
         NEXT();
     }
     OP(EmitsExt)
@@ -305,10 +401,10 @@ FusedNode::advance(Frame& f)
             pc = i.e;
             NEXT();
         }
-        outPtr_ = loc(f, i.a) + regs_[i.c] * i.b;
+        ctx_.outPtr = loc(f, i.a) + regs_[i.c] * i.b;
         ++regs_[i.c];
-        spins_ = 0;
-        pc_ = pc;  // self-loop: next advance re-runs this instruction
+        ctx_.spins = 0;
+        ctx_.pc = pc;  // self-loop: next advance re-runs this instruction
         return Status::Yield;
     }
     OP(EmitsCh)
@@ -324,7 +420,7 @@ FusedNode::advance(Frame& f)
             chFull_[ch] = 1;
             chProdPc_[ch] = pc;  // self-loop for the next element
             pc = chConsPc_[ch];
-            spins_ = 0;
+            ctx_.spins = 0;
         }
         NEXT();
     }
@@ -432,7 +528,7 @@ FusedNode::advance(Frame& f)
     }
     OP(Spin)
     {
-        if (++spins_ > fuseSpinLimit)
+        if (++ctx_.spins > fuseSpinLimit)
             fatal("repeat: body completed 2^20 times without taking or "
                   "emitting (livelock)");
         ++pc;
@@ -441,14 +537,14 @@ FusedNode::advance(Frame& f)
     OP(Ctrl)
     {
         const Instr& i = code[pc];
-        ctrlPtr_ = i.b ? loc(f, i.a) : nullptr;
+        ctx_.ctrlPtr = i.b ? loc(f, i.a) : nullptr;
         setCtrlWidth(i.b);
         ++pc;
         NEXT();
     }
     OP(Halt)
     {
-        pc_ = pc;  // stay parked: a stray advance re-reports Done
+        ctx_.pc = pc;  // stay parked: a stray advance re-reports Done
         return Status::Done;
     }
 

@@ -773,59 +773,62 @@ countFallback(FuseStats* fstats)
     metrics::Registry::global().counter("ziria.fuse.fallbacks").inc();
 }
 
-} // namespace
+/** The maximal-fusible-subtree walk behind buildNodeFused. */
+struct RegionWalk
+{
+    ExprCompiler& ec;
+    const BuildOptions& opt;
+    BuildStats* stats;
+    FuseStats* fstats;
+    std::vector<FusedNode*>* regions;
+    const char* regionKind;
+
+    NodePtr build(const CompPtr& c, const std::string& path);
+};
 
 NodePtr
-buildNodeFusedWith(const CompPtr& c, ExprCompiler& ec,
-                   const BuildOptions& opt, BuildStats* stats,
-                   FuseStats* fstats, const std::string& path,
-                   const RegionFactory& makeRegion,
-                   const char* regionKind)
+RegionWalk::build(const CompPtr& c, const std::string& path)
 {
     if (fusibleComp(c)) {
         if (stats)
             ++stats->nodes;
-        auto prog = lowerFused(c, ec, opt, stats, fstats);
+        auto node =
+            std::make_unique<FusedNode>(lowerFused(c, ec, opt, stats, fstats));
         if (fstats)
             ++fstats->nodesFused;
         metrics::Registry::global()
             .counter("ziria.fuse.nodes_fused")
             .inc();
-        NodePtr node = makeRegion(std::move(prog));
+        if (regions)
+            regions->push_back(node.get());
         return finishNode(std::move(node), c, opt, path, regionKind);
     }
 
     // Not fusible at this level: build the VM combinator here and fuse
     // maximal subtrees underneath it.
+    if (c->kind() == CompKind::Native) {
+        countFallback(fstats);
+        return buildNode(c, ec, opt, stats, path);
+    }
+    if (stats)
+        ++stats->nodes;
+    countFallback(fstats);
     switch (c->kind()) {
       case CompKind::Pipe: {
         const auto& p = static_cast<const PipeComp&>(*c);
-        if (stats)
-            ++stats->nodes;
-        countFallback(fstats);
-        NodePtr l = buildNodeFusedWith(p.left(), ec, opt, stats, fstats,
-                                       path + "/l", makeRegion,
-                                       regionKind);
-        NodePtr r = buildNodeFusedWith(p.right(), ec, opt, stats, fstats,
-                                       path + "/r", makeRegion,
-                                       regionKind);
-        NodePtr node =
-            std::make_unique<PipeNode>(std::move(l), std::move(r));
+        NodePtr l = build(p.left(), path + "/l");
+        NodePtr r = build(p.right(), path + "/r");
+        NodePtr node = std::make_unique<PipeNode>(std::move(l), std::move(r));
         return finishNode(std::move(node), c, opt, path, "pipe");
       }
       case CompKind::Seq: {
         const auto& s = static_cast<const SeqComp&>(*c);
-        if (stats)
-            ++stats->nodes;
-        countFallback(fstats);
         std::vector<SeqNode::Item> items;
         items.reserve(s.items().size());
         size_t i = 0;
         for (const auto& it : s.items()) {
             SeqNode::Item item;
-            item.node = buildNodeFusedWith(
-                it.comp, ec, opt, stats, fstats,
-                path + "/s" + std::to_string(i++), makeRegion, regionKind);
+            item.node = build(it.comp, path + "/s" + std::to_string(i++));
             if (it.bind) {
                 item.bindOff =
                     static_cast<long>(ec.layout().add(it.bind));
@@ -838,35 +841,20 @@ buildNodeFusedWith(const CompPtr& c, ExprCompiler& ec,
       }
       case CompKind::If: {
         const auto& i = static_cast<const IfComp&>(*c);
-        if (stats)
-            ++stats->nodes;
-        countFallback(fstats);
-        NodePtr t = buildNodeFusedWith(i.thenC(), ec, opt, stats, fstats,
-                                       path + "/t", makeRegion,
-                                       regionKind);
-        NodePtr e = i.elseC()
-            ? buildNodeFusedWith(i.elseC(), ec, opt, stats, fstats,
-                                 path + "/e", makeRegion, regionKind)
-            : nullptr;
+        NodePtr t = build(i.thenC(), path + "/t");
+        NodePtr e = i.elseC() ? build(i.elseC(), path + "/e") : nullptr;
         NodePtr node = std::make_unique<IfNode>(
             ec.compileInt(i.cond()), std::move(t), std::move(e));
         return finishNode(std::move(node), c, opt, path, "if");
       }
       case CompKind::Repeat: {
         const auto& r = static_cast<const RepeatComp&>(*c);
-        if (stats)
-            ++stats->nodes;
-        countFallback(fstats);
-        NodePtr node = std::make_unique<RepeatNode>(buildNodeFusedWith(
-            r.body(), ec, opt, stats, fstats, path + "/rep", makeRegion,
-            regionKind));
+        NodePtr node =
+            std::make_unique<RepeatNode>(build(r.body(), path + "/rep"));
         return finishNode(std::move(node), c, opt, path, "repeat");
       }
       case CompKind::Times: {
         const auto& t = static_cast<const TimesComp&>(*c);
-        if (stats)
-            ++stats->nodes;
-        countFallback(fstats);
         long ivOff = -1;
         TypeKind ivKind = TypeKind::Int32;
         if (t.inductionVar()) {
@@ -875,55 +863,41 @@ buildNodeFusedWith(const CompPtr& c, ExprCompiler& ec,
         }
         NodePtr node = std::make_unique<TimesNode>(
             ec.compileInt(t.count()), ivOff, ivKind,
-            buildNodeFusedWith(t.body(), ec, opt, stats, fstats,
-                               path + "/times", makeRegion, regionKind));
+            build(t.body(), path + "/times"));
         return finishNode(std::move(node), c, opt, path, "times");
       }
       case CompKind::While: {
         const auto& w = static_cast<const WhileComp&>(*c);
-        if (stats)
-            ++stats->nodes;
-        countFallback(fstats);
         NodePtr node = std::make_unique<WhileNode>(
-            ec.compileInt(w.cond()),
-            buildNodeFusedWith(w.body(), ec, opt, stats, fstats,
-                               path + "/while", makeRegion, regionKind));
+            ec.compileInt(w.cond()), build(w.body(), path + "/while"));
         return finishNode(std::move(node), c, opt, path, "while");
       }
       case CompKind::LetVar: {
         const auto& l = static_cast<const LetVarComp&>(*c);
-        if (stats)
-            ++stats->nodes;
-        countFallback(fstats);
         size_t off = ec.layout().add(l.var());
         EvalInto init;
         if (l.init())
             init = ec.compileInto(l.init());
         NodePtr node = std::make_unique<LetVarNode>(
             off, l.var()->type->byteWidth(), std::move(init),
-            buildNodeFusedWith(l.body(), ec, opt, stats, fstats,
-                               path + "/let", makeRegion, regionKind));
+            build(l.body(), path + "/let"));
         return finishNode(std::move(node), c, opt, path, "letvar");
       }
-      case CompKind::Native:
-        countFallback(fstats);
-        return buildNode(c, ec, opt, stats, path);
       default:
         panic("buildNodeFused: unexpected non-fusible leaf");
     }
 }
 
+} // namespace
+
 NodePtr
 buildNodeFused(const CompPtr& c, ExprCompiler& ec, const BuildOptions& opt,
                BuildStats* stats, FuseStats* fstats,
-               const std::string& path)
+               const std::string& path, std::vector<FusedNode*>* regions,
+               const char* regionKind)
 {
-    return buildNodeFusedWith(
-        c, ec, opt, stats, fstats, path,
-        [](std::shared_ptr<const zfuse::FuseProgram> prog) -> NodePtr {
-            return std::make_unique<FusedNode>(std::move(prog));
-        },
-        "fused");
+    return RegionWalk{ec, opt, stats, fstats, regions, regionKind}.build(
+        c, path);
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,5 @@
 #include "zir/compiler.h"
 
-#include "support/panic.h"
 #include "support/timing.h"
 #include "zcheck/check.h"
 
@@ -127,51 +126,10 @@ splitStages(const CompPtr& c, std::vector<CompPtr>& out)
 
 } // namespace
 
-namespace {
-
-/**
- * Stage-scoped restart re-arms one failed stage while its neighbors
- * keep their state, which requires the per-stage node boundaries the
- * closure-tree VM backend preserves.  The fused backend collapses runs
- * of operators into single bytecode nodes whose merged state image
- * cannot be re-armed per original stage, so the combination is refused
- * up front with a clear diagnostic instead of degrading silently
- * (docs/ROBUSTNESS.md, "Restart scope support matrix").
- */
-void
-checkRestartScope(const CompilerOptions& opt)
-{
-    if (opt.backend == Backend::Fused && opt.restart.enabled() &&
-        opt.restart.scope == RestartScope::Stage)
-        fatalf("--restart-scope stage is not supported with "
-               "--backend=fused: the fused backend merges stages into "
-               "single bytecode nodes, so a single stage cannot be "
-               "re-armed in isolation; use --restart-scope pipeline or "
-               "--backend=vm (docs/ROBUSTNESS.md, \"Restart scope "
-               "support matrix\")");
-    if (opt.backend == Backend::Native && opt.restart.enabled() &&
-        opt.restart.scope == RestartScope::Stage)
-        fatalf("--restart-scope stage is not supported with "
-               "--backend=native: native regions merge stages just like "
-               "the fused backend, so a single stage cannot be re-armed "
-               "in isolation; use --restart-scope pipeline or "
-               "--backend=vm (docs/ROBUSTNESS.md, \"Restart scope "
-               "support matrix\")");
-    if (opt.backend == Backend::Native && opt.checkpoint.enabled())
-        fatalf("--checkpoint is not supported with --backend=native: "
-               "compiled regions do not expose a serializable state "
-               "image; use --backend=fused or --backend=vm for "
-               "checkpointing (docs/ROBUSTNESS.md, \"Checkpointing & "
-               "migration\")");
-}
-
-} // namespace
-
 std::unique_ptr<Pipeline>
 compilePipeline(const CompPtr& program, const CompilerOptions& opt,
                 CompileReport* report)
 {
-    checkRestartScope(opt);
     CompPtr c = optimizeComp(program, opt, report);
 
     Stopwatch sw;
@@ -223,7 +181,6 @@ std::unique_ptr<ThreadedPipeline>
 compileThreadedPipeline(const CompPtr& program, const CompilerOptions& opt,
                         CompileReport* report)
 {
-    checkRestartScope(opt);
     CompPtr c = optimizeComp(program, opt, report);
 
     Stopwatch sw;
@@ -245,7 +202,11 @@ compileThreadedPipeline(const CompPtr& program, const CompilerOptions& opt,
     BuildStats bs;
     std::vector<NodePtr> stages;
     stages.reserve(parts.size());
+    // Partitions are built one after another over the bump-allocated
+    // layout, so each stage's frame cells are one contiguous range.
+    std::vector<ThreadedPipeline::FrameRange> frames;
     for (size_t i = 0; i < parts.size(); ++i) {
+        const size_t frameBegin = layout.frameSize();
         std::string stagePath = "stage" + std::to_string(i);
         switch (opt.backend) {
           case Backend::Fused:
@@ -264,15 +225,16 @@ compileThreadedPipeline(const CompPtr& program, const CompilerOptions& opt,
             stages.push_back(buildNode(parts[i], ec, bo, &bs, stagePath));
             break;
         }
+        frames.push_back({frameBegin, layout.frameSize()});
     }
 
     size_t inW = stages.front()->inWidth();
     size_t outW = stages.back()->outWidth();
     // Stage boundary widths must agree (checked stream types guarantee
     // it); queue widths are derived per boundary inside ThreadedPipeline.
-    auto p = std::make_unique<ThreadedPipeline>(std::move(stages),
-                                                layout.frameSize(), inW,
-                                                outW, opt.queueCapacity);
+    auto p = std::make_unique<ThreadedPipeline>(
+        std::move(stages), std::move(frames), layout.frameSize(), inW, outW,
+        opt.queueCapacity);
     p->setStallDeadline(opt.stallDeadlineMs);
     p->setRestartPolicy(opt.restart);
     // Stage/queue telemetry is recorded on every run once a metrics

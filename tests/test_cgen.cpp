@@ -14,10 +14,7 @@
  *    round trips;
  *  - the on-disk shared-object cache: miss-then-hit, corrupt
  *    .so/manifest quarantine + recompile, stale-key misses, cache-key
- *    determinism, and the ziria.cgen.* counters;
- *  - loud compile-time refusals for the unsupported combinations
- *    (--backend=native with stage-scoped restart or checkpointing) and
- *    the snapshot refusal on a bound region.
+ *    determinism, and the ziria.cgen.* counters.
  *
  * Tests that require real machine code gate on
  * zcgen::compilerAvailable(); without a compiler the backend degrades
@@ -42,6 +39,7 @@
 
 #include "channel/channel.h"
 #include "dsp/constellation.h"
+#include "support/backends.h"
 #include "support/diff_runner.h"
 #include "support/fault_injector.h"
 #include "support/metrics.h"
@@ -52,7 +50,6 @@
 #include "wifi/tx.h"
 #include "zast/builder.h"
 #include "zcgen/cgen.h"
-#include "zexec/snapshot.h"
 #include "zgen/generator.h"
 #include "zir/compiler.h"
 
@@ -80,26 +77,12 @@ makeTempDir()
     return dir ? std::string(dir) : std::string();
 }
 
-/**
- * Every test in this binary compiles into one private cache directory
- * (via $ZIRIA_CGEN_CACHE) so runs neither pollute nor depend on the
- * user's ~/.cache/ziria/zcgen.  Cache-behavior tests that need a cold
- * cache make their own directory and pass it explicitly.
- */
-class CgenCacheEnv : public ::testing::Environment
-{
-  public:
-    void
-    SetUp() override
-    {
-        std::string dir = makeTempDir();
-        ASSERT_FALSE(dir.empty());
-        setenv("ZIRIA_CGEN_CACHE", dir.c_str(), 1);
-    }
-};
-
+// Every test in this binary compiles into one private cache directory
+// (via $ZIRIA_CGEN_CACHE) so runs neither pollute nor depend on the
+// user's ~/.cache/ziria/zcgen.  Cache-behavior tests that need a cold
+// cache make their own directory and pass it explicitly.
 [[maybe_unused]] const ::testing::Environment* const kCacheEnv =
-    ::testing::AddGlobalTestEnvironment(new CgenCacheEnv);
+    ::testing::AddGlobalTestEnvironment(new testsupport::PrivateCgenCache);
 
 bool
 fileExists(const std::string& path)
@@ -662,61 +645,6 @@ TEST(CgenCache, CacheKeyHashIsDeterministic)
     EXPECT_EQ(zcgen::fnv1a64Hex(kToySource),
               zcgen::fnv1a64Hex(kToySource));
     EXPECT_NE(zcgen::fnv1a64Hex("a"), zcgen::fnv1a64Hex("b"));
-}
-
-// ----------------------------------------------------- loud refusals
-
-TEST(NativeRefusals, StageScopedRestartIsRefusedAtCompileTime)
-{
-    CompilerOptions opt = nativeConf();
-    opt.restart.mode = RestartMode::OnFailure;
-    opt.restart.maxRestarts = 2;
-    opt.restart.scope = RestartScope::Stage;
-    try {
-        compilePipeline(incBlock(1), opt);
-        FAIL() << "native + stage-scoped restart must be refused";
-    } catch (const FatalError& e) {
-        EXPECT_NE(std::string(e.what()).find("--backend=native"),
-                  std::string::npos)
-            << e.what();
-        EXPECT_NE(std::string(e.what()).find("docs/ROBUSTNESS.md"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(NativeRefusals, CheckpointIsRefusedAtCompileTime)
-{
-    CompilerOptions opt = nativeConf();
-    opt.checkpoint.interval = 64;
-    try {
-        compilePipeline(incBlock(1), opt);
-        FAIL() << "native + checkpointing must be refused";
-    } catch (const FatalError& e) {
-        EXPECT_NE(std::string(e.what()).find("--checkpoint"),
-                  std::string::npos)
-            << e.what();
-        EXPECT_NE(std::string(e.what()).find("docs/ROBUSTNESS.md"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(NativeRefusals, SnapshotOfBoundRegionIsRefused)
-{
-    if (!zcgen::compilerAvailable())
-        GTEST_SKIP() << "no C++ compiler on this host";
-    CompileReport rep;
-    auto p = compilePipeline(incBlock(1), nativeConf(), &rep);
-    ASSERT_EQ(rep.cgen.fallbacks, 0);
-    try {
-        takeSnapshot(p->root(), p->frame(), 0, 0);
-        FAIL() << "snapshot of a compiled region must be refused";
-    } catch (const FatalError& e) {
-        EXPECT_NE(std::string(e.what()).find("docs/ROBUSTNESS.md"),
-                  std::string::npos)
-            << e.what();
-    }
 }
 
 } // namespace

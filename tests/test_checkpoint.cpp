@@ -2,11 +2,12 @@
  * @file
  * Checkpoint tests (ctest labels `recovery`, `checkpoint`): the
  * snapshot/restore round-trip totality contract across every
- * combinator shape × {vm, fused} × O0/O3, the state-io primitives, a
- * WiFi receiver checkpointed mid-packet, and the checkpointed-restart
- * consumer — a supervised restart that resumes from the last
- * frame-boundary snapshot and reproduces the uninterrupted run's
- * output byte for byte (the PR's acceptance property).
+ * combinator shape × {vm, fused, native} × O0/O3, fused <-> native
+ * snapshot interchange, the state-io primitives, a WiFi receiver
+ * checkpointed mid-packet, and the checkpointed-restart consumer — a
+ * supervised restart that resumes from the last frame-boundary
+ * snapshot and reproduces the uninterrupted run's output byte for
+ * byte.
  *
  * The round-trip contract under test (zexec/snapshot.h): at a
  * quiescent point (the tree parked on NeedInput), restoreSnapshot(
@@ -24,6 +25,7 @@
 
 #include "channel/channel.h"
 #include "sora/sora.h"
+#include "support/backends.h"
 #include "support/fault_injector.h"
 #include "support/metrics.h"
 #include "support/rng.h"
@@ -40,9 +42,15 @@
 namespace ziria {
 namespace {
 
+using testsupport::backendName;
 using testsupport::intBytes;
+using testsupport::kAllBackends;
+using testsupport::nativeUnavailable;
 using testsupport::resetShapes;
 using testsupport::Shape;
+
+[[maybe_unused]] const ::testing::Environment* const kCacheEnv =
+    ::testing::AddGlobalTestEnvironment(new testsupport::PrivateCgenCache);
 
 // ------------------------------------------------------------- helpers
 
@@ -232,10 +240,12 @@ TEST(HostileCheckpoint, NativeRingOutOfBounds)
     expectRestoreRejects(n, w2);
 }
 
-TEST(HostileCheckpoint, FusedPcAndPointerOutOfRange)
+void
+checkFusedPcAndPointerRejected(Backend be)
 {
+    SCOPED_TRACE(backendName(be));
     CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
-    opt.backend = Backend::Fused;
+    opt.backend = be;
     std::unique_ptr<Pipeline> p;
     for (const Shape& sh : resetShapes()) {
         auto q = compilePipeline(sh.make(), opt);
@@ -284,17 +294,26 @@ TEST(HostileCheckpoint, FusedPcAndPointerOutOfRange)
                  StateFormatError);
 }
 
+TEST(HostileCheckpoint, FusedPcAndPointerOutOfRange)
+{
+    checkFusedPcAndPointerRejected(Backend::Fused);
+    if (nativeUnavailable(Backend::Native))
+        GTEST_SKIP() << "no C++ compiler on this host";
+    checkFusedPcAndPointerRejected(Backend::Native);
+}
+
 // ------------------------------------------- round-trip totality
 
 TEST(SnapshotRoundTrip, AllShapesAcrossBackendsAndOptLevels)
 {
     for (const Shape& sh : resetShapes()) {
         for (OptLevel lvl : {OptLevel::None, OptLevel::All}) {
-            for (Backend be : {Backend::Vm, Backend::Fused}) {
-                SCOPED_TRACE(
-                    std::string(sh.name) + " at OptLevel " +
-                    (lvl == OptLevel::None ? "None" : "All") + ", " +
-                    (be == Backend::Vm ? "vm" : "fused"));
+            for (Backend be : kAllBackends) {
+                if (nativeUnavailable(be))
+                    continue;
+                SCOPED_TRACE(std::string(sh.name) + " at OptLevel " +
+                             (lvl == OptLevel::None ? "None" : "All") +
+                             ", " + backendName(be));
                 CompilerOptions opt = CompilerOptions::forLevel(lvl);
                 opt.backend = be;
                 auto p = compilePipeline(sh.make(), opt);
@@ -350,6 +369,66 @@ TEST(SnapshotRoundTrip, RestoreIsRepeatable)
         restoreSnapshot(p->root(), p->frame(), snap);
         auto got = driveUpTo(*p, bytes, head.consumed, SIZE_MAX, false);
         EXPECT_EQ(got.out, want.out) << "round " << round;
+    }
+}
+
+TEST(SnapshotRoundTrip, FusedAndNativeSnapshotsInterchange)
+{
+    // Fused and native regions are the same FusedNode state machine
+    // over the same state, run by the interpreter or by compiled code,
+    // so a snapshot taken under one engine restores into the other (a
+    // session can migrate between a compiler-less host and a native
+    // one).  Restore must also write into the node's existing buffers:
+    // bound compiled code reaches them through the node's ZrCtx.
+    if (nativeUnavailable(Backend::Native))
+        GTEST_SKIP() << "no C++ compiler on this host";
+    for (const Shape& sh : resetShapes()) {
+        for (OptLevel lvl : {OptLevel::None, OptLevel::All}) {
+            for (Backend from : {Backend::Fused, Backend::Native}) {
+                const Backend to = from == Backend::Fused
+                    ? Backend::Native
+                    : Backend::Fused;
+                SCOPED_TRACE(std::string(sh.name) + " at OptLevel " +
+                             (lvl == OptLevel::None ? "None" : "All") +
+                             ", " + backendName(from) + " -> " +
+                             backendName(to));
+                auto compile = [&](Backend be) {
+                    CompilerOptions opt = CompilerOptions::forLevel(lvl);
+                    opt.backend = be;
+                    CompileReport rep;
+                    auto p = compilePipeline(sh.make(), opt, &rep);
+                    EXPECT_EQ(rep.cgen.fallbacks, 0);
+                    return p;
+                };
+                auto src = compile(from);
+                auto dst = compile(to);
+                auto ref = compile(to);
+
+                std::vector<int32_t> in(24 * (src->inWidth() / 4));
+                for (size_t i = 0; i < in.size(); ++i)
+                    in[i] = static_cast<int32_t>(i);
+                auto bytes = intBytes(in);
+                auto whole = driveUpTo(*ref, bytes, 0, SIZE_MAX, true);
+
+                auto head = driveUpTo(*src, bytes, 0, 5, /*init=*/true);
+                auto snap = takeSnapshot(src->root(), src->frame(),
+                                         head.consumed, 0);
+                // Dirty the target first: restore alone must rebuild it.
+                driveUpTo(*dst, bytes, 0, SIZE_MAX, /*init=*/true);
+                restoreSnapshot(dst->root(), dst->frame(), snap);
+                auto got = driveUpTo(*dst, bytes, head.consumed,
+                                     SIZE_MAX, /*init=*/false);
+
+                std::vector<uint8_t> joined = head.out;
+                joined.insert(joined.end(), got.out.begin(),
+                              got.out.end());
+                EXPECT_EQ(joined, whole.out)
+                    << "restored continuation diverged from an "
+                       "uninterrupted run";
+                EXPECT_EQ(head.consumed + got.consumed, whole.consumed);
+                EXPECT_EQ(got.done, whole.done);
+            }
+        }
     }
 }
 
@@ -428,8 +507,7 @@ TEST(SnapshotRoundTrip, WifiRxMidPacketCheckpointDecodesThePacket)
 void
 checkCheckpointedRestart(Backend be, OptLevel lvl)
 {
-    SCOPED_TRACE(std::string(be == Backend::Vm ? "vm" : "fused") +
-                 " at OptLevel " +
+    SCOPED_TRACE(std::string(backendName(be)) + " at OptLevel " +
                  (lvl == OptLevel::None ? "None" : "All"));
     const Shape& sh = resetShapes()[10];  // letvar-accumulator
     ASSERT_STREQ(sh.name, "letvar-accumulator");
@@ -449,7 +527,7 @@ checkCheckpointedRestart(Backend be, OptLevel lvl)
     opt.restart.backoffInitialMs = 1;
     opt.checkpoint.interval = 4;
     auto p = compilePipeline(sh.make(), opt);
-    // vm and fused must agree on the compiled element width for the
+    // Every backend must agree on the compiled element width for the
     // clean run above to be the right oracle.
     ASSERT_EQ(p->inWidth(), clean->inWidth());
 
@@ -483,6 +561,14 @@ TEST(CheckpointedRestart, ByteIdenticalAfterFaultFused)
 {
     checkCheckpointedRestart(Backend::Fused, OptLevel::None);
     checkCheckpointedRestart(Backend::Fused, OptLevel::All);
+}
+
+TEST(CheckpointedRestart, ByteIdenticalAfterFaultNative)
+{
+    if (nativeUnavailable(Backend::Native))
+        GTEST_SKIP() << "no C++ compiler on this host";
+    checkCheckpointedRestart(Backend::Native, OptLevel::None);
+    checkCheckpointedRestart(Backend::Native, OptLevel::All);
 }
 
 TEST(CheckpointedRestart, PlainRestartDivergesOnStatefulPipelines)

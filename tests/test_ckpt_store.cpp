@@ -8,7 +8,7 @@
  * which must quarantine and fall back, never crash.  Plus the solo
  * crash-resume property in-process: a run killed mid-stream (simulated
  * by a throwing sink) resumes from the newest valid generation with
- * byte-identical concatenated output on both the vm and fused
+ * byte-identical concatenated output on the vm, fused and native
  * backends.
  */
 #include <dirent.h>
@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/backends.h"
 #include "support/metrics.h"
 #include "support/rng.h"
 #include "zexec/ckpt_store.h"
@@ -33,6 +34,9 @@
 
 namespace ziria {
 namespace {
+
+[[maybe_unused]] const ::testing::Environment* const kCacheEnv =
+    ::testing::AddGlobalTestEnvironment(new testsupport::PrivateCgenCache);
 
 /** The paper's Figure 3 scrambler — 7 bits of state per element. */
 const char* kScramblerSrc = R"(
@@ -440,8 +444,9 @@ durableResumeByteIdentity(Backend backend)
     auto clean = compilePipeline(program, opt, nullptr);
     std::vector<uint8_t> expect = clean->runBytes(input);
 
-    std::string dir = scratchDir(backend == Backend::Fused ? "resume-fused"
-                                                           : "resume-vm");
+    const std::string tag =
+        std::string("resume-") + testsupport::backendName(backend);
+    std::string dir = scratchDir(tag.c_str());
     CkptStore store(dir);
     const std::string key = "solo-resume";
 
@@ -478,8 +483,7 @@ durableResumeByteIdentity(Backend backend)
                                  static_cast<long>(emitted * outW));
     got.insert(got.end(), sink2.data().begin(), sink2.data().end());
     EXPECT_EQ(got, expect) << "resumed output diverged ("
-                           << (backend == Backend::Fused ? "fused" : "vm")
-                           << ")";
+                           << testsupport::backendName(backend) << ")";
 
     // Orderly completion retired the key: no stale resume next start.
     std::vector<uint8_t> after;
@@ -495,6 +499,13 @@ TEST(DurableResume, ByteIdenticalAfterCrashVm)
 TEST(DurableResume, ByteIdenticalAfterCrashFused)
 {
     durableResumeByteIdentity(Backend::Fused);
+}
+
+TEST(DurableResume, ByteIdenticalAfterCrashNative)
+{
+    if (testsupport::nativeUnavailable(Backend::Native))
+        GTEST_SKIP() << "no C++ compiler on this host";
+    durableResumeByteIdentity(Backend::Native);
 }
 
 } // namespace

@@ -6,9 +6,8 @@
  * hand-off between two running servers (byte-identity for the moved
  * session, zero disturbance for its neighbor, live_{sent,received}
  * counters), rejection rollback (a failed hand-off leaves the source
- * session running, no data loss), the negotiated above-1-MiB
- * Checkpoint/Migrate payload cap through the frame parser, and the
- * fused-backend x stage-scope startup refusal.
+ * session running, no data loss), and the negotiated above-1-MiB
+ * Checkpoint/Migrate payload cap through the frame parser.
  *
  * All traffic is loopback TCP; no test talks to the outside world.
  */
@@ -567,32 +566,6 @@ TEST(Wire, NearLimitMigrateTransferRoundTripsThroughTheParser)
     q.feed(bad.data(), bad.size());
     Frame g;
     EXPECT_EQ(q.next(g), FrameParser::Result::Error);
-}
-
-// --------------------------------- fused x stage-scope refusal
-
-TEST(Compile, FusedBackendRefusesStageScopeLoudly)
-{
-    CompPtr program = parseComp(kScramblerSrc);
-    CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
-    opt.backend = Backend::Fused;
-    opt.restart.mode = RestartMode::OnFailure;
-    opt.restart.maxRestarts = 2;
-    opt.restart.scope = RestartScope::Stage;
-    try {
-        compilePipeline(program, opt, nullptr);
-        FAIL() << "fused x stage scope compiled; expected a refusal";
-    } catch (const FatalError& e) {
-        // The diagnostic names both the conflict and the escape hatches.
-        std::string what = e.what();
-        EXPECT_NE(what.find("--restart-scope stage"), std::string::npos);
-        EXPECT_NE(what.find("--backend=fused"), std::string::npos);
-        EXPECT_NE(what.find("ROBUSTNESS.md"), std::string::npos);
-    }
-
-    // Pipeline scope on the fused backend stays fine.
-    opt.restart.scope = RestartScope::Pipeline;
-    EXPECT_NO_THROW(compilePipeline(program, opt, nullptr));
 }
 
 } // namespace

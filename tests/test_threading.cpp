@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/backends.h"
 #include "support/metrics.h"
 #include "support/panic.h"
 #include "support/rng.h"
@@ -21,6 +22,12 @@ namespace ziria {
 namespace {
 
 using namespace zb;
+using testsupport::backendName;
+using testsupport::kAllBackends;
+using testsupport::nativeUnavailable;
+
+[[maybe_unused]] const ::testing::Environment* const kCacheEnv =
+    ::testing::AddGlobalTestEnvironment(new testsupport::PrivateCgenCache);
 
 TEST(SpscQueue, FifoUnderLoad)
 {
@@ -539,7 +546,22 @@ sinkInts(const VecSink& sink)
 
 } // namespace
 
-TEST(Threaded, StageScopedRestartPreservesDownstreamState)
+/** Stage-scoped restart policy shared by the per-stage tests below. */
+CompilerOptions
+stageScoped(Backend be, int maxRestarts)
+{
+    CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
+    opt.backend = be;
+    opt.queueCapacity = 8;
+    opt.restart.mode = RestartMode::OnFailure;
+    opt.restart.scope = RestartScope::Stage;
+    opt.restart.maxRestarts = maxRestarts;
+    opt.restart.backoffInitialMs = 1;
+    return opt;
+}
+
+void
+checkStageRestartPreservesDownstreamState(Backend be)
 {
     // Source throws twice (throw@10:2 — the fault clock survives the
     // restart, so it re-fires on the very next read).  With
@@ -547,14 +569,9 @@ TEST(Threaded, StageScopedRestartPreservesDownstreamState)
     // running-sum stage keeps its live accumulator across BOTH
     // restarts, so the output stays strictly monotone.  A
     // pipeline-scoped restart would zero the accumulator and dip.
-    CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
-    opt.queueCapacity = 8;
-    opt.restart.mode = RestartMode::OnFailure;
-    opt.restart.scope = RestartScope::Stage;
-    opt.restart.maxRestarts = 4;
-    opt.restart.backoffInitialMs = 1;
-    auto p = compileThreadedPipeline(
-        ppipe(incBlock(1), runningSum()), opt);
+    SCOPED_TRACE(backendName(be));
+    auto p = compileThreadedPipeline(ppipe(incBlock(1), runningSum()),
+                                     stageScoped(be, 4));
 
     const size_t N = 100;
     std::vector<int32_t> in(N);
@@ -594,7 +611,8 @@ TEST(Threaded, StageScopedRestartPreservesDownstreamState)
               static_cast<int32_t>(N));
 }
 
-TEST(Threaded, StageScopedRestartResetsOnlyTheFailedStage)
+void
+checkStageRestartResetsOnlyTheFailedStage(Backend be)
 {
     // A data-poisoned MIDDLE stage: 7/(x-10) faults when the running
     // sum hits 10.  Per-stage restart drops the poisoned element with
@@ -604,20 +622,14 @@ TEST(Threaded, StageScopedRestartResetsOnlyTheFailedStage)
     // consumed by stage 0 exactly once, so the last sum to reach the
     // sink is the full-series total: proof the accumulator was neither
     // reset nor double-fed.
+    SCOPED_TRACE(backendName(be));
     VarRef x = freshVar("x", Type::int32());
     CompPtr poison = repeatc(seqc(
         {bindc(x, take(Type::int32())),
          just(emit(var(x) + cInt(0) * (cInt(7) / (var(x) - 10))))}));
-
-    CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
-    opt.queueCapacity = 8;
-    opt.restart.mode = RestartMode::OnFailure;
-    opt.restart.scope = RestartScope::Stage;
-    opt.restart.maxRestarts = 3;
-    opt.restart.backoffInitialMs = 1;
     auto p = compileThreadedPipeline(
         ppipe(ppipe(runningSum(), std::move(poison)), incBlock(0)),
-        opt);
+        stageScoped(be, 3));
 
     const int32_t N = 60;
     std::vector<int32_t> in(static_cast<size_t>(N));
@@ -644,6 +656,88 @@ TEST(Threaded, StageScopedRestartResetsOnlyTheFailedStage)
             << "upstream accumulator was reset (output dipped at "
             << i << ")";
     EXPECT_EQ(got.back(), N * (N + 1) / 2);
+}
+
+void
+checkStatefulStageRestoresItsFrameSlice(Backend be)
+{
+    // The failing stage is itself the running sum, and its accumulator
+    // is a frame cell.  A source fault (throw@10) first re-arms stage 0,
+    // which leaves a boundary snapshot of stage 1 parked on its next
+    // take.  The first element stage 1 sees afterwards, input 10, is
+    // poisoned: it is added to the accumulator, then the emit faults.
+    // Restoring stage 1 must roll the accumulator back to the boundary
+    // — node state and frame slice — so the poisoned element leaves no
+    // trace.  Each output then exceeds the previous one by exactly one
+    // delivered input, and inputs increase, so the output increments
+    // must increase too: a reset accumulator dips, and a stale cell
+    // that kept the poisoned element shows one oversized step.
+    SCOPED_TRACE(backendName(be));
+    VarRef acc = freshVar("acc", Type::int32());
+    VarRef x = freshVar("x", Type::int32());
+    CompPtr sum = letvar(
+        acc, cInt(0),
+        repeatc(seqc(
+            {bindc(x, take(Type::int32())),
+             just(doS({assign(var(acc), var(acc) + var(x))})),
+             just(emit(var(acc) + cInt(0) * (cInt(7) / (var(x) - 10))))})));
+    auto p = compileThreadedPipeline(ppipe(incBlock(0), std::move(sum)),
+                                     stageScoped(be, 3));
+
+    const size_t N = 60;
+    std::vector<int32_t> in(N);
+    for (size_t i = 0; i < N; ++i)
+        in[i] = static_cast<int32_t>(i);  // input i at read i
+    auto bytes = intBytes(in);
+    MemSource mem(bytes, 4);
+    FaultySource src(mem, FaultSpec::parse("throw@10"));
+    VecSink sink(4);
+
+    auto& reg = metrics::Registry::global();
+    uint64_t attempts0 = reg.counter("restart.stage.attempts").value();
+    uint64_t restored0 = reg.counter("restart.stage.restored").value();
+
+    p->run(src, sink);  // must not throw
+
+    EXPECT_EQ(reg.counter("restart.stage.attempts").value(),
+              attempts0 + 2);
+    EXPECT_EQ(reg.counter("restart.stage.restored").value(),
+              restored0 + 1)
+        << "the failed stateful stage was not restored from its "
+           "boundary snapshot";
+
+    std::vector<int32_t> got = sinkInts(sink);
+    ASSERT_GE(got.size(), 3u);
+    for (size_t i = 1; i < got.size(); ++i)
+        ASSERT_LT(got[i - 1], got[i])
+            << "accumulator was reset (output dipped at " << i << ")";
+    for (size_t i = 2; i < got.size(); ++i)
+        ASSERT_LT(got[i - 1] - got[i - 2], got[i] - got[i - 1])
+            << "accumulator kept the poisoned element (step at " << i
+            << ")";
+    EXPECT_EQ(got.back() - got[got.size() - 2],
+              static_cast<int32_t>(N - 1));
+}
+
+TEST(Threaded, StageScopedRestartPreservesDownstreamState)
+{
+    for (Backend be : kAllBackends)
+        if (!nativeUnavailable(be))
+            checkStageRestartPreservesDownstreamState(be);
+}
+
+TEST(Threaded, StageScopedRestartResetsOnlyTheFailedStage)
+{
+    for (Backend be : kAllBackends)
+        if (!nativeUnavailable(be))
+            checkStageRestartResetsOnlyTheFailedStage(be);
+}
+
+TEST(Threaded, StageScopedRestartRestoresStatefulFailedStage)
+{
+    for (Backend be : kAllBackends)
+        if (!nativeUnavailable(be))
+            checkStatefulStageRestoresItsFrameSlice(be);
 }
 
 TEST(Threaded, RepeatedRunsReuseThePipeline)
