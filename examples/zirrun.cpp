@@ -53,17 +53,20 @@
  *                      truncate@K | throw@K[:N] | stall@K:MS[:N] |
  *                      shortread@K:SEED  (N = times the fault fires;
  *                      0 = forever, default 1)
- *   --restart N        self-healing: retry a failed run in place up to
- *                      N times (exponential backoff) before giving up
+ *   --restart N        self-healing: retry a failed run (under --listen:
+ *                      session) in place up to N times before giving up
  *   --backoff-ms M     initial restart backoff (default 10; doubles per
  *                      attempt, capped at 1000 ms)
+ *   --checkpoint[=N]   with --restart: restore the snapshot taken every
+ *                      N elements (default 4096) and replay, so healed
+ *                      output is byte-identical, solo or under --listen
  *   --serve[=ELEMS]    long-running serve loop: feed the pipeline from a
  *                      cyclic source of ELEMS total elements (default:
  *                      indefinitely) instead of one finite buffer —
  *                      paired with --restart, an injected fault costs at
  *                      most one frame, not the process.  This is the
  *                      no-network variant of --listen: both drive the
- *                      same cooperative stepping core (zexec/stepper.h),
+ *                      same supervised stepping loop (zexec/stepper.h),
  *                      --serve in-process with a synthetic source,
  *                      --listen against real client connections.
  *
@@ -92,8 +95,9 @@
  *                      127.0.0.1:PORT (default 0 = kernel-assigned;
  *                      the bound port is printed either way).  Each
  *                      accepted connection gets its own compiled
- *                      pipeline instance; --inject-fault/--restart
- *                      then apply per session.  Stop with SIGINT/SIGTERM.
+ *                      pipeline instance; --inject-fault, --restart,
+ *                      --backoff-ms and --checkpoint then apply per
+ *                      session.  Stop with SIGINT/SIGTERM.
  *   --max-sessions N   admission cap: further clients are refused with
  *                      a protocol Error frame (default 64)
  *   --workers K        stepping worker threads (default 2)
@@ -682,6 +686,16 @@ main(int argc, char** argv)
     std::ostringstream ss;
     ss << in.rdbuf();
 
+    RestartPolicy restart;
+    if (restartN > 0) {
+        restart.mode = RestartMode::OnFailure;
+        restart.maxRestarts = restartN;
+        if (backoffMs >= 0)
+            restart.backoffInitialMs = backoffMs;
+        if (stageScope)
+            restart.scope = RestartScope::Stage;
+    }
+
     // Front half: everything up to the run is a user error if it throws
     // (bad fault spec, parse error, type error).
     FaultSpec fault;
@@ -705,14 +719,7 @@ main(int argc, char** argv)
         copt.instrument = profile;
         copt.backend = backend;
         copt.stallDeadlineMs = deadlineMs;
-        if (restartN > 0) {
-            copt.restart.mode = RestartMode::OnFailure;
-            copt.restart.maxRestarts = restartN;
-            if (backoffMs >= 0)
-                copt.restart.backoffInitialMs = backoffMs;
-            if (stageScope)
-                copt.restart.scope = RestartScope::Stage;
-        }
+        copt.restart = restart;
         // Checkpointing only pays off under a restart policy (the
         // snapshot is consumed by the re-arm path), but setting it
         // unconditionally is harmless: the pipeline ignores it when no
@@ -800,16 +807,14 @@ main(int argc, char** argv)
                 static_cast<uint64_t>(spanFrame);
             scfg.session.span.budgetNs =
                 static_cast<uint64_t>(budgetUs) * 1000;
-            if (restartN > 0) {
-                scfg.session.restart.mode = RestartMode::OnFailure;
-                scfg.session.restart.maxRestarts = restartN;
-                if (backoffMs >= 0)
-                    scfg.session.restart.backoffInitialMs = backoffMs;
-            }
-            // Factory options: same opt level, no tracer/instrumentation
-            // (those belong to the one-shot profiling path).
+            // Factory options: same opt level and recovery policies (each
+            // session heals through its own pipeline's checkpoint carry),
+            // no tracer/instrumentation (those belong to the one-shot
+            // profiling path).
             CompilerOptions fcopt = CompilerOptions::forLevel(level);
             fcopt.backend = backend;
+            fcopt.restart = restart;
+            fcopt.checkpoint.interval = checkpointElems;
             serve::Server server(
                 [program, fcopt](uint64_t) {
                     return compilePipeline(program, fcopt, nullptr);

@@ -25,8 +25,10 @@
 # checks the zero-loss claims end to end through the CLI: a faulted run
 # with --checkpoint must report the SAME consumed/emitted/first-bytes
 # summary as the clean run (journal replay + state restore), per-stage
-# restart (--restart-scope stage) must heal threaded pipelines, and a
-# listening server with a session mid-stream must drain on SIGTERM.
+# restart (--restart-scope stage) must heal threaded pipelines, a
+# faulted --listen session must heal to the same output bytes as a
+# fault-free server, and a listening server with a session mid-stream
+# must drain on SIGTERM.
 #
 # The crash matrix (docs/ROBUSTNESS.md, "Durable checkpoints & live
 # migration") SIGKILLs a run mid-stream — no drain, no warning — then
@@ -93,6 +95,25 @@ check_same() {
     else
         pass=$((pass + 1))
     fi
+}
+
+# start_srv LOG FLAGS...: start a scrambler server (--listen in FLAGS)
+# and wait for its bound port.  Sets srv_pid and srv_port (empty when
+# the server never bound).
+start_srv() {
+    slog="$1"; shift
+    "$BIN" examples/zir/scrambler.zir --workers 2 "$@" > "$slog" 2>&1 &
+    srv_pid=$!
+    srv_port=""
+    t=0
+    while [ "$t" -lt 100 ]; do
+        srv_port=$(sed -n 's/^listening on port \([0-9][0-9]*\)$/\1/p' \
+                   "$slog")
+        [ -n "$srv_port" ] && break
+        kill -0 "$srv_pid" 2>/dev/null || break
+        t=$((t + 1))
+        sleep 0.1
+    done
 }
 
 fault_matrix() {
@@ -430,28 +451,56 @@ migrate_matrix() {
     done
     rm -rf "$cache"
 
-    # SIGTERM drain with a session mid-stream: the server must
-    # checkpoint it, report the drain, and exit 0 within the timeout.
     ZCLIENT="$BUILD/tools/zclient"
     if [ ! -x "$ZCLIENT" ]; then
         echo "FAIL migrate: $ZCLIENT not built"
         fail=$((fail + 1))
         return
     fi
+
+    # Serve heal: session 0 of a --listen server throws once and heals
+    # through its checkpoint carry (restore + journal replay), so the
+    # client's output must equal a fault-free server's for the same
+    # --seed.  ZIRIA_LOG=warn makes the healing server log the restart.
+    tag="migrate/serve/heal"
+    work=$(mktemp -d /tmp/ziria-soak-heal.XXXXXX)
+    zc="$ZCLIENT --quiet --seed 7 --frames 16 --elems-per-frame 256"
+    start_srv "$work/ref.log" --listen=0
+    ref_pid=$srv_pid
+    ref_port=$srv_port
+    ZIRIA_LOG=warn
+    export ZIRIA_LOG
+    start_srv "$work/heal.log" --listen=0 --restart 2 --checkpoint=256 \
+        --inject-fault throw@100 --fault-session 0
+    unset ZIRIA_LOG
+    if [ -z "$ref_port" ] || [ -z "$srv_port" ]; then
+        echo "FAIL $tag: a server never reported its port"
+        fail=$((fail + 1))
+    elif ! timeout "$DEADLINE_S" $zc --port "$ref_port" \
+             --out "$work/ref.bin" > /dev/null 2>&1 ||
+         ! timeout "$DEADLINE_S" $zc --port "$srv_port" \
+             --out "$work/heal.bin" > /dev/null 2>&1; then
+        echo "FAIL $tag: a client run failed"
+        cat "$work/heal.log"
+        fail=$((fail + 1))
+    elif ! grep -q 'restart: stage' "$work/heal.log"; then
+        echo "FAIL $tag: the injected fault never fired"
+        fail=$((fail + 1))
+    elif ! cmp -s "$work/ref.bin" "$work/heal.bin"; then
+        echo "FAIL $tag: healed session output diverged from fault-free run"
+        fail=$((fail + 1))
+    else
+        pass=$((pass + 1))
+    fi
+    kill "$ref_pid" "$srv_pid" 2>/dev/null
+    wait "$ref_pid" "$srv_pid" 2>/dev/null
+    rm -rf "$work"
+
+    # SIGTERM drain with a session mid-stream: the server must
+    # checkpoint it, report the drain, and exit 0 within the timeout.
     srv_log="${TMPDIR:-/tmp}/ziria_soak_migrate.$$.log"
-    "$BIN" examples/zir/scrambler.zir --listen=0 --workers 2 \
-        > "$srv_log" 2>&1 &
-    srv_pid=$!
-    port=""
-    tries=0
-    while [ "$tries" -lt 100 ]; do
-        port=$(sed -n 's/^listening on port \([0-9][0-9]*\)$/\1/p' \
-               "$srv_log")
-        [ -n "$port" ] && break
-        kill -0 "$srv_pid" 2>/dev/null || break
-        tries=$((tries + 1))
-        sleep 0.1
-    done
+    start_srv "$srv_log" --listen=0
+    port=$srv_port
     if [ -z "$port" ]; then
         echo "FAIL migrate drain: server never reported its port"
         cat "$srv_log"
@@ -538,26 +587,6 @@ crash_matrix() {
             pass=$((pass + 1))
         fi
     done
-
-    # Helper: start a --listen server and wait for its bound port.
-    # $1 = logfile, rest = extra zirrun flags.  Sets srv_pid and
-    # srv_port (srv_port empty on failure).
-    start_srv() {
-        slog="$1"; shift
-        "$BIN" examples/zir/scrambler.zir --workers 2 "$@" \
-            > "$slog" 2>&1 &
-        srv_pid=$!
-        srv_port=""
-        t=0
-        while [ "$t" -lt 100 ]; do
-            srv_port=$(sed -n \
-                's/^listening on port \([0-9][0-9]*\)$/\1/p' "$slog")
-            [ -n "$srv_port" ] && break
-            kill -0 "$srv_pid" 2>/dev/null || break
-            t=$((t + 1))
-            sleep 0.1
-        done
-    }
 
     # Fault-free keyed-session reference: the session-mode client
     # generates its input deterministically from --seed, so one clean

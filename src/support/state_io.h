@@ -158,6 +158,8 @@ class StateReader
     bytes(void* out, size_t n)
     {
         need(n, "bytes");
+        if (n == 0)
+            return;  // an empty buffer's data() may be null
         std::memcpy(out, p_, n);
         p_ += n;
     }

@@ -5,8 +5,6 @@
 #include "support/panic.h"
 #include "zexec/ckpt_store.h"
 #include "zexec/nodes.h"
-#include "zexec/snapshot.h"
-#include "zexec/stepper.h"
 #include "zopt/autolut.h"
 
 namespace ziria {
@@ -269,6 +267,16 @@ buildNode(const CompPtr& c, ExprCompiler& ec, const BuildOptions& opt,
 }
 
 bool
+Pipeline::configureStepper()
+{
+    const bool durable = durableStore_ && ckpt_.enabled();
+    stepper_.setInterval(restart_.enabled() || durable ? ckpt_.interval
+                                                       : 0);
+    stepper_.setSpans(spans_.get());
+    return durable;
+}
+
+bool
 Pipeline::restoreDurable(uint64_t& consumed, uint64_t& emitted)
 {
     if (!durableStore_ || !CkptStore::validKey(durableKey_))
@@ -276,12 +284,12 @@ Pipeline::restoreDurable(uint64_t& consumed, uint64_t& emitted)
     std::vector<uint8_t> payload;
     if (!durableStore_->load(durableKey_, payload))
         return false;
+    configureStepper();
     try {
-        SnapshotInfo info = restoreSnapshot(*root_, frame_, payload);
-        durableSnap_ = std::move(payload);
-        durableConsumed_ = consumed = info.consumed;
-        durableEmitted_ = emitted = info.emitted;
-        durableResume_ = true;
+        // The next run() continues from the restored state.
+        SnapshotInfo info = stepper_.seed(payload, {}, 0);
+        consumed = info.consumed;
+        emitted = info.emitted;
         return true;
     } catch (const StateFormatError& e) {
         // A snapshot the disk store validated but the tree rejects
@@ -289,206 +297,64 @@ Pipeline::restoreDurable(uint64_t& consumed, uint64_t& emitted)
         ZIRIA_LOG(Warn, "ckpt: durable restore rejected (", e.what(),
                   "); starting fresh");
         root_->reset(frame_);
-        durableResume_ = false;
         return false;
     }
 }
 
 void
-Pipeline::durableSave(const CkptCarry& ck)
+Pipeline::durableSave(const std::vector<uint8_t>& snap)
 {
+    if (!durableStore_)
+        return;  // the default: the cadence snapshot stays in memory
     std::string err;
     if (durablePrepare_ && !durablePrepare_(&err)) {
         ZIRIA_LOG(Warn, "ckpt: durable save skipped (", err, ")");
         return;
     }
-    if (!durableStore_->save(durableKey_, ck.snap, &err))
+    if (!durableStore_->save(durableKey_, snap, &err))
         ZIRIA_LOG(Warn, "ckpt: durable save failed (", err, ")");
 }
 
 RunStats
 Pipeline::run(InputSource& src, OutputSink& sink, uint64_t max_out)
 {
-    // A durable store engages the checkpoint carry even without a
-    // restart policy: the cadence snapshots exist to be persisted.
-    const bool durable = durableStore_ && ckpt_.enabled();
-    CkptCarry resume;
-    if (durableResume_) {
-        // restoreDurable() already rebuilt the tree; hand the counters
-        // and image to the carry so the first attempt resumes.
-        resume.snap = std::move(durableSnap_);
-        resume.consumedAtSnap = durableConsumed_;
-        resume.emittedAtSnap = durableEmitted_;
-        resume.emittedDelivered = durableEmitted_;
-        resume.restored = true;
-        durableResume_ = false;
-        durableSnap_.clear();
-    }
-
-    if (!restart_.enabled()) {
-        if (!durable)
-            return runAttempt(src, sink, max_out);
-        RunStats st = runAttempt(src, sink, max_out, &resume);
-        durableStore_->remove(durableKey_);  // clean completion
-        return st;
-    }
-
-    RestartSupervisor sup(restart_);
-    CkptCarry carry = std::move(resume);
-    CkptCarry* ck = (ckpt_.enabled() || durable) ? &carry : nullptr;
-    for (;;) {
-        try {
-            RunStats st = runAttempt(src, sink, max_out, ck);
-            if (durable)
-                durableStore_->remove(durableKey_);  // clean completion
-            return st;
-        } catch (const StageFailureError& e) {
-            // Already structured (e.g. a nested driver rethrew); keep it.
-            StageFailure f = e.failure();
-            if (!sup.onFailure(f))
-                throw StageFailureError(std::move(f));
-        } catch (const std::exception& e) {
-            // The single-threaded driver has one "stage": the whole tree.
-            StageFailure f;
-            f.stage = 0;
-            f.path = "root";
-            f.cause = FailureCause::Exception;
-            f.message = e.what();
-            f.inner = std::current_exception();
-            metrics::Registry::global()
-                .counter("ziria.stage_failures")
-                .inc();
-            if (!sup.onFailure(f))
-                throw StageFailureError(std::move(f));
-        }
-        // onFailure slept out the backoff.  With a checkpoint in hand,
-        // restore it and queue the post-snapshot input for replay
-        // (suppressing the outputs the sink already saw); without one,
-        // discard partial node state and resume from the live source.
-        bool restored = false;
-        if (ck && !ck->snap.empty()) {
-            try {
-                restoreSnapshot(*root_, frame_, ck->snap);
-                // If the failure struck mid-replay (possible with async
-                // causes such as stall deadlines), the journal holds
-                // only the re-fed prefix — carry the un-replayed tail
-                // over too, or the healed output would silently drop
-                // those elements.
-                ck->journal.insert(
-                    ck->journal.end(),
-                    ck->replay.begin() +
-                        static_cast<std::ptrdiff_t>(ck->replayPos),
-                    ck->replay.end());
-                ck->replay = std::move(ck->journal);
-                ck->replayPos = 0;
-                ck->journal.clear();
-                ck->suppress = ck->emittedDelivered - ck->emittedAtSnap;
-                ck->restored = true;
-                restored = true;
-            } catch (const StateFormatError&) {
-                // A snapshot we cannot restore is worse than none: fall
-                // back to the plain reset path for the rest of this run.
-                *ck = CkptCarry{};
-                ck = nullptr;
-            }
-        }
-        if (!restored)
-            root_->reset(frame_);
-        src.rearm();
-        sink.rearm();
-        if (spans_)
-            spans_->onRestart();
-    }
-}
-
-RunStats
-Pipeline::runAttempt(InputSource& src, OutputSink& sink, uint64_t max_out,
-                     CkptCarry* ck)
-{
-    metrics::Registry::global().counter("ziria.pipeline_runs").inc();
-    // The same cooperative stepping loop the serving subsystem
-    // multiplexes sessions with (src/zserve/session.cc) — here driven to
-    // completion with a blocking source, which never reports Feed::Empty.
-    Stepper stepper(*root_);
-    stepper.setSpans(spans_.get());
-    if (ck && ck->restored) {
-        // run() already restored the tree from the last snapshot; pick
-        // the counters up where the snapshot left them.
-        stepper.resume(ck->consumedAtSnap, ck->emittedAtSnap);
-        ck->restored = false;
-    } else {
-        stepper.start(frame_);
-        if (ck && ck->snap.empty()) {
-            // Baseline snapshot of the freshly started tree, so even a
-            // failure before the first interval restores-and-replays
-            // instead of falling back to reset.
-            ck->snap = takeSnapshot(*root_, frame_, 0, 0);
-        }
-    }
+    const bool durable = configureStepper();
+    stepper_.begin();
+    const Stepper& st = stepper_.stepper();
     auto pull = [&](const uint8_t** p) {
-        if (ck) {
-            if (ck->replayPos < ck->replay.size()) {
-                // Re-feed the journaled input consumed after the
-                // snapshot, re-journaling it: a second failure during
-                // replay must be able to replay it again.
-                const uint8_t* e = ck->replay.data() + ck->replayPos;
-                ck->replayPos += inWidth_;
-                ck->journal.insert(ck->journal.end(), e, e + inWidth_);
-                *p = e;
-                return Feed::Ready;
-            }
-            // Quiescent point (the tree is parked on NeedInput): take
-            // the cadence snapshot once the interval has elapsed — but
-            // only outside replay/suppression, when the sink's position
-            // matches the stepper's.
-            if (ck->suppress == 0 &&
-                stepper.consumed() - ck->consumedAtSnap >= ckpt_.interval) {
-                ck->snap = takeSnapshot(*root_, frame_, stepper.consumed(),
-                                        stepper.emitted());
-                ck->consumedAtSnap = stepper.consumed();
-                ck->emittedAtSnap = stepper.emitted();
-                ck->journal.clear();
-                ck->replay.clear();
-                ck->replayPos = 0;
-                if (durableStore_)
-                    durableSave(*ck);
-            }
-            *p = src.next();
-            if (!*p)
-                return Feed::End;
-            ck->journal.insert(ck->journal.end(), *p, *p + inWidth_);
-            return Feed::Ready;
-        }
         *p = src.next();
         return *p ? Feed::Ready : Feed::End;
     };
     auto push = [&](const uint8_t* elem) {
-        if (ck && ck->suppress > 0) {
-            // Replay regenerated an output the sink already received
-            // before the failure; swallow it to keep the byte stream
-            // identical to an uninterrupted run.
-            --ck->suppress;
-            return !(max_out && stepper.emitted() >= max_out);
-        }
         sink.put(elem);
-        if (ck)
-            ck->emittedDelivered = stepper.emitted();
-        return !(max_out && stepper.emitted() >= max_out);
+        return !(max_out && st.emitted() >= max_out);
     };
-    StepOutcome oc = stepper.drive(frame_, pull, push);
-    if (spans_)
-        spans_->flush();
-    RunStats st;
-    st.consumed = stepper.consumed();
-    st.emitted = stepper.emitted();
+    StepOutcome oc = RestartSupervisor(restart_).run(
+        [&] {
+            metrics::Registry::global().counter("ziria.pipeline_runs").inc();
+            StepOutcome o = stepper_.drive(pull, push);
+            if (spans_)
+                spans_->flush();
+            return o;
+        },
+        [&](const StageFailure&) {
+            // The backoff is slept; resume from the last checkpoint (or
+            // a frame boundary) against the live source.
+            stepper_.heal();
+            src.rearm();
+            sink.rearm();
+        });
+    if (durable)
+        durableStore_->remove(durableKey_);  // clean completion
+    RunStats rs;
+    rs.consumed = st.consumed();
+    rs.emitted = st.emitted();
     if (oc == StepOutcome::Halted) {
-        st.halted = true;
-        const uint8_t* cp = stepper.ctrlData();
-        if (cp && stepper.ctrlWidth())
-            st.ctrl.assign(cp, cp + stepper.ctrlWidth());
+        rs.halted = true;
+        rs.ctrl = st.ctrl();
     }
-    st.metrics = metrics_.get();
-    return st;
+    rs.metrics = metrics_.get();
+    return rs;
 }
 
 std::vector<uint8_t>

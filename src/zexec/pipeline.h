@@ -16,6 +16,7 @@
 #include "zast/comp.h"
 #include "zexec/node.h"
 #include "zexec/span.h"
+#include "zexec/stepper.h"
 #include "zexec/supervisor.h"
 #include "zexec/trace.h"
 #include "zexpr/compile_expr.h"
@@ -226,27 +227,43 @@ class Pipeline
     Pipeline(NodePtr root, size_t frame_size, size_t in_width,
              size_t out_width)
         : root_(std::move(root)), frame_(frame_size), inWidth_(in_width),
-          outWidth_(out_width)
+          outWidth_(out_width), stepper_(*root_, frame_, in_width)
     {
+        stepper_.setOnSnapshot(
+            [this](const std::vector<uint8_t>& snap) { durableSave(snap); });
     }
+
+    Pipeline(const Pipeline&) = delete;  // stepper_ refers into *this
+    Pipeline& operator=(const Pipeline&) = delete;
 
     size_t inWidth() const { return inWidth_; }
     size_t outWidth() const { return outWidth_; }
     Frame& frame() { return frame_; }
     ExecNode& root() { return *root_; }
 
+    /** The supervised stepping loop over root() and frame(); run() drives
+     *  it to completion, a zserve Session in bursts. */
+    SupervisedStepper& stepper() { return stepper_; }
+
+    /**
+     * Point stepper() at this pipeline's policies (run() does so itself):
+     * a cadence only with a restart policy or a durable store, which
+     * engages it even without one.  Returns whether snapshots persist.
+     */
+    bool configureStepper();
+
     /**
      * Run until the computation halts or the source is exhausted.
      *
      * With a RestartPolicy of OnFailure (setRestartPolicy), a throwing
-     * run is retried in place: the node tree is reset() to a frame
-     * boundary, the endpoints re-armed, an exponential backoff slept,
-     * and the loop resumes from the live source.  Output already pushed
-     * to @p sink is kept; RunStats describes the final attempt.  Once
-     * the retry budget is spent the last failure is rethrown as a
-     * StageFailureError with `restartsExhausted` set and the attempt
-     * history attached.  With the default (Never) policy the exception
-     * propagates unchanged — exactly the pre-recovery behavior.
+     * run is retried in place: SupervisedStepper::heal() restores the
+     * last checkpoint or resets the tree to a frame boundary, the
+     * endpoints are re-armed, an exponential backoff slept, and the loop
+     * resumes from the live source.  Output already pushed to @p sink
+     * is kept; RunStats counts the whole run.  Once the retry budget is
+     * spent the last failure is rethrown as a StageFailureError with
+     * `restartsExhausted` set and the attempt history attached.  With
+     * the default (Never) policy the exception propagates unchanged.
      *
      * @param max_out stop after this many outputs (0 = unlimited).
      */
@@ -320,24 +337,7 @@ class Pipeline
     bool restoreDurable(uint64_t& consumed, uint64_t& emitted);
 
   private:
-    /** Checkpoint state carried across restart attempts of one run(). */
-    struct CkptCarry
-    {
-        std::vector<uint8_t> snap;     ///< last takeSnapshot() image
-        std::vector<uint8_t> journal;  ///< raw input since the snapshot
-        std::vector<uint8_t> replay;   ///< journal being re-fed post-restore
-        size_t replayPos = 0;          ///< byte cursor into replay
-        uint64_t consumedAtSnap = 0;   ///< counters at the snapshot point
-        uint64_t emittedAtSnap = 0;
-        uint64_t emittedDelivered = 0; ///< outputs actually handed to sink
-        uint64_t suppress = 0;  ///< replayed outputs to swallow (already
-                                ///< delivered before the failure)
-        bool restored = false;  ///< next attempt resumes, not starts
-    };
-
-    RunStats runAttempt(InputSource& src, OutputSink& sink,
-                        uint64_t max_out, CkptCarry* ck = nullptr);
-    void durableSave(const CkptCarry& ck);
+    void durableSave(const std::vector<uint8_t>& snap);
 
     NodePtr root_;
     Frame frame_;
@@ -350,10 +350,7 @@ class Pipeline
     CkptStore* durableStore_ = nullptr;
     std::string durableKey_;
     std::function<bool(std::string*)> durablePrepare_;
-    std::vector<uint8_t> durableSnap_;  ///< restoreDurable() image
-    uint64_t durableConsumed_ = 0;
-    uint64_t durableEmitted_ = 0;
-    bool durableResume_ = false;
+    SupervisedStepper stepper_;
 };
 
 } // namespace ziria

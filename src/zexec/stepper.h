@@ -1,32 +1,29 @@
 /**
  * @file
- * Cooperative tick/proc stepping: the shared inner loop of every pipeline
- * driver.
+ * Cooperative tick/proc stepping: the one inner loop of every pipeline
+ * driver, and the checkpoint carry that supervises it.
  *
  * The paper's execution model (§2.6) makes each compiled computation a
  * re-enterable state machine, so *driving* one is a small pure loop:
  * advance(), route a yielded element to the sink, feed a needed element
- * from the source, stop on halt.  That loop used to live inline in the
- * single-threaded Pipeline driver; the serving subsystem (src/zserve/)
- * needs the same loop but non-blocking — a session parked on an empty
- * input queue or a full output buffer must yield its worker thread to
- * another session instead of blocking it.
- *
- * Stepper is that loop, factored out once.  The pull callback is
- * tri-state (Ready / Empty / End) so callers choose the blocking
- * discipline: a blocking InputSource maps null to End and never reports
- * Empty (Pipeline::run), a queue-backed session source reports Empty
- * when the poll loop should regain control (zserve::Session).  The push
- * callback returns false to suspend output (sink full / output budget
- * reached).  `maxSteps` bounds one burst so a scheduler can time-slice
- * hundreds of sessions over a small worker pool.
+ * from the source, stop on halt.  Stepper is that loop.  Pipeline::run
+ * drives it to completion against a blocking source (never Empty);
+ * zserve::Session::step drives it in bursts against a queue source that
+ * reports Empty when the session should park and free its worker; each
+ * ThreadedPipeline stage drives one against its SPSC queues.
+ * SupervisedStepper adds the checkpoint carry and restore-else-reset
+ * healing, shared by Pipeline and Session, so a served session heals
+ * exactly as a solo run does.
  */
 #ifndef ZIRIA_ZEXEC_STEPPER_H
 #define ZIRIA_ZEXEC_STEPPER_H
 
 #include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "zexec/node.h"
+#include "zexec/snapshot.h"
 #include "zexec/span.h"
 #include "zexpr/frame.h"
 
@@ -50,9 +47,7 @@ enum class StepOutcome : uint8_t {
 
 /**
  * Drives one execution-node tree against pull/push callbacks, keeping
- * the consumed/emitted accounting every driver reports.  One Stepper
- * corresponds to one run attempt; the restart supervisor re-arms it via
- * reset().
+ * the consumed/emitted accounting every driver reports.
  */
 class Stepper
 {
@@ -63,32 +58,20 @@ class Stepper
     start(Frame& f)
     {
         root_.start(f);
-        consumed_ = 0;
-        emitted_ = 0;
-        halted_ = false;
-    }
-
-    /** Re-arm after a failure: frame-boundary state, counters kept. */
-    void
-    reset(Frame& f)
-    {
-        root_.reset(f);
-        if (spans_)
-            spans_->onRestart();
+        resume(0, 0);
     }
 
     /**
-     * Continue a tree someone else re-armed — after restoreSnapshot()
-     * (zexec/snapshot.h) put it back at a checkpoint, or when a stage
-     * carries live node state across a per-stage restart.  Counters pick
-     * up from the given values instead of zero; no start() is issued.
+     * Continue a tree someone else positioned — restored from a
+     * checkpoint, reset after a failure, or carrying live node state
+     * across a per-stage restart.  Counters pick up from the given
+     * values instead of zero; no start() is issued.
      */
     void
     resume(uint64_t consumed, uint64_t emitted)
     {
         consumed_ = consumed;
         emitted_ = emitted;
-        halted_ = false;
     }
 
     /**
@@ -106,7 +89,7 @@ class Stepper
      *             until the next advance, per the ExecNode contract).
      * @param push `bool push(const uint8_t* elem)` — consume one output
      *             element; return false to suspend stepping (the element
-     *             HAS been delivered).
+     *             HAS been counted as emitted).
      * @param maxSteps advance() budget for this burst (0 = unlimited).
      */
     template <typename PullFn, typename PushFn>
@@ -138,7 +121,6 @@ class Stepper
                     return StepOutcome::EndOfInput;
                 }
             } else {  // Status::Done
-                halted_ = true;
                 return StepOutcome::Halted;
             }
         }
@@ -146,18 +128,156 @@ class Stepper
 
     uint64_t consumed() const { return consumed_; }
     uint64_t emitted() const { return emitted_; }
-    bool halted() const { return halted_; }
 
-    /** Control value bytes after Halted (null/0 when none). */
-    const uint8_t* ctrlData() const { return root_.ctrl(); }
-    size_t ctrlWidth() const { return root_.ctrlWidth(); }
+    /** Control value bytes after Halted (empty when none). */
+    std::vector<uint8_t>
+    ctrl() const
+    {
+        const uint8_t* p = root_.ctrl();
+        return p ? std::vector<uint8_t>(p, p + root_.ctrlWidth())
+                 : std::vector<uint8_t>{};
+    }
 
   private:
     ExecNode& root_;
     SpanTracker* spans_ = nullptr;
     uint64_t consumed_ = 0;
     uint64_t emitted_ = 0;
-    bool halted_ = false;
+};
+
+/**
+ * A Stepper plus the checkpoint carry (docs/ROBUSTNESS.md,
+ * "Checkpointing & migration").  With a cadence of N, the tree is
+ * snapshotted at start and at the first quiescent point after every N
+ * consumed elements, and the input since the last snapshot is
+ * journaled.  After a failed drive(), heal() restores the snapshot,
+ * replays the journal ahead of the live source and swallows the outputs
+ * the sink already holds, so the output stream is byte-identical to an
+ * uninterrupted run; with no snapshot it resets the tree instead.
+ * seed() enters an external checkpoint through the same replay path.
+ * Cadence 0 keeps no journal and takes no snapshot.
+ */
+class SupervisedStepper
+{
+  public:
+    SupervisedStepper(ExecNode& root, Frame& frame, size_t in_width)
+        : root_(root), frame_(frame), inWidth_(in_width), stepper_(root)
+    {
+    }
+
+    /** Snapshot cadence in consumed input elements (0 = off). */
+    void setInterval(uint64_t elems) { interval_ = elems; }
+
+    /** Frame-span tracker (null = off), re-based by heal(); @p stamp
+     *  also stamps every consumed and emitted element. */
+    void
+    setSpans(SpanTracker* s, bool stamp = true)
+    {
+        spans_ = s;
+        stepper_.setSpans(stamp ? s : nullptr);
+    }
+
+    /** Called with every cadence snapshot (the durable-save hook). */
+    void
+    setOnSnapshot(std::function<void(const std::vector<uint8_t>&)> fn)
+    {
+        onSnapshot_ = std::move(fn);
+    }
+
+    /** Start a fresh run (with the baseline snapshot), unless seed()
+     *  positioned the tree since the last begin(). */
+    void begin();
+
+    /**
+     * Position the tree at a checkpoint: restore @p snap (empty = start
+     * fresh), queue @p replay input ahead of the live source, and
+     * swallow the next @p suppress outputs, which the downstream already
+     * holds.  Throws StateFormatError (the caller then resets the tree).
+     */
+    SnapshotInfo seed(const std::vector<uint8_t>& snap,
+                      std::vector<uint8_t> replay, uint64_t suppress);
+
+    /** Re-arm after a failed drive(): restore-else-reset, as above. */
+    void heal();
+
+    bool started() const { return started_; }
+
+    /** Queued replay input not yet re-fed, oldest first. */
+    std::vector<uint8_t>
+    unreplayed() const
+    {
+        return {replay_.begin() + static_cast<std::ptrdiff_t>(replayPos_),
+                replay_.end()};
+    }
+
+    /** Counters and control value of the underlying loop. */
+    const Stepper& stepper() const { return stepper_; }
+
+    /** Stepper::drive with the carry applied; same contract. */
+    template <typename PullFn, typename PushFn>
+    StepOutcome
+    drive(PullFn&& pull, PushFn&& push, uint64_t maxSteps = 0)
+    {
+        if (!interval_ && replayPos_ >= replay_.size() && suppress_ == 0)
+            return stepper_.drive(frame_, pull, push, maxSteps);
+        auto carriedPull = [&](const uint8_t** p) {
+            if (replayPos_ < replay_.size()) {
+                // Journaled again: a second failure replays it too.
+                *p = replay_.data() + replayPos_;
+                replayPos_ += inWidth_;
+                journal(*p);
+                return Feed::Ready;
+            }
+            // Quiescent point: snapshot once the interval has elapsed,
+            // outside replay and suppression (where the sink's position
+            // matches the stepper's).
+            if (interval_ && suppress_ == 0 &&
+                stepper_.consumed() - snapConsumed_ >= interval_)
+                cadence();
+            Feed fd = pull(p);
+            if (fd == Feed::Ready)
+                journal(*p);
+            return fd;
+        };
+        auto carriedPush = [&](const uint8_t* e) {
+            if (suppress_ > 0) {  // the downstream already holds it
+                --suppress_;
+                return true;
+            }
+            bool more = push(e);
+            delivered_ = stepper_.emitted();
+            return more;
+        };
+        return stepper_.drive(frame_, carriedPull, carriedPush, maxSteps);
+    }
+
+  private:
+    void
+    journal(const uint8_t* e)
+    {
+        if (interval_)
+            journal_.insert(journal_.end(), e, e + inWidth_);
+    }
+
+    void cadence();
+
+    ExecNode& root_;
+    Frame& frame_;
+    size_t inWidth_;
+    Stepper stepper_;
+    uint64_t interval_ = 0;
+    SpanTracker* spans_ = nullptr;
+    std::function<void(const std::vector<uint8_t>&)> onSnapshot_;
+    bool started_ = false;
+    bool seeded_ = false;             ///< next begin() keeps the position
+    std::vector<uint8_t> snap_;       ///< last snapshot (empty = none)
+    uint64_t snapConsumed_ = 0;       ///< counters at that snapshot
+    uint64_t snapEmitted_ = 0;
+    std::vector<uint8_t> journal_;    ///< input consumed since snap_
+    std::vector<uint8_t> replay_;     ///< input re-fed ahead of the source
+    size_t replayPos_ = 0;            ///< byte cursor into replay_
+    uint64_t suppress_ = 0;           ///< outputs still to swallow
+    uint64_t delivered_ = 0;          ///< outputs the downstream holds
 };
 
 } // namespace ziria

@@ -62,6 +62,25 @@ StageFailureError::StageFailureError(StageFailure f)
 {
 }
 
+StageFailure
+RestartSupervisor::caught(const std::string& path, const char* counter)
+{
+    try {
+        throw;
+    } catch (const StageFailureError& e) {
+        // Already structured (e.g. a nested driver rethrew); keep it.
+        return e.failure();
+    } catch (const std::exception& e) {
+        StageFailure f;
+        f.path = path;
+        f.cause = FailureCause::Exception;
+        f.message = e.what();
+        f.inner = std::current_exception();
+        metrics::Registry::global().counter(counter).inc();
+        return f;
+    }
+}
+
 bool
 RestartSupervisor::onFailure(StageFailure& f)
 {

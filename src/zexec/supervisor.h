@@ -8,10 +8,11 @@
  * deterministically.  This header is the *recovery* half: a
  * RestartPolicy describes whether and how a failed run is re-armed and
  * retried (bounded attempts, exponential backoff), and a
- * RestartSupervisor does the shared bookkeeping for both the
- * single-threaded Pipeline driver and the ThreadedPipeline executor:
- * deciding restartability, recording the attempt history, emitting the
- * `restart.*` metrics, and sleeping out the backoff.
+ * RestartSupervisor does the shared bookkeeping for every driver (the
+ * single-threaded Pipeline, the ThreadedPipeline executor, and each
+ * zserve Session): deciding restartability, recording the attempt
+ * history, emitting the `restart.*` metrics, and sleeping out the
+ * backoff.
  *
  * The same long-lived-dataflow idea appears in StreamIt's persistent
  * stream graphs and Sora's always-on software radio: the antenna loop
@@ -144,15 +145,16 @@ class StageFailureError : public FatalError
 };
 
 /**
- * Per-run restart bookkeeping shared by Pipeline and ThreadedPipeline.
+ * Per-run restart bookkeeping shared by every supervised driver.
  *
- * Usage: construct one per run() call; on each StageFailure call
- * onFailure(f).  If it returns true the failure was consumed — history
- * recorded, `restart.attempts` / `restart.backoff_ms_total` bumped, the
- * backoff slept — and the caller should re-arm and retry.  If it
- * returns false the run is over: f has been augmented with the restart
- * history (and restartsExhausted when the budget ran out, bumping
- * `restart.exhausted`), and the caller should throw it.
+ * Usage: construct one per run() call (one per session); on each
+ * StageFailure call onFailure(f).  If it returns true the failure was
+ * consumed — history recorded, `restart.attempts` /
+ * `restart.backoff_ms_total` bumped, the backoff slept — and the caller
+ * should re-arm and retry.  If it returns false the run is over: f has
+ * been augmented with the restart history (and restartsExhausted when
+ * the budget ran out, bumping `restart.exhausted`), and the caller
+ * should throw it.  run() is that loop for the blocking drivers.
  */
 class RestartSupervisor
 {
@@ -164,10 +166,35 @@ class RestartSupervisor
 
     bool onFailure(StageFailure& f);
 
-    /** Restarts consumed so far this run. */
-    uint32_t attempts() const { return attempts_; }
+    /**
+     * Call @p attempt until it returns, passing each failure the policy
+     * allows to @p rearm (which readies the driver for the next attempt)
+     * and throwing the last one.  With restarts disabled, an exception
+     * propagates unchanged.
+     */
+    template <typename Attempt, typename Rearm>
+    auto
+    run(Attempt&& attempt, Rearm&& rearm) -> decltype(attempt())
+    {
+        if (!policy_.enabled())
+            return attempt();
+        for (;;) {
+            StageFailure f;
+            try {
+                return attempt();
+            } catch (const std::exception&) {
+                f = caught("root", "ziria.stage_failures");
+            }
+            if (!onFailure(f))
+                throw StageFailureError(std::move(f));
+            rearm(f);
+        }
+    }
 
-    const std::vector<RestartAttempt>& history() const { return history_; }
+    /** The std::exception being handled, as a StageFailure of stage 0
+     *  at @p path (bumping metric @p counter), unless already one. */
+    static StageFailure caught(const std::string& path,
+                               const char* counter);
 
   private:
     RestartPolicy policy_;

@@ -23,183 +23,6 @@ namespace {
  *  wake-up is noise, short enough that an abort is noticed promptly. */
 constexpr long kSupervisedSliceMs = 20;
 
-/** Result of running one stage. */
-struct StageResult
-{
-    /** Elements moved (consumed + emitted); what the watchdog samples.
-     *  Relaxed: only freshness matters, not ordering. */
-    std::atomic<uint64_t> progress{0};
-    std::atomic<bool> finished{false};
-
-    uint64_t consumed = 0;
-    uint64_t emitted = 0;
-    bool halted = false;
-    bool aborted = false;  ///< exited on cancel/abort, not end-of-stream
-    std::vector<uint8_t> ctrl;
-    /** Yielded element whose push was torn down mid-wait; a per-stage
-     *  restart re-pushes it so the element is not lost. */
-    std::vector<uint8_t> pendingOut;
-    std::exception_ptr error;
-    double sec = 0;  ///< wall time of the stage's drive loop
-    uint64_t pushWaitNs = 0;  ///< blocked pushing (latency runs only)
-    uint64_t popWaitNs = 0;   ///< blocked popping (latency runs only)
-};
-
-/** Latency hooks for one stage: null members = feature off. */
-struct StageSpanHooks
-{
-    SpanTracker* onInput = nullptr;   ///< first stage: stamp consumed
-    SpanTracker* onOutput = nullptr;  ///< last stage: complete emitted
-    bool timeWaits = false;           ///< clock the queue-wait loops
-    size_t index = 0;                 ///< stage ordinal (timeline label)
-};
-
-/**
- * Drive one stage: pull input from @p inq (or @p src for stage 0), push
- * output to @p outq (or @p sink for the last stage).
- *
- * @p abort is the run-wide teardown flag (set by the watchdog or at the
- * end of a run); @p wait_slice_ms bounds each queue wait so the flag is
- * polled even while blocked (-1 = plain blocking waits, used when the
- * run is unsupervised).
- *
- * @p resume skips node.start() — the node already carries live state
- * from an earlier attempt (per-stage restart); @p pending_in is a
- * holdover output element from that attempt, re-pushed before any
- * advance so it is not lost.
- */
-void
-runStage(ExecNode& node, Frame& frame, SpscQueue* inq, InputSource* src,
-         SpscQueue* outq, OutputSink* sink, StageResult& res,
-         const std::atomic<bool>& abort, long wait_slice_ms,
-         StageSpanHooks hooks, bool resume,
-         std::vector<uint8_t> pending_in)
-{
-    std::vector<uint8_t> inBuf(std::max<size_t>(node.inWidth(), 1));
-    Stopwatch sw;
-    const uint64_t startNs = nowNs();
-    auto bump = [&res] {
-        res.progress.fetch_add(1, std::memory_order_relaxed);
-    };
-    bool blocked = false;  ///< holdover push failed; skip the drive loop
-    try {
-        if (!resume)
-            node.start(frame);
-        if (!pending_in.empty()) {
-            if (outq) {
-                QueueWait w;
-                while ((w = outq->pushWait(pending_in.data(),
-                                           wait_slice_ms)) ==
-                       QueueWait::Timeout) {
-                    if (abort.load(std::memory_order_relaxed))
-                        break;
-                }
-                if (w != QueueWait::Ready) {
-                    res.aborted = true;
-                    res.pendingOut = std::move(pending_in);
-                    blocked = true;
-                } else {
-                    ++res.emitted;
-                    bump();
-                }
-            } else if (sink) {
-                sink->put(pending_in.data());
-                ++res.emitted;
-                if (hooks.onOutput)
-                    hooks.onOutput->onOutput();
-                bump();
-            }
-        }
-        while (!blocked) {
-            if (abort.load(std::memory_order_relaxed)) {
-                res.aborted = true;
-                break;
-            }
-            Status s = node.advance(frame);
-            if (s == Status::Yield) {
-                if (outq) {
-                    uint64_t t0 = hooks.timeWaits ? nowNs() : 0;
-                    QueueWait w;
-                    while ((w = outq->pushWait(node.out(),
-                                               wait_slice_ms)) ==
-                           QueueWait::Timeout) {
-                        if (abort.load(std::memory_order_relaxed))
-                            break;
-                    }
-                    if (hooks.timeWaits)
-                        res.pushWaitNs += nowNs() - t0;
-                    if (w != QueueWait::Ready) {
-                        // Downstream cancelled (or run aborted mid-wait).
-                        // Keep the yielded element: a per-stage restart
-                        // re-pushes it instead of losing it.
-                        res.aborted = w == QueueWait::Cancelled ||
-                                      w == QueueWait::Timeout;
-                        const uint8_t* e = node.out();
-                        res.pendingOut.assign(e, e + outq->elemWidth());
-                        break;
-                    }
-                } else {
-                    sink->put(node.out());
-                }
-                ++res.emitted;
-                if (hooks.onOutput)
-                    hooks.onOutput->onOutput();
-                bump();
-            } else if (s == Status::NeedInput) {
-                if (inq) {
-                    uint64_t t0 = hooks.timeWaits ? nowNs() : 0;
-                    QueueWait w;
-                    while ((w = inq->popWait(inBuf.data(),
-                                             wait_slice_ms)) ==
-                           QueueWait::Timeout) {
-                        if (abort.load(std::memory_order_relaxed))
-                            break;
-                    }
-                    if (hooks.timeWaits)
-                        res.popWaitNs += nowNs() - t0;
-                    if (w != QueueWait::Ready) {
-                        // Closed = upstream finished (normal EOS);
-                        // Cancelled/abort = torn down.
-                        res.aborted = w != QueueWait::Closed;
-                        break;
-                    }
-                    node.supply(frame, inBuf.data());
-                } else {
-                    const uint8_t* p = src->next();
-                    if (!p)
-                        break;
-                    node.supply(frame, p);
-                }
-                ++res.consumed;
-                if (hooks.onInput)
-                    hooks.onInput->onInput();
-                bump();
-            } else {
-                res.halted = true;
-                const uint8_t* cp = node.ctrl();
-                if (cp && node.ctrlWidth())
-                    res.ctrl.assign(cp, cp + node.ctrlWidth());
-                break;
-            }
-        }
-    } catch (...) {
-        res.error = std::current_exception();
-    }
-    res.sec = sw.elapsedSec();
-    if (timeline::Recorder* r = timeline::active()) {
-        uint32_t track = timeline::currentTrack();
-        r->nameTrack(track, "stage" + std::to_string(hooks.index));
-        r->complete("stage", "stage" + std::to_string(hooks.index),
-                    startNs, nowNs() - startNs, track);
-    }
-    if (outq)
-        outq->close();
-    // A halted (or failed) stage stops upstream producers.
-    if ((res.halted || res.error) && inq)
-        inq->cancel();
-    res.finished.store(true, std::memory_order_release);
-}
-
 /** Extract a human-readable message from a stored exception. */
 std::string
 errorMessage(const std::exception_ptr& ep)
@@ -214,6 +37,144 @@ errorMessage(const std::exception_ptr& ep)
 }
 
 } // namespace
+
+/** One stage's attempt: what the watchdog samples and the telemetry. */
+struct ThreadedPipeline::StageResult
+{
+    /** Elements moved (consumed + emitted); what the watchdog samples.
+     *  Relaxed: only freshness matters, not ordering. */
+    std::atomic<uint64_t> progress{0};
+    std::atomic<bool> finished{false};
+
+    bool aborted = false;  ///< exited on cancel/abort, not end-of-stream
+    std::exception_ptr error;
+    double sec = 0;  ///< wall time of the stage's drive loop
+    uint64_t pushWaitNs = 0;  ///< blocked pushing (latency runs only)
+    uint64_t popWaitNs = 0;   ///< blocked popping (latency runs only)
+};
+
+/**
+ * Drive stage @p index with Stepper: pull input from @p inq (or @p src
+ * for stage 0), push output to @p outq (or @p sink for the last stage).
+ * With a span tracker the first stage stamps the frames it consumes, the
+ * last completes the frames it emits, and every stage times its queue
+ * waits.
+ *
+ * @p abort is the run-wide teardown flag (set by the watchdog or at the
+ * end of a run); every advance() is followed by a pull or a push, and
+ * both poll it.  @p wait_slice_ms bounds each queue wait so the flag is
+ * polled even while blocked (-1 = plain blocking waits, used when the
+ * run is unsupervised).
+ *
+ * A stage carried over from an earlier attempt (per-stage restart)
+ * continues its live node state at the counters in @p c, re-pushing the
+ * holdover element `c.pendingOut` before any advance.
+ */
+void
+ThreadedPipeline::runStage(size_t index, SpscQueue* inq, InputSource* src,
+                           SpscQueue* outq, OutputSink* sink,
+                           StageCarry& c, StageResult& res,
+                           const std::atomic<bool>& abort,
+                           long wait_slice_ms)
+{
+    ExecNode& node = *stages_[index];
+    SpanTracker* spans = spans_.get();
+    std::vector<uint8_t> inBuf(std::max<size_t>(node.inWidth(), 1));
+    Stepper st(node);
+    Stopwatch sw;
+    const uint64_t startNs = nowNs();
+    auto aborting = [&abort] {
+        return abort.load(std::memory_order_relaxed);
+    };
+    auto pull = [&](const uint8_t** p) {
+        if (aborting()) {
+            res.aborted = true;
+            return Feed::End;
+        }
+        if (inq) {
+            uint64_t t0 = spans ? nowNs() : 0;
+            QueueWait w;
+            while ((w = inq->popWait(inBuf.data(), wait_slice_ms)) ==
+                       QueueWait::Timeout &&
+                   !aborting()) {
+            }
+            if (spans)
+                res.popWaitNs += nowNs() - t0;
+            if (w != QueueWait::Ready) {
+                // Closed = upstream finished (normal EOS);
+                // Cancelled/abort = torn down.
+                res.aborted = w != QueueWait::Closed;
+                return Feed::End;
+            }
+            *p = inBuf.data();
+        } else if (!(*p = src->next())) {
+            return Feed::End;
+        }
+        if (spans && src)
+            spans->onInput();
+        res.progress.fetch_add(1, std::memory_order_relaxed);
+        return Feed::Ready;
+    };
+    auto push = [&](const uint8_t* e) {
+        QueueWait w = QueueWait::Ready;
+        if (aborting()) {
+            w = QueueWait::Cancelled;
+        } else if (outq) {
+            uint64_t t0 = spans ? nowNs() : 0;
+            while ((w = outq->pushWait(e, wait_slice_ms)) ==
+                       QueueWait::Timeout &&
+                   !aborting()) {
+            }
+            if (spans)
+                res.pushWaitNs += nowNs() - t0;
+        } else {
+            sink->put(e);
+        }
+        if (w != QueueWait::Ready) {
+            // Downstream cancelled (or run aborted mid-wait).  Keep the
+            // yielded element: a per-stage restart re-pushes it instead
+            // of losing it.
+            res.aborted = w == QueueWait::Cancelled ||
+                          w == QueueWait::Timeout;
+            c.pendingOut.assign(e, e + node.outWidth());
+            return false;
+        }
+        if (spans && sink)
+            spans->onOutput();
+        res.progress.fetch_add(1, std::memory_order_relaxed);
+        return true;
+    };
+    try {
+        if (c.resume)
+            st.resume(c.consumed, c.emitted);
+        else
+            st.start(frame_);
+        std::vector<uint8_t> holdover = std::move(c.pendingOut);
+        c.pendingOut.clear();
+        if ((holdover.empty() || push(holdover.data())) &&
+            st.drive(frame_, pull, push) == StepOutcome::Halted) {
+            c.halted = true;
+            c.ctrl = st.ctrl();
+        }
+    } catch (...) {
+        res.error = std::current_exception();
+    }
+    c.consumed = st.consumed();
+    c.emitted = st.emitted();
+    res.sec = sw.elapsedSec();
+    if (timeline::Recorder* r = timeline::active()) {
+        uint32_t track = timeline::currentTrack();
+        r->nameTrack(track, "stage" + std::to_string(index));
+        r->complete("stage", "stage" + std::to_string(index),
+                    startNs, nowNs() - startNs, track);
+    }
+    if (outq)
+        outq->close();
+    // A halted (or failed) stage stops upstream producers.
+    if ((c.halted || res.error) && inq)
+        inq->cancel();
+    res.finished.store(true, std::memory_order_release);
+}
 
 ThreadedPipeline::ThreadedPipeline(std::vector<NodePtr> stages,
                                    std::vector<FrameRange> stage_frames,
@@ -236,59 +197,44 @@ ThreadedPipeline::run(InputSource& src, OutputSink& sink)
         queues.push_back(std::make_unique<SpscQueue>(w, queueCap_));
     }
 
-    if (!restart_.enabled()) {
-        RunStats st = runAttempt(queues, src, sink, nullptr);
-        if (spans_)
-            spans_->flush();
-        return st;
-    }
-
-    RestartSupervisor sup(restart_);
     const bool perStage = restart_.scope == RestartScope::Stage;
-    std::vector<StageCarry> carry;
-    if (perStage)
-        carry.resize(stages_.size());
-    for (;;) {
-        try {
-            RunStats st =
-                runAttempt(queues, src, sink, perStage ? &carry : nullptr);
+    std::vector<StageCarry> carry(stages_.size());
+    RunStats st = RestartSupervisor(restart_).run(
+        [&] { return runAttempt(queues, src, sink, carry); },
+        [&](const StageFailure& f) {
+            // The backoff is slept and every stage thread was joined
+            // before runAttempt threw, so re-arming is single-threaded.
+            // Clearing the endpoints' cancel latches lets the live source
+            // keep feeding the next attempt.
+            if (perStage) {
+                rearmStage(queues, carry, f.stage);
+            } else {
+                rearm(queues);
+                carry.assign(stages_.size(), StageCarry{});
+            }
+            src.rearm();
+            sink.rearm();
             if (spans_)
-                spans_->flush();
-            return st;
-        } catch (const StageFailureError& e) {
-            StageFailure f = e.failure();
-            if (!sup.onFailure(f))
-                throw StageFailureError(std::move(f));
-            // onFailure slept out the backoff; all stage threads were
-            // joined before runAttempt threw, so re-arming is
-            // single-threaded here.
-            if (perStage)
-                rearmStage(queues, src, sink, carry, f.stage);
-            else
-                rearm(queues, src, sink);
-        }
-    }
+                spans_->onRestart();
+        });
+    if (spans_)
+        spans_->flush();
+    return st;
 }
 
 /**
  * Return the pipeline to frame-boundary state between restart attempts:
  * reopen every interthread queue (in-flight elements are the "at most
- * one frame" a restart may cost), discard buffered partial state in
- * every stage's node tree, and clear sticky cancel flags on the
- * endpoints so the live source keeps feeding the next attempt.
+ * one frame" a restart may cost) and discard buffered partial state in
+ * every stage's node tree.
  */
 void
-ThreadedPipeline::rearm(std::vector<std::unique_ptr<SpscQueue>>& queues,
-                        InputSource& src, OutputSink& sink)
+ThreadedPipeline::rearm(std::vector<std::unique_ptr<SpscQueue>>& queues)
 {
     for (auto& q : queues)
         q->reopen();
     for (auto& s : stages_)
         s->reset(frame_);
-    src.rearm();
-    sink.rearm();
-    if (spans_)
-        spans_->onRestart();
 }
 
 /**
@@ -307,8 +253,8 @@ ThreadedPipeline::rearm(std::vector<std::unique_ptr<SpscQueue>>& queues,
  */
 void
 ThreadedPipeline::rearmStage(
-    std::vector<std::unique_ptr<SpscQueue>>& queues, InputSource& src,
-    OutputSink& sink, std::vector<StageCarry>& carry, size_t failed)
+    std::vector<std::unique_ptr<SpscQueue>>& queues,
+    std::vector<StageCarry>& carry, size_t failed)
 {
     ZIRIA_ASSERT(failed < stages_.size());
     metrics::Registry::global().counter("restart.stage.attempts").inc();
@@ -323,8 +269,7 @@ ThreadedPipeline::rearmStage(
             const size_t n = fr.end - fr.begin;
             if (r.u64() != n)
                 throw StateFormatError("stage frame slice mismatch");
-            if (n)  // an empty frame has no storage to point into
-                r.bytes(frame_.at(fr.begin), n);
+            r.bytes(frame_.at(fr.begin), n);
             metrics::Registry::global()
                 .counter("restart.stage.restored")
                 .inc();
@@ -359,17 +304,12 @@ ThreadedPipeline::rearmStage(
                frames_[i].end - frames_[i].begin);
         carry[i].snap = w.take();
     }
-
-    src.rearm();
-    sink.rearm();
-    if (spans_)
-        spans_->onRestart();
 }
 
 RunStats
 ThreadedPipeline::runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
                              InputSource& src, OutputSink& sink,
-                             std::vector<StageCarry>* carry)
+                             std::vector<StageCarry>& carry)
 {
     using clock = std::chrono::steady_clock;
     const size_t n = stages_.size();
@@ -380,18 +320,13 @@ ThreadedPipeline::runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
     // Per-stage restarts: a stage that already finished (halted or hit
     // end-of-stream) is not re-run — replay its exit effects so its
     // neighbours still see EOS / upstream-stop, and the watchdog skips it.
-    auto doneClean = [&](size_t i) {
-        return carry && (*carry)[i].doneClean;
-    };
-    for (size_t i = 0; carry && i < n; ++i) {
-        if (!doneClean(i))
+    for (size_t i = 0; i < n; ++i) {
+        if (!carry[i].doneClean)
             continue;
         results[i].finished.store(true, std::memory_order_release);
-        results[i].halted = (*carry)[i].halted;
-        results[i].ctrl = (*carry)[i].ctrl;
         if (i + 1 < n)
             queues[i]->close();
-        if ((*carry)[i].halted && i > 0)
+        if (carry[i].halted && i > 0)
             queues[i - 1]->cancel();
     }
     std::atomic<bool> abort{false};
@@ -464,48 +399,21 @@ ThreadedPipeline::runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
         });
     }
 
-    const bool timeWaits = spans_ != nullptr;
+    // Stage i reads the source (i == 0) or queue i-1 and writes queue i,
+    // or the sink when it is the last stage, which runs on the calling
+    // thread.
+    auto stage = [&](size_t i) {
+        const bool last = i + 1 == n;
+        runStage(i, i ? queues[i - 1].get() : nullptr, i ? nullptr : &src,
+                 last ? nullptr : queues[i].get(), last ? &sink : nullptr,
+                 carry[i], results[i], abort, slice);
+    };
     std::vector<std::thread> threads;
-    for (size_t i = 0; i + 1 < n; ++i) {
-        if (doneClean(i))
-            continue;
-        SpscQueue* inq = i == 0 ? nullptr : queues[i - 1].get();
-        InputSource* s = i == 0 ? &src : nullptr;
-        StageSpanHooks hooks;
-        hooks.onInput = i == 0 ? spans_.get() : nullptr;
-        hooks.timeWaits = timeWaits;
-        hooks.index = i;
-        bool resume = carry && (*carry)[i].resume;
-        std::vector<uint8_t> pending =
-            carry ? std::move((*carry)[i].pendingOut)
-                  : std::vector<uint8_t>{};
-        if (carry)
-            (*carry)[i].pendingOut.clear();
-        threads.emplace_back(runStage, std::ref(*stages_[i]),
-                             std::ref(frame_), inq, s, queues[i].get(),
-                             nullptr, std::ref(results[i]),
-                             std::cref(abort), slice, hooks, resume,
-                             std::move(pending));
-    }
-
-    // The last stage runs on the calling thread.
-    if (!doneClean(n - 1)) {
-        StageSpanHooks lastHooks;
-        lastHooks.onInput = n == 1 ? spans_.get() : nullptr;
-        lastHooks.onOutput = spans_.get();
-        lastHooks.timeWaits = timeWaits;
-        lastHooks.index = n - 1;
-        bool resume = carry && (*carry)[n - 1].resume;
-        std::vector<uint8_t> pending =
-            carry ? std::move((*carry)[n - 1].pendingOut)
-                  : std::vector<uint8_t>{};
-        if (carry)
-            (*carry)[n - 1].pendingOut.clear();
-        runStage(*stages_[n - 1], frame_,
-                 n > 1 ? queues[n - 2].get() : nullptr,
-                 n > 1 ? nullptr : &src, nullptr, &sink, results[n - 1],
-                 abort, slice, lastHooks, resume, std::move(pending));
-    }
+    for (size_t i = 0; i + 1 < n; ++i)
+        if (!carry[i].doneClean)
+            threads.emplace_back(stage, i);
+    if (!carry[n - 1].doneClean)
+        stage(n - 1);
 
     // If the final stage stopped early, make sure producers unblock.
     for (auto& q : queues)
@@ -518,8 +426,8 @@ ThreadedPipeline::runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
 
     const long stalled = stalledStage.load(std::memory_order_relaxed);
 
-    // Fold this attempt into the per-stage carries (before any throw, so
-    // a failed attempt's progress and holdovers survive into the next).
+    // Decide which stages the next attempt resumes (before any throw;
+    // runStage already left their counters and holdovers in the carry).
     // A stage that exits cleanly on end-of-stream only *genuinely*
     // finished if every stage upstream of it did too: a failed stage
     // closes its output queue on the way out, so its consumer drains
@@ -527,28 +435,16 @@ ThreadedPipeline::runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
     // retired, or the restarted producer would feed a dead queue.
     // Halting is different: a halt is the stage's own decision and
     // retires it regardless of what happened upstream.
-    if (carry) {
-        bool upstreamDone = true;  // stage 0's source EOS is genuine
-        for (size_t i = 0; i < n; ++i) {
-            StageCarry& c = (*carry)[i];
-            if (c.doneClean) {
-                upstreamDone = true;
-                continue;
-            }
-            c.consumed += results[i].consumed;
-            c.emitted += results[i].emitted;
+    bool upstreamDone = true;  // stage 0's source EOS is genuine
+    for (size_t i = 0; i < n; ++i) {
+        StageCarry& c = carry[i];
+        if (!c.doneClean) {
             c.resume = true;
-            c.pendingOut = std::move(results[i].pendingOut);
-            const bool cleanExit = !results[i].error &&
-                                   !results[i].aborted &&
-                                   stalled != static_cast<long>(i);
-            if (cleanExit && (results[i].halted || upstreamDone)) {
-                c.doneClean = true;
-                c.halted = results[i].halted;
-                c.ctrl = results[i].ctrl;
-            }
-            upstreamDone = c.doneClean;
+            c.doneClean = !results[i].error && !results[i].aborted &&
+                          stalled != static_cast<long>(i) &&
+                          (c.halted || upstreamDone);
         }
+        upstreamDone = c.doneClean;
     }
 
     // Collect stage/queue telemetry before error propagation so partial
@@ -558,9 +454,9 @@ ThreadedPipeline::runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
         metrics_->stages.resize(n);
         for (size_t i = 0; i < n; ++i) {
             StageMetrics& sm = metrics_->stages[i];
-            sm.consumed = results[i].consumed;
-            sm.emitted = results[i].emitted;
-            sm.halted = results[i].halted;
+            sm.consumed = carry[i].consumed;
+            sm.emitted = carry[i].emitted;
+            sm.halted = carry[i].halted;
             sm.sec = results[i].sec;
             sm.pushWaitNs = results[i].pushWaitNs;
             sm.popWaitNs = results[i].popWaitNs;
@@ -609,20 +505,15 @@ ThreadedPipeline::runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
         throw StageFailureError(std::move(f));
     }
 
+    // Per-stage restarts resume stages mid-stream, so the counters are
+    // cumulative across every attempt of this run.
     RunStats st;
-    if (carry) {
-        // Per-stage mode resumes stages mid-stream, so the counters are
-        // cumulative across every attempt of this run.
-        st.consumed = carry->front().consumed;
-        st.emitted = carry->back().emitted;
-    } else {
-        st.consumed = results.front().consumed;
-        st.emitted = results.back().emitted;
-    }
-    for (const auto& r : results) {
-        if (r.halted) {
+    st.consumed = carry.front().consumed;
+    st.emitted = carry.back().emitted;
+    for (const auto& c : carry) {
+        if (c.halted) {
             st.halted = true;
-            st.ctrl = r.ctrl;
+            st.ctrl = c.ctrl;
             break;
         }
     }

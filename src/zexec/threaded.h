@@ -46,6 +46,7 @@
 #ifndef ZIRIA_ZEXEC_THREADED_H
 #define ZIRIA_ZEXEC_THREADED_H
 
+#include <atomic>
 #include <exception>
 #include <memory>
 #include <string>
@@ -148,15 +149,15 @@ class ThreadedPipeline
     SpanTracker* spans() const { return spans_.get(); }
 
   private:
-    /** Per-stage continuation state carried across restart attempts
-     *  (RestartScope::Stage only). */
+    /** Per-stage state of one run: what a stage-scoped restart carries
+     *  across attempts (a pipeline-scoped one starts from a fresh one). */
     struct StageCarry
     {
         bool resume = false;     ///< node is live; skip start()
         bool doneClean = false;  ///< halted / hit EOS; do not re-run
-        bool halted = false;     ///< the clean exit was a computer return
+        bool halted = false;     ///< the stage's computer returned
         std::vector<uint8_t> ctrl;        ///< its control value
-        uint64_t consumed = 0;   ///< cumulative across attempts
+        uint64_t consumed = 0;   ///< Stepper counters, cumulative
         uint64_t emitted = 0;
         std::vector<uint8_t> pendingOut;  ///< yielded element whose push
                                           ///< was torn down; re-pushed first
@@ -164,14 +165,17 @@ class ThreadedPipeline
                                     ///< slice at the last quiescent
                                     ///< restart boundary
     };
+    struct StageResult;  ///< one attempt's watchdog view and telemetry
 
+    void runStage(size_t index, SpscQueue* inq, InputSource* src,
+                  SpscQueue* outq, OutputSink* sink, StageCarry& c,
+                  StageResult& res, const std::atomic<bool>& abort,
+                  long wait_slice_ms);
     RunStats runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
                         InputSource& src, OutputSink& sink,
-                        std::vector<StageCarry>* carry);
-    void rearm(std::vector<std::unique_ptr<SpscQueue>>& queues,
-               InputSource& src, OutputSink& sink);
+                        std::vector<StageCarry>& carry);
+    void rearm(std::vector<std::unique_ptr<SpscQueue>>& queues);
     void rearmStage(std::vector<std::unique_ptr<SpscQueue>>& queues,
-                    InputSource& src, OutputSink& sink,
                     std::vector<StageCarry>& carry, size_t failed);
 
     std::vector<NodePtr> stages_;

@@ -6,19 +6,75 @@
 namespace ziria {
 namespace serve {
 
+namespace {
+
+/** A session checkpoint payload of either version. */
+struct Continuation
+{
+    uint64_t consumed = 0;
+    uint64_t emitted = 0;
+    std::vector<uint8_t> snap;
+    std::vector<uint8_t> backlog;
+    uint64_t tailBase = 0;      ///< output offset of tail (v1: emitted)
+    std::vector<uint8_t> tail;  ///< retained output (durable version)
+};
+
+/** Parse and check @p payload against the pipeline's element widths;
+ *  returns an error message, empty on success. */
+std::string
+readContinuation(const std::vector<uint8_t>& payload, size_t inW,
+                 size_t outW, Continuation& c)
+{
+    uint64_t backlogElems;
+    try {
+        StateReader r(payload.data(), payload.size());
+        uint32_t ver = r.u32();
+        if (ver != kSessionCheckpointVersion &&
+            ver != kSessionCheckpointVersionDurable)
+            return "unsupported session checkpoint version " +
+                   std::to_string(ver);
+        c.consumed = r.u64();
+        c.emitted = r.u64();
+        backlogElems = r.u64();
+        c.snap = r.blob();
+        c.backlog = r.blob();
+        c.tailBase = c.emitted * outW;
+        if (ver == kSessionCheckpointVersionDurable) {
+            c.tailBase = r.u64();
+            c.tail = r.blob();
+        }
+    } catch (const std::exception& e) {
+        return e.what();
+    }
+    if (c.tailBase + c.tail.size() != c.emitted * outW)
+        return "checkpoint output tail is inconsistent";
+    if (inW ? c.backlog.size() % inW != 0 : !c.backlog.empty())
+        return "checkpoint backlog is not element-aligned";
+    if (inW && c.backlog.size() / inW != backlogElems)
+        return "checkpoint backlog count disagrees with header";
+    return {};
+}
+
+} // namespace
+
 Session::Session(uint64_t id, int fd, std::unique_ptr<Pipeline> pipe,
                  const SessionConfig& cfg, const FaultSpec& fault)
     : id_(id), fd_(fd), pipe_(std::move(pipe)),
       inW_(pipe_->inWidth()), outW_(pipe_->outWidth()), cfg_(cfg),
       inQ_(inW_ ? inW_ : 1, cfg.inQueueElems),
-      stepper_(pipe_->root()), qsrc_(inQ_, inW_), fault_(fault),
-      fsrc_(qsrc_, fault), sup_(cfg.restart)
+      qsrc_(inQ_, inW_, restorePending_), fault_(fault),
+      fsrc_(qsrc_, fault), sup_(pipe_->restartPolicy())
 {
     if (cfg.trackLatency) {
         SpanConfig sc = cfg.span;
         sc.name = "session" + std::to_string(id);
         spans_ = std::make_unique<SpanTracker>(sc);
     }
+    // The pipeline's own policies, as in a solo run.  Spans are stamped
+    // at ingress (offerInput) and delivery (step), so the stepping loop
+    // only re-bases them after a heal.
+    pipe_->configureStepper();
+    pipe_->stepper().setSpans(spans_.get(), /*stamp=*/false);
 }
 
 Session::~Session() = default;
@@ -81,16 +137,27 @@ Session::cancel()
 }
 
 bool
-Session::checkpoint(std::vector<uint8_t>& out, const uint8_t* pending_tail,
-                    size_t pending_len, std::string* err)
+Session::writeContinuation(StateWriter& w, uint32_t version,
+                           const uint8_t* pending, size_t pending_len,
+                           std::string* err)
 {
-    // The scheduler holds the session Dead, so the worker-owned pipeline
-    // state is quiescent and safe to read from the I/O thread.
+    // The caller holds the session quiesced, so the worker-owned
+    // pipeline state is safe to read from the I/O thread.  Before an
+    // adopted restore is applied the pipeline still holds fresh-start
+    // state, which must not be persisted (or migrated) over real state.
+    if (restorePending_.load(std::memory_order_acquire)) {
+        if (err)
+            *err = "adopted restore not yet applied";
+        return false;
+    }
+    const SupervisedStepper& ss = pipe_->stepper();
+    const uint64_t consumed = ss.stepper().consumed();
+    const uint64_t emitted = ss.stepper().emitted();
     std::vector<uint8_t> snap;
-    if (started_) {
+    if (ss.started()) {
         try {
-            snap = takeSnapshot(pipe_->root(), pipe_->frame(),
-                                stepper_.consumed(), stepper_.emitted());
+            snap = takeSnapshot(pipe_->root(), pipe_->frame(), consumed,
+                                emitted);
         } catch (const std::exception& e) {
             if (err)
                 *err = e.what();
@@ -98,40 +165,41 @@ Session::checkpoint(std::vector<uint8_t>& out, const uint8_t* pending_tail,
         }
     }
 
-    // Unconsumed input, oldest first: any unreplayed migration backlog,
-    // the queue's backlog, then the I/O thread's decoded-but-unqueued
-    // remainder.
-    std::vector<uint8_t> backlog;
-    if (replayPos_ < replay_.size())
-        backlog.insert(backlog.end(),
-                       replay_.begin() + static_cast<long>(replayPos_),
-                       replay_.end());
-    if (inW_) {
-        std::vector<uint8_t> elem(inW_);
-        while (inQ_.popWait(elem.data(), 0) == QueueWait::Ready)
-            backlog.insert(backlog.end(), elem.begin(), elem.end());
-    }
-    backlog.insert(backlog.end(), pending_tail, pending_tail + pending_len);
+    // Unconsumed input, oldest first, without draining anything: input
+    // the carry has yet to replay, a peek of the queue, then the I/O
+    // thread's decoded-but-unqueued remainder.
+    std::vector<uint8_t> backlog = ss.unreplayed();
+    if (inW_)
+        inQ_.peekAll(backlog);
+    backlog.insert(backlog.end(), pending, pending + pending_len);
 
-    // applyCheckpoint on the target rejects a backlog that is not a
-    // whole number of input elements, so emitting one here would report
-    // a completed drain whose checkpoint is unusable.  The wire
-    // protocol only admits whole-element Data payloads today; if a
-    // partial tail ever reaches us, fail the checkpoint so the caller
-    // counts the drain as aborted instead.
+    // The target rejects a backlog that is not a whole number of input
+    // elements.  The wire protocol only admits whole-element Data
+    // payloads; if a partial tail ever reaches us, fail so the caller
+    // counts the drain or persist as aborted.
     if (inW_ ? backlog.size() % inW_ != 0 : !backlog.empty()) {
         if (err)
             *err = "input backlog is not element-aligned";
         return false;
     }
 
-    StateWriter w;
-    w.u32(kSessionCheckpointVersion);
-    w.u64(stepper_.consumed());
-    w.u64(stepper_.emitted());
+    w.u32(version);
+    w.u64(consumed);
+    w.u64(emitted);
     w.u64(inW_ ? backlog.size() / inW_ : 0);
     w.blob(snap.data(), snap.size());
     w.blob(backlog.data(), backlog.size());
+    return true;
+}
+
+bool
+Session::checkpoint(std::vector<uint8_t>& out, const uint8_t* pending_tail,
+                    size_t pending_len, std::string* err)
+{
+    StateWriter w;
+    if (!writeContinuation(w, kSessionCheckpointVersion, pending_tail,
+                           pending_len, err))
+        return false;
     out = w.take();
     metrics::Registry::global().counter("server.migrations.saved").inc();
     return true;
@@ -142,57 +210,20 @@ Session::adoptCheckpoint(std::vector<uint8_t> payload)
 {
     std::lock_guard<std::mutex> lk(mu_);
     pendingCkpt_ = std::move(payload);
-    hasCkpt_ = true;
+    restorePending_.store(true, std::memory_order_release);
 }
 
 bool
 Session::persistCheckpoint(std::vector<uint8_t>& out, std::string* err)
 {
-    // I/O thread, session parked: the worker-owned pipeline state is
-    // quiescent (see the header contract), so reading it is safe.
-    {
-        // An adopted restore the worker has not applied yet means the
-        // pipeline still holds fresh-start state; snapshotting it now
-        // would persist (or migrate) an empty session over real state.
-        std::lock_guard<std::mutex> lk(mu_);
-        if (hasCkpt_) {
-            if (err)
-                *err = "adopted restore not yet applied";
-            return false;
-        }
-    }
-    std::vector<uint8_t> snap;
-    if (started_) {
-        try {
-            snap = takeSnapshot(pipe_->root(), pipe_->frame(),
-                                stepper_.consumed(), stepper_.emitted());
-        } catch (const std::exception& e) {
-            if (err)
-                *err = e.what();
-            return false;
-        }
-    }
-
-    // Unconsumed input, oldest first, without draining anything: the
-    // unreplayed restore backlog, a *peek* of the queue, then the I/O
-    // thread's decoded-but-unqueued remainder.
-    std::vector<uint8_t> backlog;
-    if (replayPos_ < replay_.size())
-        backlog.insert(backlog.end(),
-                       replay_.begin() + static_cast<long>(replayPos_),
-                       replay_.end());
-    if (inW_)
-        inQ_.peekAll(backlog);
-    backlog.insert(backlog.end(),
-                   pendingIn.begin() + static_cast<long>(pendingPos),
-                   pendingIn.end());
-    if (inW_ ? backlog.size() % inW_ != 0 : !backlog.empty()) {
-        if (err)
-            *err = "input backlog is not element-aligned";
+    // I/O thread, session parked (see the header contract).
+    StateWriter w;
+    if (!writeContinuation(w, kSessionCheckpointVersionDurable,
+                           pendingIn.data() + pendingPos,
+                           pendingIn.size() - pendingPos, err))
         return false;
-    }
 
-    const uint64_t emittedB = stepper_.emitted() * outW_;
+    const uint64_t emittedB = pipe_->stepper().stepper().emitted() * outW_;
     std::vector<uint8_t> tail;
     uint64_t base;
     {
@@ -224,13 +255,6 @@ Session::persistCheckpoint(std::vector<uint8_t>& out, std::string* err)
         }
     }
 
-    StateWriter w;
-    w.u32(kSessionCheckpointVersionDurable);
-    w.u64(stepper_.consumed());
-    w.u64(stepper_.emitted());
-    w.u64(inW_ ? backlog.size() / inW_ : 0);
-    w.blob(snap.data(), snap.size());
-    w.blob(backlog.data(), backlog.size());
     w.u64(base);
     w.blob(tail.data(), tail.size());
     out = w.take();
@@ -244,56 +268,30 @@ Session::adoptResume(const std::vector<uint8_t>& payload,
                      uint64_t& resume_elems)
 {
     resend.clear();
-    uint64_t consumed, emitted, backlogElems, base;
-    std::vector<uint8_t> backlog, tail;
-    try {
-        StateReader r(payload.data(), payload.size());
-        uint32_t ver = r.u32();
-        if (ver != kSessionCheckpointVersion &&
-            ver != kSessionCheckpointVersionDurable)
-            return "unsupported session checkpoint version " +
-                   std::to_string(ver);
-        consumed = r.u64();
-        emitted = r.u64();
-        backlogElems = r.u64();
-        (void)r.blob();  // snapshot (applied worker-side)
-        backlog = r.blob();
-        if (ver == kSessionCheckpointVersionDurable) {
-            base = r.u64();
-            tail = r.blob();
-        } else {
-            base = emitted * outW_;
-        }
-    } catch (const std::exception& e) {
-        return e.what();
-    }
-    const uint64_t emittedB = emitted * outW_;
-    if (base + tail.size() != emittedB)
-        return "checkpoint output tail is inconsistent";
-    if (inW_ ? backlog.size() % inW_ != 0 : !backlog.empty())
-        return "checkpoint backlog is not element-aligned";
-    if (inW_ && backlog.size() / inW_ != backlogElems)
-        return "checkpoint backlog count disagrees with header";
-
+    Continuation c;  // the snapshot itself is applied worker-side
+    std::string err = readContinuation(payload, inW_, outW_, c);
+    if (!err.empty())
+        return err;
+    const uint64_t emittedB = c.emitted * outW_;
     uint64_t suppress = 0;
-    if (client_received < base)
+    if (client_received < c.tailBase)
         return "client resume point precedes the retained output window";
     if (client_received > emittedB) {
         suppress = client_received - emittedB;
         if (outW_ == 0 || suppress % outW_ != 0)
             return "client resume point is not element-aligned";
     } else {
-        resend.assign(tail.begin() +
-                          static_cast<long>(client_received - base),
-                      tail.end());
+        resend.assign(c.tail.begin() +
+                          static_cast<long>(client_received - c.tailBase),
+                      c.tail.end());
     }
-    resume_elems = consumed + backlogElems;
+    resume_elems = c.consumed + (inW_ ? c.backlog.size() / inW_ : 0);
 
     {
         std::lock_guard<std::mutex> lk(mu_);
         pendingCkpt_ = payload;
-        hasCkpt_ = true;
         pendingSuppress_ = suppress;
+        restorePending_.store(true, std::memory_order_release);
         retainOut_ = true;
         outTailBase_ = client_received;
         outTail_ = resend;
@@ -323,95 +321,61 @@ Session::beginRetention()
 }
 
 std::string
-Session::applyCheckpoint(const std::vector<uint8_t>& payload)
+Session::applyCheckpoint()
 {
+    std::vector<uint8_t> payload;
+    uint64_t suppress;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        payload = std::move(pendingCkpt_);
+        pendingCkpt_.clear();
+        suppress = pendingSuppress_;
+        pendingSuppress_ = 0;
+        restorePending_.store(false, std::memory_order_relaxed);
+    }
+    Continuation c;
+    std::string err = readContinuation(payload, inW_, outW_, c);
+    if (!err.empty())
+        return err;
+    // Input the queue source held back while the restore was pending
+    // follows the donor's backlog.
+    qsrc_.takeHeld(c.backlog);
     try {
-        StateReader r(payload.data(), payload.size());
-        uint32_t ver = r.u32();
-        if (ver != kSessionCheckpointVersion &&
-            ver != kSessionCheckpointVersionDurable)
-            return "unsupported session checkpoint version " +
-                   std::to_string(ver);
-        (void)r.u64();  // consumed (client-facing; snapshot is canonical)
-        (void)r.u64();  // emitted
-        (void)r.u64();  // backlog element count (re-derived below)
-        std::vector<uint8_t> snap = r.blob();
-        replay_ = r.blob();
-        if (ver == kSessionCheckpointVersionDurable) {
-            // Output tail base + bytes: consumed on the I/O thread by
-            // adoptResume (resend / suppression); ignored here.
-            (void)r.u64();
-            (void)r.blob();
-        }
-        replayPos_ = 0;
-        if (inW_ && replay_.size() % inW_ != 0)
-            return "checkpoint backlog is not element-aligned";
-        if (inW_ == 0 && !replay_.empty())
-            return "checkpoint backlog for a pipeline that takes no input";
-        if (!snap.empty()) {
-            // An empty snapshot means the donor never started stepping;
-            // the backlog alone reconstructs the session.
-            SnapshotInfo info =
-                restoreSnapshot(pipe_->root(), pipe_->frame(), snap);
-            stepper_.resume(info.consumed, info.emitted);
-            started_ = true;
-        }
-        metrics::Registry::global()
-            .counter("server.migrations.restored")
-            .inc();
-        return {};
+        // An empty snapshot means the donor never started stepping; the
+        // backlog alone reconstructs the session.
+        pipe_->stepper().seed(c.snap, std::move(c.backlog),
+                              outW_ ? suppress / outW_ : 0);
     } catch (const std::exception& e) {
         return e.what();
     }
+    metrics::Registry::global().counter("server.migrations.restored").inc();
+    return {};
 }
 
 StepResult
 Session::step()
 {
-    // A migration restore adopted on the I/O thread is applied here,
-    // before any stepping, so the restored state is never mixed with
-    // fresh-start progress.
-    {
-        std::vector<uint8_t> ck;
-        bool has = false;
-        {
+    SupervisedStepper& ss = pipe_->stepper();
+    // A restore adopted on the I/O thread is applied here, before any
+    // stepping, so the restored state is never mixed with fresh-start
+    // progress.
+    if (restorePending_.load(std::memory_order_acquire)) {
+        std::string err = applyCheckpoint();
+        if (!err.empty()) {
             std::lock_guard<std::mutex> lk(mu_);
-            if (hasCkpt_) {
-                ck = std::move(pendingCkpt_);
-                pendingCkpt_.clear();
-                hasCkpt_ = false;
-                has = true;
-                suppressOut_ = pendingSuppress_;
-                pendingSuppress_ = 0;
-            }
-        }
-        if (has) {
-            std::string err = applyCheckpoint(ck);
-            if (!err.empty()) {
-                std::lock_guard<std::mutex> lk(mu_);
-                done_.finished = true;
-                done_.failed = true;
-                done_.failMessage = "checkpoint restore failed: " + err;
-                return StepResult::Failed;
-            }
+            done_.finished = true;
+            done_.failed = true;
+            done_.failMessage = "checkpoint restore failed: " + err;
+            return StepResult::Failed;
         }
     }
-    if (!started_) {
-        stepper_.start(pipe_->frame());
-        started_ = true;
-    }
+    if (!ss.started())
+        ss.begin();
     // The fault decorator sits between the queue and the stepper, exactly
     // where it sits between a capture file and a pipeline in zirrun.
     InputSource& src =
         fault_.enabled() ? static_cast<InputSource&>(fsrc_) : qsrc_;
     auto pull = [&](const uint8_t** p) {
-        // Migration backlog first: the donor's unconsumed elements
-        // precede anything the client sends after reconnecting.
-        if (replayPos_ < replay_.size()) {
-            *p = replay_.data() + replayPos_;
-            replayPos_ += inW_;
-            return Feed::Ready;
-        }
         *p = src.next();
         if (*p)
             return Feed::Ready;
@@ -424,14 +388,6 @@ Session::step()
     };
     bool overHighWater = false;
     auto push = [&](const uint8_t* elem) {
-        if (suppressOut_ > 0) {
-            // The restored pipeline is regenerating output the client
-            // already received (it was ahead of the snapshot when it
-            // re-attached); deterministic replay makes these bytes
-            // identical, so swallow them.
-            suppressOut_ -= outW_;
-            return true;
-        }
         {
             std::lock_guard<std::mutex> lk(mu_);
             outRaw_.insert(outRaw_.end(), elem, elem + outW_);
@@ -448,8 +404,7 @@ Session::step()
     };
 
     try {
-        StepOutcome oc =
-            stepper_.drive(pipe_->frame(), pull, push, cfg_.stepQuantum);
+        StepOutcome oc = ss.drive(pull, push, cfg_.stepQuantum);
         switch (oc) {
           case StepOutcome::Budget:
             return StepResult::Again;
@@ -470,33 +425,21 @@ Session::step()
             std::lock_guard<std::mutex> lk(mu_);
             done_.finished = true;
             done_.halted = true;
-            const uint8_t* cp = stepper_.ctrlData();
-            if (cp && stepper_.ctrlWidth())
-                done_.ctrl.assign(cp, cp + stepper_.ctrlWidth());
+            done_.ctrl = ss.stepper().ctrl();
             return StepResult::Finished;
           }
         }
         return StepResult::Again;  // unreachable
-    } catch (const std::exception& e) {
-        StageFailure f;
-        f.stage = 0;
-        f.path = "session" + std::to_string(id_);
-        f.cause = FailureCause::Exception;
-        f.message = e.what();
-        f.inner = std::current_exception();
-        metrics::Registry::global()
-            .counter("server.session.failures")
-            .inc();
+    } catch (const std::exception&) {
+        StageFailure f = RestartSupervisor::caught(
+            "session" + std::to_string(id_), "server.session.failures");
         if (sup_.onFailure(f)) {
-            // Re-arm in place at a frame boundary: node state discarded,
-            // the live input queue and buffered output kept — the crash
-            // costs at most the elements already consumed this frame.
-            stepper_.reset(pipe_->frame());
+            // Heal in place exactly as a solo run does: restore the last
+            // checkpoint and replay the journal (or, without a cadence,
+            // reset to a frame boundary); the live queue and the output
+            // already buffered are kept.
+            ss.heal();
             fsrc_.rearm();
-            // Abort the open spans of the discarded frame; the tracker
-            // re-bases its epoch so post-restart inputs open cleanly.
-            if (spans_)
-                spans_->onRestart();
             restarts_.fetch_add(1);
             metrics::Registry::global()
                 .counter("server.session.restarts")

@@ -14,9 +14,10 @@
  *  - I/O-thread-only state: the socket fd, frame parser, pending input
  *    bytes, read-pause flag, wire-output buffer, activity clock,
  *    per-session byte/frame counters;
- *  - worker-only state: the pipeline, stepper, queue-backed source and
- *    its fault decorator, restart supervisor (at most one worker steps
- *    a session at a time — the scheduler state machine guarantees it);
+ *  - worker-only state: the pipeline and its supervised stepper, the
+ *    queue-backed source and its fault decorator, the restart
+ *    supervisor (at most one worker steps a session at a time — the
+ *    scheduler state machine guarantees it);
  *  - shared, internally synchronized: the bounded SpscQueue of decoded
  *    input elements (producer = I/O thread, consumer = worker) — this
  *    is the per-session backpressure: queue full -> reads pause -> TCP
@@ -27,10 +28,12 @@
  *
  * Per-session fault tolerance: an optional FaultSpec (reusing the
  * FaultySource decorator unchanged) injects deterministic faults into
- * one session's input, and an optional RestartPolicy gives each session
- * its own RestartSupervisor — a faulted session is re-armed in place or
- * evicted with an Error frame, while its neighbors' pipelines, queues,
- * and sockets are untouched.
+ * one session's input, and the RestartPolicy and CheckpointPolicy of the
+ * pipeline the factory built give each session its own
+ * RestartSupervisor and checkpoint carry — a faulted session heals in
+ * place exactly as a solo Pipeline::run does (byte-identically when a
+ * cadence is set) or is evicted with an Error frame, while its
+ * neighbors' pipelines, queues, and sockets are untouched.
  */
 #ifndef ZIRIA_ZSERVE_SESSION_H
 #define ZIRIA_ZSERVE_SESSION_H
@@ -75,7 +78,6 @@ struct SessionConfig
     size_t inQueueElems = 1024;   ///< bounded input queue (backpressure)
     size_t outHighWaterBytes = 256 * 1024;  ///< pause stepping above this
     uint64_t stepQuantum = 8192;  ///< advance() budget per worker burst
-    RestartPolicy restart;        ///< per-session self-healing policy
     bool trackLatency = false;    ///< allocate a per-session SpanTracker
     SpanConfig span;              ///< its frame size / ratio / SLO budget
 };
@@ -85,12 +87,17 @@ struct SessionConfig
  * next() never waits — it reports Empty through state() so the stepper
  * can park the session.  Wrapping it in a FaultySource (the decorator
  * from zexec/faultpoint.h) gives per-session fault injection for free.
+ * While @p hold is set (an adopted checkpoint not yet applied) queued
+ * input belongs after the checkpoint's backlog: next() keeps a popped
+ * element back (takeHeld) and reports Empty, never End.
  */
 class QueueSource : public InputSource
 {
   public:
-    QueueSource(SpscQueue& q, size_t elem_width)
-        : q_(q), width_(elem_width), buf_(elem_width ? elem_width : 1)
+    QueueSource(SpscQueue& q, size_t elem_width,
+                const std::atomic<bool>& hold)
+        : q_(q), width_(elem_width), buf_(elem_width ? elem_width : 1),
+          hold_(hold)
     {
     }
 
@@ -101,26 +108,38 @@ class QueueSource : public InputSource
             state_ = Feed::End;  // pipeline takes no input
             return nullptr;
         }
-        switch (q_.popWait(buf_.data(), 0)) {
-          case QueueWait::Ready:
-            state_ = Feed::Ready;
-            return buf_.data();
-          case QueueWait::Timeout:
+        QueueWait w = held_ ? QueueWait::Ready : q_.popWait(buf_.data(), 0);
+        held_ = w == QueueWait::Ready;
+        // Checked after the pop, which orders it against the I/O
+        // thread's adopt-then-enqueue.
+        if (w == QueueWait::Timeout || hold_.load(std::memory_order_acquire)) {
             state_ = Feed::Empty;
             return nullptr;
-          default:  // Closed (input done and drained) or Cancelled
-            state_ = Feed::End;
-            return nullptr;
         }
+        held_ = false;
+        // Closed (input done and drained) or Cancelled: End.
+        state_ = w == QueueWait::Ready ? Feed::Ready : Feed::End;
+        return w == QueueWait::Ready ? buf_.data() : nullptr;
     }
 
     /** Why the last next() returned null (Empty vs End). */
     Feed state() const { return state_; }
 
+    /** Move a kept-back element, if any, to the end of @p backlog. */
+    void
+    takeHeld(std::vector<uint8_t>& backlog)
+    {
+        if (held_)
+            backlog.insert(backlog.end(), buf_.begin(), buf_.end());
+        held_ = false;
+    }
+
   private:
     SpscQueue& q_;
     size_t width_;
     std::vector<uint8_t> buf_;
+    const std::atomic<bool>& hold_;
+    bool held_ = false;  ///< buf_ holds a popped, undelivered element
     Feed state_ = Feed::Empty;
 };
 
@@ -203,7 +222,7 @@ class Session
      * Checkpoint payload: a versioned header (consumed / emitted /
      * backlog element count the migrating client can read without
      * parsing the rest), the pipeline state snapshot, and the
-     * unconsumed input backlog (queue elements first, then
+     * unconsumed input backlog (input still to replay, the queue, then
      * @p pending_tail — the I/O thread's decoded-but-unqueued bytes).
      *
      * Caller contract: the scheduler must hold the session quiesced
@@ -217,22 +236,21 @@ class Session
     /**
      * Stash a client-supplied Checkpoint payload (I/O thread side); the
      * worker applies it at the start of its next step() — restoring the
-     * pipeline, resuming the counters and queueing the backlog for
-     * replay — before any element is processed.  A malformed payload
-     * fails the session (Error frame) instead of throwing.
+     * pipeline and queueing the backlog for replay — before any queued
+     * element is processed.  A malformed payload fails the session
+     * (Error frame) instead of throwing.
      */
     void adoptCheckpoint(std::vector<uint8_t> payload);
 
     // ---- durable checkpoints / live migration -----------------------
 
     /**
-     * Non-destructive variant of checkpoint() producing the durable v2
-     * payload: the input backlog is *peeked* (queue left intact) and the
-     * retained output tail rides along, so the session keeps running
-     * unchanged if the checkpoint is never restored (periodic persists,
-     * rejected migrations).  Caller contract: I/O thread, session parked
-     * (the I/O thread is the only enqueue() caller, so a session it
-     * observes Parked stays Parked for the duration).
+     * checkpoint() as the durable v2 payload: the retained output tail
+     * rides along, and the session keeps running unchanged if the
+     * checkpoint is never restored (periodic persists, rejected
+     * migrations).  Caller contract: I/O thread, session parked (the
+     * I/O thread is the only enqueue() caller, so a session it observes
+     * Parked stays Parked for the duration).
      */
     bool persistCheckpoint(std::vector<uint8_t>& out, std::string* err);
 
@@ -257,7 +275,11 @@ class Session
 
     /** Input elements consumed; only valid while the session is
      *  quiesced (persist-cadence throttling on the I/O thread). */
-    uint64_t quiescentConsumed() const { return stepper_.consumed(); }
+    uint64_t
+    quiescentConsumed() const
+    {
+        return pipe_->stepper().stepper().consumed();
+    }
 
     // ---- I/O-thread-owned bookkeeping (unshared; see file comment) --
 
@@ -327,28 +349,27 @@ class Session
 
     SpscQueue inQ_;
 
+    // Set by the I/O thread with an adopted checkpoint, cleared by the
+    // worker when it applies it; QueueSource holds input back meanwhile.
+    std::atomic<bool> restorePending_{false};
+
     // Worker-only stepping machinery.
-    Stepper stepper_;
     QueueSource qsrc_;
     FaultSpec fault_;
     FaultySource fsrc_;   // identity pass-through when fault_.kind==None
     RestartSupervisor sup_;
-    bool started_ = false;
     std::atomic<uint32_t> restarts_{0};
     std::unique_ptr<SpanTracker> spans_;
 
-    // Migration restore (worker-only once adopted): backlog elements
-    // from the checkpoint, fed to the pipeline before the live queue.
-    std::vector<uint8_t> replay_;
-    size_t replayPos_ = 0;
+    /** Apply the adopted checkpoint (worker side); returns an error
+     *  message, empty on success. */
+    std::string applyCheckpoint();
 
-    // Output bytes the restored pipeline regenerates that the client
-    // already received (worker-only once applied; whole elements).
-    uint64_t suppressOut_ = 0;
-
-    /** Apply an adopted Checkpoint payload (worker side); returns an
-     *  error message, empty on success. */
-    std::string applyCheckpoint(const std::vector<uint8_t>& payload);
+    /** Write the payload fields both checkpoint versions share: header,
+     *  pipeline snapshot, unconsumed input (ending with @p pending). */
+    bool writeContinuation(StateWriter& w, uint32_t version,
+                           const uint8_t* pending, size_t pending_len,
+                           std::string* err);
 
     // Output buffer shared worker -> I/O thread.
     std::mutex mu_;
@@ -356,7 +377,6 @@ class Session
     size_t outRawPos_ = 0;
     Completion done_;
     std::vector<uint8_t> pendingCkpt_;  ///< stash from adoptCheckpoint
-    bool hasCkpt_ = false;
     uint64_t pendingSuppress_ = 0;      ///< handed to the worker with it
     // Retained output tail for durable checkpoints: every delivered
     // output element is also appended here (only when retainOut_), and

@@ -209,10 +209,15 @@ scrambler()
 )";
 
 sv::Server::PipelineFactory
-scramblerFactory()
+scramblerFactory(uint32_t maxRestarts = 0)
 {
     CompPtr program = parseComp(kScramblerSrc);
     CompilerOptions opt = CompilerOptions::forLevel(OptLevel::All);
+    if (maxRestarts > 0) {
+        opt.restart.mode = RestartMode::OnFailure;
+        opt.restart.maxRestarts = maxRestarts;
+        opt.restart.backoffInitialMs = 1;
+    }
     return [program, opt](uint64_t) {
         return compilePipeline(program, opt, nullptr);
     };
@@ -651,14 +656,11 @@ TEST(StatFrame, SpanAccountingSurvivesSupervisedRestart)
     auto frames0 = reg.counter("server.latency.frames").value();
     auto aborted0 = reg.counter("server.latency.frames_aborted").value();
 
-    auto factory = scramblerFactory();
+    auto factory = scramblerFactory(/*maxRestarts=*/2);
     sv::ServerConfig cfg;
     cfg.workers = 1;
     cfg.fault = FaultSpec::parse("throw@100");  // transient, fires once
     cfg.faultSession = 0;
-    cfg.session.restart.mode = RestartMode::OnFailure;
-    cfg.session.restart.maxRestarts = 2;
-    cfg.session.restart.backoffInitialMs = 1;
     cfg.session.trackLatency = true;
     cfg.session.span.frameElems = 64;
     sv::Server server(factory, cfg);

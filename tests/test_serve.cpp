@@ -32,6 +32,7 @@
 #include "wifi/params.h"
 #include "wifi/tx.h"
 #include "zexec/faultpoint.h"
+#include "zexec/pipeline.h"
 #include "zir/compiler.h"
 #include "zparse/parser.h"
 #include "zserve/endpoints.h"
@@ -69,11 +70,19 @@ randomBits(size_t n, uint64_t seed)
     return out;
 }
 
+/** Sessions heal through the factory's pipelines: @p maxRestarts
+ *  retries, and a checkpoint every @p interval elements (0 = reset). */
 Server::PipelineFactory
-scramblerFactory()
+scramblerFactory(uint32_t maxRestarts = 0, uint64_t interval = 0)
 {
     CompPtr program = parseComp(kScramblerSrc);
     CompilerOptions opt = CompilerOptions::forLevel(OptLevel::All);
+    if (maxRestarts > 0) {
+        opt.restart.mode = RestartMode::OnFailure;
+        opt.restart.maxRestarts = maxRestarts;
+        opt.restart.backoffInitialMs = 1;
+    }
+    opt.checkpoint.interval = interval;
     return [program, opt](uint64_t) {
         return compilePipeline(program, opt, nullptr);
     };
@@ -517,14 +526,11 @@ TEST(Serve, FaultedSessionIsEvictedNeighborUnharmed)
 
 TEST(Serve, PerSessionRestartHealsTransientFault)
 {
-    auto factory = scramblerFactory();
+    auto factory = scramblerFactory(/*maxRestarts=*/2, /*interval=*/64);
     ServerConfig cfg;
     cfg.workers = 2;
     cfg.fault = FaultSpec::parse("throw@100");  // fires once (transient)
     cfg.faultSession = 0;
-    cfg.session.restart.mode = RestartMode::OnFailure;
-    cfg.session.restart.maxRestarts = 2;
-    cfg.session.restart.backoffInitialMs = 1;
     Server server(factory, cfg);
     server.start();
 
@@ -532,16 +538,12 @@ TEST(Serve, PerSessionRestartHealsTransientFault)
     TestClient c;
     c.run(server.port(), input);
 
-    // The restart re-arms the pipeline in place: the stream completes
-    // with every input element accounted for (the restarted scrambler
-    // state diverges from a solo run past the fault point, so only the
-    // pre-fault prefix is byte-comparable).
+    // The session heals through its pipeline's checkpoint carry, like a
+    // solo run: the last snapshot is restored and the journal replayed,
+    // so the whole stream is byte-identical to a fault-free run.
     EXPECT_TRUE(c.sawEnd);
     EXPECT_FALSE(c.sawError) << c.errorMsg;
-    EXPECT_EQ(c.out.size(), input.size());
-    auto expect = soloRun(factory, input);
-    ASSERT_GE(c.out.size(), 64u * 8u);
-    EXPECT_EQ(0, std::memcmp(c.out.data(), expect.data(), 64 * 8));
+    EXPECT_EQ(c.out, soloRun(factory, input));
 
     EXPECT_TRUE(waitFor([&] { return server.counters().completed == 1; }));
     EXPECT_EQ(server.counters().evicted, 0u);
@@ -791,6 +793,159 @@ TEST(Serve, SessionCheckpointRoundTripOffline)
     EXPECT_TRUE(b.completion().finished);
     EXPECT_FALSE(b.completion().failed) << b.completion().failMessage;
 
+    std::vector<uint8_t> got = outA;
+    got.insert(got.end(), outB.begin(), outB.end());
+    EXPECT_EQ(got, expect);
+}
+
+namespace {
+
+/**
+ * Park a fresh session after @p fed input elements, queue @p queued more
+ * that it never consumes, and serialize it into @p ck (collecting its
+ * output in @p out).  Returns the byte offset of the first input element
+ * the checkpoint does not cover.
+ */
+size_t
+checkpointMidStream(const Server::PipelineFactory& factory,
+                    const std::vector<uint8_t>& input, size_t fed,
+                    size_t queued, std::vector<uint8_t>& out,
+                    std::vector<uint8_t>& ck)
+{
+    Session a(1, /*fd=*/-1, factory(1), SessionConfig{}, FaultSpec{});
+    const size_t w = a.inWidth();
+    size_t consumed = 0;
+    EXPECT_TRUE(a.offerInput(input.data(), fed * w, consumed));
+    EXPECT_EQ(stepUntilParked(a, out), StepResult::NeedInput);
+    EXPECT_TRUE(a.offerInput(input.data() + fed * w, queued * w, consumed));
+    std::string err;
+    EXPECT_TRUE(a.checkpoint(ck, nullptr, 0, &err)) << err;
+    return (fed + queued) * w;
+}
+
+/** Delegates to a compiled tree, except that its @p failAt-th supply()
+ *  throws, once: a transient fault inside the pipeline. */
+class FlakyNode : public ExecNode
+{
+  public:
+    FlakyNode(NodePtr inner, uint64_t failAt)
+        : inner_(std::move(inner)), failAt_(failAt)
+    {
+        setInWidth(inner_->inWidth());
+        setOutWidth(inner_->outWidth());
+    }
+
+    void start(ziria::Frame& f) override { inner_->start(f); }
+    Status advance(ziria::Frame& f) override { return inner_->advance(f); }
+    const uint8_t* out() const override { return inner_->out(); }
+    void reset(ziria::Frame& f) override { inner_->reset(f); }
+
+    void
+    supply(ziria::Frame& f, const uint8_t* in) override
+    {
+        if (++supplied_ == failAt_)
+            throw std::runtime_error("flaky supply");
+        inner_->supply(f, in);
+    }
+
+    void
+    snapshot(const ziria::Frame& f, StateWriter& w) const override
+    {
+        inner_->snapshot(f, w);
+    }
+
+    void restore(ziria::Frame& f, StateReader& r) override { inner_->restore(f, r); }
+
+  private:
+    NodePtr inner_;
+    uint64_t failAt_;
+    uint64_t supplied_ = 0;
+};
+
+/** The scrambler as the healing factory builds it, around a FlakyNode. */
+std::unique_ptr<Pipeline>
+flakyScrambler(uint64_t failAt)
+{
+    CompilerOptions opt = CompilerOptions::forLevel(OptLevel::All);
+    CompPtr c = optimizeComp(parseComp(kScramblerSrc), opt);
+    FrameLayout layout;
+    ExprCompiler ec(layout);
+    BuildOptions bo;
+    bo.autoLut = opt.autoLut;
+    bo.lutLimits = opt.lut;
+    auto root = std::make_unique<FlakyNode>(buildNode(c, ec, bo, nullptr),
+                                            failAt);
+    const size_t inW = root->inWidth(), outW = root->outWidth();
+    auto p = std::make_unique<Pipeline>(std::move(root), layout.frameSize(),
+                                        inW, outW);
+    RestartPolicy rp;
+    rp.mode = RestartMode::OnFailure;
+    rp.maxRestarts = 2;
+    rp.backoffInitialMs = 1;
+    p->setRestartPolicy(rp);
+    p->setCheckpoint(CheckpointPolicy{64});
+    return p;
+}
+
+} // namespace
+
+TEST(Serve, AdoptedRestoreRunsBeforeInputQueuedDuringABurst)
+{
+    // The I/O thread may adopt a Checkpoint while the session's first
+    // burst is already inside its input pull, and queue the input that
+    // follows the Checkpoint in the same pass.  That input must not be
+    // consumed on fresh state: the restore runs first.  A stall@0 fault
+    // sleeps before reading the queue, which holds the first step()
+    // inside its pull while the test adopts and queues.  (Should the
+    // burst start late or wake early, the test passes without racing.)
+    auto factory = scramblerFactory();
+    auto input = randomBits(512 * 8, 45);
+    auto expect = soloRun(factory, input);
+    std::vector<uint8_t> outA, ck;
+    const size_t off = checkpointMidStream(factory, input, 128, 16, outA, ck);
+
+    Session b(2, /*fd=*/-1, factory(2), SessionConfig{},
+              FaultSpec::parse("stall@0:600"));
+    std::thread burst([&] { (void)b.step(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    b.adoptCheckpoint(ck);
+    size_t did = 0;
+    EXPECT_TRUE(b.offerInput(input.data() + off, input.size() - off, did));
+    EXPECT_EQ(did, input.size() - off);
+    b.endInput();
+    burst.join();
+
+    std::vector<uint8_t> outB;
+    ASSERT_EQ(stepUntilParked(b, outB), StepResult::Finished);
+    EXPECT_FALSE(b.completion().failed) << b.completion().failMessage;
+    std::vector<uint8_t> got = outA;
+    got.insert(got.end(), outB.begin(), outB.end());
+    EXPECT_EQ(got, expect);
+}
+
+TEST(Serve, SessionHealsAFaultWhileReplayingAnAdoptedBacklog)
+{
+    // A restored session replays the donor's backlog before any live
+    // input.  A transient fault inside the pipeline part-way through
+    // that replay must heal byte-identically: the adopted snapshot is
+    // the restore point, and the backlog's un-replayed tail is carried
+    // into the journal along with the re-fed prefix.
+    auto factory = scramblerFactory();
+    auto input = randomBits(512 * 8, 46);
+    auto expect = soloRun(factory, input);
+    std::vector<uint8_t> outA, ck;
+    const size_t off = checkpointMidStream(factory, input, 128, 64, outA, ck);
+
+    Session b(2, /*fd=*/-1, flakyScrambler(/*failAt=*/20), SessionConfig{},
+              FaultSpec{});
+    b.adoptCheckpoint(ck);
+    size_t did = 0;
+    EXPECT_TRUE(b.offerInput(input.data() + off, input.size() - off, did));
+    b.endInput();
+    std::vector<uint8_t> outB;
+    ASSERT_EQ(stepUntilParked(b, outB), StepResult::Finished);
+    EXPECT_FALSE(b.completion().failed) << b.completion().failMessage;
+    EXPECT_EQ(b.restarts(), 1u);
     std::vector<uint8_t> got = outA;
     got.insert(got.end(), outB.begin(), outB.end());
     EXPECT_EQ(got, expect);
