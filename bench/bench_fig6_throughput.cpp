@@ -7,8 +7,11 @@
  *
  * Absolute numbers are far below the paper's (closure-tree VM vs compiled
  * SIMD C); the comparisons that carry over are Ziria-vs-baseline ratios
- * and the rate-to-rate shape.  On this single-core host the 2-thread rows
- * cannot beat 1 thread (the paper used pinned physical cores).
+ * and the rate-to-rate shape.  The 2-thread rows split each pipeline at
+ * one `|>>>|`; the two stages run on their own threads (unpinned; the
+ * paper pinned physical cores) and hand each other batches of elements
+ * over a bounded SPSC queue, so they gain where both halves carry
+ * comparable work and there is a free core for each.
  */
 #include "bench_util.h"
 

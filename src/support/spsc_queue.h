@@ -13,13 +13,15 @@
  *  - close() and cancel() wake EVERY blocked waiter on both sides, so a
  *    peer that exits — cleanly or by throwing — can always unblock the
  *    other end with one call, never leaving it parked forever;
- *  - pushWait()/popWait() bound any individual wait, letting stage drive
- *    loops poll an abort flag between slices instead of trusting that a
- *    wake-up will ever arrive.
+ *  - pushSpan()/popSpan() (and their one-element forms pushWait()/
+ *    popWait()) bound any individual wait, letting stage drive loops poll
+ *    an abort flag between slices instead of trusting that a wake-up will
+ *    ever arrive.
  */
 #ifndef ZIRIA_SUPPORT_SPSC_QUEUE_H
 #define ZIRIA_SUPPORT_SPSC_QUEUE_H
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -45,8 +47,16 @@ enum class QueueWait : uint8_t {
  * properties above need sleeping waiters that close()/cancel() can wake
  * and waits that time out, which condition variables give directly, and
  * a stage thread that spins on an empty queue would take CPU from the
- * stage it waits on whenever threads outnumber cores.  The interface
- * would stay the same with a lock-free ring.
+ * stage it waits on whenever threads outnumber cores.
+ *
+ * Every transfer is a span: one lock, one or two memcpys (the ring may
+ * wrap) and one notify move a whole batch, so the lock and the wake-up
+ * are paid per batch, not per element.  With ThreadedPipeline stages
+ * moving up to a few hundred elements per call, the locking cost is
+ * already small next to the stages' compute, which is why the mutex
+ * stays; a lock-free ring would keep this interface.  pushWait() and
+ * popWait() are the one-element spans, so each direction has a single
+ * locked transfer path.
  */
 class SpscQueue
 {
@@ -67,10 +77,10 @@ class SpscQueue
     struct Stats
     {
         uint64_t highWater = 0;   ///< max occupancy ever observed
-        uint64_t pushStalls = 0;  ///< producer found the queue full
-        uint64_t popStalls = 0;   ///< consumer found the queue empty
-        uint64_t pushed = 0;
-        uint64_t popped = 0;
+        uint64_t pushStalls = 0;  ///< push calls that found the queue full
+        uint64_t popStalls = 0;   ///< pop calls that found it empty
+        uint64_t pushed = 0;      ///< elements
+        uint64_t popped = 0;      ///< elements
     };
 
     /**
@@ -83,14 +93,25 @@ class SpscQueue
         return pushWait(elem, -1) == QueueWait::Ready;
     }
 
-    /**
-     * Push one element, waiting at most @p timeout_ms (-1 = forever).
-     * Returns Timeout with the element NOT enqueued when the deadline
-     * elapses while the queue stays full.
-     */
+    /** pushSpan() of one element. */
     QueueWait
     pushWait(const uint8_t* elem, long timeout_ms)
     {
+        size_t done = 0;
+        return pushSpan(elem, 1, timeout_ms, &done);
+    }
+
+    /**
+     * Push up to @p n (>= 1) contiguous elements under one lock, waiting
+     * at most @p timeout_ms (-1 = forever) for a free slot.  Moves as
+     * many as fit into @p *done and returns Ready, even when that is
+     * fewer than @p n; the caller pushes the rest with another call.
+     * Timeout and Cancelled enqueue nothing.
+     */
+    QueueWait
+    pushSpan(const uint8_t* elems, size_t n, long timeout_ms, size_t* done)
+    {
+        *done = 0;
         std::unique_lock<std::mutex> lk(mu_);
         if (size_ >= cap_ && !cancelled_)
             ++stats_.pushStalls;
@@ -99,14 +120,20 @@ class SpscQueue
             return QueueWait::Timeout;
         if (cancelled_)
             return QueueWait::Cancelled;
-        std::memcpy(&buf_[(head_ % cap_) * width_], elem, width_);
-        ++head_;
-        ++size_;
-        ++stats_.pushed;
+        const size_t k = std::min(n, cap_ - size_);
+        const size_t pos = head_ % cap_;
+        const size_t first = std::min(k, cap_ - pos);  // up to the wrap
+        std::memcpy(&buf_[pos * width_], elems, first * width_);
+        std::memcpy(buf_.data(), elems + first * width_,
+                    (k - first) * width_);
+        head_ += k;
+        size_ += k;
+        stats_.pushed += k;
         if (size_ > stats_.highWater)
             stats_.highWater = size_;
         lk.unlock();
         notEmpty_.notify_one();
+        *done = k;
         return QueueWait::Ready;
     }
 
@@ -120,14 +147,26 @@ class SpscQueue
         return popWait(elem, -1) == QueueWait::Ready;
     }
 
-    /**
-     * Pop one element, waiting at most @p timeout_ms (-1 = forever).
-     * Returns Closed once the producer closed and the ring is drained,
-     * Cancelled after cancel(), Timeout when the deadline elapses first.
-     */
+    /** popSpan() of at most one element. */
     QueueWait
     popWait(uint8_t* elem, long timeout_ms)
     {
+        size_t done = 0;
+        return popSpan(elem, 1, timeout_ms, &done);
+    }
+
+    /**
+     * Pop up to @p max (>= 1) elements into @p out under one lock,
+     * waiting at most @p timeout_ms (-1 = forever) for at least one.
+     * Moves min(@p max, queued) elements into @p *done and returns
+     * Ready.  Returns Closed once the producer closed and the ring is
+     * drained, Cancelled after cancel() (even with elements queued),
+     * Timeout when the deadline elapses first; those move nothing.
+     */
+    QueueWait
+    popSpan(uint8_t* out, size_t max, long timeout_ms, size_t* done)
+    {
+        *done = 0;
         std::unique_lock<std::mutex> lk(mu_);
         if (size_ == 0 && !closed_ && !cancelled_)
             ++stats_.popStalls;
@@ -138,12 +177,18 @@ class SpscQueue
             return QueueWait::Cancelled;
         if (size_ == 0)
             return QueueWait::Closed;
-        std::memcpy(elem, &buf_[(tail_ % cap_) * width_], width_);
-        ++tail_;
-        --size_;
-        ++stats_.popped;
+        const size_t k = std::min(max, size_);
+        const size_t pos = tail_ % cap_;
+        const size_t first = std::min(k, cap_ - pos);  // up to the wrap
+        std::memcpy(out, &buf_[pos * width_], first * width_);
+        std::memcpy(out + first * width_, buf_.data(),
+                    (k - first) * width_);
+        tail_ += k;
+        size_ -= k;
+        stats_.popped += k;
         lk.unlock();
         notFull_.notify_one();
+        *done = k;
         return QueueWait::Ready;
     }
 

@@ -23,6 +23,11 @@ namespace {
  *  wake-up is noise, short enough that an abort is noticed promptly. */
 constexpr long kSupervisedSliceMs = 20;
 
+/** Elements moved per interthread-queue transfer: enough that the lock
+ *  and the wake-up are noise next to the stages' compute, few enough
+ *  that a batch stays in cache. */
+constexpr size_t kBatchElems = 256;
+
 /** Extract a human-readable message from a stored exception. */
 std::string
 errorMessage(const std::exception_ptr& ep)
@@ -56,19 +61,27 @@ struct ThreadedPipeline::StageResult
 /**
  * Drive stage @p index with Stepper: pull input from @p inq (or @p src
  * for stage 0), push output to @p outq (or @p sink for the last stage).
+ * Elements cross a queue in batches of up to kBatchElems: a consumer
+ * pops a batch into a stage-local buffer and feeds the node from it; a
+ * producer collects its outputs and pushes them as one span when the
+ * batch is full, before it fetches new input (a src->next() call or an
+ * input-batch refill, either of which may block), and before it closes
+ * its queue.  So no stage waits for input while it holds outputs.
  * With a span tracker the first stage stamps the frames it consumes, the
  * last completes the frames it emits, and every stage times its queue
- * waits.
+ * waits, once per batch.
  *
  * @p abort is the run-wide teardown flag (set by the watchdog or at the
  * end of a run); every advance() is followed by a pull or a push, and
- * both poll it.  @p wait_slice_ms bounds each queue wait so the flag is
- * polled even while blocked (-1 = plain blocking waits, used when the
- * run is unsupervised).
+ * both poll it, as does every batch transfer.  @p wait_slice_ms bounds
+ * each queue wait so the flag is polled even while blocked (-1 = plain
+ * blocking waits, used when the run is unsupervised).
  *
  * A stage carried over from an earlier attempt (per-stage restart)
- * continues its live node state at the counters in @p c, re-pushing the
- * holdover element `c.pendingOut` before any advance.
+ * continues its live node state at the counters in @p c: it first
+ * re-pushes its unpushed outputs `c.pendingOut`, then feeds its popped,
+ * unconsumed input `c.pendingIn` before it pops again.  On exit both
+ * carry fields are refilled with whatever a teardown left over.
  */
 void
 ThreadedPipeline::runStage(size_t index, SpscQueue* inq, InputSource* src,
@@ -79,12 +92,65 @@ ThreadedPipeline::runStage(size_t index, SpscQueue* inq, InputSource* src,
 {
     ExecNode& node = *stages_[index];
     SpanTracker* spans = spans_.get();
-    std::vector<uint8_t> inBuf(std::max<size_t>(node.inWidth(), 1));
     Stepper st(node);
     Stopwatch sw;
     const uint64_t startNs = nowNs();
     auto aborting = [&abort] {
         return abort.load(std::memory_order_relaxed);
+    };
+    auto progress = [&res] {
+        res.progress.fetch_add(1, std::memory_order_relaxed);
+    };
+
+    // Input batch popped from inq; elements [inPos, inLen) are unconsumed.
+    const size_t inW = inq ? inq->elemWidth() : 0;
+    std::vector<uint8_t> inBatch = std::move(c.pendingIn);
+    size_t inPos = 0;
+    size_t inLen = inW ? inBatch.size() / inW : 0;
+    ZIRIA_ASSERT(inLen <= kBatchElems);
+    inBatch.resize(kBatchElems * inW);
+    c.pendingIn.clear();
+
+    // Outputs not yet handed on, oldest first.  The last stage delivers
+    // straight to the sink and only ever keeps the one a teardown
+    // interrupted.
+    const size_t outW = outq ? outq->elemWidth() : node.outWidth();
+    std::vector<uint8_t> outBatch = std::move(c.pendingOut);
+    c.pendingOut.clear();
+    auto deliver = [&](const uint8_t* e) {
+        sink->put(e);
+        if (spans)
+            spans->onOutput();
+        progress();
+    };
+    // Hand the whole output batch on.  On teardown (queue cancelled or
+    // run aborted) the rest stays in outBatch and false is returned.
+    auto flush = [&] {
+        size_t off = 0;
+        if (!outq) {
+            for (; off < outBatch.size() && !aborting(); off += outW)
+                deliver(outBatch.data() + off);
+        } else if (!outBatch.empty()) {
+            const uint64_t t0 = spans ? nowNs() : 0;
+            while (off < outBatch.size() && !aborting()) {
+                size_t done = 0;
+                QueueWait w = outq->pushSpan(outBatch.data() + off,
+                                             (outBatch.size() - off) / outW,
+                                             wait_slice_ms, &done);
+                if (w == QueueWait::Cancelled)
+                    break;  // downstream stopped (or run torn down)
+                off += done * outW;
+            }
+            if (spans)
+                res.pushWaitNs += nowNs() - t0;
+        }
+        outBatch.erase(outBatch.begin(),
+                       outBatch.begin() + static_cast<std::ptrdiff_t>(off));
+        if (!outBatch.empty()) {
+            res.aborted = true;
+            return false;
+        }
+        return true;
     };
     auto pull = [&](const uint8_t** p) {
         if (aborting()) {
@@ -92,73 +158,72 @@ ThreadedPipeline::runStage(size_t index, SpscQueue* inq, InputSource* src,
             return Feed::End;
         }
         if (inq) {
-            uint64_t t0 = spans ? nowNs() : 0;
-            QueueWait w;
-            while ((w = inq->popWait(inBuf.data(), wait_slice_ms)) ==
-                       QueueWait::Timeout &&
-                   !aborting()) {
+            if (inPos == inLen) {
+                if (!flush())
+                    return Feed::End;
+                uint64_t t0 = spans ? nowNs() : 0;
+                QueueWait w;
+                size_t got = 0;
+                while ((w = inq->popSpan(inBatch.data(), kBatchElems,
+                                         wait_slice_ms, &got)) ==
+                           QueueWait::Timeout &&
+                       !aborting()) {
+                }
+                if (spans)
+                    res.popWaitNs += nowNs() - t0;
+                if (w != QueueWait::Ready) {
+                    // Closed = upstream finished (normal EOS);
+                    // Cancelled/abort = torn down.
+                    res.aborted = w != QueueWait::Closed;
+                    return Feed::End;
+                }
+                inPos = 0;
+                inLen = got;
             }
-            if (spans)
-                res.popWaitNs += nowNs() - t0;
-            if (w != QueueWait::Ready) {
-                // Closed = upstream finished (normal EOS);
-                // Cancelled/abort = torn down.
-                res.aborted = w != QueueWait::Closed;
+            *p = inBatch.data() + inPos++ * inW;
+        } else {
+            if (!flush())
                 return Feed::End;
-            }
-            *p = inBuf.data();
-        } else if (!(*p = src->next())) {
-            return Feed::End;
+            if (!(*p = src->next()))
+                return Feed::End;
+            if (spans)
+                spans->onInput();
         }
-        if (spans && src)
-            spans->onInput();
-        res.progress.fetch_add(1, std::memory_order_relaxed);
+        progress();
         return Feed::Ready;
     };
     auto push = [&](const uint8_t* e) {
-        QueueWait w = QueueWait::Ready;
-        if (aborting()) {
-            w = QueueWait::Cancelled;
-        } else if (outq) {
-            uint64_t t0 = spans ? nowNs() : 0;
-            while ((w = outq->pushWait(e, wait_slice_ms)) ==
-                       QueueWait::Timeout &&
-                   !aborting()) {
-            }
-            if (spans)
-                res.pushWaitNs += nowNs() - t0;
-        } else {
-            sink->put(e);
+        if (!outq && !aborting()) {
+            deliver(e);
+            return true;
         }
-        if (w != QueueWait::Ready) {
-            // Downstream cancelled (or run aborted mid-wait).  Keep the
-            // yielded element: a per-stage restart re-pushes it instead
-            // of losing it.
-            res.aborted = w == QueueWait::Cancelled ||
-                          w == QueueWait::Timeout;
-            c.pendingOut.assign(e, e + node.outWidth());
+        // Kept even when the run is torn down: a per-stage restart
+        // re-pushes it instead of losing it.
+        outBatch.insert(outBatch.end(), e, e + outW);
+        if (aborting()) {
+            res.aborted = true;
             return false;
         }
-        if (spans && sink)
-            spans->onOutput();
-        res.progress.fetch_add(1, std::memory_order_relaxed);
-        return true;
+        progress();
+        return outBatch.size() < kBatchElems * outW || flush();
     };
     try {
         if (c.resume)
             st.resume(c.consumed, c.emitted);
         else
             st.start(frame_);
-        std::vector<uint8_t> holdover = std::move(c.pendingOut);
-        c.pendingOut.clear();
-        if ((holdover.empty() || push(holdover.data())) &&
-            st.drive(frame_, pull, push) == StepOutcome::Halted) {
+        if (flush() && st.drive(frame_, pull, push) == StepOutcome::Halted) {
             c.halted = true;
             c.ctrl = st.ctrl();
         }
     } catch (...) {
         res.error = std::current_exception();
     }
+    flush();  // hand on what is still batched before the queue closes
+    c.pendingOut = std::move(outBatch);
+    c.pendingIn.assign(
+        inBatch.begin() + static_cast<std::ptrdiff_t>(inPos * inW),
+        inBatch.begin() + static_cast<std::ptrdiff_t>(inLen * inW));
     c.consumed = st.consumed();
     c.emitted = st.emitted();
     res.sec = sw.elapsedSec();
@@ -244,9 +309,10 @@ ThreadedPipeline::rearm(std::vector<std::unique_ptr<SpscQueue>>& queues)
  * frame slice alike; healthy stages keep their live node trees and will
  * resume mid-stream.  The queues adjacent to the failed stage are
  * reopen()ed (their in-flight elements belonged to the discarded
- * work); every other queue keeps its backlog and only has its teardown
- * latches cleared.  Queues whose producer already finished are
- * re-closed so consumers still see end-of-stream.
+ * work, as do the failed stage's carried batches); every other queue
+ * keeps its backlog and only has its teardown latches cleared.  Queues
+ * whose producer already finished are re-closed so consumers still see
+ * end-of-stream.
  * Finally every live stage — quiescent now, all threads joined — gets a
  * fresh boundary snapshot, so a future failure of *any* stage rolls
  * back only to this boundary.
@@ -283,6 +349,7 @@ ThreadedPipeline::rearmStage(
     carry[failed].resume = true;
     carry[failed].doneClean = false;
     carry[failed].pendingOut.clear();
+    carry[failed].pendingIn.clear();
 
     for (size_t qi = 0; qi < queues.size(); ++qi) {
         // Queue qi sits between stage qi (producer) and qi+1 (consumer).

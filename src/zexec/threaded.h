@@ -5,7 +5,9 @@
  *
  * A program whose top level is `c1 |>>>| c2 |>>>| ... |>>>| cn` is split
  * into stages connected by bounded SPSC queues; every stage runs its own
- * intrathread tick/proc machine.  As in the paper, pipeline-parallelizing
+ * intrathread tick/proc machine.  Elements cross a queue in batches (one
+ * locked transfer moves up to a few hundred), so the queue's lock and
+ * wake-up are paid per batch, not per element.  As in the paper, pipeline-parallelizing
  * arbitrary interior uses of `>>>` is out of scope: only top-level
  * partitions are executed on separate threads (the compiler driver treats
  * interior `|>>>|` as plain `>>>`).
@@ -41,7 +43,9 @@
  * last restart boundary, so repeated failures do not compound the
  * rollback.  Only the queues adjacent to the failed stage are
  * reopen()ed; their in-flight elements are the bounded loss of a stage
- * restart.
+ * restart.  A healthy stage's own in-flight elements — the batch it
+ * popped but has not consumed, the outputs it has not pushed yet — are
+ * carried across and fed or pushed first when it resumes.
  */
 #ifndef ZIRIA_ZEXEC_THREADED_H
 #define ZIRIA_ZEXEC_THREADED_H
@@ -159,8 +163,10 @@ class ThreadedPipeline
         std::vector<uint8_t> ctrl;        ///< its control value
         uint64_t consumed = 0;   ///< Stepper counters, cumulative
         uint64_t emitted = 0;
-        std::vector<uint8_t> pendingOut;  ///< yielded element whose push
-                                          ///< was torn down; re-pushed first
+        std::vector<uint8_t> pendingOut;  ///< outputs whose push was torn
+                                          ///< down; re-pushed first
+        std::vector<uint8_t> pendingIn;   ///< popped, unconsumed input
+                                          ///< batch; fed first on resume
         std::vector<uint8_t> snap;  ///< node-state snapshot + frame
                                     ///< slice at the last quiescent
                                     ///< restart boundary

@@ -83,16 +83,20 @@ bool
 Session::offerInput(const uint8_t* data, size_t n, size_t& consumed)
 {
     consumed = 0;
-    while (consumed + inW_ <= n) {
-        if (inQ_.pushWait(data + consumed, 0) != QueueWait::Ready)
-            return false;  // queue full (or cancelled at teardown)
-        consumed += inW_;
-        // Spans open at ingress so queue dwell and scheduler parking are
-        // part of the measured end-to-end latency.
-        if (spans_)
+    const size_t elems = inW_ ? n / inW_ : 0;
+    if (elems == 0)
+        return true;
+    // One locked transfer for the whole payload; what does not fit is
+    // retried by the caller once the worker drained some.
+    size_t done = 0;
+    QueueWait w = inQ_.pushSpan(data, elems, 0, &done);
+    consumed = done * inW_;
+    // Spans open at ingress so queue dwell and scheduler parking are
+    // part of the measured end-to-end latency.
+    if (spans_)
+        for (size_t i = 0; i < done; ++i)
             spans_->onInput();
-    }
-    return true;
+    return w == QueueWait::Ready && done == elems;
 }
 
 size_t

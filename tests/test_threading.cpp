@@ -5,6 +5,11 @@
  * propagation.
  */
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -191,6 +196,192 @@ TEST(SpscQueue, ReopenClearsLatchesDropsBacklogAndZeroesStats)
     q.close();
     EXPECT_EQ(q.popWait(reinterpret_cast<uint8_t*>(&v), 10),
               QueueWait::Closed);
+}
+
+namespace {
+
+/** @p n consecutive 4-byte elements starting at @p first, as bytes. */
+std::vector<uint8_t>
+seqElems(uint32_t first, size_t n)
+{
+    std::vector<uint8_t> out(n * 4);
+    for (size_t i = 0; i < n; ++i) {
+        uint32_t v = first + static_cast<uint32_t>(i);
+        std::memcpy(&out[i * 4], &v, 4);
+    }
+    return out;
+}
+
+uint32_t
+elemAt(const std::vector<uint8_t>& buf, size_t i)
+{
+    uint32_t v;
+    std::memcpy(&v, &buf[i * 4], 4);
+    return v;
+}
+
+} // namespace
+
+TEST(SpscQueue, PartialPushSpanMovesWhatFits)
+{
+    SpscQueue q(4, 5);
+    size_t done = 0;
+    auto a = seqElems(0, 3);
+    ASSERT_EQ(q.pushSpan(a.data(), 3, 0, &done), QueueWait::Ready);
+    ASSERT_EQ(done, 3u);
+    // Two free slots: a span of four moves two and still reports Ready.
+    auto b = seqElems(3, 4);
+    EXPECT_EQ(q.pushSpan(b.data(), 4, 0, &done), QueueWait::Ready);
+    EXPECT_EQ(done, 2u);
+    EXPECT_EQ(q.size(), 5u);
+    std::vector<uint8_t> out(5 * 4);
+    ASSERT_EQ(q.popSpan(out.data(), 5, 0, &done), QueueWait::Ready);
+    ASSERT_EQ(done, 5u);
+    for (size_t i = 0; i < 5; ++i)
+        EXPECT_EQ(elemAt(out, i), i);
+}
+
+TEST(SpscQueue, TimedOutSpanEnqueuesNothing)
+{
+    SpscQueue q(4, 3);
+    auto a = seqElems(0, 3);
+    size_t done = 0;
+    ASSERT_EQ(q.pushSpan(a.data(), 3, 0, &done), QueueWait::Ready);
+    auto b = seqElems(100, 2);
+    done = 7;
+    EXPECT_EQ(q.pushSpan(b.data(), 2, 20, &done), QueueWait::Timeout);
+    EXPECT_EQ(done, 0u);
+    EXPECT_EQ(q.size(), 3u);
+    EXPECT_EQ(q.stats().pushed, 3u);
+    std::vector<uint8_t> out(4 * 4);
+    ASSERT_EQ(q.popSpan(out.data(), 4, 0, &done), QueueWait::Ready);
+    ASSERT_EQ(done, 3u);
+    for (size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(elemAt(out, i), i);
+    EXPECT_EQ(q.popSpan(out.data(), 4, 20, &done), QueueWait::Timeout);
+    EXPECT_EQ(done, 0u);
+}
+
+TEST(SpscQueue, PopSpanIsBoundedAndFifoAcrossTheWrap)
+{
+    // Capacity 7 against spans of 3 and 2: head and tail cross the end
+    // of the ring at different offsets on every lap.
+    SpscQueue q(4, 7);
+    uint32_t next = 0;
+    uint32_t expect = 0;
+    std::vector<uint8_t> out(3 * 4);
+    for (int lap = 0; lap < 40; ++lap) {
+        auto in = seqElems(next, 3);
+        size_t done = 0;
+        ASSERT_EQ(q.pushSpan(in.data(), 3, 0, &done), QueueWait::Ready);
+        next += static_cast<uint32_t>(done);
+        ASSERT_EQ(q.popSpan(out.data(), 2, 0, &done), QueueWait::Ready);
+        ASSERT_LE(done, 2u);
+        for (size_t i = 0; i < done; ++i)
+            ASSERT_EQ(elemAt(out, i), expect++);
+    }
+    size_t done = 0;
+    while (q.size() > 0) {
+        ASSERT_EQ(q.popSpan(out.data(), 3, 0, &done), QueueWait::Ready);
+        ASSERT_LE(done, 3u);
+        for (size_t i = 0; i < done; ++i)
+            ASSERT_EQ(elemAt(out, i), expect++);
+    }
+    EXPECT_EQ(expect, next);
+    EXPECT_GT(next, 7u * 10);  // many laps round the ring
+}
+
+TEST(SpscQueue, SpansSeeClosedOnlyWhenDrainedAndCancelFirst)
+{
+    SpscQueue q(4, 8);
+    auto in = seqElems(0, 5);
+    size_t done = 0;
+    ASSERT_EQ(q.pushSpan(in.data(), 5, 0, &done), QueueWait::Ready);
+    q.close();
+    std::vector<uint8_t> out(4 * 4);
+    ASSERT_EQ(q.popSpan(out.data(), 4, 0, &done), QueueWait::Ready);
+    EXPECT_EQ(done, 4u);
+    ASSERT_EQ(q.popSpan(out.data(), 4, 0, &done), QueueWait::Ready);
+    EXPECT_EQ(done, 1u);
+    EXPECT_EQ(elemAt(out, 0), 4u);
+    EXPECT_EQ(q.popSpan(out.data(), 4, 10, &done), QueueWait::Closed);
+    EXPECT_EQ(done, 0u);
+
+    // Cancel wins over queued data on both sides.
+    SpscQueue c(4, 8);
+    ASSERT_EQ(c.pushSpan(in.data(), 5, 0, &done), QueueWait::Ready);
+    c.cancel();
+    EXPECT_EQ(c.popSpan(out.data(), 4, 0, &done), QueueWait::Cancelled);
+    EXPECT_EQ(done, 0u);
+    EXPECT_EQ(c.pushSpan(in.data(), 2, 0, &done), QueueWait::Cancelled);
+    EXPECT_EQ(done, 0u);
+    EXPECT_EQ(c.size(), 5u);
+}
+
+TEST(SpscQueue, CountersCountElementsAndStallsCountWaits)
+{
+    SpscQueue q(4, 4);
+    std::vector<uint8_t> out(4 * 4);
+    size_t done = 0;
+    // One empty-queue wait, whatever the span it asked for.
+    EXPECT_EQ(q.popSpan(out.data(), 4, 0, &done), QueueWait::Timeout);
+    auto in = seqElems(0, 6);
+    ASSERT_EQ(q.pushSpan(in.data(), 6, 0, &done), QueueWait::Ready);
+    ASSERT_EQ(done, 4u);
+    // One full-queue wait for the two elements that did not fit.
+    EXPECT_EQ(q.pushSpan(in.data() + 16, 2, 0, &done), QueueWait::Timeout);
+    ASSERT_EQ(q.popSpan(out.data(), 3, 0, &done), QueueWait::Ready);
+    ASSERT_EQ(done, 3u);
+    SpscQueue::Stats st = q.stats();
+    EXPECT_EQ(st.pushed, 4u);
+    EXPECT_EQ(st.popped, 3u);
+    EXPECT_EQ(st.highWater, 4u);
+    EXPECT_EQ(st.pushStalls, 1u);
+    EXPECT_EQ(st.popStalls, 1u);
+}
+
+TEST(SpscQueue, RandomSpansStayFifoUnderLoad)
+{
+    SpscQueue q(4, 61);
+    const uint32_t N = 300000;
+    std::thread producer([&] {
+        Rng rng(11);
+        uint32_t next = 0;
+        while (next < N) {
+            size_t n = std::min<size_t>(1 + rng.below(96), N - next);
+            auto in = seqElems(next, n);
+            size_t off = 0;
+            while (off < n) {
+                size_t done = 0;
+                ASSERT_EQ(q.pushSpan(in.data() + off * 4, n - off, -1,
+                                     &done),
+                          QueueWait::Ready);
+                ASSERT_GE(done, 1u);
+                off += done;
+            }
+            next += static_cast<uint32_t>(n);
+        }
+        q.close();
+    });
+    Rng rng(12);
+    std::vector<uint8_t> out(96 * 4);
+    uint32_t expect = 0;
+    for (;;) {
+        size_t max = 1 + rng.below(96);
+        size_t done = 0;
+        QueueWait w = q.popSpan(out.data(), max, -1, &done);
+        if (w == QueueWait::Closed)
+            break;
+        ASSERT_EQ(w, QueueWait::Ready);
+        ASSERT_GE(done, 1u);
+        ASSERT_LE(done, max);
+        for (size_t i = 0; i < done; ++i)
+            ASSERT_EQ(elemAt(out, i), expect++);
+    }
+    producer.join();
+    EXPECT_EQ(expect, N);
+    EXPECT_EQ(q.stats().pushed, N);
+    EXPECT_EQ(q.stats().popped, N);
 }
 
 namespace {
@@ -717,6 +908,179 @@ checkStatefulStageRestoresItsFrameSlice(Backend be)
             << ")";
     EXPECT_EQ(got.back() - got[got.size() - 2],
               static_cast<int32_t>(N - 1));
+}
+
+namespace {
+
+/**
+ * Int source for the batch-carry tests: element 0 comes at once, the
+ * rest after a 60 ms pause (so element 0's outputs cross the queues on
+ * their own), and reading element @p throwAt throws once without
+ * consuming it.
+ */
+class PausingSource : public InputSource
+{
+  public:
+    PausingSource(const std::vector<uint8_t>& bytes, size_t throwAt)
+        : bytes_(bytes), throwAt_(throwAt)
+    {
+    }
+
+    const uint8_t*
+    next() override
+    {
+        const size_t i = pos_ / 4;
+        if (i == 1 && !paused_) {
+            paused_ = true;
+            std::this_thread::sleep_for(std::chrono::milliseconds(60));
+        }
+        if (i == throwAt_ && !thrown_) {
+            thrown_ = true;
+            throw std::runtime_error("transient source fault");
+        }
+        if (pos_ >= bytes_.size())
+            return nullptr;
+        pos_ += 4;
+        return bytes_.data() + pos_ - 4;
+    }
+
+  private:
+    const std::vector<uint8_t>& bytes_;
+    size_t throwAt_;
+    size_t pos_ = 0;
+    bool paused_ = false;
+    bool thrown_ = false;
+};
+
+/**
+ * Sink for the batch-carry tests: the first put sleeps 150 ms, which
+ * lets the upstream fill the last stage's input queue, and the third
+ * blocks until the run is torn down, while the last stage holds the
+ * rest of the batch it popped after the sleep.
+ */
+class StallingSink : public OutputSink
+{
+  public:
+    void
+    put(const uint8_t* e) override
+    {
+        if (puts_ == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(150));
+        if (puts_ == 2) {
+            std::unique_lock<std::mutex> lk(mu_);
+            cv_.wait(lk, [&] { return cancelled_; });
+        }
+        ++puts_;
+        data_.insert(data_.end(), e, e + 4);
+    }
+
+    void
+    cancel() override
+    {
+        {
+            std::lock_guard<std::mutex> lk(mu_);
+            cancelled_ = true;
+        }
+        cv_.notify_all();
+    }
+
+    void
+    rearm() override
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        cancelled_ = false;
+    }
+
+    const std::vector<uint8_t>& data() const { return data_; }
+
+  private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool cancelled_ = false;
+    size_t puts_ = 0;
+    std::vector<uint8_t> data_;
+};
+
+/** repeat { x <- take; emit 8x; emit 8x+1; ... emit 8x+7 } */
+CompPtr
+fanOut8()
+{
+    VarRef x = freshVar("x", Type::int32());
+    std::vector<SeqComp::Item> items;
+    items.push_back(bindc(x, take(Type::int32())));
+    for (int32_t k = 0; k < 8; ++k)
+        items.push_back(just(emit(var(x) * cInt(8) + cInt(k))));
+    return repeatc(seqc(std::move(items)));
+}
+
+/**
+ * Stage 0 of @p mk(true) throws once, transiently, at input 8, under a
+ * stage-scoped restart with a watchdog.  By then stage 0's output queue
+ * is drained, and the downstream stages hold work that a restart of
+ * stage 0 must not touch: the last stage is blocked in the sink with
+ * the rest of a popped batch, and in the four-stage shape the fan-out
+ * stage is blocked pushing a batch of outputs into the full queue
+ * behind it.  The watchdog tears the run down, the stage-0 failure
+ * wins, and the resumed run must deliver exactly what an uninterrupted
+ * run does.
+ */
+void
+checkBatchesSurviveStageZeroRestart(
+    const std::function<CompPtr(bool threaded)>& mk)
+{
+    CompilerOptions opt = stageScoped(Backend::Vm, 2);
+    opt.stallDeadlineMs = 300;  // longer than the sink's first sleep
+    auto p = compileThreadedPipeline(mk(true), opt);
+
+    std::vector<int32_t> in(20);
+    for (size_t i = 0; i < in.size(); ++i)
+        in[i] = static_cast<int32_t>(i);
+    auto bytes = intBytes(in);
+    auto expect = compilePipeline(
+        mk(false), CompilerOptions::forLevel(OptLevel::None))
+        ->runBytes(bytes);
+
+    PausingSource src(bytes, 8);
+    StallingSink sink;
+    auto& reg = metrics::Registry::global();
+    uint64_t attempts0 = reg.counter("restart.stage.attempts").value();
+
+    p->run(src, sink);  // must not throw
+
+    EXPECT_EQ(reg.counter("restart.stage.attempts").value(),
+              attempts0 + 1);
+    EXPECT_EQ(sink.data(), expect)
+        << "a batch held by a stage next to a healthy queue was lost "
+           "across the restart of stage 0";
+}
+
+} // namespace
+
+TEST(Threaded, StageRestartKeepsPoppedBatchOfNonAdjacentStage)
+{
+    checkBatchesSurviveStageZeroRestart([](bool threaded) {
+        CompPtr a = incBlock(1);
+        CompPtr b = incBlock(10);
+        CompPtr c = incBlock(100);
+        return threaded
+            ? ppipe(ppipe(std::move(a), std::move(b)), std::move(c))
+            : pipe(pipe(std::move(a), std::move(b)), std::move(c));
+    });
+}
+
+TEST(Threaded, StageRestartRepushesUnflushedOutputsInOrder)
+{
+    checkBatchesSurviveStageZeroRestart([](bool threaded) {
+        CompPtr a = incBlock(1);
+        CompPtr b = incBlock(10);
+        CompPtr c = fanOut8();
+        CompPtr d = incBlock(100);
+        return threaded
+            ? ppipe(ppipe(ppipe(std::move(a), std::move(b)), std::move(c)),
+                    std::move(d))
+            : pipe(pipe(pipe(std::move(a), std::move(b)), std::move(c)),
+                   std::move(d));
+    });
 }
 
 TEST(Threaded, StageScopedRestartPreservesDownstreamState)
