@@ -11,6 +11,7 @@
 #include "dsp/fft.h"
 #include "dsp/viterbi.h"
 #include "wifi/blocks_tx.h"
+#include "zexpr/lut.h"
 
 using namespace ziria;
 using namespace zbench;
@@ -137,6 +138,40 @@ BM_ViterbiPair(benchmark::State& state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ViterbiPair);
+
+void
+BM_LutApply(benchmark::State& state)
+{
+    // The modulator shape: a 12-bit key (arr[12] bit) selecting an
+    // arr[12] complex16 return value, looked up with random keys.
+    constexpr int kLen = 12;
+    auto plan = planLut({LutSlot{0, Type::array(Type::bit(), kLen), 0}},
+                        {}, Type::array(Type::complex16(), kLen));
+    EvalInto ret = [](Frame& f, uint8_t* dst) {
+        for (int i = 0; i < kLen; ++i) {
+            Complex16 c{static_cast<int16_t>(*f.at(i) ? 181 : -181),
+                        static_cast<int16_t>(i)};
+            std::memcpy(dst + 4 * i, &c, 4);
+        }
+    };
+    CompiledLut lut(std::move(*plan), [](Frame&) {}, ret, kLen);
+    Rng rng(6);
+    std::vector<uint8_t> keys(4096 * kLen);
+    for (auto& b : keys)
+        b = rng.bit();
+    Frame f(kLen);
+    uint8_t out[4 * kLen];
+    size_t k = 0;
+    for (auto _ : state) {
+        std::memcpy(f.at(0), keys.data() + k * kLen, kLen);
+        k = (k + 1) % 4096;
+        lut.apply(f, out);
+        benchmark::DoNotOptimize(out);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LutApply);
 
 } // namespace
 

@@ -12,11 +12,38 @@ namespace dsp {
 namespace {
 
 constexpr uint32_t kInfMetric = 1u << 29;
+constexpr int kHalf = convStates / 2;  ///< butterflies per step
 
-inline int
-nextState(int s, int u)
+/**
+ * Cost of one received coded bit @p r against each expected value:
+ * 1 on a mismatch, 0 on a match or an erasure (2).
+ */
+struct BitCost
 {
-    return (s >> 1) | (u << 5);
+    uint32_t c0;    ///< cost when 0 is expected
+    uint32_t flip;  ///< c0 ^ (cost when 1 is expected)
+
+    explicit BitCost(uint8_t r)
+    {
+        c0 = r != 2 && r != 0;
+        flip = c0 ^ static_cast<uint32_t>(r != 2 && r != 1);
+    }
+
+    /** Cost against an expected-bit mask (0 or all ones). */
+    uint32_t at(uint32_t mask) const { return c0 ^ (mask & flip); }
+};
+
+/**
+ * Gather the low bit of 8 consecutive 0/1 bytes into one byte (byte i
+ * lands in bit i): each byte's bit is shifted to position 56 + i by a
+ * distinct multiplier term, and no two terms collide or carry.
+ */
+inline uint64_t
+packFlags8(const uint8_t* p)
+{
+    uint64_t x;
+    std::memcpy(&x, p, 8);
+    return (x * 0x0102040810204080ull) >> 56;
 }
 
 } // namespace
@@ -25,17 +52,20 @@ ViterbiDecoder::ViterbiDecoder(int traceback, int block)
     : tb_(traceback), block_(block)
 {
     ZIRIA_ASSERT(traceback > 0 && block > 0);
-    for (int s = 0; s < convStates; ++s) {
-        for (int u = 0; u < 2; ++u) {
-            uint32_t window = (static_cast<uint32_t>(u) << 6) |
-                              static_cast<uint32_t>(s);
-            expected_[s][u][0] =
-                static_cast<uint8_t>(parity32(window & convG0));
-            expected_[s][u][1] =
-                static_cast<uint8_t>(parity32(window & convG1));
-            expIdx_[s][u] = static_cast<uint8_t>(
-                expected_[s][u][0] | (expected_[s][u][1] << 1));
-        }
+    // Next state ns = j | u<<5 is reached from 2j and 2j+1 on input u;
+    // the encoder window is u<<6 | predecessor.
+    auto mask = [](uint32_t window, uint32_t g) {
+        return parity32(window & g) ? ~0u : 0u;
+    };
+    for (int ns = 0; ns < convStates; ++ns) {
+        uint32_t j = static_cast<uint32_t>(ns % kHalf);
+        uint32_t u = static_cast<uint32_t>(ns / kHalf);
+        uint32_t even = (u << 6) | (2 * j);
+        uint32_t odd = even | 1;
+        expA0_[ns] = mask(even, convG0);
+        expB0_[ns] = mask(even, convG1);
+        expA1_[ns] = mask(odd, convG0);
+        expB1_[ns] = mask(odd, convG1);
     }
     reset();
 }
@@ -43,8 +73,7 @@ ViterbiDecoder::ViterbiDecoder(int traceback, int block)
 void
 ViterbiDecoder::reset()
 {
-    metric_.assign(convStates, kInfMetric);
-    metricNext_.assign(convStates, kInfMetric);
+    std::fill(std::begin(metric_), std::end(metric_), kInfMetric);
     metric_[0] = 0;  // the encoder starts zeroed
     decisions_.clear();
 }
@@ -52,46 +81,39 @@ ViterbiDecoder::reset()
 void
 ViterbiDecoder::inputPair(uint8_t a, uint8_t b, std::vector<uint8_t>& out)
 {
-    std::fill(metricNext_.begin(), metricNext_.end(), kInfMetric);
-    uint64_t decisionWord = 0;
+    const BitCost ca(a), cb(b);
 
-    // Branch metric by packed expected outputs (erasures cost nothing).
-    uint32_t costTab[4];
-    for (int e = 0; e < 4; ++e) {
-        uint32_t c = 0;
-        if (a != 2 && a != (e & 1))
-            ++c;
-        if (b != 2 && b != (e >> 1))
-            ++c;
-        costTab[e] = c;
+    // Add-compare-select, one butterfly per j.  The even predecessor is
+    // taken first (capped at kInfMetric, so an unreachable one stays
+    // unreachable); the odd one wins only on a strictly smaller cost,
+    // and the decision bit records it (the dropped oldest bit).
+    uint32_t minM = kInfMetric;
+    auto acs = [&](int ns, uint32_t m0, uint32_t m1) {
+        uint32_t p0 = std::min(m0 + ca.at(expA0_[ns]) + cb.at(expB0_[ns]),
+                               kInfMetric);
+        uint32_t p1 = m1 + ca.at(expA1_[ns]) + cb.at(expB1_[ns]);
+        bool odd = p1 < p0;
+        uint32_t v = odd ? p1 : p0;
+        next_[ns] = v;
+        decided_[ns] = odd;
+        minM = std::min(minM, v);
+    };
+    for (int j = 0; j < kHalf; ++j) {
+        const uint32_t m0 = metric_[2 * j];
+        const uint32_t m1 = metric_[2 * j + 1];
+        acs(j, m0, m1);
+        acs(j + kHalf, m0, m1);
     }
 
-    for (int s = 0; s < convStates; ++s) {
-        uint32_t m = metric_[s];
-        if (m >= kInfMetric)
-            continue;
-        for (int u = 0; u < 2; ++u) {
-            uint32_t cost = m + costTab[expIdx_[s][u]];
-            int ns = nextState(s, u);
-            if (cost < metricNext_[ns]) {
-                metricNext_[ns] = cost;
-                // Decision: the dropped oldest bit of the predecessor.
-                if (s & 1)
-                    decisionWord |= (uint64_t{1} << ns);
-                else
-                    decisionWord &= ~(uint64_t{1} << ns);
-            }
-        }
-    }
-    metric_.swap(metricNext_);
-    decisions_.push_back(decisionWord);
+    uint64_t word = 0;
+    for (int g = 0; g < convStates / 8; ++g)
+        word |= packFlags8(decided_ + 8 * g) << (8 * g);
+    decisions_.push_back(word);
 
     // Normalize metrics occasionally so they never overflow.
-    uint32_t minM = *std::min_element(metric_.begin(), metric_.end());
-    if (minM > (1u << 20)) {
-        for (auto& m : metric_)
-            m -= minM;
-    }
+    const uint32_t sub = minM > (1u << 20) ? minM : 0;
+    for (int s = 0; s < convStates; ++s)
+        metric_[s] = next_[s] - sub;
 
     if (static_cast<int>(decisions_.size()) >= tb_ + block_)
         traceback(block_, out);
@@ -107,16 +129,22 @@ ViterbiDecoder::traceback(int emit_count, std::vector<uint8_t>& out)
             best = s;
     }
     const int steps = static_cast<int>(decisions_.size());
-    std::vector<uint8_t> bits(steps);
-    int state = best;
-    for (int t = steps - 1; t >= 0; --t) {
-        bits[t] = static_cast<uint8_t>(state >> 5);  // the input at time t
-        int dropped = (decisions_[t] >> state) & 1;
-        state = ((state << 1) & 0x3f) | dropped;
-    }
-    // Release the oldest emit_count bits.
     emit_count = std::min(emit_count, steps);
-    out.insert(out.end(), bits.begin(), bits.begin() + emit_count);
+    int state = best;
+    auto stepBack = [&](int t) {
+        int dropped = static_cast<int>((decisions_[t] >> state) & 1);
+        state = ((state << 1) & 0x3f) | dropped;
+    };
+    for (int t = steps - 1; t >= emit_count; --t)
+        stepBack(t);
+    // Release the oldest emit_count bits (the input at time t).
+    const size_t base = out.size();
+    out.resize(base + static_cast<size_t>(emit_count));
+    for (int t = emit_count - 1; t >= 0; --t) {
+        out[base + static_cast<size_t>(t)] =
+            static_cast<uint8_t>(state >> 5);
+        stepBack(t);
+    }
     decisions_.erase(decisions_.begin(), decisions_.begin() + emit_count);
 }
 
@@ -130,19 +158,26 @@ ViterbiDecoder::flush(std::vector<uint8_t>& out)
 void
 ViterbiDecoder::snapshot(StateWriter& w) const
 {
-    w.bytes(metric_.data(), metric_.size() * sizeof(uint32_t));
+    w.bytes(metric_, sizeof(metric_));
     w.blob(decisions_.data(), decisions_.size() * sizeof(uint64_t));
 }
 
 void
 ViterbiDecoder::restore(StateReader& r)
 {
-    r.bytes(metric_.data(), metric_.size() * sizeof(uint32_t));
+    r.bytes(metric_, sizeof(metric_));
+    for (uint32_t m : metric_) {
+        // A metric is either reachable (< kInfMetric) or kInfMetric; the
+        // ACS pass adds branch costs to it without an overflow check.
+        if (m > kInfMetric)
+            throw StateFormatError("viterbi path metric out of range");
+    }
     std::vector<uint8_t> raw = r.blob();
     if (raw.size() % sizeof(uint64_t) != 0)
         throw StateFormatError("viterbi decision memory misaligned");
     decisions_.resize(raw.size() / sizeof(uint64_t));
-    std::memcpy(decisions_.data(), raw.data(), raw.size());
+    if (!raw.empty())
+        std::memcpy(decisions_.data(), raw.data(), raw.size());
 }
 
 } // namespace dsp

@@ -8,6 +8,11 @@
  * depth, matching the streaming behaviour the paper relies on (the
  * Viterbi block's output granularity is data dependent, which is why it
  * cannot be auto-vectorized and uses annotations instead).
+ *
+ * The add-compare-select step runs in butterfly form: next state
+ * ns = j | u<<5 has exactly the two predecessors 2j and 2j+1, so one
+ * flat, branch-free pass over j computes every survivor, its decision
+ * bit and the running minimum.  g++ vectorizes that pass at -O2.
  */
 #ifndef ZIRIA_DSP_VITERBI_H
 #define ZIRIA_DSP_VITERBI_H
@@ -44,8 +49,7 @@ class ViterbiDecoder
 
     /**
      * Serialize live decoder state (path metrics + decision memory).
-     * metricNext_ is pure per-step scratch and expected_/expIdx_ are
-     * construction-time constants, so neither is written.
+     * The per-step scratch and the expected-bit masks are not written.
      */
     void snapshot(StateWriter& w) const;
 
@@ -57,13 +61,16 @@ class ViterbiDecoder
 
     int tb_;
     int block_;
-    std::vector<uint32_t> metric_;
-    std::vector<uint32_t> metricNext_;
+    uint32_t metric_[convStates] = {};
+    uint32_t next_[convStates] = {};    ///< per-step scratch
+    uint8_t decided_[convStates] = {};  ///< per-step scratch: 1 = odd won
     std::vector<uint64_t> decisions_;  ///< one 64-bit word per step
-    /** Precomputed expected (A,B) outputs for (state, input). */
-    uint8_t expected_[convStates][2][2];
-    /** Packed expected index (A | B<<1) per (state, input). */
-    uint8_t expIdx_[convStates][2];
+    /**
+     * Expected output bits in butterfly order, as all-ones/zero masks:
+     * index ns = j | u<<5, for the even (2j) and odd (2j+1) predecessor.
+     */
+    uint32_t expA0_[convStates], expB0_[convStates];
+    uint32_t expA1_[convStates], expB1_[convStates];
 };
 
 } // namespace dsp

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <tuple>
 
 #include "support/panic.h"
 
@@ -20,7 +21,8 @@ findOrAdd(std::deque<std::pair<std::string, T>>& xs, const std::string& name)
         if (n == name)
             return m;
     }
-    xs.emplace_back(name, T{});
+    xs.emplace_back(std::piecewise_construct, std::forward_as_tuple(name),
+                    std::forward_as_tuple());
     return xs.back().second;
 }
 

@@ -13,6 +13,7 @@
 #ifndef ZIRIA_SUPPORT_METRICS_H
 #define ZIRIA_SUPPORT_METRICS_H
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -23,32 +24,42 @@
 namespace ziria {
 namespace metrics {
 
-/** Monotonic event counter. */
+/**
+ * Monotonic event counter.  A relaxed atomic: several threads (two
+ * servers, pipeline stages) may bump one registry entry at once, and
+ * readers only need an eventually consistent value.
+ */
 struct Counter
 {
-    uint64_t n = 0;
+    std::atomic<uint64_t> n{0};
 
-    void inc() { ++n; }
-    void add(uint64_t d) { n += d; }
-    uint64_t value() const { return n; }
+    void inc() { n.fetch_add(1, std::memory_order_relaxed); }
+    void add(uint64_t d) { n.fetch_add(d, std::memory_order_relaxed); }
+    uint64_t value() const { return n.load(std::memory_order_relaxed); }
 };
 
-/** Last-value (plus running-max) gauge. */
+/** Last-value (plus running-max) gauge; relaxed atomics like Counter. */
 struct Gauge
 {
-    double v = 0;
-    double maxv = 0;
+    std::atomic<double> v{0};
+    std::atomic<double> maxv{0};
 
     void
     set(double x)
     {
-        v = x;
-        if (x > maxv)
-            maxv = x;
+        v.store(x, std::memory_order_relaxed);
+        double m = maxv.load(std::memory_order_relaxed);
+        while (x > m &&
+               !maxv.compare_exchange_weak(m, x, std::memory_order_relaxed))
+            ;
     }
 
-    double value() const { return v; }
-    double maxValue() const { return maxv; }
+    double value() const { return v.load(std::memory_order_relaxed); }
+    double
+    maxValue() const
+    {
+        return maxv.load(std::memory_order_relaxed);
+    }
 };
 
 /**
@@ -188,8 +199,9 @@ class Histogram
 /**
  * Named metric registry.  Lookup takes a mutex; the returned references
  * are stable for the registry's lifetime (deque storage), so callers on
- * hot paths resolve once and increment lock-free afterwards (single
- * writer per metric is the intended discipline).
+ * hot paths resolve once and increment lock-free afterwards.  Counters
+ * and gauges are relaxed atomics, so any number of threads may update
+ * one entry; a histogram still has a single writer.
  */
 class Registry
 {

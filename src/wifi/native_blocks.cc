@@ -158,17 +158,22 @@ class ViterbiKernel : public NativeKernel
         if (flushed_)
             return false;  // trellis complete: ignore trailing input
         depunct_.input(*in, lattice_);
-        std::vector<uint8_t> decoded;
-        while (lattice_.size() >= 2 && pairsFed_ < outBits_) {
-            decoder_.inputPair(lattice_[0], lattice_[1], decoded);
-            lattice_.erase(lattice_.begin(), lattice_.begin() + 2);
+        decoded_.clear();
+        size_t pos = 0;  // read cursor into lattice_
+        while (lattice_.size() - pos >= 2 && pairsFed_ < outBits_) {
+            decoder_.inputPair(lattice_[pos], lattice_[pos + 1], decoded_);
+            pos += 2;
             ++pairsFed_;
         }
+        // Drop the consumed pairs once, so lattice_ holds (and
+        // snapshots) only the entries not yet fed.
+        lattice_.erase(lattice_.begin(),
+                       lattice_.begin() + static_cast<long>(pos));
         if (pairsFed_ >= outBits_ && !flushed_) {
-            decoder_.flush(decoded);
+            decoder_.flush(decoded_);
             flushed_ = true;
         }
-        for (uint8_t b : decoded) {
+        for (uint8_t b : decoded_) {
             if (emitted_ < outBits_) {
                 em.emit(&b);
                 ++emitted_;
@@ -204,6 +209,7 @@ class ViterbiKernel : public NativeKernel
     dsp::Depuncturer depunct_;
     dsp::ViterbiDecoder decoder_;
     std::vector<uint8_t> lattice_;
+    std::vector<uint8_t> decoded_;  ///< per-consume scratch
     long outBits_;
     long pairsFed_ = 0;
     long emitted_ = 0;

@@ -192,97 +192,151 @@ CompiledLut::CompiledLut(LutPlan plan, const Action& body,
     buildFastPaths();
 }
 
+namespace {
+
+/** Append the offset of every bit leaf of @p t (placed at @p off);
+ *  false when some leaf is not a bit or bool. */
+bool
+flattenBits(const TypePtr& t, size_t off, std::vector<uint32_t>& offs)
+{
+    if (t->isBit() || t->isBool()) {
+        offs.push_back(static_cast<uint32_t>(off));
+        return true;
+    }
+    if (t->isArray()) {
+        size_t w = t->elem()->byteWidth();
+        for (int i = 0; i < t->len(); ++i) {
+            if (!flattenBits(t->elem(), off + i * w, offs))
+                return false;
+        }
+        return true;
+    }
+    if (t->isStruct()) {
+        for (const auto& [fname, ftype] : t->fields()) {
+            (void)fname;
+            if (!flattenBits(ftype, off, offs))
+                return false;
+            off += ftype->byteWidth();
+        }
+        return true;
+    }
+    return false;
+}
+
+/** True when every leaf of @p t packs to whole bytes in VM order. */
+bool
+wholeByteLeaves(const TypePtr& t)
+{
+    switch (t->kind()) {
+      case TypeKind::Int8:
+      case TypeKind::Int16:
+      case TypeKind::Int32:
+      case TypeKind::Int64:
+      case TypeKind::Complex16:
+      case TypeKind::Complex32:
+        return true;
+      case TypeKind::Array:
+        return wholeByteLeaves(t->elem());
+      case TypeKind::Struct:
+        for (const auto& [fname, ftype] : t->fields()) {
+            (void)fname;
+            if (!wholeByteLeaves(ftype))
+                return false;
+        }
+        return true;
+      default:
+        return false;
+    }
+}
+
+} // namespace
+
 void
 CompiledLut::buildFastPaths()
 {
-    // Fast path applies when every key/out field is built purely from
-    // one-bit bytes (bit scalars and arrays of bit) — the common case
-    // for the PHY kernels the LUT pass targets.
-    auto flatten = [](const LutSlot& s, std::vector<uint32_t>& offs) {
-        std::function<bool(const TypePtr&, size_t)> go =
-            [&](const TypePtr& t, size_t off) {
-                if (t->isBit() || t->isBool()) {
-                    offs.push_back(static_cast<uint32_t>(off));
-                    return true;
-                }
-                if (t->isArray()) {
-                    size_t w = t->elem()->byteWidth();
-                    for (int i = 0; i < t->len(); ++i) {
-                        if (!go(t->elem(), off + i * w))
-                            return false;
-                    }
-                    return true;
-                }
-                return false;
-            };
-        return go(s.type, s.frameOff);
-    };
+    // The key/state fast path applies when every key/out field is built
+    // purely from one-bit bytes (bit scalars, arrays and structs of
+    // them) — the common case for the PHY kernels the LUT pass targets.
     keyBitOff_.clear();
     outBits_.clear();
     fast_ = true;
     for (const auto& s : plan_.keySlots)
-        fast_ = fast_ && flatten(s, keyBitOff_);
+        fast_ = fast_ && flattenBits(s.type, s.frameOff, keyBitOff_);
     // Out fields are byte-aligned per field within the entry.
     uint32_t bitPos = 0;
     for (const auto& s : plan_.outSlots) {
         std::vector<uint32_t> offs;
-        fast_ = fast_ && flatten(s, offs);
+        fast_ = fast_ && flattenBits(s.type, s.frameOff, offs);
         for (uint32_t o : offs)
             outBits_.emplace_back(o, bitPos++);
         bitPos = (bitPos + 7) & ~7u;  // next field starts byte-aligned
     }
-    if (plan_.retType) {
-        long rb = plan_.retType->bitWidth();
-        retBytes_ = (static_cast<size_t>(rb) + 7) / 8;
-        // The return value is unpacked generically; only require the
-        // key/state fast paths.
-    }
     if (!fast_) {
         keyBitOff_.clear();
         outBits_.clear();
+    }
+
+    retBitOff_.clear();
+    retBytes_ = 0;
+    retPath_ = RetPath::None;
+    if (!plan_.retType)
+        return;
+    retBytes_ = (static_cast<size_t>(plan_.retType->bitWidth()) + 7) / 8;
+    if (wholeByteLeaves(plan_.retType)) {
+        ZIRIA_ASSERT(retBytes_ == plan_.retType->byteWidth());
+        retPath_ = RetPath::Copy;
+    } else if (flattenBits(plan_.retType, 0, retBitOff_)) {
+        retPath_ = RetPath::Bits;
+    } else {
+        retBitOff_.clear();
+        retPath_ = RetPath::Generic;
     }
 }
 
 void
 CompiledLut::apply(Frame& f, uint8_t* retDst) const
 {
+    uint64_t key = 0;
     if (fast_) {
-        uint64_t key = 0;
         for (size_t i = 0; i < keyBitOff_.size(); ++i)
             key |= static_cast<uint64_t>(*f.at(keyBitOff_[i]) & 1) << i;
-        const uint8_t* entry = table_.data() + key * plan_.entryBytes;
-        size_t pos = 0;
-        if (plan_.retType) {
-            BitReader br(entry);
-            unpackValueBits(plan_.retType, br, retDst);
-            pos += retBytes_;
-        }
-        const uint8_t* st = entry + pos;
+    } else {
+        uint8_t keyBytes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+        BitWriter bw(keyBytes);
+        for (const auto& s : plan_.keySlots)
+            packValueBits(s.type, f.at(s.frameOff), bw);
+        std::memcpy(&key, keyBytes, 8);
+        key &= (uint64_t{1} << plan_.keyBits) - 1;
+    }
+    const uint8_t* entry = table_.data() + key * plan_.entryBytes;
+
+    switch (retPath_) {
+      case RetPath::None:
+        break;
+      case RetPath::Copy:
+        std::memcpy(retDst, entry, retBytes_);
+        break;
+      case RetPath::Bits:
+        for (size_t i = 0; i < retBitOff_.size(); ++i)
+            retDst[retBitOff_[i]] = (entry[i >> 3] >> (i & 7)) & 1;
+        break;
+      case RetPath::Generic: {
+        BitReader br(entry);
+        unpackValueBits(plan_.retType, br, retDst);
+        break;
+      }
+    }
+
+    const uint8_t* st = entry + retBytes_;
+    if (fast_) {
         for (const auto& [off, bit] : outBits_)
             *f.at(off) = (st[bit >> 3] >> (bit & 7)) & 1;
         return;
     }
-
-    // Pack the key from the live frame.
-    uint8_t keyBytes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    BitWriter bw(keyBytes);
-    for (const auto& s : plan_.keySlots)
-        packValueBits(s.type, f.at(s.frameOff), bw);
-    uint64_t key = 0;
-    std::memcpy(&key, keyBytes, 8);
-    key &= (uint64_t{1} << plan_.keyBits) - 1;
-
-    const uint8_t* entry = table_.data() + key * plan_.entryBytes;
-    size_t pos = 0;
-    if (plan_.retType) {
-        BitReader br(entry + pos);
-        unpackValueBits(plan_.retType, br, retDst);
-        pos += (static_cast<size_t>(plan_.retType->bitWidth()) + 7) / 8;
-    }
     for (const auto& s : plan_.outSlots) {
-        BitReader br(entry + pos);
+        BitReader br(st);
         unpackValueBits(s.type, br, f.at(s.frameOff));
-        pos += (static_cast<size_t>(s.bits) + 7) / 8;
+        st += (static_cast<size_t>(s.bits) + 7) / 8;
     }
 }
 

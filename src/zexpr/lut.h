@@ -60,7 +60,25 @@ std::optional<LutPlan> planLut(std::vector<LutSlot> key_slots,
                                TypePtr ret_type,
                                const LutLimits& limits = LutLimits{});
 
-/** A materialized lookup table replacing a kernel body. */
+/**
+ * A materialized lookup table replacing a kernel body.
+ *
+ * Each entry is [return value][state updates], every field packed
+ * LSB-first and byte-aligned.  apply() decodes the return value along
+ * one of three paths, chosen once at construction:
+ *  - copy: every leaf of the return type is a whole number of bytes
+ *    (int8..int64, complex16/32, arrays and structs of them), so the
+ *    packed bits already are the VM's little-endian layout and the
+ *    return is one memcpy;
+ *  - bits: every leaf is a bit or bool, so bit i of the entry goes to a
+ *    precomputed destination offset;
+ *  - generic: anything else (mixed bit/byte leaves) is unpacked field by
+ *    field with unpackValueBits.
+ * Key and state fields made only of bits take the same per-bit offset
+ * path; other key/state shapes are packed and unpacked generically.
+ * The VM map node, the fused Op::Lut and native code's host callback all
+ * call this one apply().
+ */
 class CompiledLut
 {
   public:
@@ -78,12 +96,19 @@ class CompiledLut
      */
     void apply(Frame& f, uint8_t* retDst) const;
 
+    /** How apply() decodes the return value (see the class comment). */
+    enum class RetPath { None, Copy, Bits, Generic };
+    RetPath retPath() const { return retPath_; }
+
     int keyBits() const { return plan_.keyBits; }
     size_t tableBytes() const { return table_.size(); }
     size_t entries() const { return size_t{1} << plan_.keyBits; }
 
   private:
-    /** Flatten bit-shaped fields into per-bit frame offsets (fast path). */
+    /**
+     * Plan the decoding once: flatten bit-shaped key/state fields into
+     * per-bit frame offsets and pick the return path.
+     */
     void buildFastPaths();
 
     LutPlan plan_;
@@ -92,7 +117,9 @@ class CompiledLut
     std::vector<uint32_t> keyBitOff_;  ///< frame offset of each key bit
     /** (frame offset, bit position within the entry's state area). */
     std::vector<std::pair<uint32_t, uint32_t>> outBits_;
-    size_t retBytes_ = 0;
+    RetPath retPath_ = RetPath::None;
+    std::vector<uint32_t> retBitOff_;  ///< Bits: destination of bit i
+    size_t retBytes_ = 0;  ///< packed return bytes (0 for unit)
 };
 
 /** Pack a flat value of @p type (VM layout) into a bit writer. */

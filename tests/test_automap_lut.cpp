@@ -6,16 +6,23 @@
  */
 #include <gtest/gtest.h>
 
+#include "support/backends.h"
 #include "support/rng.h"
 #include "zast/builder.h"
 #include "zcheck/check.h"
 #include "zir/compiler.h"
+#include "zopt/autolut.h"
 #include "zopt/passes.h"
 
 namespace ziria {
 namespace {
 
 using namespace zb;
+
+// The return-shape matrix below runs native cells; keep their compiles
+// in a private cache directory.
+[[maybe_unused]] const ::testing::Environment* const kCacheEnv =
+    ::testing::AddGlobalTestEnvironment(new testsupport::PrivateCgenCache);
 
 CompPtr
 incThenDouble()
@@ -272,6 +279,193 @@ TEST(Fusion, LongMapChainCollapses)
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(got[i], in[i] + 6);
 }
+
+// --------------------------------------------- LUT return-value shapes
+
+/** A map kernel over `arr[keyLen] bit`, optionally with a bit of state. */
+struct LutKernel
+{
+    FunRef f;
+    VarRef st;  ///< captured state (read and written), or null
+};
+
+VarRef
+keyParam(int len)
+{
+    return freshVar("x", Type::array(Type::bit(), len));
+}
+
+LutKernel
+bitKernel()
+{
+    // bit return plus one state bit: the bit return path next to the
+    // state fast path.
+    VarRef x = keyParam(6);
+    VarRef st = freshVar("st", Type::bit());
+    StmtList body;
+    body.push_back(assign(var(st), idx(var(x), 1) ^ var(st)));
+    ExprPtr r = (idx(var(x), 0) ^ var(st)) & (idx(var(x), 5) | idx(var(x), 2));
+    return {fun("retbit", {x}, std::move(body), std::move(r)), st};
+}
+
+LutKernel
+bitArrayKernel()
+{
+    VarRef x = keyParam(8);
+    std::vector<ExprPtr> outs;
+    for (int i = 0; i < 8; ++i)
+        outs.push_back(idx(var(x), 7 - i) ^ idx(var(x), (i * 3) % 8));
+    return {fun("retbits", {x}, {}, arrayLit(std::move(outs))), nullptr};
+}
+
+/** Signed integer sum_i x[i] << i of @p n key bits, as @p t. */
+ExprPtr
+weightedBits(const VarRef& x, int n, const TypePtr& t)
+{
+    ExprPtr e = cast(t, idx(var(x), 0));
+    for (int i = 1; i < n; ++i)
+        e = e + (cast(t, idx(var(x), i)) << i);
+    return e;
+}
+
+LutKernel
+int16Kernel()
+{
+    VarRef x = keyParam(10);
+    ExprPtr r = weightedBits(x, 10, Type::int16()) * 7 - 2000;
+    return {fun("retint16", {x}, {}, std::move(r)), nullptr};
+}
+
+LutKernel
+complexArrayKernel()
+{
+    // The 802.11 modulator's shape: 12 key bits -> arr[12] complex16.
+    VarRef x = keyParam(12);
+    std::vector<ExprPtr> outs;
+    for (int i = 0; i < 12; ++i) {
+        outs.push_back(cond(idx(var(x), i) == cBit(1),
+                            cC16(181, static_cast<int16_t>(-i)),
+                            cC16(-181, static_cast<int16_t>(i * 1000))));
+    }
+    return {fun("retc16", {x}, {}, arrayLit(std::move(outs))), nullptr};
+}
+
+LutKernel
+mixedStructKernel()
+{
+    // {bit, int8}: the bit leaf packs to one bit, so the int8 after it
+    // is not byte-aligned and only the generic unpacker places it.
+    VarRef x = keyParam(8);
+    TypePtr t = Type::strct("BitByte", {{"flag", Type::bit()},
+                                        {"val", Type::int8()}});
+    ExprPtr r = structLit(t, {idx(var(x), 0) ^ idx(var(x), 7),
+                              weightedBits(x, 8, Type::int8())});
+    return {fun("retmixed", {x}, {}, std::move(r)), nullptr};
+}
+
+struct ReturnShape
+{
+    const char* name;
+    LutKernel (*make)();
+    CompiledLut::RetPath path;
+};
+
+void
+PrintTo(const ReturnShape& shape, std::ostream* os)
+{
+    *os << shape.name;
+}
+
+class LutReturnShape : public ::testing::TestWithParam<ReturnShape>
+{
+};
+
+TEST_P(LutReturnShape, ApplyMatchesKernelForEveryKey)
+{
+    const ReturnShape& shape = GetParam();
+    LutKernel k = shape.make();
+    FrameLayout layout;
+    ExprCompiler ec(layout);
+    CompiledKernel ck = ec.compileKernel(k.f);
+    auto lut = tryBuildMapLut(k.f, ck, ec, LutLimits{});
+    ASSERT_TRUE(lut) << shape.name << " did not LUT";
+    EXPECT_EQ(lut->retPath(), shape.path);
+
+    const int len = k.f->params[0]->type->len();
+    const size_t xOff = ck.paramOffsets[0];
+    const size_t stOff = k.st ? layout.offsetOf(k.st.get()) : 0;
+    ASSERT_EQ(lut->keyBits(), len + (k.st ? 1 : 0));
+    Frame direct(layout.frameSize()), viaLut(layout.frameSize());
+    std::vector<uint8_t> want(ck.retWidth), got(ck.retWidth);
+    for (size_t key = 0; key < lut->entries(); ++key) {
+        for (Frame* fr : {&direct, &viaLut}) {
+            for (int i = 0; i < len; ++i)
+                *fr->at(xOff + i) = (key >> i) & 1;
+            if (k.st)
+                *fr->at(stOff) = (key >> len) & 1;
+        }
+        ck.body(direct);
+        ck.retInto(direct, want.data());
+        std::fill(got.begin(), got.end(), 0xA5);
+        lut->apply(viaLut, got.data());
+        ASSERT_EQ(want, got) << shape.name << " key " << key;
+        if (k.st) {
+            ASSERT_EQ(*direct.at(stOff), *viaLut.at(stOff))
+                << shape.name << " state, key " << key;
+        }
+    }
+}
+
+TEST_P(LutReturnShape, BackendsAgreeByteForByte)
+{
+    const ReturnShape& shape = GetParam();
+    auto program = [&] {
+        LutKernel k = shape.make();
+        CompPtr m = mapc(k.f);
+        return k.st ? letvar(k.st, cBit(0), std::move(m)) : m;
+    };
+    const int len = shape.make().f->params[0]->type->len();
+    Rng rng(91);
+    std::vector<uint8_t> input(static_cast<size_t>(len) * 300);
+    for (auto& b : input)
+        b = rng.bit();
+    const std::vector<uint8_t> expect =
+        compilePipeline(program(), CompilerOptions::forLevel(OptLevel::None))
+            ->runBytes(input);
+
+    for (Backend b : testsupport::kAllBackends) {
+        if (testsupport::nativeUnavailable(b))
+            continue;
+        CompilerOptions all = CompilerOptions::forLevel(OptLevel::All);
+        all.vectorize = false;
+        all.autoMap = false;
+        all.backend = b;
+        CompileReport rep;
+        auto p = compilePipeline(program(), all, &rep);
+        EXPECT_EQ(rep.build.lutsBuilt, 1) << testsupport::backendName(b);
+        if (b == Backend::Native) {
+            // The whole map is one compiled region calling the table.
+            EXPECT_EQ(rep.cgen.emitted, 1);
+            EXPECT_EQ(rep.cgen.fallbacks, 0);
+        }
+        EXPECT_EQ(p->runBytes(input), expect)
+            << shape.name << " on " << testsupport::backendName(b);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Returns, LutReturnShape,
+    ::testing::Values(
+        ReturnShape{"bit", bitKernel, CompiledLut::RetPath::Bits},
+        ReturnShape{"bit_array", bitArrayKernel, CompiledLut::RetPath::Bits},
+        ReturnShape{"int16", int16Kernel, CompiledLut::RetPath::Copy},
+        ReturnShape{"complex16_array", complexArrayKernel,
+                    CompiledLut::RetPath::Copy},
+        ReturnShape{"bit_int8_struct", mixedStructKernel,
+                    CompiledLut::RetPath::Generic}),
+    [](const ::testing::TestParamInfo<ReturnShape>& info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace ziria

@@ -4,7 +4,9 @@
  * convolutional code with puncturing, the Viterbi decoder, CRCs,
  * constellations, and the channel simulator.
  */
+#include <algorithm>
 #include <complex>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -14,7 +16,9 @@
 #include "dsp/crc.h"
 #include "dsp/fft.h"
 #include "dsp/viterbi.h"
+#include "support/bits.h"
 #include "support/rng.h"
+#include "support/state_io.h"
 
 namespace ziria {
 namespace {
@@ -179,6 +183,254 @@ TEST(Viterbi, CorrectsBitErrorsAtRateHalf)
     dec.flush(out);
     ASSERT_EQ(out.size(), data.size());
     EXPECT_EQ(out, data);
+}
+
+// ------------------------------------------------ Viterbi equivalence
+
+/**
+ * Reference decoder in push form: every state adds its cost into its two
+ * successors, the later (odd) predecessor wins only on a strictly
+ * smaller cost, and unreachable states (metric >= 2^29) are skipped.
+ * ViterbiDecoder's butterfly pass must match it bit for bit: decoded
+ * bits, metrics, decision words and snapshot bytes.
+ */
+class PushViterbi
+{
+  public:
+    static constexpr uint32_t kInf = 1u << 29;
+
+    PushViterbi()
+    {
+        for (int s = 0; s < dsp::convStates; ++s) {
+            for (int u = 0; u < 2; ++u) {
+                uint32_t w = (static_cast<uint32_t>(u) << 6) |
+                             static_cast<uint32_t>(s);
+                exp_[s][u] = static_cast<uint8_t>(
+                    parity32(w & dsp::convG0) |
+                    (parity32(w & dsp::convG1) << 1));
+            }
+        }
+        metric_.assign(dsp::convStates, kInf);
+        metric_[0] = 0;
+    }
+
+    void
+    inputPair(uint8_t a, uint8_t b, std::vector<uint8_t>& out)
+    {
+        std::vector<uint32_t> next(dsp::convStates, kInf);
+        uint32_t costTab[4];
+        for (int e = 0; e < 4; ++e) {
+            costTab[e] = static_cast<uint32_t>(a != 2 && a != (e & 1)) +
+                         static_cast<uint32_t>(b != 2 && b != (e >> 1));
+        }
+        uint64_t word = 0;
+        for (int s = 0; s < dsp::convStates; ++s) {
+            if (metric_[s] >= kInf)
+                continue;
+            for (int u = 0; u < 2; ++u) {
+                uint32_t cost = metric_[s] + costTab[exp_[s][u]];
+                int ns = (s >> 1) | (u << 5);
+                if (cost < next[ns]) {
+                    next[ns] = cost;
+                    if (s & 1)
+                        word |= uint64_t{1} << ns;
+                    else
+                        word &= ~(uint64_t{1} << ns);
+                }
+            }
+        }
+        metric_.swap(next);
+        decisions_.push_back(word);
+        uint32_t minM = *std::min_element(metric_.begin(), metric_.end());
+        if (minM > (1u << 20)) {
+            ++normalizations;
+            for (auto& m : metric_)
+                m -= minM;
+        }
+        if (decisions_.size() >= 128 + 64)
+            traceback(64, out);
+    }
+
+    void
+    flush(std::vector<uint8_t>& out)
+    {
+        if (!decisions_.empty())
+            traceback(static_cast<int>(decisions_.size()), out);
+    }
+
+    void
+    snapshot(StateWriter& w) const
+    {
+        w.bytes(metric_.data(), metric_.size() * sizeof(uint32_t));
+        w.blob(decisions_.data(), decisions_.size() * sizeof(uint64_t));
+    }
+
+    void
+    restore(StateReader& r)
+    {
+        r.bytes(metric_.data(), metric_.size() * sizeof(uint32_t));
+        std::vector<uint8_t> raw = r.blob();
+        decisions_.resize(raw.size() / sizeof(uint64_t));
+        if (!raw.empty())
+            std::memcpy(decisions_.data(), raw.data(), raw.size());
+    }
+
+    int normalizations = 0;
+
+  private:
+    void
+    traceback(int emit, std::vector<uint8_t>& out)
+    {
+        int best = static_cast<int>(
+            std::min_element(metric_.begin(), metric_.end()) -
+            metric_.begin());
+        const int steps = static_cast<int>(decisions_.size());
+        std::vector<uint8_t> bits(steps);
+        int state = best;
+        for (int t = steps - 1; t >= 0; --t) {
+            bits[t] = static_cast<uint8_t>(state >> 5);
+            int dropped = static_cast<int>((decisions_[t] >> state) & 1);
+            state = ((state << 1) & 0x3f) | dropped;
+        }
+        emit = std::min(emit, steps);
+        out.insert(out.end(), bits.begin(), bits.begin() + emit);
+        decisions_.erase(decisions_.begin(), decisions_.begin() + emit);
+    }
+
+    uint8_t exp_[dsp::convStates][2];
+    std::vector<uint32_t> metric_;
+    std::vector<uint64_t> decisions_;
+};
+
+template <class D>
+std::vector<uint8_t>
+snapBytes(const D& d)
+{
+    StateWriter w;
+    d.snapshot(w);
+    return w.take();
+}
+
+/** A lattice value: a hard bit, or an erasure with probability 1/5. */
+uint8_t
+latticeValue(Rng& rng)
+{
+    return rng.below(5) == 0 ? 2 : rng.bit();
+}
+
+/** Feed both decoders @p n pairs; compare bits and (every @p every
+ *  steps) snapshot bytes as they go. */
+template <class Gen>
+void
+feedBoth(PushViterbi& ref, dsp::ViterbiDecoder& dec, long n, Gen gen,
+         std::vector<uint8_t>& refOut, std::vector<uint8_t>& decOut,
+         long every = 997)
+{
+    for (long i = 0; i < n; ++i) {
+        uint8_t a = gen(), b = gen();
+        ref.inputPair(a, b, refOut);
+        dec.inputPair(a, b, decOut);
+        ASSERT_EQ(refOut.size(), decOut.size()) << "pair " << i;
+        if (i % every == 0) {
+            ASSERT_EQ(snapBytes(ref), snapBytes(dec)) << "pair " << i;
+        }
+    }
+    ASSERT_EQ(snapBytes(ref), snapBytes(dec));
+    ASSERT_EQ(refOut, decOut);
+}
+
+TEST(ViterbiEquivalence, RandomPairsWithErasuresAcrossNormalization)
+{
+    // Start both decoders from the same state just below the
+    // normalization threshold (some states unreachable), so the run
+    // crosses `min > 2^20` early and then decodes 1M pairs past it.
+    Rng rng(41);
+    StateWriter w;
+    for (int s = 0; s < dsp::convStates; ++s) {
+        w.u32(s % 7 == 3 ? PushViterbi::kInf
+                         : (1u << 20) - 2000 +
+                               static_cast<uint32_t>(rng.below(40)));
+    }
+    w.blob(nullptr, 0);
+    const std::vector<uint8_t> seed = w.take();
+    PushViterbi ref;
+    dsp::ViterbiDecoder dec;
+    StateReader r1(seed), r2(seed);
+    ref.restore(r1);
+    dec.restore(r2);
+
+    std::vector<uint8_t> refOut, decOut;
+    feedBoth(ref, dec, 1'000'000, [&] { return latticeValue(rng); },
+             refOut, decOut);
+    EXPECT_GE(ref.normalizations, 1);
+    ref.flush(refOut);
+    dec.flush(decOut);
+    EXPECT_EQ(refOut, decOut);
+    EXPECT_GT(decOut.size(), 999'000u);
+}
+
+TEST(ViterbiEquivalence, AllZeroPrefixThenNoise)
+{
+    // From reset only state 0 is reachable: the first steps exercise
+    // predecessors with no reachable path, then a long all-zero run
+    // keeps ties everywhere before random traffic (including
+    // out-of-domain bytes, which the depuncturer passes through).
+    Rng rng(42);
+    PushViterbi ref;
+    dsp::ViterbiDecoder dec;
+    std::vector<uint8_t> refOut, decOut;
+    feedBoth(ref, dec, 5000, [] { return uint8_t{0}; }, refOut, decOut, 1);
+    feedBoth(ref, dec, 50'000,
+             [&] {
+                 return rng.below(50) == 0
+                            ? static_cast<uint8_t>(rng.below(256))
+                            : latticeValue(rng);
+             },
+             refOut, decOut, 13);
+    ref.flush(refOut);
+    dec.flush(decOut);
+    EXPECT_EQ(refOut, decOut);
+}
+
+TEST(ViterbiEquivalence, SnapshotMidStreamCrossesImplementations)
+{
+    // A snapshot from either implementation restores into the other and
+    // both continue identically (the checkpoint format is unchanged).
+    Rng rng(43);
+    auto gen = [&] { return latticeValue(rng); };
+    PushViterbi ref;
+    dsp::ViterbiDecoder dec;
+    std::vector<uint8_t> refOut, decOut;
+    feedBoth(ref, dec, 20'000 + 77, gen, refOut, decOut);
+
+    PushViterbi ref2;
+    dsp::ViterbiDecoder dec2;
+    const std::vector<uint8_t> fromDec = snapBytes(dec);
+    const std::vector<uint8_t> fromRef = snapBytes(ref);
+    StateReader r1(fromDec), r2(fromRef);
+    ref2.restore(r1);
+    dec2.restore(r2);
+    EXPECT_EQ(snapBytes(ref2), fromDec);
+    EXPECT_EQ(snapBytes(dec2), fromRef);
+
+    std::vector<uint8_t> refOut2 = refOut, decOut2 = decOut;
+    Rng rng2 = rng;
+    feedBoth(ref, dec2, 20'000, gen, refOut, decOut2);
+    feedBoth(ref2, dec, 20'000, [&] { return latticeValue(rng2); },
+             refOut2, decOut);
+    EXPECT_EQ(refOut, refOut2);
+}
+
+TEST(ViterbiEquivalence, RejectsOutOfRangeMetric)
+{
+    StateWriter w;
+    for (int s = 0; s < dsp::convStates; ++s)
+        w.u32(s == 5 ? PushViterbi::kInf + 1 : 0);
+    w.blob(nullptr, 0);
+    const std::vector<uint8_t> bad = w.take();
+    dsp::ViterbiDecoder dec;
+    StateReader r(bad);
+    EXPECT_THROW(dec.restore(r), StateFormatError);
 }
 
 TEST(Crc32, KnownVector)
