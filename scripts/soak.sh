@@ -535,10 +535,11 @@ migrate_matrix() {
 
 # Crash matrix: kill -9 mid-stream, resume from the durable checkpoint
 # store, byte-compare against the fault-free output.  Timing notes: a
-# 64 MiB solo scrambler run takes >1 s on this class of machine, and a
-# 256-frame keyed session >0.5 s, so a kill at half that lands safely
-# mid-stream; if a fast machine finishes first the resume leg degrades
-# to a clean re-run and the byte comparison still holds.
+# solo victim is killed as soon as its first durable generation lands,
+# which is early in a 64 MiB scrambler run.  A 256-frame keyed session
+# takes >0.5 s on this class of machine, so a kill at half that lands
+# safely mid-stream; if a fast machine finishes first the resume leg
+# degrades to a clean re-run and the byte comparison still holds.
 crash_matrix() {
     ZCLIENT="$BUILD/tools/zclient"
     if [ ! -x "$ZCLIENT" ]; then
@@ -567,7 +568,15 @@ crash_matrix() {
         $c --ckpt-dir "$ck" --checkpoint=65536 --out "$out" \
             > /dev/null 2>&1 &
         victim=$!
-        sleep 0.5
+        # Kill once the first durable generation has landed (a fixed
+        # delay can beat a slow first fsync), within the case deadline.
+        ticks=0
+        while ! ls "$ck"/v1/*/ckpt-*.zck > /dev/null 2>&1 &&
+              [ "$ticks" -lt $((DEADLINE_S * 100)) ] &&
+              kill -0 "$victim" 2>/dev/null; do
+            sleep 0.01
+            ticks=$((ticks + 1))
+        done
         kill -9 "$victim" 2>/dev/null
         wait "$victim" 2>/dev/null
         log="$work/resume_$backend.log"

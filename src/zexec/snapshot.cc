@@ -22,10 +22,8 @@ takeSnapshot(const ExecNode& root, const Frame& f, uint64_t consumed,
 }
 
 SnapshotInfo
-restoreSnapshot(ExecNode& root, Frame& f, const uint8_t* data,
-                size_t size)
+readSnapshotHeader(StateReader& r)
 {
-    StateReader r(data, size);
     if (r.u32() != kSnapshotMagic)
         throw StateFormatError("bad checkpoint magic");
     uint32_t ver = r.u32();
@@ -35,6 +33,15 @@ restoreSnapshot(ExecNode& root, Frame& f, const uint8_t* data,
     SnapshotInfo info;
     info.consumed = r.u64();
     info.emitted = r.u64();
+    return info;
+}
+
+SnapshotInfo
+restoreSnapshot(ExecNode& root, Frame& f, const uint8_t* data,
+                size_t size)
+{
+    StateReader r(data, size);
+    SnapshotInfo info = readSnapshotHeader(r);
     std::vector<uint8_t> frameImg = r.blob();
     if (frameImg.size() != f.size())
         throw StateFormatError("frame size mismatch (checkpoint from a "

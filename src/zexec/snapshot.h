@@ -70,6 +70,10 @@ restoreSnapshot(ExecNode& root, Frame& f, const std::vector<uint8_t>& v)
     return restoreSnapshot(root, f, v.data(), v.size());
 }
 
+/** Read and check only a takeSnapshot() image's header from @p r;
+ *  throws StateFormatError. */
+SnapshotInfo readSnapshotHeader(StateReader& r);
+
 } // namespace ziria
 
 #endif // ZIRIA_ZEXEC_SNAPSHOT_H

@@ -213,6 +213,10 @@ class SupervisedStepper
     /** Counters and control value of the underlying loop. */
     const Stepper& stepper() const { return stepper_; }
 
+    /** Outputs the downstream holds: those emitted plus those still to
+     *  be swallowed.  Valid between drives, on either drive path. */
+    uint64_t delivered() const { return stepper_.emitted() + suppress_; }
+
     /** Stepper::drive with the carry applied; same contract. */
     template <typename PullFn, typename PushFn>
     StepOutcome

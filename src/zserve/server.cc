@@ -552,7 +552,7 @@ Server::processFrames(const std::shared_ptr<Session>& s)
           case FrameType::Checkpoint: {
             // Migration restore: must be the first thing the client
             // says, before the pipeline has been fed anything.
-            if (s->sawData || s->inputEnded || s->restoredFromCkpt) {
+            if (s->streamStarted()) {
                 protocolError(s, "Checkpoint frame after session start");
                 return;
             }
@@ -628,8 +628,7 @@ Server::processFrames(const std::shared_ptr<Session>& s)
 void
 Server::handleAttach(const std::shared_ptr<Session>& s, Frame& f)
 {
-    if (s->sawData || s->inputEnded || s->restoredFromCkpt ||
-        s->attached) {
+    if (s->streamStarted()) {
         protocolError(s, "attach Hello after session start");
         return;
     }
@@ -739,8 +738,7 @@ Server::handleMigrate(const std::shared_ptr<Session>& s, Frame& f)
         return;  // the Ack is sent when the job resolves
       }
       case MigrateSub::Transfer: {
-        if (s->sawData || s->attached || s->inputEnded ||
-            s->restoredFromCkpt) {
+        if (s->streamStarted()) {
             protocolError(s, "Migrate transfer after session start");
             return;
         }
@@ -753,11 +751,11 @@ Server::handleMigrate(const std::shared_ptr<Session>& s, Frame& f)
             reject = "session key is already live on this server";
         else if (pendingAdoptions_.count(key))
             reject = "an adoption for this key is already pending";
-        else if (ckpt.size() < 4 ||
-                 (ckpt[0] != kSessionCheckpointVersion &&
-                  ckpt[0] != kSessionCheckpointVersionDurable) ||
-                 ckpt[1] || ckpt[2] || ckpt[3])
-            reject = "unrecognized session checkpoint";
+        else {
+            reject = s->checkContinuation(ckpt);
+            if (!reject.empty())
+                reject = "invalid session checkpoint: " + reject;
+        }
         encodeMigrateAck(s->outWire, reject.empty(),
                          reject.empty() ? "adopted" : reject);
         ++s->txFrames;
@@ -1174,11 +1172,12 @@ Server::driveDrain()
             stageData(s, payload.data(), payload.size());
         }
 
+        // The client reads every staged Data frame before the
+        // Checkpoint frame, so a keyed session retains no tail past it.
+        s->prevPersistSentAbs = s->stagedPayloadAbs;
         std::vector<uint8_t> ck;
         std::string err;
-        const uint8_t* tail = s->pendingIn.data() + s->pendingPos;
-        size_t tailLen = s->pendingIn.size() - s->pendingPos;
-        bool ok = s->checkpoint(ck, tail, tailLen, &err);
+        bool ok = s->checkpoint(ck, &err);
         if (ok && ck.size() > kMaxCkptPayload) {
             ok = false;
             err = "session checkpoint of " + std::to_string(ck.size()) +
@@ -1189,6 +1188,7 @@ Server::driveDrain()
             encodeFrame(s->outWire, FrameType::Checkpoint, ck);
             ++s->txFrames;
             reg.counter("server.drain.completed").inc();
+            reg.counter("server.migrations.saved").inc();
         } else {
             encodeError(s->outWire, "drain checkpoint failed: " + err);
             ++s->txFrames;
@@ -1245,7 +1245,7 @@ Server::drivePersist()
             continue;  // no progress worth persisting
         std::vector<uint8_t> ck;
         std::string err;
-        if (!s->persistCheckpoint(ck, &err)) {
+        if (!s->checkpoint(ck, &err)) {
             // Includes the restore-not-yet-applied window right after a
             // resume attach; harmless — the disk state is still newest.
             continue;
@@ -1323,7 +1323,7 @@ Server::migrateNow(const std::shared_ptr<Session>& s,
 {
     std::vector<uint8_t> ck;
     std::string err;
-    if (!s->persistCheckpoint(ck, &err))
+    if (!s->checkpoint(ck, &err))
         return "checkpoint failed: " + err;
     if (ck.size() > kMaxCkptPayload)
         return "session checkpoint of " + std::to_string(ck.size()) +

@@ -8,15 +8,16 @@ namespace serve {
 
 namespace {
 
-/** A session checkpoint payload of either version. */
+/** A session continuation payload (see kSessionCheckpointVersion). */
 struct Continuation
 {
     uint64_t consumed = 0;
-    uint64_t emitted = 0;
+    uint64_t delivered = 0;     ///< outputs the downstream holds
+    uint64_t snapEmitted = 0;   ///< outputs the snapshot itself emitted
     std::vector<uint8_t> snap;
     std::vector<uint8_t> backlog;
-    uint64_t tailBase = 0;      ///< output offset of tail (v1: emitted)
-    std::vector<uint8_t> tail;  ///< retained output (durable version)
+    uint64_t tailBase = 0;      ///< output byte offset of tail
+    std::vector<uint8_t> tail;  ///< retained output up to delivered
 };
 
 /** Parse and check @p payload against the pipeline's element widths;
@@ -26,27 +27,36 @@ readContinuation(const std::vector<uint8_t>& payload, size_t inW,
                  size_t outW, Continuation& c)
 {
     uint64_t backlogElems;
+    SnapshotInfo info;  // an empty snapshot: the donor never stepped
     try {
         StateReader r(payload.data(), payload.size());
         uint32_t ver = r.u32();
-        if (ver != kSessionCheckpointVersion &&
-            ver != kSessionCheckpointVersionDurable)
+        if (ver != kSessionCheckpointVersion)
             return "unsupported session checkpoint version " +
                    std::to_string(ver);
         c.consumed = r.u64();
-        c.emitted = r.u64();
+        c.delivered = r.u64();
         backlogElems = r.u64();
         c.snap = r.blob();
         c.backlog = r.blob();
-        c.tailBase = c.emitted * outW;
-        if (ver == kSessionCheckpointVersionDurable) {
-            c.tailBase = r.u64();
-            c.tail = r.blob();
-        }
+        c.tailBase = r.u64();
+        c.tail = r.blob();
+        if (!r.atEnd())
+            return "trailing bytes after the session checkpoint";
+        StateReader sr(c.snap);
+        if (!c.snap.empty())
+            info = readSnapshotHeader(sr);
     } catch (const std::exception& e) {
         return e.what();
     }
-    if (c.tailBase + c.tail.size() != c.emitted * outW)
+    c.snapEmitted = info.emitted;
+    if (c.consumed != info.consumed)
+        return "checkpoint consumed count disagrees with its snapshot";
+    // Fewer delivered outputs than the snapshot emitted would make the
+    // restore re-send output the client already holds.
+    if (c.delivered < c.snapEmitted)
+        return "checkpoint delivered count precedes its snapshot";
+    if (c.tailBase + c.tail.size() != c.delivered * outW)
         return "checkpoint output tail is inconsistent";
     if (inW ? c.backlog.size() % inW != 0 : !c.backlog.empty())
         return "checkpoint backlog is not element-aligned";
@@ -141,31 +151,29 @@ Session::cancel()
 }
 
 bool
-Session::writeContinuation(StateWriter& w, uint32_t version,
-                           const uint8_t* pending, size_t pending_len,
-                           std::string* err)
+Session::checkpoint(std::vector<uint8_t>& out, std::string* err)
 {
+    auto fail = [err](const std::string& m) {
+        if (err)
+            *err = m;
+        return false;
+    };
     // The caller holds the session quiesced, so the worker-owned
     // pipeline state is safe to read from the I/O thread.  Before an
     // adopted restore is applied the pipeline still holds fresh-start
     // state, which must not be persisted (or migrated) over real state.
-    if (restorePending_.load(std::memory_order_acquire)) {
-        if (err)
-            *err = "adopted restore not yet applied";
-        return false;
-    }
+    if (restorePending_.load(std::memory_order_acquire))
+        return fail("adopted restore not yet applied");
     const SupervisedStepper& ss = pipe_->stepper();
     const uint64_t consumed = ss.stepper().consumed();
-    const uint64_t emitted = ss.stepper().emitted();
+    const uint64_t delivered = ss.delivered();
     std::vector<uint8_t> snap;
     if (ss.started()) {
         try {
             snap = takeSnapshot(pipe_->root(), pipe_->frame(), consumed,
-                                emitted);
+                                ss.stepper().emitted());
         } catch (const std::exception& e) {
-            if (err)
-                *err = e.what();
-            return false;
+            return fail(e.what());
         }
     }
 
@@ -175,37 +183,49 @@ Session::writeContinuation(StateWriter& w, uint32_t version,
     std::vector<uint8_t> backlog = ss.unreplayed();
     if (inW_)
         inQ_.peekAll(backlog);
-    backlog.insert(backlog.end(), pending, pending + pending_len);
+    backlog.insert(backlog.end(),
+                   pendingIn.begin() + static_cast<long>(pendingPos),
+                   pendingIn.end());
 
     // The target rejects a backlog that is not a whole number of input
     // elements.  The wire protocol only admits whole-element Data
     // payloads; if a partial tail ever reaches us, fail so the caller
     // counts the drain or persist as aborted.
-    if (inW_ ? backlog.size() % inW_ != 0 : !backlog.empty()) {
-        if (err)
-            *err = "input backlog is not element-aligned";
-        return false;
+    if (inW_ ? backlog.size() % inW_ != 0 : !backlog.empty())
+        return fail("input backlog is not element-aligned");
+
+    // The retained tail ends at delivered.  Its base is the sent
+    // watermark as of the *previous* call — bytes handed to the kernel
+    // a cadence ago are long delivered, so a re-attaching client's
+    // received count can't be below it.  Without retention the tail is
+    // empty.
+    const uint64_t deliveredB = delivered * outW_;
+    uint64_t base = deliveredB;
+    std::vector<uint8_t> tail;
+    if (retainOut_) {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (outTailBase_ + outTail_.size() != deliveredB ||
+            prevPersistSentAbs > deliveredB)
+            return fail("retained output tail is inconsistent");
+        base = std::max(prevPersistSentAbs, outTailBase_);
+        outTail_.erase(outTail_.begin(),
+                       outTail_.begin() +
+                           static_cast<long>(base - outTailBase_));
+        outTailBase_ = base;
+        tail = outTail_;
     }
 
-    w.u32(version);
+    StateWriter w;
+    w.u32(kSessionCheckpointVersion);
     w.u64(consumed);
-    w.u64(emitted);
+    w.u64(delivered);
     w.u64(inW_ ? backlog.size() / inW_ : 0);
     w.blob(snap.data(), snap.size());
     w.blob(backlog.data(), backlog.size());
-    return true;
-}
-
-bool
-Session::checkpoint(std::vector<uint8_t>& out, const uint8_t* pending_tail,
-                    size_t pending_len, std::string* err)
-{
-    StateWriter w;
-    if (!writeContinuation(w, kSessionCheckpointVersion, pending_tail,
-                           pending_len, err))
-        return false;
+    w.u64(base);
+    w.blob(tail.data(), tail.size());
     out = w.take();
-    metrics::Registry::global().counter("server.migrations.saved").inc();
+    prevPersistSentAbs = sentPayloadAbs;
     return true;
 }
 
@@ -217,53 +237,11 @@ Session::adoptCheckpoint(std::vector<uint8_t> payload)
     restorePending_.store(true, std::memory_order_release);
 }
 
-bool
-Session::persistCheckpoint(std::vector<uint8_t>& out, std::string* err)
+std::string
+Session::checkContinuation(const std::vector<uint8_t>& payload) const
 {
-    // I/O thread, session parked (see the header contract).
-    StateWriter w;
-    if (!writeContinuation(w, kSessionCheckpointVersionDurable,
-                           pendingIn.data() + pendingPos,
-                           pendingIn.size() - pendingPos, err))
-        return false;
-
-    const uint64_t emittedB = pipe_->stepper().stepper().emitted() * outW_;
-    std::vector<uint8_t> tail;
-    uint64_t base;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        // Tail base: the sent watermark as of the *previous* persist —
-        // bytes handed to the kernel a cadence ago are long delivered,
-        // so a re-attaching client's received count can't be below it.
-        base = prevPersistSentAbs;
-        if (base < outTailBase_)
-            base = outTailBase_;
-        if (base >= emittedB || emittedB < outTailBase_) {
-            // Mid-suppression (the retained window starts past the
-            // snapshot) or nothing emitted since the base: an empty
-            // tail anchored at the snapshot is consistent — a client
-            // ahead of it takes the suppression path on re-attach.
-            base = emittedB;
-            tail.clear();
-        } else {
-            size_t drop = static_cast<size_t>(base - outTailBase_);
-            outTail_.erase(outTail_.begin(),
-                           outTail_.begin() + static_cast<long>(drop));
-            outTailBase_ = base;
-            if (outTailBase_ + outTail_.size() != emittedB) {
-                if (err)
-                    *err = "retained output tail is inconsistent";
-                return false;
-            }
-            tail = outTail_;
-        }
-    }
-
-    w.u64(base);
-    w.blob(tail.data(), tail.size());
-    out = w.take();
-    prevPersistSentAbs = sentPayloadAbs;
-    return true;
+    Continuation c;
+    return readContinuation(payload, inW_, outW_, c);
 }
 
 std::string
@@ -276,14 +254,15 @@ Session::adoptResume(const std::vector<uint8_t>& payload,
     std::string err = readContinuation(payload, inW_, outW_, c);
     if (!err.empty())
         return err;
-    const uint64_t emittedB = c.emitted * outW_;
-    uint64_t suppress = 0;
+    const uint64_t deliveredB = c.delivered * outW_;
+    uint64_t lead = 0;
     if (client_received < c.tailBase)
         return "client resume point precedes the retained output window";
-    if (client_received > emittedB) {
-        suppress = client_received - emittedB;
-        if (outW_ == 0 || suppress % outW_ != 0)
+    if (client_received > deliveredB) {
+        lead = client_received - deliveredB;
+        if (outW_ == 0 || lead % outW_ != 0)
             return "client resume point is not element-aligned";
+        lead /= outW_;
     } else {
         resend.assign(c.tail.begin() +
                           static_cast<long>(client_received - c.tailBase),
@@ -294,7 +273,7 @@ Session::adoptResume(const std::vector<uint8_t>& payload,
     {
         std::lock_guard<std::mutex> lk(mu_);
         pendingCkpt_ = payload;
-        pendingSuppress_ = suppress;
+        pendingLead_ = lead;
         restorePending_.store(true, std::memory_order_release);
         retainOut_ = true;
         outTailBase_ = client_received;
@@ -328,13 +307,13 @@ std::string
 Session::applyCheckpoint()
 {
     std::vector<uint8_t> payload;
-    uint64_t suppress;
+    uint64_t lead;
     {
         std::lock_guard<std::mutex> lk(mu_);
         payload = std::move(pendingCkpt_);
         pendingCkpt_.clear();
-        suppress = pendingSuppress_;
-        pendingSuppress_ = 0;
+        lead = pendingLead_;
+        pendingLead_ = 0;
         restorePending_.store(false, std::memory_order_relaxed);
     }
     Continuation c;
@@ -346,9 +325,11 @@ Session::applyCheckpoint()
     qsrc_.takeHeld(c.backlog);
     try {
         // An empty snapshot means the donor never started stepping; the
-        // backlog alone reconstructs the session.
+        // backlog alone reconstructs the session.  The downstream holds
+        // every output up to delivered, plus a re-attaching client's
+        // lead beyond it.
         pipe_->stepper().seed(c.snap, std::move(c.backlog),
-                              outW_ ? suppress / outW_ : 0);
+                              c.delivered - c.snapEmitted + lead);
     } catch (const std::exception& e) {
         return e.what();
     }

@@ -58,19 +58,15 @@
 namespace ziria {
 namespace serve {
 
-/** Layout version of a Checkpoint frame's session payload. */
-constexpr uint32_t kSessionCheckpointVersion = 1;
-
 /**
- * Durable/migration session checkpoint: the v1 fields plus a retained
- * output tail — u64 tail base (absolute output-stream byte offset) and
- * a blob of the output bytes from that base up to the snapshot's
- * emitted count.  On re-attach the server resends the tail from the
- * client's received offset (or, when the client is ahead of the
- * snapshot, suppresses the deterministically regenerated prefix), so
- * the concatenated client-side stream is byte-identical.
+ * Layout version of the session continuation payload that a drain
+ * Checkpoint frame, a durable persist and a live migration all carry
+ * (docs/ROBUSTNESS.md, "Session migration and drain").  The header's
+ * output count is *delivered*, the outputs the downstream already
+ * holds; a restore swallows those its snapshot regenerates, and the
+ * retained output tail ends there.
  */
-constexpr uint32_t kSessionCheckpointVersionDurable = 2;
+constexpr uint32_t kSessionCheckpointVersion = 2;
 
 /** Per-session tuning knobs (shared by every session of one server). */
 struct SessionConfig
@@ -218,20 +214,23 @@ class Session
     // ---- checkpoint / migration (docs/ROBUSTNESS.md) ----------------
 
     /**
-     * Serialize this session's complete continuation state into a wire
-     * Checkpoint payload: a versioned header (consumed / emitted /
-     * backlog element count the migrating client can read without
-     * parsing the rest), the pipeline state snapshot, and the
-     * unconsumed input backlog (input still to replay, the queue, then
-     * @p pending_tail — the I/O thread's decoded-but-unqueued bytes).
+     * Serialize this session's continuation into @p out (the payload
+     * described at kSessionCheckpointVersion): the pipeline snapshot,
+     * the unconsumed input backlog (input still to replay, the queue,
+     * then the I/O thread's decoded-but-unqueued pendingIn bytes), the
+     * delivered output count and the retained output tail — empty when
+     * retention is off.  The session keeps running unchanged if the
+     * payload is never restored (periodic persists, rejected
+     * migrations); the retained tail is trimmed to the sent watermark
+     * of the previous call.
      *
-     * Caller contract: the scheduler must hold the session quiesced
-     * (Dead, no worker stepping) — the worker-owned pipeline state is
-     * read directly.  Returns false and fills @p err when the pipeline
+     * Caller contract: I/O thread, session parked or dead (the I/O
+     * thread is the only enqueue() caller, so a session it observes
+     * Parked stays Parked for the duration) — the worker-owned pipeline
+     * state is read directly.  Returns false and fills @p err when the
      * state cannot be serialized.
      */
-    bool checkpoint(std::vector<uint8_t>& out, const uint8_t* pending_tail,
-                    size_t pending_len, std::string* err);
+    bool checkpoint(std::vector<uint8_t>& out, std::string* err);
 
     /**
      * Stash a client-supplied Checkpoint payload (I/O thread side); the
@@ -242,28 +241,21 @@ class Session
      */
     void adoptCheckpoint(std::vector<uint8_t> payload);
 
+    /** Fully parse and check a continuation payload against this
+     *  session's element widths; returns an error, empty when valid. */
+    std::string checkContinuation(const std::vector<uint8_t>& payload) const;
+
     // ---- durable checkpoints / live migration -----------------------
 
     /**
-     * checkpoint() as the durable v2 payload: the retained output tail
-     * rides along, and the session keeps running unchanged if the
-     * checkpoint is never restored (periodic persists, rejected
-     * migrations).  Caller contract: I/O thread, session parked (the
-     * I/O thread is the only enqueue() caller, so a session it observes
-     * Parked stays Parked for the duration).
-     */
-    bool persistCheckpoint(std::vector<uint8_t>& out, std::string* err);
-
-    /**
-     * Adopt a durable/migration checkpoint for a re-attaching client
-     * that has already received @p client_received output bytes.
-     * Validates the payload, primes the worker-side restore (snapshot +
-     * backlog + suppression of the regenerated prefix when the client
-     * is ahead of the snapshot), arms output retention, and fills
-     * @p resend with the retained bytes the I/O thread must restage
-     * (when the client is behind) and @p resume_elems with the input
-     * element the client should resume sending from.  Returns an error
-     * message, empty on success.
+     * Adopt a continuation for a re-attaching client that has already
+     * received @p client_received output bytes.  Validates the payload,
+     * primes the worker-side restore (snapshot + backlog + suppression
+     * of the regenerated outputs the client holds), arms output
+     * retention, and fills @p resend with the retained bytes the I/O
+     * thread must restage (when the client is behind delivered) and
+     * @p resume_elems with the input element the client should resume
+     * sending from.  Returns an error message, empty on success.
      */
     std::string adoptResume(const std::vector<uint8_t>& payload,
                             uint64_t client_received,
@@ -291,8 +283,7 @@ class Session
     bool queueClosed = false;       ///< endInput() delivered to the queue
     bool closing = false;           ///< trailer queued; close when drained
     bool evictOnClose = false;      ///< count as evicted, not completed
-    bool sawData = false;           ///< a Data frame arrived (Checkpoint
-                                    ///< restore is only valid before any)
+    bool sawData = false;           ///< a Data frame arrived
     bool stagedData = false;        ///< a Data frame was staged outbound
                                     ///< (an attach must come before any)
     bool restoredFromCkpt = false;  ///< a Checkpoint was adopted already
@@ -324,6 +315,14 @@ class Session
     uint64_t lastPersistConsumed = 0;
     std::deque<std::pair<uint64_t, uint64_t>> txMarks;  ///< {wireAbsEnd,
                                     ///<  payloadAbsEnd} per staged frame
+
+    /** Whether the stream has begun: a Checkpoint, attach or Migrate
+     *  transfer is only valid before any of these. */
+    bool
+    streamStarted() const
+    {
+        return sawData || inputEnded || restoredFromCkpt || attached;
+    }
 
     // ---- scheduler state (guarded by the Server's scheduler mutex) --
 
@@ -365,23 +364,18 @@ class Session
      *  message, empty on success. */
     std::string applyCheckpoint();
 
-    /** Write the payload fields both checkpoint versions share: header,
-     *  pipeline snapshot, unconsumed input (ending with @p pending). */
-    bool writeContinuation(StateWriter& w, uint32_t version,
-                           const uint8_t* pending, size_t pending_len,
-                           std::string* err);
-
     // Output buffer shared worker -> I/O thread.
     std::mutex mu_;
     std::vector<uint8_t> outRaw_;
     size_t outRawPos_ = 0;
     Completion done_;
     std::vector<uint8_t> pendingCkpt_;  ///< stash from adoptCheckpoint
-    uint64_t pendingSuppress_ = 0;      ///< handed to the worker with it
+    uint64_t pendingLead_ = 0;  ///< outputs the client holds beyond the
+                                ///< stash's delivered count
     // Retained output tail for durable checkpoints: every delivered
     // output element is also appended here (only when retainOut_), and
-    // persistCheckpoint trims it to the lagged sent watermark.  Covers
-    // [outTailBase_, emitted bytes) contiguously.
+    // checkpoint() trims it to the lagged sent watermark.  Covers
+    // [outTailBase_, delivered bytes) contiguously.
     bool retainOut_ = false;
     std::vector<uint8_t> outTail_;
     uint64_t outTailBase_ = 0;

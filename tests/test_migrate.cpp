@@ -27,6 +27,7 @@
 #include "support/metrics.h"
 #include "support/panic.h"
 #include "support/rng.h"
+#include "support/state_io.h"
 #include "zir/compiler.h"
 #include "zparse/parser.h"
 #include "zserve/server.h"
@@ -493,6 +494,92 @@ TEST(Migrate, RejectedHandOffRollsBackWithoutDataLoss)
     EXPECT_EQ(c.out, expect);
 
     a.stop();
+}
+
+// ---------------------------------------------- protocol guards
+
+TEST(Migrate, CheckpointFrameAfterAttachIsAProtocolError)
+{
+    // An attached session has already anchored its retained output at
+    // offset 0; adopting a Checkpoint over it would leave every later
+    // persist of the key inconsistent.  A well-formed payload (from a
+    // never-stepped session) is refused only because of the order.
+    auto factory = scramblerFactory();
+    Server server(factory, ServerConfig{});
+    server.start();
+    std::vector<uint8_t> ck;
+    std::string err;
+    Session donor(1, /*fd=*/-1, factory(1), SessionConfig{}, FaultSpec{});
+    ASSERT_TRUE(donor.checkpoint(ck, &err)) << err;
+
+    KeyedClient c;
+    ASSERT_TRUE(c.attach(server.port(), "attach-then-ckpt")) << c.errorMsg;
+    std::vector<uint8_t> wire;
+    encodeFrame(wire, FrameType::Checkpoint, ck.data(), ck.size());
+    ASSERT_TRUE(sendAll(c.sock.get(), wire.data(), wire.size()));
+    ASSERT_TRUE(c.sendEnd());
+    c.drain();
+    EXPECT_TRUE(c.sawError);
+    EXPECT_NE(c.errorMsg.find("Checkpoint frame after session start"),
+              std::string::npos)
+        << c.errorMsg;
+    server.stop();
+}
+
+/** Offer @p ckpt to a server as a live-migration Transfer for @p key;
+ *  returns the Ack's ok flag (false also when no Ack arrives). */
+bool
+transferAck(uint16_t port, const std::string& key,
+            const std::vector<uint8_t>& ckpt, std::string& msg)
+{
+    KeyedClient t;  // frame plumbing only; no attach
+    t.sock = connectTcp("127.0.0.1", port);
+    Frame f;
+    if (!t.readFrame(f) || f.type != FrameType::Hello)
+        return false;
+    std::vector<uint8_t> wire;
+    encodeMigrateTransfer(wire, key, ckpt);
+    if (!sendAll(t.sock.get(), wire.data(), wire.size()))
+        return false;
+    bool ok = false;
+    while (t.readFrame(f))
+        if (f.type == FrameType::Migrate)
+            return decodeMigrateAck(f.payload, ok, msg) && ok;
+    return false;
+}
+
+TEST(Migrate, MalformedTransferIsRejectedByTheAck)
+{
+    // A Transfer is validated by the same parser a restore uses, so a
+    // payload with the right version but a broken body is refused on
+    // the spot rather than when its data client re-attaches.
+    auto factory = scramblerFactory();
+    Server server(factory, ServerConfig{});
+    server.start();
+    StateWriter w;
+    w.u32(kSessionCheckpointVersion);
+    w.u64(0);  // consumed
+    w.u64(0);  // delivered
+    w.u64(3);  // backlog elements, but the blobs below are empty
+    w.blob(nullptr, 0);
+    w.blob(nullptr, 0);
+    w.u64(0);
+    w.blob(nullptr, 0);
+    std::vector<uint8_t> badCount = w.take();
+    std::vector<uint8_t> truncated(badCount.begin(), badCount.begin() + 12);
+
+    std::string msg;
+    EXPECT_FALSE(transferAck(server.port(), "bad-count", badCount, msg));
+    EXPECT_NE(msg.find("backlog count"), std::string::npos) << msg;
+    msg.clear();
+    EXPECT_FALSE(transferAck(server.port(), "truncated", truncated, msg));
+    EXPECT_NE(msg.find("truncated"), std::string::npos) << msg;
+
+    // Neither was stashed: the keys attach as fresh sessions.
+    KeyedClient c;
+    ASSERT_TRUE(c.attach(server.port(), "bad-count")) << c.errorMsg;
+    EXPECT_EQ(c.resume.resumeElems, 0u);
+    server.stop();
 }
 
 // ------------------------------------- negotiated checkpoint cap

@@ -19,7 +19,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -728,6 +730,25 @@ stepUntilParked(Session& s, std::vector<uint8_t>& out)
     return StepResult::Failed;
 }
 
+/** Offer @p input from byte @p off on, interleaved with stepping as the
+ *  server's I/O loop does, then end the input and step to completion. */
+void
+finishStream(Session& s, const std::vector<uint8_t>& input, size_t off,
+             std::vector<uint8_t>& out)
+{
+    while (off < input.size()) {
+        size_t did = 0;
+        s.offerInput(input.data() + off, input.size() - off, did);
+        off += did;
+        if (off < input.size()) {
+            ASSERT_NE(stepUntilParked(s, out), StepResult::Failed);
+        }
+    }
+    s.endInput();
+    ASSERT_EQ(stepUntilParked(s, out), StepResult::Finished);
+    EXPECT_FALSE(s.completion().failed) << s.completion().failMessage;
+}
+
 } // namespace
 
 TEST(Serve, SessionCheckpointRoundTripOffline)
@@ -760,14 +781,15 @@ TEST(Serve, SessionCheckpointRoundTripOffline)
     ASSERT_TRUE(a.offerInput(input.data() + fed, queued, consumed));
     ASSERT_EQ(consumed, queued);
     const uint8_t* tail = input.data() + fed + queued;
+    a.pendingIn.assign(tail, tail + w);
 
     std::vector<uint8_t> ck;
     std::string err;
-    ASSERT_TRUE(a.checkpoint(ck, tail, w, &err)) << err;
+    ASSERT_TRUE(a.checkpoint(ck, &err)) << err;
 
     // Header sanity: version, progress counters, backlog element count.
     ASSERT_GE(ck.size(), 28u);
-    EXPECT_EQ(readU32(ck, 0), 1u);
+    EXPECT_EQ(readU32(ck, 0), kSessionCheckpointVersion);
     const uint64_t ckConsumed = readU64(ck, 4);
     const uint64_t ckBacklog = readU64(ck, 20);
     EXPECT_EQ(ckConsumed, fed / w);
@@ -781,17 +803,7 @@ TEST(Serve, SessionCheckpointRoundTripOffline)
     // offering and stepping, exactly like the server's I/O loop does.
     size_t off = (static_cast<size_t>(ckConsumed + ckBacklog)) * w;
     ASSERT_LE(off, input.size());
-    while (off < input.size()) {
-        size_t did = 0;
-        b.offerInput(input.data() + off, input.size() - off, did);
-        off += did;
-        if (off < input.size())
-            ASSERT_NE(stepUntilParked(b, outB), StepResult::Failed);
-    }
-    b.endInput();
-    ASSERT_EQ(stepUntilParked(b, outB), StepResult::Finished);
-    EXPECT_TRUE(b.completion().finished);
-    EXPECT_FALSE(b.completion().failed) << b.completion().failMessage;
+    finishStream(b, input, off, outB);
 
     std::vector<uint8_t> got = outA;
     got.insert(got.end(), outB.begin(), outB.end());
@@ -819,7 +831,7 @@ checkpointMidStream(const Server::PipelineFactory& factory,
     EXPECT_EQ(stepUntilParked(a, out), StepResult::NeedInput);
     EXPECT_TRUE(a.offerInput(input.data() + fed * w, queued * w, consumed));
     std::string err;
-    EXPECT_TRUE(a.checkpoint(ck, nullptr, 0, &err)) << err;
+    EXPECT_TRUE(a.checkpoint(ck, &err)) << err;
     return (fed + queued) * w;
 }
 
@@ -951,6 +963,112 @@ TEST(Serve, SessionHealsAFaultWhileReplayingAnAdoptedBacklog)
     EXPECT_EQ(got, expect);
 }
 
+namespace {
+
+/**
+ * A client ahead of the last persist: keyed session A persists into
+ * @p ck after 128 input elements, then delivers the output of 64 more.
+ * @p held is everything the client holds.
+ */
+void
+persistThenRunAhead(const Server::PipelineFactory& factory,
+                    const std::vector<uint8_t>& input,
+                    std::vector<uint8_t>& ck, std::vector<uint8_t>& held)
+{
+    Session a(1, /*fd=*/-1, factory(1), SessionConfig{}, FaultSpec{});
+    a.beginRetention();
+    const size_t w = a.inWidth();
+    size_t did = 0;
+    ASSERT_TRUE(a.offerInput(input.data(), 128 * w, did));
+    ASSERT_EQ(stepUntilParked(a, held), StepResult::NeedInput);
+    std::string err;
+    ASSERT_TRUE(a.checkpoint(ck, &err)) << err;
+    ASSERT_TRUE(a.offerInput(input.data() + 128 * w, 64 * w, did));
+    ASSERT_EQ(stepUntilParked(a, held), StepResult::NeedInput);
+}
+
+} // namespace
+
+TEST(Serve, DrainMidSuppressionDoesNotResendHeldOutput)
+{
+    // Session B resumes A's persist for the client that is ahead of it,
+    // so B regenerates and swallows the outputs the client holds.  B is
+    // drained while still swallowing: its payload must record what the
+    // client holds, not what B's stepper emitted, or session C re-sends
+    // held output.  Persisting B at the same point must re-attach too.
+    auto factory = scramblerFactory();
+    auto input = randomBits(512 * 8, 71);
+    auto expect = soloRun(factory, input);
+    std::vector<uint8_t> ck1, held;
+    persistThenRunAhead(factory, input, ck1, held);
+
+    Session b(2, /*fd=*/-1, factory(2), SessionConfig{}, FaultSpec{});
+    const size_t w = b.inWidth();
+    std::vector<uint8_t> resend, outB;
+    uint64_t from = 0;
+    ASSERT_EQ(b.adoptResume(ck1, held.size(), resend, from), "");
+    EXPECT_TRUE(resend.empty());
+    EXPECT_EQ(from, 128u);
+    size_t did = 0;
+    ASSERT_TRUE(b.offerInput(input.data() + from * w, 16 * w, did));
+    ASSERT_EQ(stepUntilParked(b, outB), StepResult::NeedInput);
+    EXPECT_TRUE(outB.empty()) << "B should still be swallowing";
+
+    // Drain: B's client replays the Checkpoint payload into C.
+    std::vector<uint8_t> ck;
+    std::string err;
+    ASSERT_TRUE(b.checkpoint(ck, &err)) << err;
+    Session c(3, /*fd=*/-1, factory(3), SessionConfig{}, FaultSpec{});
+    c.adoptCheckpoint(ck);
+    std::vector<uint8_t> got = held;
+    finishStream(c, input,
+                 static_cast<size_t>(readU64(ck, 4) + readU64(ck, 20)) * w,
+                 got);
+    EXPECT_EQ(got, expect) << "drained session re-sent held output";
+
+    // One more input, still swallowing; persist and re-attach into D.
+    ASSERT_TRUE(b.offerInput(input.data() + (from + 16) * w, w, did));
+    ASSERT_EQ(stepUntilParked(b, outB), StepResult::NeedInput);
+    EXPECT_TRUE(outB.empty());
+    ASSERT_TRUE(b.checkpoint(ck, &err)) << err;
+    Session d(4, /*fd=*/-1, factory(4), SessionConfig{}, FaultSpec{});
+    ASSERT_EQ(d.adoptResume(ck, held.size(), resend, from), "");
+    EXPECT_TRUE(resend.empty());
+    got = held;
+    finishStream(d, input, from * w, got);
+    EXPECT_EQ(got, expect) << "persisted session diverged on re-attach";
+}
+
+TEST(Serve, DurableGenerationWithSnapshotEmittedCountRestores)
+{
+    // The fixture is the payload session B of the test above persists
+    // after its 17th re-sent input, as written when the header's count
+    // was the snapshot's emitted count rather than the delivered one.
+    // Durable generations of that form must still resume byte-identically.
+    std::ifstream f(ZIRIA_TEST_DATA_DIR "/session/resume_ahead_persist.zck",
+                    std::ios::binary);
+    std::vector<uint8_t> ck((std::istreambuf_iterator<char>(f)),
+                            std::istreambuf_iterator<char>());
+    ASSERT_GE(ck.size(), 28u);
+    EXPECT_EQ(readU32(ck, 0), kSessionCheckpointVersion);
+
+    auto factory = scramblerFactory();
+    auto input = randomBits(512 * 8, 71);
+    auto expect = soloRun(factory, input);
+    std::vector<uint8_t> ck1, held;
+    persistThenRunAhead(factory, input, ck1, held);
+
+    Session d(4, /*fd=*/-1, factory(4), SessionConfig{}, FaultSpec{});
+    std::vector<uint8_t> resend;
+    uint64_t from = 0;
+    ASSERT_EQ(d.adoptResume(ck, held.size(), resend, from), "");
+    EXPECT_TRUE(resend.empty());
+    EXPECT_EQ(from, 145u);
+    std::vector<uint8_t> got = held;
+    finishStream(d, input, from * d.inWidth(), got);
+    EXPECT_EQ(got, expect);
+}
+
 TEST(Serve, DrainEmitsCheckpointAndSecondServerResumes)
 {
     // The full zero-loss migration story over TCP: server A is drained
@@ -1004,7 +1122,7 @@ TEST(Serve, DrainEmitsCheckpointAndSecondServerResumes)
 
     // The header tells the migrating client where to resume the input.
     ASSERT_GE(ck.size(), 28u);
-    ASSERT_EQ(readU32(ck, 0), 1u);
+    ASSERT_EQ(readU32(ck, 0), kSessionCheckpointVersion);
     const size_t resumeOff =
         static_cast<size_t>(readU64(ck, 4) + readU64(ck, 20)) * w;
     ASSERT_LE(resumeOff, half);
