@@ -59,7 +59,9 @@
  *                      attempt, capped at 1000 ms)
  *   --checkpoint[=N]   with --restart: restore the snapshot taken every
  *                      N elements (default 4096) and replay, so healed
- *                      output is byte-identical, solo or under --listen
+ *                      output is byte-identical, solo, under --listen,
+ *                      or threaded under --deadline-ms (each `|>>>|`
+ *                      stage snapshots and heals on its own)
  *   --serve[=ELEMS]    long-running serve loop: feed the pipeline from a
  *                      cyclic source of ELEMS total elements (default:
  *                      indefinitely) instead of one finite buffer —
@@ -80,10 +82,11 @@
  *                      byte-identical output file; under --listen every
  *                      keyed session (client attach Hello) is persisted
  *                      periodically and re-attachable after a server
- *                      restart.  Not combinable with --deadline-ms (the
- *                      threaded executor has no snapshot contract) or,
- *                      for solo runs, --inject-fault (fault-injector
- *                      state is not part of the checkpoint).
+ *                      restart.  Not combinable with --deadline-ms (a
+ *                      durable generation of a threaded run would need
+ *                      one consistent cut across all stages) or, for
+ *                      solo runs, --inject-fault (fault-injector state
+ *                      is not part of the checkpoint).
  *   --ckpt-interval-ms N  keyed-session persist cadence under --listen
  *                      (default 200)
  *   --out FILE         solo runs: write the full output byte stream to
@@ -174,8 +177,7 @@ usage()
                  "              [--deadline-ms N] [--inject-fault SPEC]\n"
                  "              [--restart N] [--backoff-ms M] "
                  "[--serve[=ELEMS]]\n"
-                 "              [--checkpoint[=ELEMS]] "
-                 "[--restart-scope pipeline|stage]\n"
+                 "              [--checkpoint[=ELEMS]]\n"
                  "              [--listen[=PORT]] [--max-sessions N] "
                  "[--workers K]\n"
                  "              [--idle-timeout-ms N] "
@@ -345,7 +347,6 @@ main(int argc, char** argv)
     uint32_t restartN = 0;
     double backoffMs = -1;  // -1 = keep the policy default
     uint64_t checkpointElems = 0;  // --checkpoint (0 = off)
-    bool stageScope = false;       // --restart-scope stage
     bool serve = false;
     uint64_t serveElems = 0;  // 0 = indefinitely
     bool listen = false;
@@ -473,22 +474,6 @@ main(int argc, char** argv)
                     return kExitUserError;
                 }
                 checkpointElems = v;
-            }
-        } else if ((a == "--restart-scope" && i + 1 < argc) ||
-                   a.rfind("--restart-scope=", 0) == 0) {
-            std::string v = a.rfind("--restart-scope=", 0) == 0
-                                ? a.substr(strlen("--restart-scope="))
-                                : argv[++i];
-            if (v == "stage") {
-                stageScope = true;
-            } else if (v == "pipeline") {
-                stageScope = false;
-            } else {
-                std::fprintf(stderr,
-                             "zirrun: invalid --restart-scope value "
-                             "'%s' (expected pipeline|stage)\n",
-                             v.c_str());
-                return kExitUserError;
             }
         } else if (a == "--serve" || a.rfind("--serve=", 0) == 0) {
             serve = true;
@@ -648,8 +633,8 @@ main(int argc, char** argv)
     if (!ckptDir.empty() && deadlineMs > 0) {
         std::fprintf(stderr,
                      "zirrun: --ckpt-dir and --deadline-ms are mutually "
-                     "exclusive (the threaded executor has no snapshot "
-                     "contract to persist)\n");
+                     "exclusive (a durable generation of a threaded run "
+                     "would need one consistent cut across all stages)\n");
         return kExitUserError;
     }
     if (!ckptDir.empty() && !listen && !faultStr.empty()) {
@@ -692,8 +677,6 @@ main(int argc, char** argv)
         restart.maxRestarts = restartN;
         if (backoffMs >= 0)
             restart.backoffInitialMs = backoffMs;
-        if (stageScope)
-            restart.scope = RestartScope::Stage;
     }
 
     // Front half: everything up to the run is a user error if it throws

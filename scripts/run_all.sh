@@ -67,7 +67,7 @@ sh scripts/soak.sh serve 2>&1 | tee -a serve_output.txt
 # totality, checkpointed-restart byte-identity, session migration and
 # SIGTERM drain (docs/ROBUSTNESS.md, "Checkpointing & migration"),
 # then the CLI migrate soak (ckpt byte-equality x backend x opt,
-# per-stage restart, drain under load).
+# threaded restart, drain under load).
 ctest --test-dir build -L checkpoint --output-on-failure 2>&1 \
     | tee checkpoint_output.txt
 sh scripts/soak.sh migrate 2>&1 | tee -a checkpoint_output.txt

@@ -17,18 +17,20 @@
 # with `--backend=fused`: the fused bytecode interpreter must compose
 # with every robustness control exactly like the VM — same exit code in
 # every cell.  The cgen matrix (docs/CODEGEN.md) repeats that grid with
-# `--backend=native` (dlopen'd compiled regions), adds stage-scoped
-# restart and checkpointing cells whose output must match their VM
-# twins, and a warm-.so-cache byte-equality check.
+# `--backend=native` (dlopen'd compiled regions), adds restart and
+# checkpointing cells whose output must match their VM twins, and a
+# warm-.so-cache byte-equality check.
 #
 # The migrate matrix (docs/ROBUSTNESS.md, "Checkpointing & migration")
 # checks the zero-loss claims end to end through the CLI: a faulted run
 # with --checkpoint must report the SAME consumed/emitted/first-bytes
-# summary as the clean run (journal replay + state restore), per-stage
-# restart (--restart-scope stage) must heal threaded pipelines, a
-# faulted --listen session must heal to the same output bytes as a
-# fault-free server, and a listening server with a session mid-stream
-# must drain on SIGTERM.
+# summary as the clean run (journal replay + state restore), a
+# threaded pipeline (--deadline-ms) must heal transient faults, a
+# checkpointed threaded restart of a stateful two-stage program must
+# write the same --out bytes as the clean run, a faulted --listen
+# session must heal to the same output bytes as a fault-free server,
+# and a listening server with a session mid-stream must drain on
+# SIGTERM.
 #
 # The crash matrix (docs/ROBUSTNESS.md, "Durable checkpoints & live
 # migration") SIGKILLs a run mid-stream — no drain, no warning — then
@@ -95,6 +97,30 @@ check_same() {
     else
         pass=$((pass + 1))
     fi
+}
+
+# check_heal_identity DESC CLEAN_CMD FAULT_CMD: both must exit 0 and
+# write byte-identical --out files (the whole stream, not just the
+# summary), and the faulted run must have logged a restart.
+check_heal_identity() {
+    desc="$1"; acmd="$2"; bcmd="$3"
+    d=$(mktemp -d /tmp/ziria-soak-heal-id.XXXXXX)
+    if ! timeout "$DEADLINE_S" sh -c "$acmd --out $d/clean" \
+             > /dev/null 2>&1 ||
+       ! ZIRIA_LOG=warn timeout "$DEADLINE_S" \
+             sh -c "$bcmd --out $d/healed" > "$d/log" 2>&1; then
+        echo "FAIL $desc: a run did not complete"
+        fail=$((fail + 1))
+    elif ! grep -q 'restart: ' "$d/log"; then
+        echo "FAIL $desc: the fault never fired (no restart logged)"
+        fail=$((fail + 1))
+    elif ! cmp "$d/clean" "$d/healed"; then
+        echo "FAIL $desc: healed output differs from the clean run"
+        fail=$((fail + 1))
+    else
+        pass=$((pass + 1))
+    fi
+    rm -rf "$d"
 }
 
 # start_srv LOG FLAGS...: start a scrambler server (--listen in FLAGS)
@@ -365,17 +391,17 @@ cgen_matrix() {
             --cgen-cache-dir "$cache" --serve=2000 \
             --inject-fault throw@100 --restart 3 --backoff-ms 1
 
-    # Stage-scoped restart and checkpointing (docs/ROBUSTNESS.md): a
-    # compiled region snapshots like the fused interpreter, so each
-    # cell must print the same summary as its VM twin.
+    # Restart and checkpointing (docs/ROBUSTNESS.md): a compiled region
+    # snapshots like the fused interpreter, so each cell must print the
+    # same summary as its VM twin.
     stg="$BIN examples/zir/pipeline.zir --cgen-cache-dir $cache \
-         --bytes 4096 --restart 2 --backoff-ms 1 --restart-scope stage"
+         --bytes 4096 --restart 2 --backoff-ms 1"
     ckp="$BIN examples/zir/scrambler.zir --cgen-cache-dir $cache \
          --bytes 4096 --restart 3 --backoff-ms 1 --checkpoint=64"
-    check_same "cgen/stage restart matches vm" \
+    check_same "cgen/restart matches vm" \
         "$stg --backend=vm --inject-fault throw@2" \
         "$stg --backend=native --inject-fault throw@2"
-    check_same "cgen/threaded stage restart matches vm" \
+    check_same "cgen/threaded restart matches vm" \
         "$stg --backend=vm --deadline-ms 2000" \
         "$stg --backend=native --deadline-ms 2000"
     check_same "cgen/checkpoint restart matches vm" \
@@ -405,7 +431,7 @@ cgen_matrix() {
     rm -rf "$cache"
 }
 
-# Migrate matrix: checkpointed restart byte-equality, per-stage restart,
+# Migrate matrix: checkpointed restart byte-equality, solo and threaded,
 # and SIGTERM drain with a session mid-stream.
 migrate_matrix() {
     sc="$BIN examples/zir/scrambler.zir --bytes 4096"
@@ -434,19 +460,37 @@ migrate_matrix() {
         done
     done
 
-    # Per-stage restart on the threaded pipeline (splits at |>>>|):
-    # transient faults heal without tearing down healthy stages,
-    # permanent ones exhaust the budget exactly like pipeline scope.
+    # Restart on the threaded pipeline (splits at |>>>|): transient
+    # faults heal without tearing down healthy stages, permanent ones
+    # exhaust the budget as a solo run does.
     for backend in vm fused native; do
         for opt in none all; do
-            tag="migrate/pipeline/stage-scope/$backend/$opt"
+            tag="migrate/pipeline/threaded/$backend/$opt"
             c="$pl --opt $opt --backend=$backend --cgen-cache-dir $cache \
-               --restart-scope stage"
+               --deadline-ms 2000"
             check 0 "$tag clean"            $c --restart 3 --backoff-ms 1
             check 0 "$tag transient heals"  $c --inject-fault throw@2 \
                     --restart 3 --backoff-ms 1
             check 5 "$tag permanent exhausts" $c --inject-fault throw@2:0 \
                     --restart 2 --backoff-ms 1
+        done
+    done
+
+    # Checkpointed threaded restart of two stateful stages: every
+    # failed stage restores its own cadence snapshot and replays, so
+    # the healed --out bytes equal the clean run's (65536 bytes keep
+    # tick 100 past the first snapshot at --opt all too).
+    rs="$BIN examples/zir/running_sum.zir --bytes 65536"
+    for backend in vm fused native; do
+        for opt in none all; do
+            tag="migrate/running_sum/threaded/$backend/$opt"
+            c="$rs --opt $opt --backend=$backend --cgen-cache-dir $cache"
+            h="$c --deadline-ms 2000 --restart 3 --backoff-ms 1 \
+               --checkpoint=64"
+            check_heal_identity "$tag ckpt restart identity" "$c" \
+                "$h --inject-fault throw@100"
+            check_heal_identity "$tag ckpt double-fault identity" "$c" \
+                "$h --inject-fault throw@100:2"
         done
     done
     rm -rf "$cache"
@@ -540,6 +584,26 @@ migrate_matrix() {
 # takes >0.5 s on this class of machine, so a kill at half that lands
 # safely mid-stream; if a fast machine finishes first the resume leg
 # degrades to a clean re-run and the byte comparison still holds.
+# migrate_op LOG CLIENT_PID ZCLIENT_ARGS...: run the zclient migrate
+# operator, its output (the Ack message is printed on stdout, errors on
+# stderr) captured in LOG and its exit code left in mig_rc.  While the
+# keyed client CLIENT_PID has not attached yet the source answers "no
+# live session with key"; only that answer is retried, while the client
+# runs and within DEADLINE_S.
+migrate_op() {
+    mlog="$1"; mpid="$2"; shift 2
+    tries=0
+    while :; do
+        timeout "$DEADLINE_S" "$ZCLIENT" "$@" > "$mlog" 2>&1
+        mig_rc=$?
+        grep -q 'no live session with key' "$mlog" || break
+        kill -0 "$mpid" 2>/dev/null || break
+        [ "$tries" -lt $((DEADLINE_S * 50)) ] || break
+        tries=$((tries + 1))
+        sleep 0.02
+    done
+}
+
 crash_matrix() {
     ZCLIENT="$BUILD/tools/zclient"
     if [ ! -x "$ZCLIENT" ]; then
@@ -684,16 +748,15 @@ crash_matrix() {
             --session mig1 --frames 256 --elems-per-frame 4096 \
             --out "$out" > /dev/null 2>&1 &
         cli_pid=$!
-        sleep 0.15
-        "$ZCLIENT" --port "$pA" --quiet --migrate mig1 \
-            --peer-host 127.0.0.1 --peer-port "$pB" > /dev/null 2>&1
-        mig_rc=$?
+        migrate_op "$work/op_mig.log" "$cli_pid" --port "$pA" \
+            --migrate mig1 --peer-host 127.0.0.1 --peer-port "$pB"
         wait "$cli_pid"; cli_exit=$?
         wait "$nbr_pid"; nbr_exit=$?
         kill -TERM "$sA" "$sB" 2>/dev/null
         wait "$sA" "$sB" 2>/dev/null
         if [ "$mig_rc" -ne 0 ]; then
             echo "FAIL $tag: migrate operator exit $mig_rc, expected 0"
+            cat "$work/op_mig.log"
             fail=$((fail + 1))
         elif [ "$cli_exit" -ne 0 ] || ! cmp -s "$ref" "$out"; then
             echo "FAIL $tag: migrated session lost or corrupted data"
@@ -721,15 +784,19 @@ crash_matrix() {
             --session roll1 --frames 256 --elems-per-frame 4096 \
             --out "$out" > /dev/null 2>&1 &
         cli_pid=$!
-        sleep 0.15
-        "$ZCLIENT" --port "$pA" --quiet --migrate roll1 \
-            --peer-host 127.0.0.1 --peer-port 1 > /dev/null 2>&1
-        mig_rc=$?
+        migrate_op "$work/op_roll.log" "$cli_pid" --port "$pA" \
+            --migrate roll1 --peer-host 127.0.0.1 --peer-port 1
         wait "$cli_pid"; cli_exit=$?
         kill -TERM "$sA" 2>/dev/null
         wait "$sA" 2>/dev/null
-        if [ "$mig_rc" -ne 3 ]; then
-            echo "FAIL $tag: migrate exit $mig_rc, expected 3 (rejected)"
+        # Exit 3 alone would also be "no live session": require the
+        # dead peer's rejection.
+        if [ "$mig_rc" -ne 3 ] ||
+           ! grep -q 'migration rejected: peer connect failed' \
+                "$work/op_roll.log"; then
+            echo "FAIL $tag: migrate exit $mig_rc, expected 3 (dead peer" \
+                 "rejected)"
+            cat "$work/op_roll.log"
             fail=$((fail + 1))
         elif [ "$cli_exit" -ne 0 ] || ! cmp -s "$ref" "$out"; then
             echo "FAIL $tag: session lost data after rejected migration"

@@ -200,43 +200,13 @@ class SpscQueue
         return stats_;
     }
 
-    /** Zero the telemetry counters (e.g. between runs). */
-    void
-    resetStats()
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        stats_ = Stats{};
-    }
-
     /**
-     * Re-arm the queue for a restart attempt: drop any queued elements,
-     * clear the closed/cancelled latches, and zero the stats so the
-     * next attempt's telemetry starts fresh.  Caller must guarantee
-     * quiescence — no thread may be blocked on (or racing into) the
-     * queue; the ThreadedPipeline supervisor only calls this after
-     * every stage thread has been joined.
-     */
-    void
-    reopen()
-    {
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            head_ = 0;
-            tail_ = 0;
-            size_ = 0;
-            closed_ = false;
-            cancelled_ = false;
-        }
-        resetStats();
-    }
-
-    /**
-     * Clear the closed/cancelled latches while KEEPING the queued
-     * backlog and the telemetry: the per-stage restart path
-     * (docs/ROBUSTNESS.md, "Per-stage restart") re-arms a healthy
-     * queue whose elements are still good — only the queues adjacent
-     * to the failed stage are reopen()ed.  Same quiescence contract as
-     * reopen(): no thread may be blocked on or racing into the queue.
+     * Re-arm the queue for a restart attempt: clear the closed/cancelled
+     * latches while KEEPING the queued backlog and the telemetry
+     * (docs/ROBUSTNESS.md, "Threaded restart": no queue is dropped).
+     * Caller must guarantee quiescence — no thread may be blocked on (or
+     * racing into) the queue; the ThreadedPipeline supervisor only calls
+     * this after every stage thread has been joined.
      */
     void
     uncancel()

@@ -227,7 +227,8 @@ class Pipeline
     Pipeline(NodePtr root, size_t frame_size, size_t in_width,
              size_t out_width)
         : root_(std::move(root)), frame_(frame_size), inWidth_(in_width),
-          outWidth_(out_width), stepper_(*root_, frame_, in_width)
+          outWidth_(out_width),
+          stepper_(*root_, frame_, FrameRange::whole(frame_), in_width)
     {
         stepper_.setOnSnapshot(
             [this](const std::vector<uint8_t>& snap) { durableSave(snap); });

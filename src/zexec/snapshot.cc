@@ -7,15 +7,16 @@
 namespace ziria {
 
 std::vector<uint8_t>
-takeSnapshot(const ExecNode& root, const Frame& f, uint64_t consumed,
-             uint64_t emitted)
+takeSnapshot(const ExecNode& root, const Frame& f, FrameRange r,
+             uint64_t consumed, uint64_t emitted)
 {
+    const size_t n = r.end - r.begin;
     StateWriter w;
     w.u32(kSnapshotMagic);
     w.u32(kSnapshotVersion);
     w.u64(consumed);
     w.u64(emitted);
-    w.blob(f.size() ? f.at(0) : nullptr, f.size());
+    w.blob(n ? f.at(r.begin) : nullptr, n);
     root.snapshot(f, w);
     metrics::Registry::global().counter("ziria.ckpt.snapshots").inc();
     return w.take();
@@ -37,13 +38,13 @@ readSnapshotHeader(StateReader& r)
 }
 
 SnapshotInfo
-restoreSnapshot(ExecNode& root, Frame& f, const uint8_t* data,
-                size_t size)
+restoreSnapshot(ExecNode& root, Frame& f, FrameRange r,
+                const uint8_t* data, size_t size)
 {
-    StateReader r(data, size);
-    SnapshotInfo info = readSnapshotHeader(r);
-    std::vector<uint8_t> frameImg = r.blob();
-    if (frameImg.size() != f.size())
+    StateReader in(data, size);
+    SnapshotInfo info = readSnapshotHeader(in);
+    std::vector<uint8_t> frameImg = in.blob();
+    if (frameImg.size() != r.end - r.begin)
         throw StateFormatError("frame size mismatch (checkpoint from a "
                                "different program?)");
 
@@ -51,9 +52,9 @@ restoreSnapshot(ExecNode& root, Frame& f, const uint8_t* data,
     // patch state; the frame image then overwrites what reset clobbered;
     // the node stream last, so NativeNode factories see restored binders.
     root.reset(f);
-    if (f.size())
-        std::memcpy(f.at(0), frameImg.data(), frameImg.size());
-    root.restore(f, r);
+    if (!frameImg.empty())
+        std::memcpy(f.at(r.begin), frameImg.data(), frameImg.size());
+    root.restore(f, in);
     metrics::Registry::global().counter("ziria.ckpt.restores").inc();
     return info;
 }

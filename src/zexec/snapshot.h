@@ -10,7 +10,9 @@
  *   u32  version (kSnapshotVersion)
  *   u64  consumed  — input elements consumed when the snapshot was taken
  *   u64  emitted   — output elements emitted when it was taken
- *   blob frame image (the flat byte frame, zexpr/frame.h)
+ *   blob frame image (the tree's byte range of the flat frame,
+ *        zexpr/frame.h: the whole frame for a Pipeline or Session, one
+ *        stage's cells for a ThreadedPipeline stage)
  *   node state stream (ExecNode::snapshot over the whole tree)
  *
  * The frame image makes the container total even for state the node
@@ -41,6 +43,15 @@ constexpr uint32_t kSnapshotVersion = 1;
 /** 'ZCK1' — pipeline checkpoint magic. */
 constexpr uint32_t kSnapshotMagic = 0x314b435a;
 
+/** Byte range [begin, end) of a Frame owned by one node tree. */
+struct FrameRange
+{
+    size_t begin = 0;
+    size_t end = 0;
+
+    static FrameRange whole(const Frame& f) { return {0, f.size()}; }
+};
+
 /** Counters recovered from a checkpoint header. */
 struct SnapshotInfo
 {
@@ -49,25 +60,27 @@ struct SnapshotInfo
 };
 
 /**
- * Serialize the complete state of @p root + @p f.  Must be called at a
- * quiescent point: no advance()/supply() in flight.
+ * Serialize the complete state of @p root + its cells @p r of @p f.
+ * Must be called at a quiescent point: no advance()/supply() in flight.
  */
 std::vector<uint8_t> takeSnapshot(const ExecNode& root, const Frame& f,
-                                  uint64_t consumed, uint64_t emitted);
+                                  FrameRange r, uint64_t consumed,
+                                  uint64_t emitted);
 
 /**
- * Restore @p root + @p f from a takeSnapshot() image.  Throws
- * StateFormatError on bad magic, version skew, frame-size mismatch, or
- * a truncated stream.  On success the tree's future output is
- * bit-identical to the snapshotted instance's.
+ * Restore @p root + its cells @p r of @p f from a takeSnapshot() image.
+ * Throws StateFormatError on bad magic, version skew, a frame image
+ * whose size is not the range's, or a truncated stream.  On success the
+ * tree's future output is bit-identical to the snapshotted instance's.
  */
-SnapshotInfo restoreSnapshot(ExecNode& root, Frame& f,
+SnapshotInfo restoreSnapshot(ExecNode& root, Frame& f, FrameRange r,
                              const uint8_t* data, size_t size);
 
 inline SnapshotInfo
-restoreSnapshot(ExecNode& root, Frame& f, const std::vector<uint8_t>& v)
+restoreSnapshot(ExecNode& root, Frame& f, FrameRange r,
+                const std::vector<uint8_t>& v)
 {
-    return restoreSnapshot(root, f, v.data(), v.size());
+    return restoreSnapshot(root, f, r, v.data(), v.size());
 }
 
 /** Read and check only a takeSnapshot() image's header from @p r;

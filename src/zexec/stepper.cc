@@ -16,7 +16,7 @@ SupervisedStepper::begin()
     replayPos_ = suppress_ = delivered_ = snapConsumed_ = snapEmitted_ = 0;
     // Baseline snapshot, so even a failure before the first interval
     // restores and replays instead of resetting.
-    snap_ = interval_ ? takeSnapshot(root_, frame_, 0, 0)
+    snap_ = interval_ ? takeSnapshot(root_, frame_, cells_, 0, 0)
                       : std::vector<uint8_t>{};
 }
 
@@ -29,7 +29,7 @@ SupervisedStepper::seed(const std::vector<uint8_t>& snap,
     if (snap.empty()) {
         begin();
     } else {
-        info = restoreSnapshot(root_, frame_, snap);
+        info = restoreSnapshot(root_, frame_, cells_, snap);
         stepper_.resume(info.consumed, info.emitted);
         started_ = true;
         journal_.clear();
@@ -45,13 +45,13 @@ SupervisedStepper::seed(const std::vector<uint8_t>& snap,
     return info;
 }
 
-void
+bool
 SupervisedStepper::heal()
 {
     bool restored = false;
     if (!snap_.empty()) {
         try {
-            restoreSnapshot(root_, frame_, snap_);
+            restoreSnapshot(root_, frame_, cells_, snap_);
             restored = true;
         } catch (const StateFormatError&) {
             // Worse than none: reset for the rest of this run.
@@ -80,6 +80,7 @@ SupervisedStepper::heal()
     journal_.clear();
     if (spans_)
         spans_->onRestart();
+    return restored;
 }
 
 void
@@ -87,7 +88,8 @@ SupervisedStepper::cadence()
 {
     snapConsumed_ = stepper_.consumed();
     snapEmitted_ = stepper_.emitted();
-    snap_ = takeSnapshot(root_, frame_, snapConsumed_, snapEmitted_);
+    snap_ = takeSnapshot(root_, frame_, cells_, snapConsumed_,
+                         snapEmitted_);
     journal_.clear();
     replay_.clear();
     replayPos_ = 0;

@@ -12,8 +12,8 @@
  * reports Empty when the session should park and free its worker; each
  * ThreadedPipeline stage drives one against its SPSC queues.
  * SupervisedStepper adds the checkpoint carry and restore-else-reset
- * healing, shared by Pipeline and Session, so a served session heals
- * exactly as a solo run does.
+ * healing, shared by all three, so a served session or a `|>>>|` stage
+ * heals exactly as a solo run does.
  */
 #ifndef ZIRIA_ZEXEC_STEPPER_H
 #define ZIRIA_ZEXEC_STEPPER_H
@@ -160,8 +160,12 @@ class Stepper
 class SupervisedStepper
 {
   public:
-    SupervisedStepper(ExecNode& root, Frame& frame, size_t in_width)
-        : root_(root), frame_(frame), inWidth_(in_width), stepper_(root)
+    /** @p cells: the bytes of @p frame that @p root owns and its
+     *  snapshots carry (the whole frame, or one `|>>>|` stage's). */
+    SupervisedStepper(ExecNode& root, Frame& frame, FrameRange cells,
+                      size_t in_width)
+        : root_(root), frame_(frame), cells_(cells), inWidth_(in_width),
+          stepper_(root)
     {
     }
 
@@ -197,8 +201,9 @@ class SupervisedStepper
     SnapshotInfo seed(const std::vector<uint8_t>& snap,
                       std::vector<uint8_t> replay, uint64_t suppress);
 
-    /** Re-arm after a failed drive(): restore-else-reset, as above. */
-    void heal();
+    /** Re-arm after a failed drive(): restore-else-reset, as above.
+     *  Returns whether a snapshot was restored. */
+    bool heal();
 
     bool started() const { return started_; }
 
@@ -267,6 +272,7 @@ class SupervisedStepper
 
     ExecNode& root_;
     Frame& frame_;
+    FrameRange cells_;
     size_t inWidth_;
     Stepper stepper_;
     uint64_t interval_ = 0;

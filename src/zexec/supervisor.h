@@ -46,13 +46,6 @@ enum class RestartMode : uint8_t {
     OnFailure,  ///< re-arm and retry Exception/Stall failures
 };
 
-/** How much of a threaded pipeline a restart re-arms. */
-enum class RestartScope : uint8_t {
-    Pipeline,  ///< re-arm every stage and reopen every queue (PR-4)
-    Stage,     ///< re-arm only the failed stage; healthy stages keep
-               ///< their node state and queue backlogs
-};
-
 /**
  * Bounded retry/backoff policy for a self-healing pipeline.
  *
@@ -70,9 +63,6 @@ struct RestartPolicy
     double backoffInitialMs = 10;   ///< sleep before the first retry
     double backoffMultiplier = 2.0; ///< growth factor per attempt
     double backoffCapMs = 1000;     ///< upper bound on any single sleep
-    /** Threaded runs only: restart the whole pipeline or just the
-     *  failed stage (docs/ROBUSTNESS.md, "Per-stage restart"). */
-    RestartScope scope = RestartScope::Pipeline;
 
     bool
     enabled() const

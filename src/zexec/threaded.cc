@@ -10,7 +10,6 @@
 #include "support/metrics.h"
 #include "support/panic.h"
 #include "support/spsc_queue.h"
-#include "support/state_io.h"
 #include "support/timeline.h"
 #include "support/timing.h"
 #include "zexec/span.h"
@@ -27,6 +26,13 @@ constexpr long kSupervisedSliceMs = 20;
  *  and the wake-up are noise next to the stages' compute, few enough
  *  that a batch stays in cache. */
 constexpr size_t kBatchElems = 256;
+
+/** Element width of the queue behind @p producer (at least a byte). */
+size_t
+queueWidth(const ExecNode& producer)
+{
+    return std::max<size_t>(producer.outWidth(), 1);
+}
 
 /** Extract a human-readable message from a stored exception. */
 std::string
@@ -59,8 +65,9 @@ struct ThreadedPipeline::StageResult
 };
 
 /**
- * Drive stage @p index with Stepper: pull input from @p inq (or @p src
- * for stage 0), push output to @p outq (or @p sink for the last stage).
+ * Drive stage @p index with its SupervisedStepper: pull input from
+ * @p inq (or @p src for stage 0), push output to @p outq (or @p sink
+ * for the last stage).
  * Elements cross a queue in batches of up to kBatchElems: a consumer
  * pops a batch into a stage-local buffer and feeds the node from it; a
  * producer collects its outputs and pushes them as one span when the
@@ -77,11 +84,12 @@ struct ThreadedPipeline::StageResult
  * each queue wait so the flag is polled even while blocked (-1 = plain
  * blocking waits, used when the run is unsupervised).
  *
- * A stage carried over from an earlier attempt (per-stage restart)
- * continues its live node state at the counters in @p c: it first
- * re-pushes its unpushed outputs `c.pendingOut`, then feeds its popped,
- * unconsumed input `c.pendingIn` before it pops again.  On exit both
- * carry fields are refilled with whatever a teardown left over.
+ * A stage resumed after a failed attempt continues where its stepper
+ * stands (live, or healed by rearmStage): it first re-pushes its
+ * unpushed outputs `c.pendingOut`, then feeds its popped, unconsumed
+ * input `c.pendingIn` before it pops again (a healed stage replays its
+ * journal ahead of both).  On exit both carry fields are refilled with
+ * whatever a teardown left over.
  */
 void
 ThreadedPipeline::runStage(size_t index, SpscQueue* inq, InputSource* src,
@@ -90,9 +98,8 @@ ThreadedPipeline::runStage(size_t index, SpscQueue* inq, InputSource* src,
                            const std::atomic<bool>& abort,
                            long wait_slice_ms)
 {
-    ExecNode& node = *stages_[index];
+    SupervisedStepper& st = steppers_[index];
     SpanTracker* spans = spans_.get();
-    Stepper st(node);
     Stopwatch sw;
     const uint64_t startNs = nowNs();
     auto aborting = [&abort] {
@@ -114,7 +121,8 @@ ThreadedPipeline::runStage(size_t index, SpscQueue* inq, InputSource* src,
     // Outputs not yet handed on, oldest first.  The last stage delivers
     // straight to the sink and only ever keeps the one a teardown
     // interrupted.
-    const size_t outW = outq ? outq->elemWidth() : node.outWidth();
+    const size_t outW =
+        outq ? outq->elemWidth() : stages_[index]->outWidth();
     std::vector<uint8_t> outBatch = std::move(c.pendingOut);
     c.pendingOut.clear();
     auto deliver = [&](const uint8_t* e) {
@@ -128,8 +136,13 @@ ThreadedPipeline::runStage(size_t index, SpscQueue* inq, InputSource* src,
     auto flush = [&] {
         size_t off = 0;
         if (!outq) {
-            for (; off < outBatch.size() && !aborting(); off += outW)
-                deliver(outBatch.data() + off);
+            // One at a time, so a throwing sink leaves its element and
+            // the rest to be delivered first on resume.
+            while (!outBatch.empty() && !aborting()) {
+                deliver(outBatch.data());
+                outBatch.erase(outBatch.begin(), outBatch.begin() +
+                                   static_cast<std::ptrdiff_t>(outW));
+            }
         } else if (!outBatch.empty()) {
             const uint64_t t0 = spans ? nowNs() : 0;
             while (off < outBatch.size() && !aborting()) {
@@ -184,8 +197,10 @@ ThreadedPipeline::runStage(size_t index, SpscQueue* inq, InputSource* src,
         } else {
             if (!flush())
                 return Feed::End;
-            if (!(*p = src->next()))
+            if (!(*p = src->next())) {
+                res.aborted = aborting();  // a cancelled read is no EOS
                 return Feed::End;
+            }
             if (spans)
                 spans->onInput();
         }
@@ -197,7 +212,7 @@ ThreadedPipeline::runStage(size_t index, SpscQueue* inq, InputSource* src,
             deliver(e);
             return true;
         }
-        // Kept even when the run is torn down: a per-stage restart
+        // Kept even when the run is torn down: the next attempt
         // re-pushes it instead of losing it.
         outBatch.insert(outBatch.end(), e, e + outW);
         if (aborting()) {
@@ -208,14 +223,8 @@ ThreadedPipeline::runStage(size_t index, SpscQueue* inq, InputSource* src,
         return outBatch.size() < kBatchElems * outW || flush();
     };
     try {
-        if (c.resume)
-            st.resume(c.consumed, c.emitted);
-        else
-            st.start(frame_);
-        if (flush() && st.drive(frame_, pull, push) == StepOutcome::Halted) {
+        if (flush() && st.drive(pull, push) == StepOutcome::Halted)
             c.halted = true;
-            c.ctrl = st.ctrl();
-        }
     } catch (...) {
         res.error = std::current_exception();
     }
@@ -224,8 +233,6 @@ ThreadedPipeline::runStage(size_t index, SpscQueue* inq, InputSource* src,
     c.pendingIn.assign(
         inBatch.begin() + static_cast<std::ptrdiff_t>(inPos * inW),
         inBatch.begin() + static_cast<std::ptrdiff_t>(inLen * inW));
-    c.consumed = st.consumed();
-    c.emitted = st.emitted();
     res.sec = sw.elapsedSec();
     if (timeline::Recorder* r = timeline::active()) {
         uint32_t track = timeline::currentTrack();
@@ -245,38 +252,39 @@ ThreadedPipeline::ThreadedPipeline(std::vector<NodePtr> stages,
                                    std::vector<FrameRange> stage_frames,
                                    size_t frame_size, size_t in_width,
                                    size_t out_width, size_t queue_cap)
-    : stages_(std::move(stages)), frames_(std::move(stage_frames)),
-      frame_(frame_size), inWidth_(in_width), outWidth_(out_width),
-      queueCap_(queue_cap)
+    : stages_(std::move(stages)), frame_(frame_size), inWidth_(in_width),
+      outWidth_(out_width), queueCap_(queue_cap)
 {
     ZIRIA_ASSERT(!stages_.empty());
-    ZIRIA_ASSERT(frames_.size() == stages_.size());
+    ZIRIA_ASSERT(stage_frames.size() == stages_.size());
+    steppers_.reserve(stages_.size());
+    for (size_t i = 0; i < stages_.size(); ++i)
+        steppers_.emplace_back(*stages_[i], frame_, stage_frames[i],
+                               i ? queueWidth(*stages_[i - 1]) : in_width);
 }
 
 RunStats
 ThreadedPipeline::run(InputSource& src, OutputSink& sink)
 {
     std::vector<std::unique_ptr<SpscQueue>> queues;
-    for (size_t i = 0; i + 1 < stages_.size(); ++i) {
-        size_t w = std::max<size_t>(stages_[i]->outWidth(), 1);
-        queues.push_back(std::make_unique<SpscQueue>(w, queueCap_));
-    }
+    for (size_t i = 0; i + 1 < stages_.size(); ++i)
+        queues.push_back(
+            std::make_unique<SpscQueue>(queueWidth(*stages_[i]), queueCap_));
 
-    const bool perStage = restart_.scope == RestartScope::Stage;
+    // A cadence only with a restart policy, as Pipeline::run.
+    for (SupervisedStepper& s : steppers_) {
+        s.setInterval(restart_.enabled() ? ckpt_.interval : 0);
+        s.begin();
+    }
     std::vector<StageCarry> carry(stages_.size());
     RunStats st = RestartSupervisor(restart_).run(
         [&] { return runAttempt(queues, src, sink, carry); },
-        [&](const StageFailure& f) {
+        [&](const StageFailure&) {
             // The backoff is slept and every stage thread was joined
             // before runAttempt threw, so re-arming is single-threaded.
             // Clearing the endpoints' cancel latches lets the live source
             // keep feeding the next attempt.
-            if (perStage) {
-                rearmStage(queues, carry, f.stage);
-            } else {
-                rearm(queues);
-                carry.assign(stages_.size(), StageCarry{});
-            }
+            rearmStage(queues, carry);
             src.rearm();
             sink.rearm();
             if (spans_)
@@ -288,88 +296,31 @@ ThreadedPipeline::run(InputSource& src, OutputSink& sink)
 }
 
 /**
- * Return the pipeline to frame-boundary state between restart attempts:
- * reopen every interthread queue (in-flight elements are the "at most
- * one frame" a restart may cost) and discard buffered partial state in
- * every stage's node tree.
- */
-void
-ThreadedPipeline::rearm(std::vector<std::unique_ptr<SpscQueue>>& queues)
-{
-    for (auto& q : queues)
-        q->reopen();
-    for (auto& s : stages_)
-        s->reset(frame_);
-}
-
-/**
- * Per-stage re-arm (RestartScope::Stage): only the failed stage loses
- * state.  It is reset() and — when a boundary snapshot exists —
- * restore()d to the last quiescent restart boundary, node state and
- * frame slice alike; healthy stages keep their live node trees and will
- * resume mid-stream.  The queues adjacent to the failed stage are
- * reopen()ed (their in-flight elements belonged to the discarded
- * work, as do the failed stage's carried batches); every other queue
- * keeps its backlog and only has its teardown latches cleared.  Queues
- * whose producer already finished are re-closed so consumers still see
+ * Ready the next attempt: every failed stage heals as a solo run does
+ * (SupervisedStepper::heal: restore-and-replay, else reset) and keeps
+ * its carried batches; healthy stages keep their live state.  No queue
+ * is dropped: each has its teardown latches cleared, and the queue of a
+ * finished producer is closed again so its consumer still sees
  * end-of-stream.
- * Finally every live stage — quiescent now, all threads joined — gets a
- * fresh boundary snapshot, so a future failure of *any* stage rolls
- * back only to this boundary.
  */
 void
 ThreadedPipeline::rearmStage(
     std::vector<std::unique_ptr<SpscQueue>>& queues,
-    std::vector<StageCarry>& carry, size_t failed)
+    std::vector<StageCarry>& carry)
 {
-    ZIRIA_ASSERT(failed < stages_.size());
-    metrics::Registry::global().counter("restart.stage.attempts").inc();
-
-    stages_[failed]->reset(frame_);
-    if (!carry[failed].snap.empty()) {
-        try {
-            StateReader r(carry[failed].snap.data(),
-                          carry[failed].snap.size());
-            stages_[failed]->restore(frame_, r);
-            const FrameRange& fr = frames_[failed];
-            const size_t n = fr.end - fr.begin;
-            if (r.u64() != n)
-                throw StateFormatError("stage frame slice mismatch");
-            r.bytes(frame_.at(fr.begin), n);
-            metrics::Registry::global()
-                .counter("restart.stage.restored")
-                .inc();
-        } catch (const StateFormatError&) {
-            // A snapshot that does not restore leaves the stage freshly
-            // reset — the PR-4 semantics, scoped to one stage.
-            stages_[failed]->reset(frame_);
-            carry[failed].snap.clear();
-        }
+    auto& reg = metrics::Registry::global();
+    for (size_t i = 0; i < carry.size(); ++i) {
+        if (!carry[i].failed)
+            continue;
+        reg.counter("restart.stage.attempts").inc();
+        if (steppers_[i].heal())
+            reg.counter("restart.stage.restored").inc();
     }
-    carry[failed].resume = true;
-    carry[failed].doneClean = false;
-    carry[failed].pendingOut.clear();
-    carry[failed].pendingIn.clear();
-
     for (size_t qi = 0; qi < queues.size(); ++qi) {
         // Queue qi sits between stage qi (producer) and qi+1 (consumer).
-        const bool adjacent = qi + 1 == failed || qi == failed;
-        if (adjacent)
-            queues[qi]->reopen();
-        else
-            queues[qi]->uncancel();
+        queues[qi]->uncancel();
         if (carry[qi].doneClean)
             queues[qi]->close();
-    }
-
-    for (size_t i = 0; i < stages_.size(); ++i) {
-        if (carry[i].doneClean)
-            continue;
-        StateWriter w;
-        stages_[i]->snapshot(frame_, w);
-        w.blob(frame_.at(frames_[i].begin),
-               frames_[i].end - frames_[i].begin);
-        carry[i].snap = w.take();
     }
 }
 
@@ -384,8 +335,8 @@ ThreadedPipeline::runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
     const long slice = supervised ? kSupervisedSliceMs : -1;
 
     std::vector<StageResult> results(n);
-    // Per-stage restarts: a stage that already finished (halted or hit
-    // end-of-stream) is not re-run — replay its exit effects so its
+    // A stage that already finished (halted or hit end-of-stream) in an
+    // earlier attempt is not re-run — replay its exit effects so its
     // neighbours still see EOS / upstream-stop, and the watchdog skips it.
     for (size_t i = 0; i < n; ++i) {
         if (!carry[i].doneClean)
@@ -493,8 +444,10 @@ ThreadedPipeline::runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
 
     const long stalled = stalledStage.load(std::memory_order_relaxed);
 
-    // Decide which stages the next attempt resumes (before any throw;
-    // runStage already left their counters and holdovers in the carry).
+    // Decide which stages the next attempt heals and which it resumes
+    // (before any throw; runStage already left the holdovers in the
+    // carry).  The stages that threw heal; the stalled one only when
+    // none threw, as in the error propagation below.
     // A stage that exits cleanly on end-of-stream only *genuinely*
     // finished if every stage upstream of it did too: a failed stage
     // closes its output queue on the way out, so its consumer drains
@@ -502,15 +455,17 @@ ThreadedPipeline::runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
     // retired, or the restarted producer would feed a dead queue.
     // Halting is different: a halt is the stage's own decision and
     // retires it regardless of what happened upstream.
+    bool anyError = false;
+    for (const StageResult& r : results)
+        anyError = anyError || r.error;
     bool upstreamDone = true;  // stage 0's source EOS is genuine
     for (size_t i = 0; i < n; ++i) {
         StageCarry& c = carry[i];
-        if (!c.doneClean) {
-            c.resume = true;
+        const bool stalledHere = stalled == static_cast<long>(i);
+        c.failed = results[i].error || (stalledHere && !anyError);
+        if (!c.doneClean)
             c.doneClean = !results[i].error && !results[i].aborted &&
-                          stalled != static_cast<long>(i) &&
-                          (c.halted || upstreamDone);
-        }
+                          !stalledHere && (c.halted || upstreamDone);
         upstreamDone = c.doneClean;
     }
 
@@ -521,8 +476,8 @@ ThreadedPipeline::runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
         metrics_->stages.resize(n);
         for (size_t i = 0; i < n; ++i) {
             StageMetrics& sm = metrics_->stages[i];
-            sm.consumed = carry[i].consumed;
-            sm.emitted = carry[i].emitted;
+            sm.consumed = steppers_[i].stepper().consumed();
+            sm.emitted = steppers_[i].stepper().emitted();
             sm.halted = carry[i].halted;
             sm.sec = results[i].sec;
             sm.pushWaitNs = results[i].pushWaitNs;
@@ -572,15 +527,14 @@ ThreadedPipeline::runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
         throw StageFailureError(std::move(f));
     }
 
-    // Per-stage restarts resume stages mid-stream, so the counters are
-    // cumulative across every attempt of this run.
+    // The steppers count across every attempt of this run.
     RunStats st;
-    st.consumed = carry.front().consumed;
-    st.emitted = carry.back().emitted;
-    for (const auto& c : carry) {
-        if (c.halted) {
+    st.consumed = steppers_.front().stepper().consumed();
+    st.emitted = steppers_.back().stepper().emitted();
+    for (size_t i = 0; i < n; ++i) {
+        if (carry[i].halted) {
             st.halted = true;
-            st.ctrl = c.ctrl;
+            st.ctrl = steppers_[i].stepper().ctrl();
             break;
         }
     }

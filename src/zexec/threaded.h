@@ -26,26 +26,21 @@
  * unblocked via close/cancel propagation; peers never deadlock on a dead
  * neighbour.
  *
- * Self-healing (docs/ROBUSTNESS.md, "Recovery"): with a RestartPolicy
- * of OnFailure, an Exception or Stall failure does not end the run.
- * After every stage thread has been joined, the supervisor re-arms the
- * pipeline — SPSC queues are reopened (in-flight elements discarded),
- * every stage's node tree is reset() back to frame-boundary state, the
- * source and sink are re-armed — sleeps out an exponential backoff, and
- * resumes from the live source.  Only when the retry budget is spent
- * does run() throw, with the full restart history attached.
- *
- * With RestartScope::Stage the blast radius shrinks to the failed stage
- * (docs/ROBUSTNESS.md, "Per-stage restart"): healthy stages keep their
- * live node state and resume mid-stream, non-adjacent queues keep their
- * backlogs (uncancel()), and only the failed stage is reset() — then
- * restore()d from its node-state snapshot and frame slice taken at the
- * last restart boundary, so repeated failures do not compound the
- * rollback.  Only the queues adjacent to the failed stage are
- * reopen()ed; their in-flight elements are the bounded loss of a stage
- * restart.  A healthy stage's own in-flight elements — the batch it
- * popped but has not consumed, the outputs it has not pushed yet — are
- * carried across and fed or pushed first when it resumes.
+ * Self-healing (docs/ROBUSTNESS.md, "Threaded restart"): every stage is
+ * its own SupervisedStepper (zexec/stepper.h) over its node tree and its
+ * frame cells — the loop Pipeline and Session drive.  With a
+ * RestartPolicy of OnFailure, an Exception or Stall failure does not end
+ * the run.  After every stage thread has been joined, each failed stage
+ * heals as a solo run does: with a CheckpointPolicy it restores its last
+ * cadence snapshot, replays its journal and swallows the outputs its
+ * consumer already holds; without one it resets to a frame boundary.
+ * Healthy stages keep their live state, no queue is dropped, and every
+ * stage keeps the batch it popped but has not consumed and the outputs
+ * it has not pushed yet, feeding and pushing them first when it resumes.
+ * The run then sleeps out an exponential backoff and resumes from the
+ * live source.  With a cadence the healed output is byte-identical to an
+ * uninterrupted run.  Only when the retry budget is spent does run()
+ * throw, with the full restart history attached.
  */
 #ifndef ZIRIA_ZEXEC_THREADED_H
 #define ZIRIA_ZEXEC_THREADED_H
@@ -68,20 +63,10 @@ class SpscQueue;
 class ThreadedPipeline
 {
   public:
-    /** Byte range [begin, end) of the shared frame owned by one stage. */
-    struct FrameRange
-    {
-        size_t begin = 0;
-        size_t end = 0;
-    };
-
     /**
      * @param stages       per-stage node trees, upstream first
-     * @param stage_frames each stage's frame cells, same order; a
-     *                     stage-scoped restart saves and restores the
-     *                     failed stage's slice next to its node
-     *                     snapshot, which does not cover frame cells
-     *                     written by fused closures
+     * @param stage_frames each stage's frame cells, same order: what its
+     *                     snapshots carry next to its node state
      * @param frame_size   shared frame size
      * @param queue_cap    elements per interthread queue
      */
@@ -89,6 +74,10 @@ class ThreadedPipeline
                      std::vector<FrameRange> stage_frames,
                      size_t frame_size, size_t in_width, size_t out_width,
                      size_t queue_cap = 4096);
+
+    // steppers_ refer into *this
+    ThreadedPipeline(const ThreadedPipeline&) = delete;
+    ThreadedPipeline& operator=(const ThreadedPipeline&) = delete;
 
     size_t inWidth() const { return inWidth_; }
     size_t outWidth() const { return outWidth_; }
@@ -100,8 +89,8 @@ class ThreadedPipeline
      *
      * With a RestartPolicy of OnFailure, Exception/Stall failures are
      * retried in place (bounded, backed off) before anything is thrown;
-     * RunStats then describes the final — successful — attempt, and the
-     * `restart.*` counters record the recovery history.
+     * RunStats then counts the whole run, and the `restart.*` counters
+     * record the recovery history.
      *
      * @throws StageFailureError if a stage throws, or — with a stall
      *         deadline set — if the watchdog detects a stalled run, in
@@ -129,6 +118,11 @@ class ThreadedPipeline
     void setRestartPolicy(RestartPolicy p) { restart_ = p; }
     const RestartPolicy& restartPolicy() const { return restart_; }
 
+    /** Per-stage checkpoint cadence, as Pipeline::setCheckpoint: only
+     *  takes effect together with a restart policy. */
+    void setCheckpoint(CheckpointPolicy p) { ckpt_ = p; }
+    const CheckpointPolicy& checkpointPolicy() const { return ckpt_; }
+
     /** Attach the instrumentation sink; per-stage/queue telemetry is
      *  recorded into it on every run (replacing the previous run's). */
     void setMetrics(std::shared_ptr<PipelineMetrics> m)
@@ -153,23 +147,17 @@ class ThreadedPipeline
     SpanTracker* spans() const { return spans_.get(); }
 
   private:
-    /** Per-stage state of one run: what a stage-scoped restart carries
-     *  across attempts (a pipeline-scoped one starts from a fresh one). */
+    /** What a stage carries across the attempts of one run (its node
+     *  state and counters live in its SupervisedStepper). */
     struct StageCarry
     {
-        bool resume = false;     ///< node is live; skip start()
         bool doneClean = false;  ///< halted / hit EOS; do not re-run
         bool halted = false;     ///< the stage's computer returned
-        std::vector<uint8_t> ctrl;        ///< its control value
-        uint64_t consumed = 0;   ///< Stepper counters, cumulative
-        uint64_t emitted = 0;
+        bool failed = false;     ///< threw or stalled; heal before retry
         std::vector<uint8_t> pendingOut;  ///< outputs whose push was torn
                                           ///< down; re-pushed first
         std::vector<uint8_t> pendingIn;   ///< popped, unconsumed input
                                           ///< batch; fed first on resume
-        std::vector<uint8_t> snap;  ///< node-state snapshot + frame
-                                    ///< slice at the last quiescent
-                                    ///< restart boundary
     };
     struct StageResult;  ///< one attempt's watchdog view and telemetry
 
@@ -180,18 +168,18 @@ class ThreadedPipeline
     RunStats runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
                         InputSource& src, OutputSink& sink,
                         std::vector<StageCarry>& carry);
-    void rearm(std::vector<std::unique_ptr<SpscQueue>>& queues);
     void rearmStage(std::vector<std::unique_ptr<SpscQueue>>& queues,
-                    std::vector<StageCarry>& carry, size_t failed);
+                    std::vector<StageCarry>& carry);
 
     std::vector<NodePtr> stages_;
-    std::vector<FrameRange> frames_;  ///< per stage
     Frame frame_;
+    std::vector<SupervisedStepper> steppers_;  ///< per stage
     size_t inWidth_;
     size_t outWidth_;
     size_t queueCap_;
     double deadlineMs_ = 0;
     RestartPolicy restart_;
+    CheckpointPolicy ckpt_;
     std::shared_ptr<PipelineMetrics> metrics_;
     std::shared_ptr<SpanTracker> spans_;
 };

@@ -111,9 +111,9 @@ class FusedNode : public ExecNode
      * parked pc.  The out/ctrl pointers are encoded as (space, offset)
      * tags so restore() can re-point them into the new instance.  Frame
      * cells written by compiled Action/EvalInto closures are NOT
-     * enumerable from the instruction stream, so whole-frame coverage
-     * comes from the PipelineSnapshot container (or, per stage, from
-     * the ThreadedPipeline frame slice), not from this node
+     * enumerable from the instruction stream, so frame coverage comes
+     * from the snapshot container's frame image (the whole frame, or a
+     * `|>>>|` stage's FrameRange), not from this node
      * (docs/ROBUSTNESS.md, "Checkpointing & migration").
      */
     void snapshot(const Frame& f, StateWriter& w) const override;

@@ -124,6 +124,75 @@ splitStages(const CompPtr& c, std::vector<CompPtr>& out)
     out.push_back(c);
 }
 
+/**
+ * The node build both drivers share: the build options and metrics sink
+ * @p opt selects, one frame layout, and the backend switch.  build()
+ * builds one partition; partitions built one after another over the
+ * bump-allocated layout own contiguous frame ranges.
+ */
+class PartitionMaker
+{
+  public:
+    PartitionMaker(const CompilerOptions& opt, CompileReport* report)
+        : opt_(opt), report_(report), ec_(layout_)
+    {
+        bo_.autoLut = opt.autoLut;
+        bo_.lutLimits = opt.lut;
+        if (opt.instrument) {
+            pm_ = std::make_shared<PipelineMetrics>();
+            bo_.instrument = true;
+            bo_.sampleShift = opt.sampleShift;
+            bo_.metrics = pm_.get();
+        }
+    }
+
+    // ec_ refers to layout_
+    PartitionMaker(const PartitionMaker&) = delete;
+
+    /** Build @p c under the stable node-path prefix @p path. */
+    NodePtr
+    build(const CompPtr& c, const std::string& path)
+    {
+        FuseStats* fs = report_ ? &report_->fuse : nullptr;
+        switch (opt_.backend) {
+          case Backend::Fused:
+            return buildNodeFused(c, ec_, bo_, &bs_, fs, path);
+          case Backend::Native:
+            return buildNodeNative(c, ec_, bo_, &bs_, fs,
+                                   report_ ? &report_->cgen : nullptr,
+                                   opt_.cgenCacheDir, path);
+          case Backend::Vm:
+            break;
+        }
+        return buildNode(c, ec_, bo_, &bs_, path);
+    }
+
+    size_t frameSize() const { return layout_.frameSize(); }
+
+    /** Record the build in the report; hand over the metrics sink
+     *  (null unless instrumented). */
+    std::shared_ptr<PipelineMetrics>
+    finish()
+    {
+        if (report_) {
+            report_->build = bs_;
+            report_->buildSec = sw_.elapsedSec();
+            report_->frameBytes = layout_.frameSize();
+        }
+        return std::move(pm_);
+    }
+
+  private:
+    const CompilerOptions& opt_;
+    CompileReport* report_;
+    Stopwatch sw_;
+    FrameLayout layout_;
+    ExprCompiler ec_;
+    std::shared_ptr<PipelineMetrics> pm_;
+    BuildOptions bo_;
+    BuildStats bs_;
+};
+
 } // namespace
 
 std::unique_ptr<Pipeline>
@@ -132,48 +201,15 @@ compilePipeline(const CompPtr& program, const CompilerOptions& opt,
 {
     CompPtr c = optimizeComp(program, opt, report);
 
-    Stopwatch sw;
-    FrameLayout layout;
-    ExprCompiler ec(layout);
-    std::shared_ptr<PipelineMetrics> pm;
-    BuildOptions bo;
-    bo.autoLut = opt.autoLut;
-    bo.lutLimits = opt.lut;
-    if (opt.instrument) {
-        pm = std::make_shared<PipelineMetrics>();
-        bo.instrument = true;
-        bo.sampleShift = opt.sampleShift;
-        bo.metrics = pm.get();
-    }
-    BuildStats bs;
-    NodePtr root;
-    switch (opt.backend) {
-      case Backend::Fused:
-        root = buildNodeFused(c, ec, bo, &bs,
-                              report ? &report->fuse : nullptr);
-        break;
-      case Backend::Native:
-        root = buildNodeNative(c, ec, bo, &bs,
-                               report ? &report->fuse : nullptr,
-                               report ? &report->cgen : nullptr,
-                               opt.cgenCacheDir);
-        break;
-      case Backend::Vm:
-        root = buildNode(c, ec, bo, &bs);
-        break;
-    }
+    PartitionMaker b(opt, report);
+    NodePtr root = b.build(c, "root");
     size_t inW = root->inWidth();
     size_t outW = root->outWidth();
-    auto p = std::make_unique<Pipeline>(std::move(root),
-                                        layout.frameSize(), inW, outW);
+    auto p = std::make_unique<Pipeline>(std::move(root), b.frameSize(),
+                                        inW, outW);
     p->setRestartPolicy(opt.restart);
     p->setCheckpoint(opt.checkpoint);
-    p->setMetrics(std::move(pm));
-    if (report) {
-        report->build = bs;
-        report->buildSec = sw.elapsedSec();
-        report->frameBytes = layout.frameSize();
-    }
+    p->setMetrics(b.finish());
     return p;
 }
 
@@ -183,49 +219,15 @@ compileThreadedPipeline(const CompPtr& program, const CompilerOptions& opt,
 {
     CompPtr c = optimizeComp(program, opt, report);
 
-    Stopwatch sw;
+    PartitionMaker b(opt, report);
     std::vector<CompPtr> parts;
     splitStages(c, parts);
-
-    FrameLayout layout;
-    ExprCompiler ec(layout);
-    std::shared_ptr<PipelineMetrics> pm;
-    BuildOptions bo;
-    bo.autoLut = opt.autoLut;
-    bo.lutLimits = opt.lut;
-    if (opt.instrument) {
-        pm = std::make_shared<PipelineMetrics>();
-        bo.instrument = true;
-        bo.sampleShift = opt.sampleShift;
-        bo.metrics = pm.get();
-    }
-    BuildStats bs;
     std::vector<NodePtr> stages;
-    stages.reserve(parts.size());
-    // Partitions are built one after another over the bump-allocated
-    // layout, so each stage's frame cells are one contiguous range.
-    std::vector<ThreadedPipeline::FrameRange> frames;
+    std::vector<FrameRange> frames;  // each stage's contiguous cells
     for (size_t i = 0; i < parts.size(); ++i) {
-        const size_t frameBegin = layout.frameSize();
-        std::string stagePath = "stage" + std::to_string(i);
-        switch (opt.backend) {
-          case Backend::Fused:
-            stages.push_back(buildNodeFused(
-                parts[i], ec, bo, &bs,
-                report ? &report->fuse : nullptr, stagePath));
-            break;
-          case Backend::Native:
-            stages.push_back(buildNodeNative(
-                parts[i], ec, bo, &bs,
-                report ? &report->fuse : nullptr,
-                report ? &report->cgen : nullptr, opt.cgenCacheDir,
-                stagePath));
-            break;
-          case Backend::Vm:
-            stages.push_back(buildNode(parts[i], ec, bo, &bs, stagePath));
-            break;
-        }
-        frames.push_back({frameBegin, layout.frameSize()});
+        const size_t frameBegin = b.frameSize();
+        stages.push_back(b.build(parts[i], "stage" + std::to_string(i)));
+        frames.push_back({frameBegin, b.frameSize()});
     }
 
     size_t inW = stages.front()->inWidth();
@@ -233,20 +235,15 @@ compileThreadedPipeline(const CompPtr& program, const CompilerOptions& opt,
     // Stage boundary widths must agree (checked stream types guarantee
     // it); queue widths are derived per boundary inside ThreadedPipeline.
     auto p = std::make_unique<ThreadedPipeline>(
-        std::move(stages), std::move(frames), layout.frameSize(), inW, outW,
+        std::move(stages), std::move(frames), b.frameSize(), inW, outW,
         opt.queueCapacity);
     p->setStallDeadline(opt.stallDeadlineMs);
     p->setRestartPolicy(opt.restart);
+    p->setCheckpoint(opt.checkpoint);
     // Stage/queue telemetry is recorded on every run once a metrics
     // object is attached; node-level counters ride the same object.
-    if (!pm)
-        pm = std::make_shared<PipelineMetrics>();
-    p->setMetrics(std::move(pm));
-    if (report) {
-        report->build = bs;
-        report->buildSec = sw.elapsedSec();
-        report->frameBytes = layout.frameSize();
-    }
+    std::shared_ptr<PipelineMetrics> pm = b.finish();
+    p->setMetrics(pm ? std::move(pm) : std::make_shared<PipelineMetrics>());
     return p;
 }
 

@@ -170,8 +170,9 @@ Session::checkpoint(std::vector<uint8_t>& out, std::string* err)
     std::vector<uint8_t> snap;
     if (ss.started()) {
         try {
-            snap = takeSnapshot(pipe_->root(), pipe_->frame(), consumed,
-                                ss.stepper().emitted());
+            snap = takeSnapshot(pipe_->root(), pipe_->frame(),
+                                FrameRange::whole(pipe_->frame()),
+                                consumed, ss.stepper().emitted());
         } catch (const std::exception& e) {
             return fail(e.what());
         }

@@ -84,28 +84,6 @@ boundPort(int fd)
     return ntohs(addr.sin_port);
 }
 
-SockFd
-udpSocket(uint16_t port)
-{
-    SockFd fd(::socket(AF_INET, SOCK_DGRAM, 0));
-    if (!fd.valid())
-        fatalf("socket(udp): ", std::strerror(errno));
-    sockaddr_in addr = loopbackAddr("", port);
-    if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr),
-               sizeof addr) != 0)
-        fatalf("bind(udp port ", port, "): ", std::strerror(errno));
-    return fd;
-}
-
-void
-udpConnect(int fd, const std::string& host, uint16_t port)
-{
-    sockaddr_in addr = loopbackAddr(host, port);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                  sizeof addr) != 0)
-        fatalf("connect(udp ", port, "): ", std::strerror(errno));
-}
-
 void
 setNonBlocking(int fd, bool on)
 {

@@ -1,8 +1,8 @@
 /**
  * @file
  * Thin POSIX socket helpers for the serving subsystem: RAII fds,
- * loopback-friendly TCP listen/connect, UDP endpoints, non-blocking
- * mode, and a self-pipe for waking a poll() loop from another thread.
+ * loopback-friendly TCP listen/connect, non-blocking mode, and a
+ * self-pipe for waking a poll() loop from another thread.
  *
  * Everything throws FatalError on setup failures (bad port, bind in
  * use); steady-state I/O errors are reported through return values so
@@ -69,12 +69,6 @@ SockFd connectTcp(const std::string& host, uint16_t port);
 
 /** The locally bound port of a socket (after bind/listen). */
 uint16_t boundPort(int fd);
-
-/** Create a UDP socket, optionally bound to 127.0.0.1:@p port. */
-SockFd udpSocket(uint16_t port = 0);
-
-/** Connect a UDP socket to a fixed peer (send()/recv() usable after). */
-void udpConnect(int fd, const std::string& host, uint16_t port);
 
 /** Switch a descriptor to non-blocking mode. */
 void setNonBlocking(int fd, bool on = true);

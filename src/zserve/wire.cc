@@ -382,32 +382,5 @@ FrameParser::next(Frame& out)
     return Result::Frame;
 }
 
-bool
-decodeDatagram(const uint8_t* data, size_t n, Frame& out,
-               std::string* error)
-{
-    auto fail = [&](const char* msg) {
-        if (error)
-            *error = msg;
-        return false;
-    };
-    if (n < kHeaderBytes)
-        return fail("datagram shorter than a frame header");
-    if (data[0] != kMagic0 || data[1] != kMagic1)
-        return fail("bad frame magic");
-    if (!validType(data[2]))
-        return fail("unknown frame type");
-    if (data[3] != 0)
-        return fail("non-zero frame flags");
-    const uint32_t len = getU32le(data + 4);
-    if (len > payloadCapFor(static_cast<FrameType>(data[2])))
-        return fail("oversized frame payload");
-    if (n != kHeaderBytes + len)
-        return fail("datagram length disagrees with frame header");
-    out.type = static_cast<FrameType>(data[2]);
-    out.payload.assign(data + kHeaderBytes, data + n);
-    return true;
-}
-
 } // namespace serve
 } // namespace ziria

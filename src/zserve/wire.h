@@ -1,7 +1,7 @@
 /**
  * @file
  * The zserve wire protocol: a length-prefixed frame layer carrying
- * Ziria stream elements over a byte stream (TCP) or datagrams (UDP).
+ * Ziria stream elements over a byte stream (TCP).
  *
  * Every frame is an 8-byte header followed by a payload:
  *
@@ -241,15 +241,6 @@ class FrameParser
     bool failed_ = false;
     std::string error_;
 };
-
-/**
- * Decode one datagram as a single frame (UDP variant: one frame per
- * datagram, no streaming reassembly).  Returns false and fills @p error
- * on malformed input; a datagram with trailing bytes after the declared
- * payload is malformed.
- */
-bool decodeDatagram(const uint8_t* data, size_t n, Frame& out,
-                    std::string* error = nullptr);
 
 } // namespace serve
 } // namespace ziria

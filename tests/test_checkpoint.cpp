@@ -100,6 +100,13 @@ driveUpTo(Pipeline& p, const std::vector<uint8_t>& bytes,
     return r;
 }
 
+/** The frame range a Pipeline's snapshots carry: all of it. */
+FrameRange
+cells(Pipeline& p)
+{
+    return FrameRange::whole(p.frame());
+}
+
 // ---------------------------------------------------- state-io basics
 
 TEST(StateIo, PrimitivesRoundTrip)
@@ -132,18 +139,20 @@ TEST(StateIo, RestoreRejectsCorruptContainer)
     auto p = compilePipeline(resetShapes()[0].make(),
                              CompilerOptions::forLevel(OptLevel::None));
     p->root().start(p->frame());
-    auto snap = takeSnapshot(p->root(), p->frame(), 0, 0);
+    auto snap = takeSnapshot(p->root(), p->frame(), cells(*p), 0, 0);
     ASSERT_GE(snap.size(), 8u);
 
     auto badMagic = snap;
     badMagic[0] ^= 0xff;
-    EXPECT_THROW(restoreSnapshot(p->root(), p->frame(), badMagic),
-                 StateFormatError);
+    EXPECT_THROW(
+        restoreSnapshot(p->root(), p->frame(), cells(*p), badMagic),
+        StateFormatError);
 
     auto truncated = snap;
     truncated.resize(truncated.size() - 1);
-    EXPECT_THROW(restoreSnapshot(p->root(), p->frame(), truncated),
-                 StateFormatError);
+    EXPECT_THROW(
+        restoreSnapshot(p->root(), p->frame(), cells(*p), truncated),
+        StateFormatError);
 }
 
 // ------------------------------------- hostile node-state rejection
@@ -256,7 +265,7 @@ checkFusedPcAndPointerRejected(Backend be)
     }
     ASSERT_TRUE(p) << "no shape lowered to a bare FusedNode root";
     p->root().start(p->frame());
-    auto snap = takeSnapshot(p->root(), p->frame(), 0, 0);
+    auto snap = takeSnapshot(p->root(), p->frame(), cells(*p), 0, 0);
 
     // Walk the container to the fused pc field: 24-byte header, frame
     // image blob, register space, state block, channel pc table.
@@ -278,8 +287,9 @@ checkFusedPcAndPointerRejected(Backend be)
     std::fill(badPc.begin() + static_cast<long>(off),
               badPc.begin() + static_cast<long>(off) + 4,
               uint8_t{0xff});
-    EXPECT_THROW(restoreSnapshot(p->root(), p->frame(), badPc),
-                 StateFormatError);
+    EXPECT_THROW(
+        restoreSnapshot(p->root(), p->frame(), cells(*p), badPc),
+        StateFormatError);
 
     // The out-pointer tag sits after pc (4), spins (8), ctrl width (8):
     // claim a state-block offset far past the block.
@@ -290,8 +300,9 @@ checkFusedPcAndPointerRejected(Backend be)
     std::fill(badPtr.begin() + static_cast<long>(tag) + 1,
               badPtr.begin() + static_cast<long>(tag) + 9,
               uint8_t{0xff});
-    EXPECT_THROW(restoreSnapshot(p->root(), p->frame(), badPtr),
-                 StateFormatError);
+    EXPECT_THROW(
+        restoreSnapshot(p->root(), p->frame(), cells(*p), badPtr),
+        StateFormatError);
 }
 
 TEST(HostileCheckpoint, FusedPcAndPointerOutOfRange)
@@ -329,14 +340,15 @@ TEST(SnapshotRoundTrip, AllShapesAcrossBackendsAndOptLevels)
                 // the ground truth the restored instance must match.
                 auto head = driveUpTo(*p, bytes, 0, 5, /*init=*/true);
                 auto snap = takeSnapshot(p->root(), p->frame(),
-                                         head.consumed, 0);
+                                         cells(*p), head.consumed, 0);
                 auto want = driveUpTo(*p, bytes, head.consumed,
                                       SIZE_MAX, /*init=*/false);
 
                 // The tree is now dirty (run to completion); restore
                 // must rewind it to the park without a start().
                 SnapshotInfo info =
-                    restoreSnapshot(p->root(), p->frame(), snap);
+                    restoreSnapshot(p->root(), p->frame(), cells(*p),
+                                    snap);
                 EXPECT_EQ(info.consumed, head.consumed);
                 auto got = driveUpTo(*p, bytes, head.consumed,
                                      SIZE_MAX, /*init=*/false);
@@ -362,11 +374,12 @@ TEST(SnapshotRoundTrip, RestoreIsRepeatable)
     auto bytes = intBytes(in);
 
     auto head = driveUpTo(*p, bytes, 0, 7, true);
-    auto snap = takeSnapshot(p->root(), p->frame(), head.consumed, 0);
+    auto snap =
+        takeSnapshot(p->root(), p->frame(), cells(*p), head.consumed, 0);
     auto want = driveUpTo(*p, bytes, head.consumed, SIZE_MAX, false);
 
     for (int round = 0; round < 2; ++round) {
-        restoreSnapshot(p->root(), p->frame(), snap);
+        restoreSnapshot(p->root(), p->frame(), cells(*p), snap);
         auto got = driveUpTo(*p, bytes, head.consumed, SIZE_MAX, false);
         EXPECT_EQ(got.out, want.out) << "round " << round;
     }
@@ -412,10 +425,11 @@ TEST(SnapshotRoundTrip, FusedAndNativeSnapshotsInterchange)
 
                 auto head = driveUpTo(*src, bytes, 0, 5, /*init=*/true);
                 auto snap = takeSnapshot(src->root(), src->frame(),
-                                         head.consumed, 0);
+                                         cells(*src), head.consumed, 0);
                 // Dirty the target first: restore alone must rebuild it.
                 driveUpTo(*dst, bytes, 0, SIZE_MAX, /*init=*/true);
-                restoreSnapshot(dst->root(), dst->frame(), snap);
+                restoreSnapshot(dst->root(), dst->frame(), cells(*dst),
+                                snap);
                 auto got = driveUpTo(*dst, bytes, head.consumed,
                                      SIZE_MAX, /*init=*/false);
 
@@ -485,11 +499,12 @@ TEST(SnapshotRoundTrip, WifiRxMidPacketCheckpointDecodesThePacket)
 
     auto head = driveUpTo(*rx, sampBytes, 0, 600, true);
     auto snap =
-        takeSnapshot(rx->root(), rx->frame(), head.consumed, 0);
+        takeSnapshot(rx->root(), rx->frame(), cells(*rx), head.consumed,
+                     0);
     auto want = driveUpTo(*rx, sampBytes, head.consumed, SIZE_MAX,
                           false);
 
-    restoreSnapshot(rx->root(), rx->frame(), snap);
+    restoreSnapshot(rx->root(), rx->frame(), cells(*rx), snap);
     auto got = driveUpTo(*rx, sampBytes, head.consumed, SIZE_MAX,
                          false);
     EXPECT_EQ(got.out, want.out);

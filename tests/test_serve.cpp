@@ -1,20 +1,15 @@
 /**
  * @file
- * Serving subsystem tests (ctest label `serve`): the blocking socket
- * endpoints composed with compiled pipelines and fault decorators, and
- * the multi-session server end to end over loopback TCP — streaming
- * correctness against a solo in-process run, multi-session fault
- * isolation (a faulted session is evicted exactly once while its
- * neighbor's output stays byte-identical), per-session supervised
- * restart, admission control, idle timeouts, and protocol-error
- * eviction.
+ * Serving subsystem tests (ctest label `serve`): the multi-session
+ * server end to end over loopback TCP — streaming correctness against
+ * a solo in-process run, multi-session fault isolation (a faulted
+ * session is evicted exactly once while its neighbor's output stays
+ * byte-identical), per-session supervised restart, admission control,
+ * idle timeouts, and protocol-error eviction.
  *
- * All socket traffic is loopback (127.0.0.1) or AF_UNIX socketpairs;
- * no test talks to the outside world.
+ * All socket traffic is loopback (127.0.0.1); no test talks to the
+ * outside world.
  */
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -37,7 +32,6 @@
 #include "zexec/pipeline.h"
 #include "zir/compiler.h"
 #include "zparse/parser.h"
-#include "zserve/endpoints.h"
 #include "zserve/server.h"
 #include "zserve/socket.h"
 #include "zserve/wire.h"
@@ -237,142 +231,6 @@ struct TestClient
         drain();
     }
 };
-
-// -------------------------------------------- blocking socket endpoints
-
-/** An AF_UNIX socketpair: both ends speak the same stream protocol. */
-struct Pair
-{
-    int a = -1, b = -1;
-    Pair()
-    {
-        int fds[2];
-        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0) {
-            a = fds[0];
-            b = fds[1];
-        }
-    }
-    ~Pair()
-    {
-        if (a >= 0)
-            ::close(a);
-        if (b >= 0)
-            ::close(b);
-    }
-};
-
-TEST(SocketEndpoints, SourceFeedsPipelineFromWireFrames)
-{
-    auto factory = scramblerFactory();
-    auto p = factory(0);
-    const size_t inW = p->inWidth();
-    auto input = randomBits(512 * inW, 11);
-    auto expect = soloRun(factory, input);
-
-    Pair pair;
-    ASSERT_GE(pair.a, 0);
-    std::thread feeder([&] {
-        std::vector<uint8_t> wire;
-        // Deliberately ragged frame sizes: 1, 2, 3, ... elements.
-        size_t off = 0, k = 1;
-        while (off < input.size()) {
-            size_t n = std::min(k * inW, input.size() - off);
-            encodeFrame(wire, FrameType::Data, input.data() + off, n);
-            off += n;
-            ++k;
-        }
-        encodeFrame(wire, FrameType::End);
-        sendAll(pair.a, wire.data(), wire.size());
-    });
-
-    SocketSource src(pair.b, inW);
-    VecSink sink(p->outWidth());
-    p->run(src, sink);
-    feeder.join();
-
-    EXPECT_EQ(sink.data(), expect);
-    EXPECT_EQ(src.elemsIn(), input.size() / inW);
-}
-
-TEST(SocketEndpoints, SinkFramesPipelineOutputOntoTheWire)
-{
-    auto factory = scramblerFactory();
-    auto p = factory(0);
-    const size_t inW = p->inWidth(), outW = p->outWidth();
-    auto input = randomBits(300 * inW, 12);
-    auto expect = soloRun(factory, input);
-
-    Pair pair;
-    ASSERT_GE(pair.a, 0);
-    std::vector<uint8_t> got;
-    bool end = false;
-    std::thread reader([&] {
-        FrameParser parser;
-        Frame f;
-        uint8_t buf[4096];
-        for (;;) {
-            FrameParser::Result r = parser.next(f);
-            if (r == FrameParser::Result::Frame) {
-                if (f.type == FrameType::Data)
-                    got.insert(got.end(), f.payload.begin(),
-                               f.payload.end());
-                else if (f.type == FrameType::End) {
-                    end = true;
-                    return;
-                }
-                continue;
-            }
-            if (r == FrameParser::Result::Error)
-                return;
-            long n = recvSome(pair.a, buf, sizeof buf);
-            if (n > 0)
-                parser.feed(buf, static_cast<size_t>(n));
-            else if (n != -1)
-                return;
-        }
-    });
-
-    MemSource src(input, inW);
-    SocketSink sink(pair.b, outW, /*batch_elems=*/64);
-    p->run(src, sink);
-    sink.finish();
-    reader.join();
-
-    EXPECT_TRUE(end);
-    EXPECT_EQ(got, expect);
-    EXPECT_GT(sink.framesOut(), 1u);  // batching actually framed
-}
-
-TEST(SocketEndpoints, ComposesWithFaultDecorator)
-{
-    // truncate@K on top of a SocketSource ends the stream early without
-    // touching the wire layer — the same decorator the solo runner and
-    // the server reuse.
-    auto factory = scramblerFactory();
-    auto p = factory(0);
-    const size_t inW = p->inWidth();
-    auto input = randomBits(256 * inW, 13);
-
-    Pair pair;
-    ASSERT_GE(pair.a, 0);
-    std::thread feeder([&] {
-        std::vector<uint8_t> wire;
-        encodeFrame(wire, FrameType::Data, input);
-        encodeFrame(wire, FrameType::End);
-        sendAll(pair.a, wire.data(), wire.size());
-    });
-
-    SocketSource inner(pair.b, inW);
-    FaultySource src(inner, FaultSpec::parse("truncate@100"));
-    VecSink sink(p->outWidth());
-    p->run(src, sink);
-    feeder.join();
-
-    EXPECT_EQ(sink.elems(), 100u);
-    auto expect = soloRun(factory, input);
-    EXPECT_EQ(0, std::memcmp(sink.data().data(), expect.data(),
-                             sink.data().size()));
-}
 
 // ----------------------------------------------------- server, e2e TCP
 

@@ -10,6 +10,7 @@
 #include <functional>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -154,48 +155,6 @@ TEST(SpscQueue, CloseAfterDrainIsDistinctFromTimeout)
     EXPECT_EQ(v, 3);
     EXPECT_EQ(q.popWait(&v, 10), QueueWait::Closed);
     EXPECT_EQ(q.popWait(&v, 10), QueueWait::Closed);  // stays closed
-}
-
-TEST(SpscQueue, ReopenClearsLatchesDropsBacklogAndZeroesStats)
-{
-    // reopen() is what re-arms the stage queues between restart
-    // attempts: the closed/cancelled latches must clear, leftover
-    // elements must be dropped, and the stats (resetStats) must start
-    // from zero so the retry's telemetry is not polluted by the failed
-    // attempt.
-    SpscQueue q(4, 2);
-    uint32_t x = 11;
-    ASSERT_TRUE(q.push(reinterpret_cast<const uint8_t*>(&x)));
-    ASSERT_TRUE(q.push(reinterpret_cast<const uint8_t*>(&x)));
-    EXPECT_EQ(q.pushWait(reinterpret_cast<const uint8_t*>(&x), 10),
-              QueueWait::Timeout);  // generates a pushStall
-    q.close();
-    q.cancel();
-    ASSERT_TRUE(q.closed());
-    ASSERT_TRUE(q.cancelled());
-    ASSERT_GT(q.stats().pushed, 0u);
-    ASSERT_GT(q.stats().pushStalls, 0u);
-
-    q.reopen();
-
-    EXPECT_FALSE(q.closed());
-    EXPECT_FALSE(q.cancelled());
-    SpscQueue::Stats st = q.stats();
-    EXPECT_EQ(st.pushed, 0u);
-    EXPECT_EQ(st.popped, 0u);
-    EXPECT_EQ(st.pushStalls, 0u);
-    EXPECT_EQ(st.popStalls, 0u);
-    EXPECT_EQ(st.highWater, 0u);
-
-    // The backlog is gone and the queue works again end to end.
-    uint32_t y = 42, v = 0;
-    ASSERT_TRUE(q.push(reinterpret_cast<const uint8_t*>(&y)));
-    EXPECT_EQ(q.stats().pushed, 1u);
-    ASSERT_TRUE(q.pop(reinterpret_cast<uint8_t*>(&v)));
-    EXPECT_EQ(v, 42u);
-    q.close();
-    EXPECT_EQ(q.popWait(reinterpret_cast<uint8_t*>(&v), 10),
-              QueueWait::Closed);
 }
 
 namespace {
@@ -683,11 +642,10 @@ TEST(Threaded, RestartBudgetExhaustionCarriesHistory)
 
 TEST(SpscQueue, UncancelKeepsBacklogAndReenablesTraffic)
 {
-    // uncancel() is the per-stage restart primitive for queues NOT
-    // adjacent to the failed stage: the teardown latches (every stage
-    // closes its output queue and the driver cancels everything on the
-    // way out) must clear, but unlike reopen() the backlog is part of a
-    // healthy stage's live state and must survive.
+    // uncancel() is how a threaded restart re-arms every queue: the
+    // teardown latches (every stage closes its output queue and the
+    // driver cancels everything on the way out) must clear, but the
+    // backlog is part of the stream and must survive.
     SpscQueue q(4, 4);
     uint32_t a = 7, b = 8, v = 0;
     ASSERT_TRUE(q.push(reinterpret_cast<const uint8_t*>(&a)));
@@ -737,7 +695,7 @@ sinkInts(const VecSink& sink)
 
 } // namespace
 
-/** Stage-scoped restart policy shared by the per-stage tests below. */
+/** Restart policy shared by the per-stage tests below. */
 CompilerOptions
 stageScoped(Backend be, int maxRestarts)
 {
@@ -745,7 +703,6 @@ stageScoped(Backend be, int maxRestarts)
     opt.backend = be;
     opt.queueCapacity = 8;
     opt.restart.mode = RestartMode::OnFailure;
-    opt.restart.scope = RestartScope::Stage;
     opt.restart.maxRestarts = maxRestarts;
     opt.restart.backoffInitialMs = 1;
     return opt;
@@ -755,11 +712,10 @@ void
 checkStageRestartPreservesDownstreamState(Backend be)
 {
     // Source throws twice (throw@10:2 — the fault clock survives the
-    // restart, so it re-fires on the very next read).  With
-    // RestartScope::Stage only stage 0 is torn down; the downstream
-    // running-sum stage keeps its live accumulator across BOTH
-    // restarts, so the output stays strictly monotone.  A
-    // pipeline-scoped restart would zero the accumulator and dip.
+    // restart, so it re-fires on the very next read).  Only stage 0
+    // heals; the downstream running-sum stage keeps its live
+    // accumulator across BOTH restarts, so the output stays strictly
+    // monotone.  Resetting the accumulator would make it dip.
     SCOPED_TRACE(backendName(be));
     auto p = compileThreadedPipeline(ppipe(incBlock(1), runningSum()),
                                      stageScoped(be, 4));
@@ -779,17 +735,16 @@ checkStageRestartPreservesDownstreamState(Backend be)
 
     p->run(src, sink);  // must not throw
 
-    // Two re-arms of stage 0; the first restore is skipped (no boundary
-    // snapshot exists before the first failure), the second restores.
+    // Two heals of stage 0, both resets: without a cadence there is no
+    // snapshot to restore.
     EXPECT_EQ(reg.counter("restart.stage.attempts").value(),
               attempts0 + 2);
-    EXPECT_EQ(reg.counter("restart.stage.restored").value(),
-              restored0 + 1);
+    EXPECT_EQ(reg.counter("restart.stage.restored").value(), restored0);
     EXPECT_EQ(src.fired(), 2u);
 
     std::vector<int32_t> got = sinkInts(sink);
-    // At most the reopened queue's backlog plus in-flight elements
-    // vanish per restart.
+    // At most one queue's backlog plus in-flight elements may vanish
+    // per restart.
     ASSERT_GE(got.size(), N - 2 * (8 + 2));
     for (size_t i = 1; i < got.size(); ++i)
         ASSERT_LT(got[i - 1], got[i])
@@ -806,10 +761,10 @@ void
 checkStageRestartResetsOnlyTheFailedStage(Backend be)
 {
     // A data-poisoned MIDDLE stage: 7/(x-10) faults when the running
-    // sum hits 10.  Per-stage restart drops the poisoned element with
-    // the reopened queues and plain-resets the (stateless) failed
-    // stage — no snapshot exists yet, so restored must NOT bump — while
-    // the upstream accumulator keeps its state.  Every input is
+    // sum hits 10.  The restart plain-resets the (stateless) failed
+    // stage, dropping the poisoned element it consumed — no cadence, so
+    // restored must NOT bump — while the upstream accumulator keeps its
+    // state.  Every input is
     // consumed by stage 0 exactly once, so the last sum to reach the
     // sink is the full-series total: proof the accumulator was neither
     // reset nor double-fed.
@@ -849,65 +804,63 @@ checkStageRestartResetsOnlyTheFailedStage(Backend be)
     EXPECT_EQ(got.back(), N * (N + 1) / 2);
 }
 
+/**
+ * Threaded restart under a checkpoint cadence: stages 0 and 2 of
+ * sum |>>>| inc |>>>| sum keep running sums in frame cells, and
+ * @p fault fails the source (or, with @p atSink, the sink feeding the
+ * stateful last stage) @p heals times.  Each failed stage restores its
+ * last cadence snapshot, replays its journal and swallows the outputs
+ * its consumer already holds, so the sink sees exactly the
+ * single-threaded output and RunStats the clean run's counts.
+ */
 void
-checkStatefulStageRestoresItsFrameSlice(Backend be)
+checkCheckpointedRestart(Backend be, const char* fault, bool atSink,
+                         double deadlineMs, uint64_t heals)
 {
-    // The failing stage is itself the running sum, and its accumulator
-    // is a frame cell.  A source fault (throw@10) first re-arms stage 0,
-    // which leaves a boundary snapshot of stage 1 parked on its next
-    // take.  The first element stage 1 sees afterwards, input 10, is
-    // poisoned: it is added to the accumulator, then the emit faults.
-    // Restoring stage 1 must roll the accumulator back to the boundary
-    // — node state and frame slice — so the poisoned element leaves no
-    // trace.  Each output then exceeds the previous one by exactly one
-    // delivered input, and inputs increase, so the output increments
-    // must increase too: a reset accumulator dips, and a stale cell
-    // that kept the poisoned element shows one oversized step.
-    SCOPED_TRACE(backendName(be));
-    VarRef acc = freshVar("acc", Type::int32());
-    VarRef x = freshVar("x", Type::int32());
-    CompPtr sum = letvar(
-        acc, cInt(0),
-        repeatc(seqc(
-            {bindc(x, take(Type::int32())),
-             just(doS({assign(var(acc), var(acc) + var(x))})),
-             just(emit(var(acc) + cInt(0) * (cInt(7) / (var(x) - 10))))})));
-    auto p = compileThreadedPipeline(ppipe(incBlock(0), std::move(sum)),
-                                     stageScoped(be, 3));
+    SCOPED_TRACE(std::string(backendName(be)) + " " + fault +
+                 (atSink ? " at the sink" : " at the source"));
+    auto mk = [](bool threaded) {
+        CompPtr a = runningSum();
+        CompPtr b = incBlock(1);
+        CompPtr c = runningSum();
+        return threaded
+            ? ppipe(ppipe(std::move(a), std::move(b)), std::move(c))
+            : pipe(pipe(std::move(a), std::move(b)), std::move(c));
+    };
+    CompilerOptions opt = stageScoped(be, 3);
+    opt.checkpoint.interval = 16;
+    opt.stallDeadlineMs = deadlineMs;
+    auto p = compileThreadedPipeline(mk(true), opt);
 
-    const size_t N = 60;
-    std::vector<int32_t> in(N);
-    for (size_t i = 0; i < N; ++i)
-        in[i] = static_cast<int32_t>(i);  // input i at read i
+    std::vector<int32_t> in(300);
+    for (size_t i = 0; i < in.size(); ++i)
+        in[i] = static_cast<int32_t>(i % 7);
     auto bytes = intBytes(in);
+    CompilerOptions solo = CompilerOptions::forLevel(OptLevel::None);
+    solo.backend = be;
+    RunStats clean;
+    auto expect = compilePipeline(mk(false), solo)->runBytes(bytes, &clean);
+
+    const FaultSpec spec = FaultSpec::parse(fault);
     MemSource mem(bytes, 4);
-    FaultySource src(mem, FaultSpec::parse("throw@10"));
-    VecSink sink(4);
+    FaultySource src(mem, atSink ? FaultSpec{} : spec);
+    VecSink vec(4);
+    FaultySink sink(vec, atSink ? spec : FaultSpec{});
 
     auto& reg = metrics::Registry::global();
     uint64_t attempts0 = reg.counter("restart.stage.attempts").value();
     uint64_t restored0 = reg.counter("restart.stage.restored").value();
 
-    p->run(src, sink);  // must not throw
+    RunStats st = p->run(src, sink);  // must not throw
 
+    EXPECT_EQ(vec.data(), expect);
+    EXPECT_EQ(st.consumed, clean.consumed);
+    EXPECT_EQ(st.emitted, clean.emitted);
     EXPECT_EQ(reg.counter("restart.stage.attempts").value(),
-              attempts0 + 2);
+              attempts0 + heals);
     EXPECT_EQ(reg.counter("restart.stage.restored").value(),
-              restored0 + 1)
-        << "the failed stateful stage was not restored from its "
-           "boundary snapshot";
-
-    std::vector<int32_t> got = sinkInts(sink);
-    ASSERT_GE(got.size(), 3u);
-    for (size_t i = 1; i < got.size(); ++i)
-        ASSERT_LT(got[i - 1], got[i])
-            << "accumulator was reset (output dipped at " << i << ")";
-    for (size_t i = 2; i < got.size(); ++i)
-        ASSERT_LT(got[i - 1] - got[i - 2], got[i] - got[i - 1])
-            << "accumulator kept the poisoned element (step at " << i
-            << ")";
-    EXPECT_EQ(got.back() - got[got.size() - 2],
-              static_cast<int32_t>(N - 1));
+              restored0 + heals)
+        << "a failed stage was reset instead of restored";
 }
 
 namespace {
@@ -1097,11 +1050,16 @@ TEST(Threaded, StageScopedRestartResetsOnlyTheFailedStage)
             checkStageRestartResetsOnlyTheFailedStage(be);
 }
 
-TEST(Threaded, StageScopedRestartRestoresStatefulFailedStage)
+TEST(Threaded, CheckpointedRestartIsByteIdentical)
 {
-    for (Backend be : kAllBackends)
-        if (!nativeUnavailable(be))
-            checkStatefulStageRestoresItsFrameSlice(be);
+    for (Backend be : kAllBackends) {
+        if (nativeUnavailable(be))
+            continue;
+        checkCheckpointedRestart(be, "throw@100", false, 0, 1);
+        checkCheckpointedRestart(be, "throw@100:2", false, 0, 2);
+        checkCheckpointedRestart(be, "throw@100", true, 0, 1);
+        checkCheckpointedRestart(be, "stall@100:30000", false, 200, 1);
+    }
 }
 
 TEST(Threaded, RepeatedRunsReuseThePipeline)

@@ -3,8 +3,7 @@
  * Wire-protocol tests (ctest label `serve`): frame codec round trips,
  * incremental parsing across arbitrary split points, rejection of
  * malformed input (bad magic, unknown type, non-zero flags, oversized
- * length, truncation), seeded mutation fuzzing of valid streams, and
- * the one-frame-per-datagram UDP codec.
+ * length, truncation), and seeded mutation fuzzing of valid streams.
  *
  * The parser's contract under test: errors are *sticky* (a desync on a
  * stream socket is unrecoverable, so the parser never resynchronizes),
@@ -301,49 +300,6 @@ TEST(Wire, GarbageFuzz)
         for (const Frame& f : got)
             EXPECT_LE(f.payload.size(), kMaxPayload);
     }
-}
-
-// ---------------------------------------------------- datagram variant
-
-TEST(Wire, DatagramRoundTrip)
-{
-    std::vector<uint8_t> wire;
-    encodeFrame(wire, FrameType::Data, bytes({10, 20, 30}));
-    Frame f;
-    ASSERT_TRUE(decodeDatagram(wire.data(), wire.size(), f));
-    EXPECT_EQ(f.type, FrameType::Data);
-    EXPECT_EQ(f.payload, bytes({10, 20, 30}));
-}
-
-TEST(Wire, DatagramRejectsTrailingBytes)
-{
-    std::vector<uint8_t> wire;
-    encodeFrame(wire, FrameType::End);
-    wire.push_back(0x00);  // one byte past the declared payload
-    Frame f;
-    std::string err;
-    EXPECT_FALSE(decodeDatagram(wire.data(), wire.size(), f, &err));
-    EXPECT_FALSE(err.empty());
-}
-
-TEST(Wire, DatagramRejectsTruncation)
-{
-    std::vector<uint8_t> wire;
-    encodeFrame(wire, FrameType::Data, bytes({1, 2, 3, 4}));
-    Frame f;
-    // Every proper prefix is malformed (short header or short payload).
-    for (size_t n = 0; n < wire.size(); ++n) {
-        EXPECT_FALSE(decodeDatagram(wire.data(), n, f)) << n;
-    }
-}
-
-TEST(Wire, DatagramRejectsBadHeader)
-{
-    Frame f;
-    auto hdr = bytes({0x5A, 0x53, 0x09, 0, 0, 0, 0, 0});  // bad type
-    EXPECT_FALSE(decodeDatagram(hdr.data(), hdr.size(), f));
-    auto flg = bytes({0x5A, 0x53, 2, 4, 0, 0, 0, 0});  // bad flags
-    EXPECT_FALSE(decodeDatagram(flg.data(), flg.size(), f));
 }
 
 } // namespace
