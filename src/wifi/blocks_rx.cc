@@ -254,25 +254,30 @@ checkCrcBlock(const VarRef& h)
 FunRef
 totalBitsFun()
 {
-    static FunRef f = makeNativeFun(
-        "wifi_total_bits",
-        {freshVar("mod", Type::int32()), freshVar("cod", Type::int32()),
-         freshVar("len", Type::int32())},
-        Type::int32(), [](const uint8_t* const* args, uint8_t* ret) {
-            int32_t mod, cod, len;
-            std::memcpy(&mod, args[0], 4);
-            std::memcpy(&cod, args[1], 4);
-            std::memcpy(&len, args[2], 4);
-            dsp::Modulation m = modFromCode(mod);
-            dsp::CodingRate c = codFromCode(cod);
-            int ncbps = numDataCarriers * dsp::bitsPerSymbol(m);
-            int ndbps = ncbps * dsp::rateNumerator(c) /
-                        dsp::rateDenominator(c);
-            int nd = 16 + 8 * len + 6;
-            int nsym = (nd + ndbps - 1) / ndbps;
-            int32_t total = nsym * ndbps;
-            std::memcpy(ret, &total, 4);
-        });
+    // A plain Ziria function (not an opaque native), so generated code
+    // computes the Viterbi's bit budget inline.  N_DBPS is looked up by
+    // modulation code * 3 + coding code.
+    static FunRef f = [] {
+        std::vector<ExprPtr> ndbpsTable;
+        for (int32_t m = kModBpsk; m <= kModQam64; ++m)
+            for (int32_t c = kCod12; c <= kCod34; ++c) {
+                dsp::CodingRate cr = codFromCode(c);
+                int ncbps =
+                    numDataCarriers * dsp::bitsPerSymbol(modFromCode(m));
+                ndbpsTable.push_back(cInt(ncbps * dsp::rateNumerator(cr) /
+                                          dsp::rateDenominator(cr)));
+            }
+        VarRef mod = freshVar("mod", Type::int32());
+        VarRef cod = freshVar("cod", Type::int32());
+        VarRef len = freshVar("len", Type::int32());
+        auto ndbps = [&] {
+            return idx(arrayLit(ndbpsTable), var(mod) * 3 + var(cod));
+        };
+        // SERVICE (16) + 8 * LENGTH + tail (6), padded to whole symbols.
+        ExprPtr nd = var(len) * 8 + 22;
+        return fun("wifi_total_bits", {mod, cod, len}, {},
+                   (nd + ndbps() - 1) / ndbps() * ndbps());
+    }();
     return f;
 }
 

@@ -43,7 +43,7 @@ CompPtr demapperBlock(dsp::Modulation m);
  */
 CompPtr checkCrcBlock(const VarRef& h);
 
-/** Native expression function: total DATA-field bits for a header. */
+/** Expression function: total DATA-field bits for a header. */
 FunRef totalBitsFun();
 
 } // namespace wifi

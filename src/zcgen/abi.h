@@ -9,6 +9,9 @@
  * and calls back through the function pointers for closures it could
  * not inline (host bridges), LUTs, and runtime diagnostics (traps throw
  * FatalError host-side so messages match the interpreter byte-for-byte).
+ * Native stream kernels embedded in a region are started and fed
+ * through `kStart`/`kFeed`; their output rings are read in place
+ * through `kern`.
  *
  * This struct is mirrored TEXTUALLY into every emitted translation unit
  * (zcgen/emit.cc, kPreamble) — keep the two in lock-step and bump
@@ -24,9 +27,22 @@
 namespace ziria {
 namespace zcgen {
 
-constexpr int kZrAbiVersion = 1;
+constexpr int kZrAbiVersion = 2;
 
 extern "C" {
+
+/**
+ * The output ring of one native kernel embedded in the region, as the
+ * host left it after its last KFeed: generated code pops elements by
+ * advancing `head` and tests `finished` without a call.
+ */
+struct ZrKernel
+{
+    const uint8_t* ring;    ///< buffered output elements
+    uint64_t head;          ///< bytes already popped
+    uint64_t size;          ///< bytes buffered
+    uint64_t finished;      ///< the kernel (a computer) has halted
+};
 
 struct ZrCtx
 {
@@ -51,6 +67,12 @@ struct ZrCtx
     void (*trapMsg)(void* host, const char* msg);
     void (*trapIndex)(void* host, int64_t k, int64_t n);
     void (*trapSlice)(void* host, int64_t k, int64_t kEnd, int64_t n);
+
+    // Native kernels (KStart/KFeed): the host owns the instances, so
+    // these are the kernel calls themselves, not host bridges.
+    ZrKernel* kern;         ///< per-kernel output rings
+    void (*kStart)(void* host, int32_t k);
+    void (*kFeed)(void* host, int32_t k, const uint8_t* in);
 };
 
 /** Signature of a generated region entry point. */

@@ -1252,6 +1252,25 @@ class RegionEmitter
                ");");
             ln("goto " + next + ";");
             break;
+          case Op::KStart:
+            ln("zc->kStart(zc->host, " + num(i.fn) + ");");
+            ln("goto " + next + ";");
+            break;
+          case Op::KNext:
+            ln("ZrKernel* kk = &zc->kern[" + num(i.fn) + "];");
+            ln("if (kk->head < kk->size) {");
+            ln("  memcpy(" + loc(i.a) + ", kk->ring + kk->head, " +
+               num(i.b) + "); kk->head += " + num(i.b) + "; goto " +
+               next + ";");
+            ln("}");
+            ln("if (kk->finished) goto " + label(i.d) + ";");
+            ln("goto " + label(i.c) + ";");
+            break;
+          case Op::KFeed:
+            ln("zc->kFeed(zc->host, " + num(i.fn) + ", " + loc(i.a) +
+               ");");
+            ln("goto " + next + ";");
+            break;
           case Op::Copy:
             ln("memcpy(" + loc(i.a) + ", " + loc(i.b) + ", " + num(i.c) +
                ");");
@@ -1373,6 +1392,12 @@ using std::memmove;
 using std::memset;
 
 extern "C" {
+struct ZrKernel {
+    const uint8_t* ring;
+    uint64_t head;
+    uint64_t size;
+    uint64_t finished;
+};
 struct ZrCtx {
     uint8_t* fr;
     uint8_t* st;
@@ -1394,8 +1419,11 @@ struct ZrCtx {
     void (*trapMsg)(void* host, const char* msg);
     void (*trapIndex)(void* host, int64_t k, int64_t n);
     void (*trapSlice)(void* host, int64_t k, int64_t kEnd, int64_t n);
+    ZrKernel* kern;
+    void (*kStart)(void* host, int32_t k);
+    void (*kFeed)(void* host, int32_t k, const uint8_t* in);
 };
-int zr_abi(void) { return 1; }
+int zr_abi(void) { return 2; }
 } // extern "C"
 
 static inline void zr_trap_msg(ZrCtx* zc, const char* m)

@@ -244,10 +244,12 @@ FaultySink::put(const uint8_t* elem)
         }
         break;
       case FaultSpec::Kind::Stall:
+        // A stall delays the element, never drops it: the pipeline
+        // counts a returned put() as delivered, so a watchdog cancel
+        // only cuts the sleep short.
         if (shouldFire()) {
             countInjection("stall");
-            if (cancellableSleep(spec_.stallMs, cancelled_))
-                return;
+            cancellableSleep(spec_.stallMs, cancelled_);
         }
         break;
       case FaultSpec::Kind::None:

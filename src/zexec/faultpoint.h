@@ -116,7 +116,10 @@ class FaultySource : public InputSource
 /**
  * OutputSink decorator applying one FaultSpec.  Truncate becomes a
  * short *write*: elements from tick K on are silently dropped (the
- * stream keeps flowing, the capture file is short).
+ * stream keeps flowing, the capture file is short).  A stall sleeps
+ * before writing the element (cancel() cuts the sleep short); the
+ * element is still written, since every put() that returns counts as
+ * delivered.
  */
 class FaultySink : public OutputSink
 {

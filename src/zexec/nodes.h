@@ -209,6 +209,26 @@ class FilterNode : public ExecNode
     bool pending_ = false;
 };
 
+/** Appends every emitted element to a byte ring (a kernel's output). */
+class RingEmitter : public Emitter
+{
+  public:
+    RingEmitter(std::vector<uint8_t>& ring, size_t width)
+        : ring_(ring), width_(width)
+    {
+    }
+
+    void
+    emit(const uint8_t* elem) override
+    {
+        ring_.insert(ring_.end(), elem, elem + width_);
+    }
+
+  private:
+    std::vector<uint8_t>& ring_;
+    size_t width_;
+};
+
 /** Adapter running a NativeKernel (FFT, Viterbi, ...) as a node. */
 class NativeNode : public ExecNode
 {
@@ -229,8 +249,6 @@ class NativeNode : public ExecNode
     void restore(Frame& f, StateReader& r) override;
 
   private:
-    class RingEmitter;
-
     Factory factory_;
     std::unique_ptr<NativeKernel> kernel_;
     std::vector<uint8_t> ring_;   ///< buffered output elements

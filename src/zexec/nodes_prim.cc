@@ -295,25 +295,6 @@ FilterNode::supply(Frame& f, const uint8_t* in)
 
 // -------------------------------------------------------------- Native
 
-class NativeNode::RingEmitter : public Emitter
-{
-  public:
-    RingEmitter(std::vector<uint8_t>& ring, size_t width)
-        : ring_(ring), width_(width)
-    {
-    }
-
-    void
-    emit(const uint8_t* elem) override
-    {
-        ring_.insert(ring_.end(), elem, elem + width_);
-    }
-
-  private:
-    std::vector<uint8_t>& ring_;
-    size_t width_;
-};
-
 NativeNode::NativeNode(Factory factory, size_t in_width, size_t out_width,
                        size_t ctrl_width, bool is_computer)
     : factory_(std::move(factory)), isComputer_(is_computer)

@@ -55,6 +55,9 @@ restoreSnapshot(ExecNode& root, Frame& f, FrameRange r,
     if (!frameImg.empty())
         std::memcpy(f.at(r.begin), frameImg.data(), frameImg.size());
     root.restore(f, in);
+    if (!in.atEnd())
+        throw StateFormatError("trailing bytes after the node state "
+                               "(checkpoint from a different program?)");
     metrics::Registry::global().counter("ziria.ckpt.restores").inc();
     return info;
 }

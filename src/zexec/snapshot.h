@@ -70,8 +70,9 @@ std::vector<uint8_t> takeSnapshot(const ExecNode& root, const Frame& f,
 /**
  * Restore @p root + its cells @p r of @p f from a takeSnapshot() image.
  * Throws StateFormatError on bad magic, version skew, a frame image
- * whose size is not the range's, or a truncated stream.  On success the
- * tree's future output is bit-identical to the snapshotted instance's.
+ * whose size is not the range's, or a truncated or over-long stream.
+ * On success the tree's future output is bit-identical to the
+ * snapshotted instance's.
  */
 SnapshotInfo restoreSnapshot(ExecNode& root, Frame& f, FrameRange r,
                              const uint8_t* data, size_t size);

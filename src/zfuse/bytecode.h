@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "zast/comp.h"
 #include "zexpr/compile_expr.h"
 #include "zexpr/lut.h"
 
@@ -62,6 +63,10 @@ enum class Op : uint8_t {
     EvalInt,      ///< fn=intFns index, a=reg
     Action,       ///< fn=actions index
     Lut,          ///< fn=luts index, a=retDst
+    // --- native kernels (NativeNode's state machine, inline) ----------
+    KStart,       ///< fn=kernel: make it from its staged args, empty ring
+    KNext,        ///< fn=kernel, a=dst, b=width, c=needPc, d=donePc
+    KFeed,        ///< fn=kernel, a=src: consume one element
     // --- data movement ------------------------------------------------
     Copy,         ///< a=dst, b=src, c=width
     Zero,         ///< a=dst, b=width
@@ -98,6 +103,24 @@ struct FuseChannel
     uint32_t width = 0;   ///< element byte width
 };
 
+/**
+ * One native stream block embedded in a region (a `KStart`/`KNext`/
+ * `KFeed` group).  FusedNode owns the running instance and its output
+ * ring; the program only says how to make one and where its staged
+ * arguments and control value live in the state block.
+ */
+struct FuseKernel
+{
+    std::shared_ptr<const NativeBlockSpec> spec;
+    std::vector<TypePtr> argTypes;
+    std::vector<uint32_t> argOffs;  ///< state-block staging, per argument
+    uint32_t ctrlOff = 0;           ///< state-block copy of ctrl()
+    size_t inWidth = 0;
+    size_t outWidth = 0;
+    size_t ctrlWidth = 0;
+    bool isComputer = false;
+};
+
 /** A lowered program plus the closure tables it indexes into. */
 struct FuseProgram
 {
@@ -113,6 +136,7 @@ struct FuseProgram
     std::vector<EvalInt> intFns;
     std::vector<ziria::Action> actions;
     std::vector<std::shared_ptr<CompiledLut>> luts;
+    std::vector<FuseKernel> kernels;
 
     /**
      * Source ASTs for the closure tables, index-parallel with

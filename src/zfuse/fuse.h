@@ -5,9 +5,10 @@
  * `buildNodeFused` is the fused counterpart of `buildNode`
  * (zexec/pipeline.cc): it walks the optimized computation tree, lowers
  * every maximal *fusible* subtree into one FusedNode (a flat bytecode
- * program, zfuse/bytecode.h), and falls back to ordinary VM nodes for
- * the constructs it cannot fuse — native stream blocks and `|>>>|`
- * boundaries — joining fused regions with the usual combinator nodes.
+ * program, zfuse/bytecode.h), and falls back to ordinary VM nodes only
+ * above `|>>>|` boundaries, joining fused regions with the usual
+ * combinator nodes.  Native stream blocks (FFT, Viterbi, ...) fuse:
+ * the region runs their kernels inline.
  * The result sits behind the ExecNode interface, so tracing, frame
  * spans, fault injection, supervised restart and zserve sessions
  * compose unchanged, and `reset()` re-zeroes the fused state block
@@ -46,10 +47,10 @@ struct FuseStats
 };
 
 /**
- * Can this whole subtree be lowered to fused bytecode?  False for
- * native blocks (opaque kernels drive their own emission) and for
- * `|>>>|`-marked pipes (a thread boundary must stay a real node so the
- * threaded driver can split it); recursively true otherwise.
+ * Can this whole subtree be lowered to fused bytecode?  False only for
+ * `|>>>|`-marked pipes (a thread boundary must stay a real node so
+ * ThreadedPipeline can split it) and unelaborated computation calls;
+ * recursively true otherwise.
  */
 bool fusibleComp(const CompPtr& c);
 
@@ -88,7 +89,9 @@ NodePtr buildNodeFused(const CompPtr& c, ExprCompiler& ec,
  * continuations below, plus the parked bytecode pc, spins and out/ctrl
  * pointers held in the ZrCtx the generated code reads and writes
  * (zcgen/abi.h).  Snapshots are therefore identical whichever engine
- * runs the region, and interchangeable between the two.
+ * runs the region, and interchangeable between the two.  The node also
+ * owns the running instances of the program's native kernels and their
+ * output rings; both engines reach them through the same ZrCtx entries.
  */
 class FusedNode : public ExecNode
 {
@@ -114,7 +117,10 @@ class FusedNode : public ExecNode
      * enumerable from the instruction stream, so frame coverage comes
      * from the snapshot container's frame image (the whole frame, or a
      * `|>>>|` stage's FrameRange), not from this node
-     * (docs/ROBUSTNESS.md, "Checkpointing & migration").
+     * (docs/ROBUSTNESS.md, "Checkpointing & migration").  A region with
+     * native kernels appends, per kernel, whether it is running, its
+     * finished flag, its output ring and NativeKernel::snapshot; a
+     * kernel-free region's image carries nothing more.
      */
     void snapshot(const Frame& f, StateWriter& w) const override;
     void restore(Frame& f, StateReader& r) override;
@@ -125,7 +131,25 @@ class FusedNode : public ExecNode
 
     const zfuse::FuseProgram& program() const { return *prog_; }
 
+    /** Count kernel @p k's consume calls and outputs into @p nm. */
+    void setKernelMetrics(size_t k, NodeMetrics* nm)
+    {
+        kern_[k].metrics = nm;
+    }
+
   private:
+    /** The running instance of one of program().kernels. */
+    struct KernelSlot
+    {
+        std::unique_ptr<NativeKernel> kernel;  ///< null until KStart
+        std::vector<uint8_t> ring;             ///< ZrKernel::ring's bytes
+        NodeMetrics* metrics = nullptr;
+    };
+
+    void kernelStart(int32_t k);
+    void kernelFeed(int32_t k, const uint8_t* in);
+    std::unique_ptr<NativeKernel> makeKernel(int32_t k) const;
+
     uint8_t* loc(Frame& f, uint32_t enc)
     {
         return (enc & zfuse::kFrameBit)
@@ -142,6 +166,8 @@ class FusedNode : public ExecNode
     static void cbTrapIndex(void* host, int64_t k, int64_t n);
     static void cbTrapSlice(void* host, int64_t k, int64_t kEnd,
                             int64_t n);
+    static void cbKStart(void* host, int32_t k);
+    static void cbKFeed(void* host, int32_t k, const uint8_t* in);
 
     std::shared_ptr<const zfuse::FuseProgram> prog_;
     std::vector<int64_t> regs_;
@@ -149,6 +175,8 @@ class FusedNode : public ExecNode
     std::vector<uint32_t> chProdPc_;
     std::vector<uint32_t> chConsPc_;
     std::vector<uint8_t> chFull_;
+    std::vector<KernelSlot> kern_;
+    std::vector<zcgen::ZrKernel> kview_;  ///< per-kernel ring cursors
     /** Points at the arrays above, which therefore never reallocate. */
     zcgen::ZrCtx ctx_;
     Frame* curFrame_ = nullptr;  ///< frame of the running compiled call

@@ -28,6 +28,7 @@
 #include <cstring>
 
 #include "support/panic.h"
+#include "zexec/nodes.h"
 #include "ztype/value.h"
 
 namespace ziria {
@@ -50,6 +51,8 @@ FusedNode::FusedNode(std::shared_ptr<const FuseProgram> prog)
     chProdPc_.resize(prog_->channels.size(), 0);
     chConsPc_.resize(prog_->channels.size(), 0);
     chFull_.resize(prog_->channels.size(), 0);
+    kern_.resize(prog_->kernels.size());
+    kview_.resize(prog_->kernels.size(), zcgen::ZrKernel{});
     setInWidth(prog_->inWidth);
     setOutWidth(prog_->outWidth);
     setCtrlWidth(prog_->ctrlWidth);
@@ -69,6 +72,9 @@ FusedNode::FusedNode(std::shared_ptr<const FuseProgram> prog)
     ctx_.trapMsg = &FusedNode::cbTrapMsg;
     ctx_.trapIndex = &FusedNode::cbTrapIndex;
     ctx_.trapSlice = &FusedNode::cbTrapSlice;
+    ctx_.kern = kview_.data();
+    ctx_.kStart = &FusedNode::cbKStart;
+    ctx_.kFeed = &FusedNode::cbKFeed;
 }
 
 void
@@ -87,10 +93,88 @@ FusedNode::start(Frame&)
     std::fill(chProdPc_.begin(), chProdPc_.end(), 0);
     std::fill(chConsPc_.begin(), chConsPc_.end(), 0);
     std::fill(chFull_.begin(), chFull_.end(), 0);
+    for (KernelSlot& ks : kern_) {
+        ks.kernel.reset();
+        ks.ring.clear();
+    }
+    std::fill(kview_.begin(), kview_.end(), zcgen::ZrKernel{});
     ctx_.pc = 0;
     ctx_.spins = 0;
     ctx_.outPtr = nullptr;
     ctx_.ctrlPtr = nullptr;
+}
+
+// ---- native kernels ---------------------------------------------------
+//
+// NativeNode's state machine (zexec/nodes_prim.cc), split across the
+// KStart/KNext/KFeed ops: start() == KStart, advance() == KNext (drain
+// the ring, then Done once finished, else NeedInput), supply() ==
+// KFeed.  Only the ring cursor lives in the ZrCtx-visible view, so
+// compiled code pops elements without a call.
+
+std::unique_ptr<NativeKernel>
+FusedNode::makeKernel(int32_t k) const
+{
+    const FuseKernel& fk = prog_->kernels[k];
+    std::vector<Value> args;
+    args.reserve(fk.argTypes.size());
+    for (size_t i = 0; i < fk.argTypes.size(); ++i) {
+        Value v = Value::zeroOf(fk.argTypes[i]);
+        std::memcpy(v.data(), state_.data() + fk.argOffs[i],
+                    fk.argTypes[i]->byteWidth());
+        args.push_back(std::move(v));
+    }
+    return fk.spec->make(args);
+}
+
+void
+FusedNode::kernelStart(int32_t k)
+{
+    KernelSlot& ks = kern_[k];
+    ks.kernel = makeKernel(k);
+    ks.ring.clear();
+    kview_[k] = zcgen::ZrKernel{};
+}
+
+void
+FusedNode::kernelFeed(int32_t k, const uint8_t* in)
+{
+    const FuseKernel& fk = prog_->kernels[k];
+    KernelSlot& ks = kern_[k];
+    zcgen::ZrKernel& v = kview_[k];
+    // KNext feeds only a drained ring, so nothing buffered is lost; the
+    // view is emptied first in case consume() throws.
+    ks.ring.clear();
+    v.head = v.size = 0;
+    RingEmitter em(ks.ring, fk.outWidth);
+    if (ks.kernel->consume(in, em)) {
+        ZIRIA_ASSERT(fk.isComputer, "transformer kernel claimed completion");
+        const std::vector<uint8_t>& c = ks.kernel->ctrl();
+        ZIRIA_ASSERT(c.size() == fk.ctrlWidth,
+                     "native control value width mismatch");
+        std::memcpy(state_.data() + fk.ctrlOff, c.data(), c.size());
+        v.finished = 1;
+    }
+    v.ring = ks.ring.data();
+    v.head = 0;
+    v.size = ks.ring.size();
+    if (ks.metrics) {
+        ++ks.metrics->supplies;
+        if (fk.outWidth)
+            ks.metrics->yields += v.size / fk.outWidth;
+    }
+}
+
+void
+FusedNode::cbKStart(void* host, int32_t k)
+{
+    static_cast<FusedNode*>(host)->kernelStart(k);
+}
+
+void
+FusedNode::cbKFeed(void* host, int32_t k, const uint8_t* in)
+{
+    static_cast<FusedNode*>(host)->kernelFeed(k, in);
 }
 
 // ---- host callbacks from generated code ------------------------------
@@ -213,6 +297,15 @@ FusedNode::snapshot(const Frame& f, StateWriter& w) const
     w.u64(ctrlWidth_);  // the Ctrl op mutates it at run time
     writePtrTag(w, ctx_.outPtr, f, state_);
     writePtrTag(w, ctx_.ctrlPtr, f, state_);
+    for (size_t k = 0; k < kern_.size(); ++k) {
+        const KernelSlot& ks = kern_[k];
+        w.u8(ks.kernel ? 1 : 0);
+        w.u8(kview_[k].finished ? 1 : 0);
+        w.u64(kview_[k].head);
+        w.blob(ks.ring.data(), ks.ring.size());
+        if (ks.kernel)
+            ks.kernel->snapshot(w);
+    }
 }
 
 void
@@ -250,6 +343,39 @@ FusedNode::restore(Frame& f, StateReader& r)
     ctx_.ctrlWidth = ctrlWidth_;
     ctx_.outPtr = readPtrTag(r, f, state_, outWidth());
     ctx_.ctrlPtr = readPtrTag(r, f, state_, ctrlWidth_);
+    for (size_t k = 0; k < kern_.size(); ++k) {
+        const FuseKernel& fk = prog_->kernels[k];
+        KernelSlot& ks = kern_[k];
+        bool live = r.u8() != 0;
+        bool finished = r.u8() != 0;
+        uint64_t head = r.u64();
+        std::vector<uint8_t> ring = r.blob();
+        // Untrusted on the zserve migration path: KNext copies outWidth
+        // bytes at head, so the ring and cursor must stay element-
+        // aligned and in bounds, as NativeNode::restore checks.
+        const size_t ow = fk.outWidth;
+        if (ow == 0 ? (head != 0 || !ring.empty())
+                    : (ring.size() % ow != 0 || head % ow != 0 ||
+                       head > ring.size()))
+            throw StateFormatError("native output ring out of bounds");
+        if (finished && (!live || !fk.isComputer))
+            throw StateFormatError("finished native kernel out of place");
+        if (!live && !ring.empty())
+            throw StateFormatError("native output ring without kernel");
+        ks.ring = std::move(ring);
+        if (live) {
+            // Re-made from its staged arguments (the state block above),
+            // then the kernel's own state is patched in.
+            ks.kernel = makeKernel(static_cast<int32_t>(k));
+            ks.kernel->restore(r);
+        } else {
+            ks.kernel.reset();
+        }
+        kview_[k].ring = ks.ring.data();
+        kview_[k].head = head;
+        kview_[k].size = ks.ring.size();
+        kview_[k].finished = finished ? 1 : 0;
+    }
 }
 
 void
@@ -295,10 +421,11 @@ FusedNode::advance(Frame& f)
         &&op_TakeExt,   &&op_TakeManyExt, &&op_TakeCh,  &&op_TakeManyCh,
         &&op_EmitExt,   &&op_EmitChSig,   &&op_EmitCh,  &&op_EmitsExt,
         &&op_EmitsCh,   &&op_EvalInto,    &&op_EvalInt, &&op_Action,
-        &&op_Lut,       &&op_Copy,        &&op_Zero,    &&op_LoadByte,
-        &&op_SetReg,    &&op_IvWrite,     &&op_Jmp,     &&op_Jz,
-        &&op_JgeRR,     &&op_TimesStep,   &&op_PipeInit, &&op_Spin,
-        &&op_Ctrl,      &&op_Halt,
+        &&op_Lut,       &&op_KStart,      &&op_KNext,   &&op_KFeed,
+        &&op_Copy,      &&op_Zero,        &&op_LoadByte, &&op_SetReg,
+        &&op_IvWrite,   &&op_Jmp,         &&op_Jz,      &&op_JgeRR,
+        &&op_TimesStep, &&op_PipeInit,    &&op_Spin,    &&op_Ctrl,
+        &&op_Halt,
     };
 #define OP(name) op_##name:
 #define NEXT() goto* kJump[static_cast<size_t>(code[pc].op)]
@@ -448,6 +575,32 @@ FusedNode::advance(Frame& f)
     {
         const Instr& i = code[pc];
         prog_->luts[i.fn]->apply(f, loc(f, i.a));
+        ++pc;
+        NEXT();
+    }
+    OP(KStart)
+    {
+        kernelStart(code[pc].fn);
+        ++pc;
+        NEXT();
+    }
+    OP(KNext)
+    {
+        const Instr& i = code[pc];
+        zcgen::ZrKernel& v = kview_[i.fn];
+        if (v.head < v.size) {
+            std::memcpy(loc(f, i.a), v.ring + v.head, i.b);
+            v.head += i.b;
+            ++pc;
+        } else {
+            pc = v.finished ? i.d : i.c;
+        }
+        NEXT();
+    }
+    OP(KFeed)
+    {
+        const Instr& i = code[pc];
+        kernelFeed(i.fn, loc(f, i.a));
         ++pc;
         NEXT();
     }

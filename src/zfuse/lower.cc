@@ -20,6 +20,11 @@
  *               entry (re-running the entry code *is* body->start()).
  *   if/times/while  guards and counters evaluated at exactly the VM's
  *               evaluation points (block entry / loop step).
+ *   native      NativeNode's state machine, inline: the arguments are
+ *               staged and the kernel made at block entry (KSTART);
+ *               KNEXT hands on buffered output first, then completes a
+ *               halted computer, else the element taken next is fed
+ *               to the kernel (KFEED) and the ring is drained again.
  *
  * Expression evaluation reuses the closures the expression VM compiles
  * (zexpr/compile_expr.h) — fusion removes the *machinery* cost (virtual
@@ -47,7 +52,6 @@ bool
 fusibleComp(const CompPtr& c)
 {
     switch (c->kind()) {
-      case CompKind::Native:
       case CompKind::CallComp:
         return false;
       case CompKind::Pipe: {
@@ -77,7 +81,7 @@ fusibleComp(const CompPtr& c)
       case CompKind::LetVar:
         return fusibleComp(static_cast<const LetVarComp&>(*c).body());
       default:
-        return true;  // take/takes/emit/emits/return/map/filter
+        return true;  // take/takes/emit/emits/return/map/filter/native
     }
 }
 
@@ -705,9 +709,72 @@ class Lowerer
             break;
           }
           case CompKind::Native:
+            lowerNative(static_cast<const NativeComp&>(*c), ctx);
+            break;
           case CompKind::CallComp:
             panic("non-fusible computation reached the fused lowerer");
         }
+    }
+
+    void
+    lowerNative(const NativeComp& n, const Ctx& ctx)
+    {
+        const CompType& ct = n.spec()->ctype;
+        FuseKernel k;
+        k.spec = n.spec();
+        k.inWidth = widthOf(ct.in);
+        k.outWidth = widthOf(ct.out);
+        k.isComputer = ct.isComputer;
+        k.ctrlWidth = ct.isComputer ? widthOf(ct.ctrl) : 0;
+        for (const auto& a : n.args()) {
+            uint32_t off = newStage(a->type()->byteWidth());
+            evalInto(a, off);
+            k.argTypes.push_back(a->type());
+            k.argOffs.push_back(off);
+        }
+        k.ctrlOff = newStage(k.ctrlWidth);
+        const int32_t idx = static_cast<int32_t>(prog_->kernels.size());
+        prog_->kernels.push_back(std::move(k));
+        // Nothing below adds a kernel, so the reference stays valid.
+        const FuseKernel& fk = prog_->kernels.back();
+
+        Instr ks{Op::KStart};
+        ks.fn = idx;
+        emit(ks);
+        uint32_t in = newStage(fk.inWidth);
+        uint32_t dst = outDst(ctx, fk.outWidth);
+        int nextL = newLabel();
+        int needL = newLabel();
+        int doneL = newLabel();
+        bind(nextL);
+        Instr kn{Op::KNext};
+        kn.fn = idx;
+        kn.a = dst;
+        kn.b = static_cast<uint32_t>(fk.outWidth);
+        uint32_t at = emit(kn);
+        fixups_.push_back({at, 2, needL});
+        fixups_.push_back({at, 3, doneL});
+        sendOut(ctx, dst);
+        emitRef({Op::Jmp}, 0, nextL);
+        bind(needL);
+        takeInto(ctx, in, fk.inWidth);
+        Instr kf{Op::KFeed};
+        kf.fn = idx;
+        kf.a = in;
+        emit(kf);
+        emitRef({Op::Jmp}, 0, nextL);
+        bind(doneL);
+        // A halted computer's ctrl() was copied to its state slot.
+        uint32_t src = fk.ctrlWidth ? fk.ctrlOff : kNoLoc;
+        if (fk.ctrlWidth && ctx.ctrlDst != kNoLoc) {
+            Instr cp{Op::Copy};
+            cp.a = ctx.ctrlDst;
+            cp.b = fk.ctrlOff;
+            cp.c = static_cast<uint32_t>(fk.ctrlWidth);
+            emit(cp);
+            src = ctx.ctrlDst;
+        }
+        tail(ctx, src, fk.ctrlWidth);
     }
 
     ExprCompiler& ec_;
@@ -794,6 +861,18 @@ RegionWalk::build(const CompPtr& c, const std::string& path)
             ++stats->nodes;
         auto node =
             std::make_unique<FusedNode>(lowerFused(c, ec, opt, stats, fstats));
+        if (opt.instrument && opt.metrics) {
+            // One row per embedded kernel, so profiles still show the
+            // FFT or the Viterbi by name once it sits inside a region.
+            const auto& ks = node->program().kernels;
+            for (size_t i = 0; i < ks.size(); ++i) {
+                NodeMetrics& nm = opt.metrics->addNode(
+                    path + "/k" + std::to_string(i), "native");
+                nm.inWidth = ks[i].inWidth;
+                nm.outWidth = ks[i].outWidth;
+                node->setKernelMetrics(i, &nm);
+            }
+        }
         if (fstats)
             ++fstats->nodesFused;
         metrics::Registry::global()
@@ -804,12 +883,8 @@ RegionWalk::build(const CompPtr& c, const std::string& path)
         return finishNode(std::move(node), c, opt, path, regionKind);
     }
 
-    // Not fusible at this level: build the VM combinator here and fuse
-    // maximal subtrees underneath it.
-    if (c->kind() == CompKind::Native) {
-        countFallback(fstats);
-        return buildNode(c, ec, opt, stats, path);
-    }
+    // Not fusible at this level (a `|>>>|` below): build the VM
+    // combinator here and fuse maximal subtrees underneath it.
     if (stats)
         ++stats->nodes;
     countFallback(fstats);
@@ -923,6 +998,9 @@ opName(Op op)
       case Op::EvalInt: return "eval.int";
       case Op::Action: return "action";
       case Op::Lut: return "lut";
+      case Op::KStart: return "k.start";
+      case Op::KNext: return "k.next";
+      case Op::KFeed: return "k.feed";
       case Op::Copy: return "copy";
       case Op::Zero: return "zero";
       case Op::LoadByte: return "loadb";
@@ -1007,6 +1085,17 @@ FuseProgram::disassemble() const
             break;
           case Op::Lut:
             os << " lut" << in.fn << " -> " << locStr(in.a);
+            break;
+          case Op::KStart:
+            os << " k" << in.fn << " "
+               << kernels[static_cast<size_t>(in.fn)].spec->name;
+            break;
+          case Op::KNext:
+            os << " k" << in.fn << " -> " << locStr(in.a) << " w" << in.b
+               << " need@" << in.c << " done@" << in.d;
+            break;
+          case Op::KFeed:
+            os << " k" << in.fn << " <- " << locStr(in.a);
             break;
           case Op::Copy:
             os << " " << locStr(in.a) << " <- " << locStr(in.b) << " w"

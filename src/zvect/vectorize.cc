@@ -124,7 +124,7 @@ class Vectorizer
                 return;
             }
             set.index.emplace(key, set.cands.size());
-            set.cands.push_back(std::move(c));
+            keep(set, std::move(c));
             return;
         }
         if (static_cast<long>(set.size()) >= cfg_.candidateCap) {
@@ -132,6 +132,15 @@ class Vectorizer
                 stats_->capped = true;
             return;
         }
+        keep(set, std::move(c));
+    }
+
+    /** A candidate that survives local pruning (and the cap). */
+    void
+    keep(CandSet& set, Cand c)
+    {
+        if (stats_)
+            ++stats_->kept;
         set.cands.push_back(std::move(c));
     }
 
@@ -592,13 +601,7 @@ CompPtr
 vectorizeComp(const CompPtr& root, const VectConfig& cfg, VectStats* stats)
 {
     Vectorizer v(cfg, stats);
-    CompPtr out = v.run(root);
-    if (stats) {
-        // kept is approximated by generated under pruning elsewhere; the
-        // caller derives ratios from generated/capped.
-        stats->kept = stats->generated;
-    }
-    return out;
+    return v.run(root);
 }
 
 } // namespace ziria

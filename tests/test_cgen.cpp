@@ -45,6 +45,7 @@
 #include "support/metrics.h"
 #include "support/panic.h"
 #include "support/rng.h"
+#include "support/shapes.h"
 #include "wifi/blocks_tx.h"
 #include "wifi/rx.h"
 #include "wifi/tx.h"
@@ -60,8 +61,10 @@ using namespace zb;
 using namespace wifi;
 using difftest::DiffConfig;
 using difftest::runDifferential;
+using testsupport::burstBlock;
+using testsupport::incBlock;
 using testsupport::intBytes;
-using testsupport::throwAtBlock;
+using testsupport::sumNBlock;
 using zgen::GenConfig;
 using zgen::GenDomain;
 using zgen::GenProgram;
@@ -118,14 +121,6 @@ scribbleFile(const std::string& path, const std::string& contents)
 
 // ------------------------------------------------------------ helpers
 
-CompPtr
-incBlock(int32_t delta)
-{
-    VarRef x = freshVar("x", Type::int32());
-    return repeatc(seqc({bindc(x, take(Type::int32())),
-                         just(emit(var(x) + delta))}));
-}
-
 CompilerOptions
 nativeConf(OptLevel lvl = OptLevel::None)
 {
@@ -135,8 +130,9 @@ nativeConf(OptLevel lvl = OptLevel::None)
 }
 
 /** A minimal valid translation unit for direct compileUnit tests. */
-const char* const kToySource =
-    "extern \"C\" int zr_abi(void) { return 1; }\n"
+const std::string kToySource =
+    "extern \"C\" int zr_abi(void) { return " +
+    std::to_string(zcgen::kZrAbiVersion) + "; }\n"
     "extern \"C\" int zr_toy(int x) { return x + 41; }\n";
 
 // ------------------------------------------------- matrix shape/axes
@@ -208,26 +204,30 @@ TEST(NativeLowering, WholeProgramBecomesOneNativeRegion)
     EXPECT_EQ(p->runBytes(bytes), vm->runBytes(bytes));
 }
 
-TEST(NativeLowering, NativeBlockFallsBackInsideNativeTree)
+TEST(NativeLowering, NativeBlockJoinsNativeRegion)
 {
-    // cgen >>> native block: the pipe spine stays on the VM, the left
-    // child becomes a compiled region, the native leaf runs as-is.
+    // cgen >>> native block >>> cgen: one compiled region that starts
+    // and feeds the kernel through its ZrCtx entries — no VM spine, and
+    // the kernel calls are not host bridges.
+    auto make = [] {
+        return pipe(incBlock(1), pipe(burstBlock(), incBlock(10)));
+    };
     CompileReport rep;
-    auto p = compilePipeline(
-        pipe(incBlock(1), throwAtBlock(uint64_t(1) << 62)),
-        nativeConf(), &rep);
+    auto p = compilePipeline(make(), nativeConf(), &rep);
     EXPECT_EQ(rep.fuse.nodesFused, 1);
-    EXPECT_GE(rep.fuse.fallbacks, 2);  // pipe spine + native leaf
+    EXPECT_EQ(rep.fuse.fallbacks, 0);
     EXPECT_EQ(rep.cgen.regions, 1);
+    EXPECT_EQ(rep.cgen.hostBridges, 0);
 
     std::vector<int32_t> in(64);
     for (size_t i = 0; i < in.size(); ++i)
         in[i] = static_cast<int32_t>(i);
     auto bytes = intBytes(in);
-    auto vm = compilePipeline(
-        pipe(incBlock(1), throwAtBlock(uint64_t(1) << 62)),
-        CompilerOptions::forLevel(OptLevel::None));
-    EXPECT_EQ(p->runBytes(bytes), vm->runBytes(bytes));
+    auto vm = compilePipeline(make(),
+                              CompilerOptions::forLevel(OptLevel::None));
+    auto want = vm->runBytes(bytes);
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(p->runBytes(bytes), want);
 }
 
 TEST(NativeLowering, ThreadedPartitionsBecomeSeparateRegions)
@@ -290,6 +290,32 @@ checkNativeSeed(const GenConfig& cfg, uint64_t seed, size_t elems)
     EXPECT_EQ(outcome.configsRun, 24);
     EXPECT_GT(outcome.baselineBytes, 0u)
         << "seed=" << seed << " " << prog.describe;
+}
+
+TEST(NativeKernels, KernelsInRegionsAgreeAcrossMatrix)
+{
+    // A stateful 0-2-outputs-per-input transformer feeding a native
+    // computer re-made from a seq binder every iteration, between fused
+    // stages: every backend, opt tier and vectorization setting must
+    // reproduce the VM byte for byte.
+    auto make = [] {
+        VarRef n = freshVar("n", Type::int32());
+        VarRef s = freshVar("s", Type::int32());
+        return pipe(
+            pipe(incBlock(1), burstBlock()),
+            repeatc(seqc({bindc(n, take(Type::int32())),
+                          bindc(s, sumNBlock(var(n) % 3 + 1)),
+                          just(emit(var(s)))})));
+    };
+    std::vector<int32_t> in(1024);
+    for (size_t i = 0; i < in.size(); ++i)
+        in[i] = static_cast<int32_t>(i * 37 % 101);
+    auto outcome = runDifferential(make, intBytes(in),
+                                   difftest::nativeMatrix(),
+                                   "burst >>> sumN computer");
+    EXPECT_TRUE(outcome.agree) << outcome.report;
+    EXPECT_EQ(outcome.configsRun, 24);
+    EXPECT_GT(outcome.baselineBytes, 0u);
 }
 
 class NativeBitPrograms : public ::testing::TestWithParam<int>
@@ -590,7 +616,7 @@ TEST(CgenCache, DifferentSourceMissesWithDifferentKey)
 
     auto a = zcgen::compileUnit(kToySource, dir);
     ASSERT_NE(a.lib, nullptr) << a.error;
-    std::string other = std::string(kToySource) +
+    std::string other = kToySource +
                         "extern \"C\" int zr_toy2(int x) { return x; }\n";
     auto b = zcgen::compileUnit(other, dir);
     ASSERT_NE(b.lib, nullptr) << b.error;

@@ -18,6 +18,9 @@
  */
 #include <algorithm>
 #include <cstring>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -42,12 +45,16 @@
 namespace ziria {
 namespace {
 
+using namespace zb;
 using testsupport::backendName;
+using testsupport::burstBlock;
+using testsupport::incBlock;
 using testsupport::intBytes;
 using testsupport::kAllBackends;
 using testsupport::nativeUnavailable;
 using testsupport::resetShapes;
 using testsupport::Shape;
+using testsupport::throwAtBlock;
 
 [[maybe_unused]] const ::testing::Environment* const kCacheEnv =
     ::testing::AddGlobalTestEnvironment(new testsupport::PrivateCgenCache);
@@ -444,6 +451,172 @@ TEST(SnapshotRoundTrip, FusedAndNativeSnapshotsInterchange)
             }
         }
     }
+}
+
+TEST(SnapshotRoundTrip, KernelRingSurvivesBetweenYields)
+{
+    // burst emits two elements for every third input, so stopping right
+    // after the first of them leaves the second buffered in the kernel's
+    // output ring.  Snapshot after each of the first yields (several of
+    // them mid-burst), restore into a dirtied instance of the same or
+    // the other region engine, and the continuation must match an
+    // uninterrupted run.
+    auto make = [] { return pipe(incBlock(1), burstBlock()); };
+    std::vector<int32_t> in(24);
+    for (size_t i = 0; i < in.size(); ++i)
+        in[i] = static_cast<int32_t>(i);
+    auto bytes = intBytes(in);
+    auto compile = [&](Backend be) {
+        CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
+        opt.backend = be;
+        return compilePipeline(make(), opt);
+    };
+    const std::pair<Backend, Backend> moves[] = {
+        {Backend::Vm, Backend::Vm},
+        {Backend::Fused, Backend::Fused},
+        {Backend::Fused, Backend::Native},
+        {Backend::Native, Backend::Fused},
+        {Backend::Native, Backend::Native},
+    };
+    for (const auto& [from, to] : moves) {
+        if (nativeUnavailable(from) || nativeUnavailable(to))
+            continue;
+        auto ref = compile(to);
+        auto whole = driveUpTo(*ref, bytes, 0, SIZE_MAX, true);
+        for (size_t k = 1; k <= 8; ++k) {
+            SCOPED_TRACE(std::string(backendName(from)) + " -> " +
+                         backendName(to) + " after yield " +
+                         std::to_string(k));
+            auto src = compile(from);
+            ExecNode& root = src->root();
+            Frame& f = src->frame();
+            root.start(f);
+            size_t consumed = 0;
+            std::vector<uint8_t> head;
+            while (head.size() < k * 4) {
+                Status s = root.advance(f);
+                if (s == Status::Yield) {
+                    head.insert(head.end(), root.out(), root.out() + 4);
+                } else {
+                    ASSERT_EQ(s, Status::NeedInput);
+                    root.supply(f, bytes.data() + consumed * 4);
+                    ++consumed;
+                }
+            }
+            auto snap = takeSnapshot(root, f, cells(*src), consumed, k);
+
+            auto dst = compile(to);
+            driveUpTo(*dst, bytes, 0, SIZE_MAX, /*init=*/true);
+            restoreSnapshot(dst->root(), dst->frame(), cells(*dst), snap);
+            auto got = driveUpTo(*dst, bytes, consumed, SIZE_MAX,
+                                 /*init=*/false);
+            head.insert(head.end(), got.out.begin(), got.out.end());
+            EXPECT_EQ(head, whole.out);
+        }
+    }
+}
+
+// ---------------------------------- checkpoints from an earlier build
+//
+// tests/data/ckpt/*.zck were written by the build before native kernels
+// joined fused regions: each program below compiled at --opt none on
+// the backend in the file name, started, fed inputs 1, 4, 7, ... (3i+1)
+// until parked on NeedInput after 20 of them, and snapshotted with
+// consumed = emitted = 20.
+
+CompPtr
+fixtureKernelFree()
+{
+    VarRef acc = freshVar("acc", Type::int32());
+    VarRef x = freshVar("x", Type::int32());
+    return pipe(incBlock(1),
+                letvar(acc, cInt(0),
+                       repeatc(seqc({bindc(x, take(Type::int32())),
+                                     just(doS({assign(var(acc),
+                                                      var(acc) + var(x))})),
+                                     just(emit(var(acc)))}))));
+}
+
+CompPtr
+fixtureWithKernel()
+{
+    return pipe(incBlock(1), throwAtBlock(uint64_t(1) << 62));
+}
+
+std::vector<uint8_t>
+readFixture(const std::string& name)
+{
+    std::ifstream f(std::string(ZIRIA_TEST_DATA_DIR "/ckpt/") + name,
+                    std::ios::binary);
+    EXPECT_TRUE(f.good()) << "missing fixture " << name;
+    return std::vector<uint8_t>((std::istreambuf_iterator<char>(f)),
+                                std::istreambuf_iterator<char>());
+}
+
+/**
+ * Restore fixture @p name into a fresh @p make() on @p be: the image is
+ * exactly what this build writes for the restored state, and the run
+ * continues as an uninterrupted one would.
+ */
+void
+expectFixtureRestores(const std::string& name,
+                      const std::function<CompPtr()>& make, Backend be)
+{
+    SCOPED_TRACE(name);
+    auto img = readFixture(name);
+    ASSERT_FALSE(img.empty());
+    CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
+    opt.backend = be;
+    std::vector<int32_t> in(64);
+    for (size_t i = 0; i < in.size(); ++i)
+        in[i] = static_cast<int32_t>(i * 3 + 1);
+    auto bytes = intBytes(in);
+    auto ref = compilePipeline(make(), opt);
+    auto whole = driveUpTo(*ref, bytes, 0, SIZE_MAX, true);
+
+    auto p = compilePipeline(make(), opt);
+    SnapshotInfo info =
+        restoreSnapshot(p->root(), p->frame(), cells(*p), img);
+    ASSERT_EQ(info.consumed, 20u);
+    ASSERT_EQ(info.emitted, 20u);
+    EXPECT_EQ(takeSnapshot(p->root(), p->frame(), cells(*p),
+                           info.consumed, info.emitted),
+              img);
+    auto got = driveUpTo(*p, bytes, info.consumed, SIZE_MAX, false);
+    ASSERT_GE(whole.out.size(), info.emitted * 4);
+    EXPECT_EQ(got.out, std::vector<uint8_t>(
+                           whole.out.begin() +
+                               static_cast<long>(info.emitted * 4),
+                           whole.out.end()));
+}
+
+TEST(SnapshotFixtures, KernelFreeImagesRestoreByteIdentically)
+{
+    // A kernel-free region appends nothing to its image, so images from
+    // before kernels joined regions still restore on every backend.
+    for (Backend be : kAllBackends) {
+        if (nativeUnavailable(be))
+            continue;
+        expectFixtureRestores(
+            std::string("kernel_free.") + backendName(be) + ".zck",
+            fixtureKernelFree, be);
+    }
+}
+
+TEST(SnapshotFixtures, KernelProgramVmImageRestoresFusedImageIsRefused)
+{
+    // The VM tree is unchanged, so its image still restores.  The fused
+    // image describes a VM pipe spine over a region and a NativeNode;
+    // the program is one region now, so restore refuses it loudly.
+    expectFixtureRestores("kernel.vm.zck", fixtureWithKernel, Backend::Vm);
+
+    auto img = readFixture("kernel.fused.zck");
+    ASSERT_FALSE(img.empty());
+    CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
+    opt.backend = Backend::Fused;
+    auto p = compilePipeline(fixtureWithKernel(), opt);
+    EXPECT_THROW(restoreSnapshot(p->root(), p->frame(), cells(*p), img),
+                 StateFormatError);
 }
 
 // --------------------------------------------- WiFi RX mid-packet

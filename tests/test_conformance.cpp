@@ -23,6 +23,8 @@
 #include "channel/channel.h"
 #include "dsp/constellation.h"
 #include "dsp/conv_code.h"
+#include "sora/sora.h"
+#include "support/backends.h"
 #include "support/rng.h"
 #include "wifi/blocks_tx.h"
 #include "wifi/rx.h"
@@ -547,8 +549,8 @@ class FusedRoundTrip : public ::testing::TestWithParam<Rate>
 TEST_P(FusedRoundTrip, FusedTxToFusedRxDecodes)
 {
     // Fused TX -> channel -> fused RX.  The receiver leans on native
-    // blocks (FFT, CCA), so this path also proves the VM-fallback spine
-    // composes with fused regions inside one real pipeline.
+    // blocks (FFT, CCA), so this path also proves kernels run inline in
+    // a fused region inside one real pipeline.
     Rate rate = GetParam();
     Rng rng(600 + static_cast<uint64_t>(rate));
     std::vector<uint8_t> payload(72);
@@ -588,6 +590,89 @@ TEST_P(FusedRoundTrip, FusedTxToFusedRxDecodes)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRates, FusedRoundTrip,
+                         ::testing::Values(Rate::R6, Rate::R9, Rate::R12,
+                                           Rate::R18, Rate::R24, Rate::R36,
+                                           Rate::R48, Rate::R54));
+
+// ------------------------------------------ whole receivers, one region
+//
+// Native kernels (FFT, Viterbi, CCA, ...) run inside fused regions, so
+// the RX data path and the full receiver each lower to ONE region with
+// no VM fallback node.  The fused interpreter and the compiled region
+// must reproduce the VM byte for byte, control value included.  Native
+// runs at --opt all only (the configuration phy_link measures): each
+// data-path rate is a separate cold C++ compile.
+
+[[maybe_unused]] const ::testing::Environment* const kCacheEnv =
+    ::testing::AddGlobalTestEnvironment(new testsupport::PrivateCgenCache);
+
+void
+expectOneRegionMatchesVm(const std::function<CompPtr()>& make,
+                         const std::vector<uint8_t>& in)
+{
+    for (OptLevel lvl : {OptLevel::None, OptLevel::All}) {
+        RunStats vmSt;
+        auto want = compilePipeline(make(), CompilerOptions::forLevel(lvl))
+                        ->runBytes(in, &vmSt);
+        ASSERT_FALSE(want.empty());
+        for (Backend be : {Backend::Fused, Backend::Native}) {
+            if (be == Backend::Native && lvl != OptLevel::All)
+                continue;
+            SCOPED_TRACE(std::string(testsupport::backendName(be)) +
+                         " at level " +
+                         std::to_string(static_cast<int>(lvl)));
+            CompilerOptions opt = CompilerOptions::forLevel(lvl);
+            opt.backend = be;
+            CompileReport rep;
+            auto p = compilePipeline(make(), opt, &rep);
+            EXPECT_EQ(rep.fuse.fallbacks, 0);
+            EXPECT_EQ(rep.fuse.nodesFused, 1);
+            EXPECT_EQ(rep.cgen.fallbacks, 0);
+            RunStats st;
+            EXPECT_EQ(p->runBytes(in, &st), want);
+            EXPECT_EQ(st.halted, vmSt.halted);
+            EXPECT_EQ(st.ctrl, vmSt.ctrl);
+        }
+    }
+}
+
+class FusedRxConformance : public ::testing::TestWithParam<Rate>
+{
+};
+
+TEST_P(FusedRxConformance, DataPathIsOneRegionMatchingVm)
+{
+    Rate rate = GetParam();
+    const int psdu = 100;
+    Rng rng(700 + static_cast<uint64_t>(rate));
+    std::vector<uint8_t> payload(psdu - 4);
+    for (auto& b : payload)
+        b = static_cast<uint8_t>(rng.next());
+    auto samples =
+        sora::txDataSamples(assembleDataBits(payload, rate), rate);
+    expectOneRegionMatchesVm([&] { return wifiRxDataComp(rate, psdu); },
+                             samplesToBytes(samples));
+}
+
+TEST_P(FusedRxConformance, ReceiverIsOneRegionMatchingVm)
+{
+    Rate rate = GetParam();
+    Rng rng(800 + static_cast<uint64_t>(rate));
+    std::vector<uint8_t> payload(60);
+    for (auto& b : payload)
+        b = static_cast<uint8_t>(rng.next());
+    channel::ChannelConfig cfg;
+    cfg.snrDb = 30.0;
+    cfg.delaySamples = 150;
+    cfg.trailSamples = 100;
+    cfg.seed = 900 + static_cast<uint64_t>(rate);
+    auto rxSamples =
+        channel::applyChannel(sora::txFrame(payload, rate), cfg);
+    expectOneRegionMatchesVm([] { return wifiReceiverComp(); },
+                             samplesToBytes(rxSamples));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllRates, FusedRxConformance,
                          ::testing::Values(Rate::R6, Rate::R9, Rate::R12,
                                            Rate::R18, Rate::R24, Rate::R36,
                                            Rate::R48, Rate::R54));

@@ -2,21 +2,20 @@
  * @file
  * Fused-backend tests (ctest labels `tier1;fuse;diff`):
  *
- *  - fusibility classification: what lowers, what falls back
- *    (native blocks, threaded `|>>>|`), and where the boundary sits in
- *    a mixed tree;
+ *  - fusibility classification: what lowers (native blocks too), what
+ *    falls back (threaded `|>>>|`), and where the boundary sits in a
+ *    mixed tree;
  *  - bytecode structure: channel counts, single Halt, disassembly;
  *  - the differential oracle over the fused axis ({O0..O3} x {vec} x
  *    {vm,fused} plus threaded-fused cells) on generated programs —
  *    the VM is the semantics, the fused backend must match bit-exactly;
- *  - reset() re-arm totality of FusedNode over the PR-4
+ *  - reset() re-arm totality of FusedNode over the shared
  *    combinator-shape suite (reset == fresh construction + start);
  *  - composition: tracing decorators and the threaded driver run
  *    unchanged over fused regions.
  */
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "support/diff_runner.h"
 #include "support/fault_injector.h"
 #include "support/metrics.h"
+#include "support/shapes.h"
 #include "zast/builder.h"
 #include "zfuse/fuse.h"
 #include "zgen/generator.h"
@@ -36,19 +36,15 @@ namespace {
 using namespace zb;
 using difftest::DiffConfig;
 using difftest::runDifferential;
+using testsupport::burstBlock;
+using testsupport::incBlock;
 using testsupport::intBytes;
+using testsupport::resetShapes;
+using testsupport::Shape;
 using testsupport::throwAtBlock;
 using zgen::GenConfig;
 using zgen::GenDomain;
 using zgen::GenProgram;
-
-CompPtr
-incBlock(int32_t delta)
-{
-    VarRef x = freshVar("x", Type::int32());
-    return repeatc(seqc({bindc(x, take(Type::int32())),
-                         just(emit(var(x) + delta))}));
-}
 
 CompilerOptions
 fusedOptions(OptLevel lvl = OptLevel::None)
@@ -79,10 +75,14 @@ TEST(Fusibility, PrimitivesAndCombinatorsAreFusible)
     EXPECT_TRUE(fusibleComp(ifc(cInt(1) == 1, incBlock(1), incBlock(2))));
 }
 
-TEST(Fusibility, NativeAndThreadedPipeRefuse)
+TEST(Fusibility, NativeFusesThreadedPipeRefuses)
 {
-    CompPtr nativeBlock = throwAtBlock(uint64_t(1) << 62);
-    EXPECT_FALSE(fusibleComp(nativeBlock));
+    // A native block is an ordinary fusible leaf: its kernel runs
+    // inside the region.
+    EXPECT_TRUE(fusibleComp(throwAtBlock(uint64_t(1) << 62)));
+    EXPECT_TRUE(fusibleComp(repeatc(
+        seqc({just(take(Type::int32())),
+              just(throwAtBlock(uint64_t(1) << 62))}))));
 
     CompPtr mt = ppipe(incBlock(1), incBlock(2));
     EXPECT_FALSE(fusibleComp(mt));
@@ -90,9 +90,6 @@ TEST(Fusibility, NativeAndThreadedPipeRefuse)
     // Non-fusibility propagates to every enclosing combinator...
     EXPECT_FALSE(fusibleComp(pipe(incBlock(1), ppipe(incBlock(2),
                                                      incBlock(3)))));
-    EXPECT_FALSE(fusibleComp(repeatc(
-        seqc({just(take(Type::int32())),
-              just(throwAtBlock(uint64_t(1) << 62))}))));
     // ... but sibling subtrees stay independently fusible.
     EXPECT_TRUE(fusibleComp(incBlock(1)));
 }
@@ -120,28 +117,38 @@ TEST(FusedLowering, WholeProgramBecomesOneFusedNode)
     EXPECT_NE(prog.disassemble().find("pipe.init"), std::string::npos);
 }
 
-TEST(FusedLowering, NativeBlockFallsBackInsideFusedTree)
+TEST(FusedLowering, NativeBlockJoinsFusedRegion)
 {
-    // fused >>> native: the pipe itself cannot fuse, so it becomes a
-    // VM PipeNode with a FusedNode on the left and the native node on
-    // the right — one fused region, fallbacks for the spine + native.
+    // fused >>> native >>> fused: one region, the kernel run inline by
+    // the k.* ops, no VM node left between the stages.
+    auto make = [] {
+        return pipe(incBlock(1), pipe(burstBlock(), incBlock(10)));
+    };
     CompileReport rep;
-    auto p = compilePipeline(
-        pipe(incBlock(1), throwAtBlock(uint64_t(1) << 62)),
-        fusedOptions(), &rep);
+    auto p = compilePipeline(make(), fusedOptions(), &rep);
     EXPECT_EQ(rep.fuse.nodesFused, 1);
-    EXPECT_GE(rep.fuse.fallbacks, 2);  // pipe spine + native leaf
-    EXPECT_EQ(dynamic_cast<FusedNode*>(&p->root()), nullptr);
+    EXPECT_EQ(rep.fuse.fallbacks, 0);
+    EXPECT_EQ(rep.fuse.channels, 2);
+    auto* fn = dynamic_cast<FusedNode*>(&p->root());
+    ASSERT_NE(fn, nullptr);
+    const zfuse::FuseProgram& prog = fn->program();
+    ASSERT_EQ(prog.kernels.size(), 1u);
+    EXPECT_EQ(prog.countOp(zfuse::Op::KStart), 1u);
+    EXPECT_EQ(prog.countOp(zfuse::Op::KNext), 1u);
+    EXPECT_EQ(prog.countOp(zfuse::Op::KFeed), 1u);
+    EXPECT_NE(prog.disassemble().find("k.start k0 Burst"),
+              std::string::npos);
 
-    // It still runs, and matches the VM bit for bit.
+    // It matches the VM bit for bit.
     std::vector<int32_t> in(64);
     for (size_t i = 0; i < in.size(); ++i)
         in[i] = static_cast<int32_t>(i);
     auto bytes = intBytes(in);
-    auto vm = compilePipeline(
-        pipe(incBlock(1), throwAtBlock(uint64_t(1) << 62)),
-        CompilerOptions::forLevel(OptLevel::None));
-    EXPECT_EQ(p->runBytes(bytes), vm->runBytes(bytes));
+    auto vm = compilePipeline(make(),
+                              CompilerOptions::forLevel(OptLevel::None));
+    auto want = vm->runBytes(bytes);
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(p->runBytes(bytes), want);
 }
 
 TEST(FusedLowering, MetricsCountersAdvance)
@@ -289,88 +296,6 @@ consumePartial(Pipeline& p, MemSource& src, size_t elems)
     }
 }
 
-struct Shape
-{
-    const char* name;
-    std::function<CompPtr()> make;
-};
-
-/** The PR-4 combinator-shape suite (test_recovery), fused this time. */
-std::vector<Shape>
-resetShapes()
-{
-    std::vector<Shape> shapes;
-    shapes.push_back({"repeat-bind-emit", [] { return incBlock(1); }});
-    shapes.push_back({"map", [] {
-        VarRef x = freshVar("x", Type::int32());
-        FunRef f = fun("inc3", {x}, {}, var(x) + 3);
-        return mapc(f);
-    }});
-    shapes.push_back({"pipe-maps", [] {
-        VarRef x = freshVar("x", Type::int32());
-        VarRef y = freshVar("y", Type::int32());
-        FunRef f = fun("addA", {x}, {}, var(x) + 5);
-        FunRef g = fun("addB", {y}, {}, var(y) * 2);
-        return pipe(mapc(f), mapc(g));
-    }});
-    shapes.push_back({"pipe-repeats", [] {
-        return pipe(incBlock(1), incBlock(10));
-    }});
-    shapes.push_back({"filter", [] {
-        VarRef x = freshVar("x", Type::int32());
-        FunRef p = fun("odd", {x}, {}, (var(x) % 2) != 0);
-        return filterc(p);
-    }});
-    shapes.push_back({"seq-two-takes", [] {
-        VarRef a = freshVar("a", Type::int32());
-        VarRef b = freshVar("b", Type::int32());
-        return repeatc(seqc({bindc(a, take(Type::int32())),
-                             bindc(b, take(Type::int32())),
-                             just(emit(var(a) + var(b)))}));
-    }});
-    shapes.push_back({"times", [] {
-        VarRef x = freshVar("x", Type::int32());
-        return repeatc(timesc(
-            cInt(4), seqc({bindc(x, take(Type::int32())),
-                           just(emit(var(x) * 2))})));
-    }});
-    shapes.push_back({"while-letvar", [] {
-        VarRef i = freshVar("i", Type::int32());
-        VarRef x = freshVar("x", Type::int32());
-        return letvar(
-            i, cInt(0),
-            whilec(var(i) < 8,
-                   seqc({just(doS({assign(var(i), var(i) + 1)})),
-                         bindc(x, take(Type::int32())),
-                         just(emit(var(x) + 100))})));
-    }});
-    shapes.push_back({"if", [] {
-        return ifc(cInt(1) == 1, incBlock(5), incBlock(7));
-    }});
-    shapes.push_back({"emits", [] {
-        VarRef x = freshVar("x", Type::int32());
-        return repeatc(seqc(
-            {bindc(x, take(Type::int32())),
-             just(emits(arrayLit({var(x), var(x) + 1})))}));
-    }});
-    shapes.push_back({"letvar-accumulator", [] {
-        VarRef acc = freshVar("acc", Type::int32());
-        VarRef x = freshVar("x", Type::int32());
-        return letvar(
-            acc, cInt(0),
-            repeatc(seqc(
-                {bindc(x, take(Type::int32())),
-                 just(doS({assign(var(acc), var(acc) + var(x))})),
-                 just(emit(var(acc)))})));
-    }});
-    shapes.push_back({"native-fallback", [] {
-        // Not fusible: exercises reset() across the VM fallback spine
-        // with the native node below it.
-        return throwAtBlock(uint64_t(1) << 62);
-    }});
-    return shapes;
-}
-
 TEST(FusedResetTotality, ResetAfterPartialRunMatchesFreshRun)
 {
     for (const Shape& sh : resetShapes()) {
@@ -423,6 +348,32 @@ TEST(FusedComposition, TracingWrapsFusedRegions)
             EXPECT_GT(nm.supplies, 0u);
         }
     EXPECT_TRUE(sawFused);
+}
+
+TEST(FusedComposition, TracingListsEmbeddedKernels)
+{
+    // Each kernel inside a region keeps its own profile row: supplies
+    // count consume calls, yields the elements it emitted.
+    CompilerOptions opt = fusedOptions();
+    opt.instrument = true;
+    auto p = compilePipeline(
+        pipe(incBlock(1), pipe(burstBlock(), incBlock(10))), opt);
+    ASSERT_NE(p->metrics(), nullptr);
+
+    std::vector<int32_t> in(30, 3);
+    auto out = p->runBytes(intBytes(in));
+
+    const NodeMetrics* k = nullptr;
+    for (const auto& nm : p->metrics()->nodes)
+        if (nm.kind == "native")
+            k = &nm;
+    ASSERT_NE(k, nullptr);
+    EXPECT_EQ(k->path, "root/k0");
+    EXPECT_EQ(k->supplies, in.size());
+    EXPECT_EQ(k->yields, out.size() / 4);  // n % 3 per input: 30 total
+    EXPECT_EQ(k->yields, 30u);
+    EXPECT_EQ(k->inWidth, 4u);
+    EXPECT_EQ(k->outWidth, 4u);
 }
 
 TEST(FusedComposition, ThreadedDriverRunsFusedPartitions)

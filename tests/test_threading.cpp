@@ -1059,6 +1059,7 @@ TEST(Threaded, CheckpointedRestartIsByteIdentical)
         checkCheckpointedRestart(be, "throw@100:2", false, 0, 2);
         checkCheckpointedRestart(be, "throw@100", true, 0, 1);
         checkCheckpointedRestart(be, "stall@100:30000", false, 200, 1);
+        checkCheckpointedRestart(be, "stall@100:30000", true, 200, 1);
     }
 }
 

@@ -357,5 +357,36 @@ TEST(Vectorize, PruningReducesCandidates)
     EXPECT_GT(rf.vect.generated, rp.vect.generated);
 }
 
+TEST(Vectorize, KeptCountsCandidatesThatSurvivePruning)
+{
+    // Two bit pass-throughs in a pipe: their joint candidates collide on
+    // (din, dout) and pruning keeps one per pair, so fewer survive than
+    // were generated.  Without pruning (and under the cap) every
+    // generated candidate is kept.
+    auto mk = []() -> CompPtr {
+        CompPtr c = nullptr;
+        for (int i = 0; i < 2; ++i) {
+            VarRef x = freshVar("x", Type::bit());
+            CompPtr t = repeatc(seqc({bindc(x, take(Type::bit())),
+                                      just(emit(var(x)))}));
+            c = c ? pipe(std::move(c), std::move(t)) : t;
+        }
+        return c;
+    };
+    CompilerOptions pruned = CompilerOptions::forLevel(OptLevel::Vectorize);
+    pruned.vect.maxScale = 16;
+    CompileReport rp;
+    compilePipeline(mk(), pruned, &rp);
+    EXPECT_GT(rp.vect.kept, 0);
+    EXPECT_LT(rp.vect.kept, rp.vect.generated);
+
+    CompilerOptions full = pruned;
+    full.vect.prune = false;
+    CompileReport rf;
+    compilePipeline(mk(), full, &rf);
+    ASSERT_FALSE(rf.vect.capped);
+    EXPECT_EQ(rf.vect.kept, rf.vect.generated);
+}
+
 } // namespace
 } // namespace ziria
