@@ -8,9 +8,12 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "dsp/conv_code.h"
 #include "dsp/fft.h"
 #include "dsp/viterbi.h"
 #include "wifi/blocks_tx.h"
+#include "wifi/native_blocks.h"
+#include "wifi/params.h"
 #include "zexpr/lut.h"
 
 using namespace ziria;
@@ -126,18 +129,71 @@ BENCHMARK(BM_FftSymbol);
 void
 BM_ViterbiPair(benchmark::State& state)
 {
-    dsp::ViterbiDecoder dec;
+    // One decoder step on a pre-generated rate-1/2 lattice with 1/5
+    // erasures (the punctured-rate shape), so only the decoder is timed.
+    constexpr size_t kPairs = 1 << 16;
     Rng rng(4);
+    std::vector<uint8_t> lattice(2 * kPairs);
+    for (auto& v : lattice)
+        v = rng.below(5) == 0 ? 2 : rng.bit();
+    dsp::ViterbiDecoder dec;
     std::vector<uint8_t> out;
-    out.reserve(1 << 16);
+    out.reserve(1 << 17);
+    size_t i = 0;
     for (auto _ : state) {
-        dec.inputPair(rng.bit(), rng.bit(), out);
+        dec.inputPair(lattice[i], lattice[i + 1], out);
+        i = (i + 2) % lattice.size();
         if (out.size() > 60000)
             out.clear();
     }
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ViterbiPair);
+
+/** Counts emitted elements and keeps the last one live. */
+class CountingEmitter : public Emitter
+{
+  public:
+    void
+    emit(const uint8_t* elem) override
+    {
+        last = *elem;
+        ++count;
+    }
+
+    long count = 0;
+    uint8_t last = 0;
+};
+
+void
+BM_ViterbiKernelFeed(benchmark::State& state)
+{
+    // A 1500-byte rate-3/4 packet's coded bits fed one per consume()
+    // through the Viterbi native block: the decoder plus its kernel
+    // wrapper (depuncturing, pair assembly, emission).  Items are
+    // decoded bits; subtract BM_ViterbiPair for the wrapper alone.
+    constexpr long kBits = 1500 * 8;
+    Rng rng(5);
+    std::vector<uint8_t> data(kBits);
+    for (auto& b : data)
+        b = rng.bit();
+    dsp::ConvEncoder enc(dsp::CodingRate::ThreeQuarters);
+    const std::vector<uint8_t> coded = enc.encode(data);
+    auto kernel = wifi::specViterbi()->make(
+        {Value::i32(wifi::codCode(dsp::CodingRate::ThreeQuarters)),
+         Value::i32(static_cast<int32_t>(kBits))});
+    CountingEmitter em;
+    for (auto _ : state) {
+        kernel->reset();
+        for (const uint8_t& b : coded)
+            kernel->consume(&b, em);
+    }
+    if (em.count != kBits * static_cast<long>(state.iterations()))
+        state.SkipWithError("Viterbi kernel lost decoded bits");
+    benchmark::DoNotOptimize(em.last);
+    state.SetItemsProcessed(state.iterations() * kBits);
+}
+BENCHMARK(BM_ViterbiKernelFeed);
 
 void
 BM_LutApply(benchmark::State& state)

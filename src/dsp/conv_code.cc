@@ -75,8 +75,15 @@ ConvEncoder::encode(const std::vector<uint8_t>& bits)
     return out;
 }
 
-Depuncturer::Depuncturer(CodingRate rate) : rate_(rate)
+Depuncturer::Depuncturer(CodingRate rate)
+    : period_(rate == CodingRate::Half
+                  ? 2
+                  : (rate == CodingRate::TwoThirds ? 4 : 6))
 {
+    for (int p = 0; p < period_; ++p) {
+        if (punctureKeeps(rate, p))
+            keepMask_ |= 1u << p;
+    }
 }
 
 void
@@ -88,21 +95,9 @@ Depuncturer::reset()
 void
 Depuncturer::input(uint8_t bit, std::vector<uint8_t>& out)
 {
-    int period = rate_ == CodingRate::Half
-        ? 2
-        : (rate_ == CodingRate::TwoThirds ? 4 : 6);
-    // Fill stolen positions with erasures until the next kept slot.
-    while (!punctureKeeps(rate_, phase_)) {
-        out.push_back(2);
-        phase_ = (phase_ + 1) % period;
-    }
-    out.push_back(bit & 1u ? 1 : bit);
-    phase_ = (phase_ + 1) % period;
-    // Trailing erasures so pairs complete promptly.
-    while (!punctureKeeps(rate_, phase_)) {
-        out.push_back(2);
-        phase_ = (phase_ + 1) % period;
-    }
+    uint8_t lattice[kMaxLattice];
+    const int n = input(bit, lattice);
+    out.insert(out.end(), lattice, lattice + n);
 }
 
 } // namespace dsp

@@ -79,12 +79,45 @@ class Depuncturer
     /** Feed one received coded bit; appends 1+ lattice bits to @p out. */
     void input(uint8_t bit, std::vector<uint8_t>& out);
 
+    /**
+     * Feed one received coded bit; writes its lattice bits to @p out and
+     * returns how many (at most kMaxLattice).
+     */
+    int
+    input(uint8_t bit, uint8_t* out)
+    {
+        int n = 0;
+        // Fill stolen positions with erasures until the next kept slot.
+        while (!keeps(phase_)) {
+            out[n++] = 2;
+            advance();
+        }
+        out[n++] = bit & 1u ? 1 : bit;
+        advance();
+        // Trailing erasures so pairs complete promptly.
+        while (!keeps(phase_)) {
+            out[n++] = 2;
+            advance();
+        }
+        return n;
+    }
+
+    /** Most lattice bits one input() can produce. */
+    static constexpr int kMaxLattice = 5;
+
     /** Puncture-pattern phase, exposed for checkpoint serialization. */
     int phase() const { return phase_; }
     void setPhase(int p) { phase_ = p; }
 
+    /** Lattice positions per puncturing period (phases are below it). */
+    int period() const { return period_; }
+
   private:
-    CodingRate rate_;
+    bool keeps(int phase) const { return (keepMask_ >> phase) & 1u; }
+    void advance() { phase_ = phase_ + 1 == period_ ? 0 : phase_ + 1; }
+
+    int period_;
+    uint32_t keepMask_ = 0;  ///< bit p set iff lattice phase p is sent
     int phase_ = 0;
 };
 

@@ -11,17 +11,20 @@ namespace dsp {
 Fft::Fft(int n) : n_(n)
 {
     ZIRIA_ASSERT(n >= 2 && (n & (n - 1)) == 0, "FFT size must be 2^k");
+    ZIRIA_ASSERT(n <= kMaxSize, "FFT size above kMaxSize");
     log2n_ = 0;
     while ((1 << log2n_) < n)
         ++log2n_;
 
-    twiddle_.resize(n / 2);
-    for (int k = 0; k < n / 2; ++k) {
-        double ang = -2.0 * M_PI * k / n;
-        twiddle_[k].re = static_cast<int16_t>(
-            std::lround(std::cos(ang) * 32767.0));
-        twiddle_[k].im = static_cast<int16_t>(
-            std::lround(std::sin(ang) * 32767.0));
+    twiddle_.reserve(n - 1);
+    for (int half = 1; half < n; half <<= 1) {
+        const int tstep = n / (2 * half);
+        for (int j = 0; j < half; ++j) {
+            double ang = -2.0 * M_PI * (j * tstep) / n;
+            twiddle_.push_back(
+                {static_cast<int16_t>(std::lround(std::cos(ang) * 32767.0)),
+                 static_cast<int16_t>(std::lround(std::sin(ang) * 32767.0))});
+        }
     }
     bitrev_.resize(n);
     for (int i = 0; i < n; ++i)
@@ -29,28 +32,31 @@ Fft::Fft(int n) : n_(n)
             reverseBits(static_cast<uint32_t>(i), log2n_));
 }
 
+template <bool Inverse, bool Scale>
 void
-Fft::run(const Complex16* in, Complex16* out, bool inverse,
-         bool scale) const
+Fft::run(const Complex16* in, Complex16* out) const
 {
     // Work in 32-bit to keep butterfly headroom; narrow at the end.
-    std::vector<Complex32> buf(n_);
+    // A plain struct, so only the n_ entries written below are touched
+    // (Complex32 would zero all kMaxSize of them).
+    struct Acc
+    {
+        int32_t re, im;
+    };
+    Acc buf[kMaxSize];
     for (int i = 0; i < n_; ++i) {
         buf[bitrev_[i]].re = in[i].re;
         buf[bitrev_[i]].im = in[i].im;
     }
 
-    for (int s = 1; s <= log2n_; ++s) {
-        const int m = 1 << s;
-        const int half = m >> 1;
-        const int tstep = n_ >> s;
-        for (int k = 0; k < n_; k += m) {
+    for (int half = 1; half < n_; half <<= 1) {
+        const Complex16* row = twiddle_.data() + (half - 1);
+        for (int k = 0; k < n_; k += 2 * half) {
             for (int j = 0; j < half; ++j) {
-                const Complex16& w = twiddle_[j * tstep];
-                const int32_t wre = w.re;
-                const int32_t wim = inverse ? -w.im : w.im;
-                Complex32& a = buf[k + j];
-                Complex32& b = buf[k + j + half];
+                const int32_t wre = row[j].re;
+                const int32_t wim = Inverse ? -row[j].im : row[j].im;
+                Acc& a = buf[k + j];
+                Acc& b = buf[k + j + half];
                 // t = w * b, Q15 product renormalized with rounding.
                 int64_t tre = (static_cast<int64_t>(wre) * b.re -
                                static_cast<int64_t>(wim) * b.im +
@@ -64,7 +70,7 @@ Fft::run(const Complex16* in, Complex16* out, bool inverse,
                 int64_t xim = aim + tim;
                 int64_t yre = are - tre;
                 int64_t yim = aim - tim;
-                if (scale) {
+                if (Scale) {
                     // Round-to-nearest halving keeps the 1/N scaling
                     // unbiased across stages.
                     xre = (xre + 1) >> 1;
@@ -96,13 +102,13 @@ Fft::run(const Complex16* in, Complex16* out, bool inverse,
 void
 Fft::forward(const Complex16* in, Complex16* out) const
 {
-    run(in, out, false, true);
+    run<false, true>(in, out);
 }
 
 void
 Fft::inverse(const Complex16* in, Complex16* out) const
 {
-    run(in, out, true, false);
+    run<true, false>(in, out);
 }
 
 void

@@ -7,6 +7,9 @@
  * Sora; ours are written from scratch).  Twiddles are Q15; butterflies
  * accumulate in 32 bits.
  *
+ * The plan is immutable after construction, so one instance may be
+ * shared across threads; each transform works in a stack buffer.
+ *
  * Scaling convention: `forward` divides by N (one >>1 per stage), so a
  * WiFi receiver recovers constellation points at their transmitted
  * amplitude; `inverse` applies no scaling, so inverse(forward(x)) == x up
@@ -37,13 +40,21 @@ class Fft
     /** Unscaled inverse DFT.  @p in and @p out must not alias. */
     void inverse(const Complex16* in, Complex16* out) const;
 
+    /** Largest supported size (run() works in a stack buffer). */
+    static constexpr int kMaxSize = 4096;
+
   private:
-    void run(const Complex16* in, Complex16* out, bool inverse,
-             bool scale) const;
+    template <bool Inverse, bool Scale>
+    void run(const Complex16* in, Complex16* out) const;
 
     int n_;
     int log2n_;
-    std::vector<Complex16> twiddle_;   ///< e^{-2pi i k/N}, Q15
+    /**
+     * Twiddles e^{-2pi i k/N} in Q15, one contiguous row per stage: the
+     * stage with `half` butterflies per group reads its row at offset
+     * half - 1 (n - 1 entries in all).
+     */
+    std::vector<Complex16> twiddle_;
     std::vector<int> bitrev_;
 };
 

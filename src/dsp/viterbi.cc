@@ -1,9 +1,10 @@
 #include "dsp/viterbi.h"
 
+#include <emmintrin.h>
+
 #include <algorithm>
 #include <cstring>
 
-#include "support/bits.h"
 #include "support/panic.h"
 
 namespace ziria {
@@ -11,39 +12,90 @@ namespace dsp {
 
 namespace {
 
-constexpr uint32_t kInfMetric = 1u << 29;
-constexpr int kHalf = convStates / 2;  ///< butterflies per step
+constexpr uint32_t kInfMetric = 1u << 29;  ///< unreachable, absolute
+constexpr uint32_t kNormAbove = 1u << 20;  ///< normalization threshold
+constexpr int16_t kCap16 = 0x7fff;         ///< unreachable, 16-bit
+constexpr int kMaxStepCost = 2;            ///< two coded bits per step
+/**
+ * Largest reachable 16-bit metric after a settle() plus the growth of
+ * its slack: the check step that follows still adds a branch cost and
+ * must stay below kCap16.
+ */
+constexpr int kTop16 = kCap16 - 1 - kMaxStepCost;
+/** Widest reachable-metric spread a restored state may carry. */
+constexpr uint32_t kMaxSpread = 1u << 14;
+/**
+ * Steps an unreachable state can survive after a reset or restore:
+ * after convK - 1 steps every state is reachable from any other.
+ */
+constexpr int kFillSteps = convK - 2;
+
+/** Cost of received lattice value @p r when @p expected is sent: 1 on
+ *  a mismatch, 0 on a match or an erasure (2). */
+constexpr int
+bitCost(uint8_t r, uint8_t expected)
+{
+    return r != 2 && r != expected;
+}
+
+constexpr uint8_t
+parity(uint32_t x)
+{
+    uint8_t p = 0;
+    for (; x != 0; x &= x - 1)
+        p ^= 1;
+    return p;
+}
+
+/** Lattice value class: 0, 1, erasure, or any other byte (which
+ *  costs 1 against either expected bit). */
+inline int
+latticeClass(uint8_t r)
+{
+    return r < 3 ? r : 3;
+}
 
 /**
- * Cost of one received coded bit @p r against each expected value:
- * 1 on a mismatch, 0 on a match or an erasure (2).
+ * Branch costs of one step, indexed by the classes of its two lattice
+ * values (4 * class(a) + class(b)).  c[k][q] holds, for j = 8q..8q+7,
+ * the cost of the even predecessor 2j on input 0.  Both generators tap
+ * bits 0 and 6 of the encoder window u<<6 | predecessor, so the odd
+ * predecessor and input 1 each expect the complement of both bits and
+ * cost cbar = S - c, where S sums the costs of both values of both bits.
  */
-struct BitCost
+struct BranchCosts
 {
-    uint32_t c0;    ///< cost when 0 is expected
-    uint32_t flip;  ///< c0 ^ (cost when 1 is expected)
+    alignas(16) int16_t c[16][4][8];
+    alignas(16) int16_t cbar[16][4][8];
 
-    explicit BitCost(uint8_t r)
+    constexpr BranchCosts() : c(), cbar()
     {
-        c0 = r != 2 && r != 0;
-        flip = c0 ^ static_cast<uint32_t>(r != 2 && r != 1);
+        for (int k = 0; k < 16; ++k) {
+            const auto a = static_cast<uint8_t>(k / 4);
+            const auto b = static_cast<uint8_t>(k % 4);
+            const int sum = bitCost(a, 0) + bitCost(a, 1) + bitCost(b, 0) +
+                            bitCost(b, 1);
+            for (uint32_t j = 0; j < convStates / 2; ++j) {
+                const int cost = bitCost(a, parity((2 * j) & convG0)) +
+                                 bitCost(b, parity((2 * j) & convG1));
+                c[k][j / 8][j % 8] = static_cast<int16_t>(cost);
+                cbar[k][j / 8][j % 8] = static_cast<int16_t>(sum - cost);
+            }
+        }
     }
-
-    /** Cost against an expected-bit mask (0 or all ones). */
-    uint32_t at(uint32_t mask) const { return c0 ^ (mask & flip); }
 };
 
-/**
- * Gather the low bit of 8 consecutive 0/1 bytes into one byte (byte i
- * lands in bit i): each byte's bit is shifted to position 56 + i by a
- * distinct multiplier term, and no two terms collide or carry.
- */
-inline uint64_t
-packFlags8(const uint8_t* p)
+constexpr BranchCosts kCosts;
+
+/** Fold the eight lanes of @p v with @p op (a lane-wise min or max). */
+template <class Op>
+inline int
+fold16(__m128i v, Op op)
 {
-    uint64_t x;
-    std::memcpy(&x, p, 8);
-    return (x * 0x0102040810204080ull) >> 56;
+    v = op(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
+    v = op(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
+    v = op(v, _mm_shufflelo_epi16(v, _MM_SHUFFLE(2, 3, 0, 1)));
+    return static_cast<int16_t>(_mm_cvtsi128_si32(v));
 }
 
 } // namespace
@@ -52,71 +104,123 @@ ViterbiDecoder::ViterbiDecoder(int traceback, int block)
     : tb_(traceback), block_(block)
 {
     ZIRIA_ASSERT(traceback > 0 && block > 0);
-    // Next state ns = j | u<<5 is reached from 2j and 2j+1 on input u;
-    // the encoder window is u<<6 | predecessor.
-    auto mask = [](uint32_t window, uint32_t g) {
-        return parity32(window & g) ? ~0u : 0u;
-    };
-    for (int ns = 0; ns < convStates; ++ns) {
-        uint32_t j = static_cast<uint32_t>(ns % kHalf);
-        uint32_t u = static_cast<uint32_t>(ns / kHalf);
-        uint32_t even = (u << 6) | (2 * j);
-        uint32_t odd = even | 1;
-        expA0_[ns] = mask(even, convG0);
-        expB0_[ns] = mask(even, convG1);
-        expA1_[ns] = mask(odd, convG0);
-        expB1_[ns] = mask(odd, convG1);
-    }
+    size_t cap = 1;
+    while (cap < static_cast<size_t>(tb_ + block_))
+        cap <<= 1;
+    ring_.resize(cap);
+    ringMask_ = cap - 1;
     reset();
 }
 
 void
 ViterbiDecoder::reset()
 {
-    std::fill(std::begin(metric_), std::end(metric_), kInfMetric);
-    metric_[0] = 0;  // the encoder starts zeroed
-    decisions_.clear();
+    std::fill(std::begin(metric16_), std::end(metric16_), kCap16);
+    metric16_[0] = 0;  // the encoder starts zeroed
+    base_ = 0;
+    head_ = 0;
+    count_ = 0;
+    setSlack(0);
 }
 
 void
 ViterbiDecoder::inputPair(uint8_t a, uint8_t b, std::vector<uint8_t>& out)
 {
-    const BitCost ca(a), cb(b);
+    const int k = latticeClass(a) * 4 + latticeClass(b);
+    const auto* cost = reinterpret_cast<const __m128i*>(kCosts.c[k]);
+    const auto* costBar = reinterpret_cast<const __m128i*>(kCosts.cbar[k]);
 
-    // Add-compare-select, one butterfly per j.  The even predecessor is
-    // taken first (capped at kInfMetric, so an unreachable one stays
-    // unreachable); the odd one wins only on a strictly smaller cost,
-    // and the decision bit records it (the dropped oldest bit).
-    uint32_t minM = kInfMetric;
-    auto acs = [&](int ns, uint32_t m0, uint32_t m1) {
-        uint32_t p0 = std::min(m0 + ca.at(expA0_[ns]) + cb.at(expB0_[ns]),
-                               kInfMetric);
-        uint32_t p1 = m1 + ca.at(expA1_[ns]) + cb.at(expB1_[ns]);
-        bool odd = p1 < p0;
-        uint32_t v = odd ? p1 : p0;
-        next_[ns] = v;
-        decided_[ns] = odd;
-        minM = std::min(minM, v);
-    };
-    for (int j = 0; j < kHalf; ++j) {
-        const uint32_t m0 = metric_[2 * j];
-        const uint32_t m1 = metric_[2 * j + 1];
-        acs(j, m0, m1);
-        acs(j + kHalf, m0, m1);
+    __m128i m[8];
+    for (int v = 0; v < 8; ++v)
+        m[v] = _mm_load_si128(
+            reinterpret_cast<const __m128i*>(metric16_ + 8 * v));
+
+    // Add-compare-select, eight butterflies per vector.  States
+    // 16q..16q+15 hold the predecessors of j = 8q..8q+7; a mask or a
+    // shift and a pack split them into even (2j) and odd (2j+1) (every
+    // metric is a non-negative int16, so the saturating pack is exact).
+    // The saturating adds keep an unreachable predecessor at kCap16,
+    // and the odd one wins only on a strictly smaller cost; its decision
+    // bit is the dropped oldest bit.
+    const __m128i low16 = _mm_set1_epi32(0xffff);
+    __m128i oddWins[8];  // states 8v..8v+7
+    for (int q = 0; q < 4; ++q) {
+        const __m128i lo = m[2 * q], hi = m[2 * q + 1];
+        const __m128i even = _mm_packs_epi32(_mm_and_si128(lo, low16),
+                                             _mm_and_si128(hi, low16));
+        const __m128i odd =
+            _mm_packs_epi32(_mm_srli_epi32(lo, 16), _mm_srli_epi32(hi, 16));
+        const __m128i c = _mm_load_si128(cost + q);
+        const __m128i cbar = _mm_load_si128(costBar + q);
+
+        const __m128i p0u0 = _mm_adds_epi16(even, c);     // ns = j
+        const __m128i p1u0 = _mm_adds_epi16(odd, cbar);
+        const __m128i p0u1 = _mm_adds_epi16(even, cbar);  // ns = j + 32
+        const __m128i p1u1 = _mm_adds_epi16(odd, c);
+        oddWins[q] = _mm_cmplt_epi16(p1u0, p0u0);
+        oddWins[q + 4] = _mm_cmplt_epi16(p1u1, p0u1);
+        _mm_store_si128(reinterpret_cast<__m128i*>(metric16_ + 8 * q),
+                        _mm_min_epi16(p0u0, p1u0));
+        _mm_store_si128(
+            reinterpret_cast<__m128i*>(metric16_ + 32 + 8 * q),
+            _mm_min_epi16(p0u1, p1u1));
     }
-
+    // One movemask per 16 states.
     uint64_t word = 0;
-    for (int g = 0; g < convStates / 8; ++g)
-        word |= packFlags8(decided_ + 8 * g) << (8 * g);
-    decisions_.push_back(word);
+    for (int h = 0; h < 4; ++h) {
+        const auto bits = static_cast<uint64_t>(_mm_movemask_epi8(
+            _mm_packs_epi16(oddWins[2 * h], oddWins[2 * h + 1])));
+        word |= bits << (16 * h);
+    }
+    decisionAt(count_++) = word;
 
-    // Normalize metrics occasionally so they never overflow.
-    const uint32_t sub = minM > (1u << 20) ? minM : 0;
-    for (int s = 0; s < convStates; ++s)
-        metric_[s] = next_[s] - sub;
-
-    if (static_cast<int>(decisions_.size()) >= tb_ + block_)
+    if (slack_-- == 0)
+        settle();
+    if (count_ >= tb_ + block_)
         traceback(block_, out);
+}
+
+void
+ViterbiDecoder::settle()
+{
+    __m128i m[8];
+    __m128i lo = _mm_set1_epi16(kCap16), hi = _mm_setzero_si128();
+    for (int v = 0; v < 8; ++v) {
+        m[v] = _mm_load_si128(
+            reinterpret_cast<const __m128i*>(metric16_ + 8 * v));
+        lo = _mm_min_epi16(lo, m[v]);
+        hi = _mm_max_epi16(hi, m[v]);
+    }
+    const int min16 = fold16(
+        lo, [](__m128i x, __m128i y) { return _mm_min_epi16(x, y); });
+    const int max16 = fold16(
+        hi, [](__m128i x, __m128i y) { return _mm_max_epi16(x, y); });
+    // Every state is reachable by now: unreachable ones last at most
+    // kFillSteps steps, and reset() and restore() leave at least that
+    // much slack (restore() refuses a state where they would not).
+    ZIRIA_ASSERT(max16 < kCap16, "viterbi settle with unreachable states");
+    // The scalar pass subtracts the minimum from every metric once it
+    // passes 2^20; below that the minimum just moves into the base.
+    const uint32_t minAbs = base_ + static_cast<uint32_t>(min16);
+    base_ = minAbs > kNormAbove ? 0 : minAbs;
+    const __m128i sub = _mm_set1_epi16(static_cast<int16_t>(min16));
+    for (int v = 0; v < 8; ++v) {
+        _mm_store_si128(reinterpret_cast<__m128i*>(metric16_ + 8 * v),
+                        _mm_sub_epi16(m[v], sub));
+    }
+    setSlack(max16 - min16);
+}
+
+void
+ViterbiDecoder::setSlack(int max16)
+{
+    // The minimum starts at base_ and every metric grows by at most
+    // kMaxStepCost per step.
+    const long toNorm =
+        (static_cast<long>(kNormAbove) - static_cast<long>(base_)) /
+        kMaxStepCost;
+    const long toCap = (kTop16 - max16) / kMaxStepCost;
+    slack_ = static_cast<int>(std::max(0L, std::min(toNorm, toCap)));
 }
 
 void
@@ -125,14 +229,14 @@ ViterbiDecoder::traceback(int emit_count, std::vector<uint8_t>& out)
     // Start from the best current state and walk the whole history.
     int best = 0;
     for (int s = 1; s < convStates; ++s) {
-        if (metric_[s] < metric_[best])
+        if (metric16_[s] < metric16_[best])
             best = s;
     }
-    const int steps = static_cast<int>(decisions_.size());
+    const int steps = count_;
     emit_count = std::min(emit_count, steps);
     int state = best;
     auto stepBack = [&](int t) {
-        int dropped = static_cast<int>((decisions_[t] >> state) & 1);
+        int dropped = static_cast<int>((decisionAt(t) >> state) & 1);
         state = ((state << 1) & 0x3f) | dropped;
     };
     for (int t = steps - 1; t >= emit_count; --t)
@@ -145,39 +249,87 @@ ViterbiDecoder::traceback(int emit_count, std::vector<uint8_t>& out)
             static_cast<uint8_t>(state >> 5);
         stepBack(t);
     }
-    decisions_.erase(decisions_.begin(), decisions_.begin() + emit_count);
+    head_ = (head_ + static_cast<size_t>(emit_count)) & ringMask_;
+    count_ -= emit_count;
 }
 
 void
 ViterbiDecoder::flush(std::vector<uint8_t>& out)
 {
-    if (!decisions_.empty())
-        traceback(static_cast<int>(decisions_.size()), out);
+    if (count_ > 0)
+        traceback(count_, out);
 }
 
 void
 ViterbiDecoder::snapshot(StateWriter& w) const
 {
-    w.bytes(metric_, sizeof(metric_));
-    w.blob(decisions_.data(), decisions_.size() * sizeof(uint64_t));
+    uint32_t metric[convStates];
+    for (int s = 0; s < convStates; ++s) {
+        metric[s] = metric16_[s] == kCap16
+                        ? kInfMetric
+                        : base_ + static_cast<uint32_t>(metric16_[s]);
+    }
+    w.bytes(metric, sizeof(metric));
+    // The decision memory as one blob, oldest word first.
+    const size_t n = static_cast<size_t>(count_);
+    const size_t first = std::min(n, ring_.size() - head_);
+    w.u64(n * sizeof(uint64_t));
+    w.bytes(ring_.data() + head_, first * sizeof(uint64_t));
+    w.bytes(ring_.data(), (n - first) * sizeof(uint64_t));
 }
 
 void
 ViterbiDecoder::restore(StateReader& r)
 {
-    r.bytes(metric_, sizeof(metric_));
-    for (uint32_t m : metric_) {
-        // A metric is either reachable (< kInfMetric) or kInfMetric; the
-        // ACS pass adds branch costs to it without an overflow check.
+    uint32_t metric[convStates];
+    r.bytes(metric, sizeof(metric));
+    uint32_t lo = kInfMetric, hi = 0;
+    bool capped = false;
+    for (uint32_t m : metric) {
+        // A metric is either reachable (< kInfMetric) or kInfMetric.
         if (m > kInfMetric)
             throw StateFormatError("viterbi path metric out of range");
+        if (m == kInfMetric) {
+            capped = true;
+        } else {
+            lo = std::min(lo, m);
+            hi = std::max(hi, m);
+        }
     }
+    // The 16-bit pass must continue this state exactly, or refuse it.
+    if (lo == kInfMetric)
+        throw StateFormatError("viterbi has no reachable state");
+    if (hi - lo > kMaxSpread)
+        throw StateFormatError("viterbi path metrics too far apart");
+    if (hi >= kInfMetric - kMaxStepCost)
+        throw StateFormatError("viterbi path metric too close to the cap");
+    // Unreachable states must be gone before the first settle().
+    if (capped && lo + kFillSteps * kMaxStepCost > kNormAbove)
+        throw StateFormatError(
+            "viterbi unreachable states would outlive a normalization");
     std::vector<uint8_t> raw = r.blob();
     if (raw.size() % sizeof(uint64_t) != 0)
         throw StateFormatError("viterbi decision memory misaligned");
-    decisions_.resize(raw.size() / sizeof(uint64_t));
-    if (!raw.empty())
-        std::memcpy(decisions_.data(), raw.data(), raw.size());
+
+    base_ = lo;
+    for (int s = 0; s < convStates; ++s) {
+        metric16_[s] = metric[s] == kInfMetric
+                           ? kCap16
+                           : static_cast<int16_t>(metric[s] - lo);
+    }
+    setSlack(static_cast<int>(hi - lo));
+    const size_t n = raw.size() / sizeof(uint64_t);
+    // A longer memory than this decoder keeps still decodes the same
+    // way; the ring grows to hold it plus the next step.
+    size_t cap = ring_.size();
+    while (cap < n + 1)
+        cap <<= 1;
+    ring_.assign(cap, 0);
+    ringMask_ = cap - 1;
+    head_ = 0;
+    count_ = static_cast<int>(n);
+    if (n > 0)
+        std::memcpy(ring_.data(), raw.data(), raw.size());
 }
 
 } // namespace dsp

@@ -9,10 +9,19 @@
  * Viterbi block's output granularity is data dependent, which is why it
  * cannot be auto-vectorized and uses annotations instead).
  *
- * The add-compare-select step runs in butterfly form: next state
- * ns = j | u<<5 has exactly the two predecessors 2j and 2j+1, so one
- * flat, branch-free pass over j computes every survivor, its decision
- * bit and the running minimum.  g++ vectorizes that pass at -O2.
+ * The add-compare-select step runs as a 16-bit SSE2 butterfly pass:
+ * next state ns = j | u<<5 has exactly the two predecessors 2j and 2j+1,
+ * so the 64 path metrics sit in eight 128-bit vectors, the even and odd
+ * predecessors are split out with shifts and packs, and eight states
+ * are decided per instruction (one movemask yields 16 decision bits).
+ * Metrics are held relative to a tracked 32-bit base; the snapshot
+ * format still records the absolute 32-bit metrics of the earlier
+ * 32-bit pass, and restore() refuses a state the 16-bit form cannot
+ * continue exactly.  That earlier pass was a plain C++ loop that g++
+ * -O2 auto-vectorized only four 32-bit lanes wide, with unsigned min
+ * and compare emulated; `BM_ViterbiPair` put it at 88-159 ns per step
+ * against 21-34 ns for this one on a shared 4-vCPU VM (EXPERIMENTS.md
+ * E13).
  */
 #ifndef ZIRIA_DSP_VITERBI_H
 #define ZIRIA_DSP_VITERBI_H
@@ -48,29 +57,48 @@ class ViterbiDecoder
     void flush(std::vector<uint8_t>& out);
 
     /**
-     * Serialize live decoder state (path metrics + decision memory).
-     * The per-step scratch and the expected-bit masks are not written.
+     * Serialize live decoder state: the 64 absolute path metrics as
+     * u32 (2^29 = unreachable) and the decision memory, oldest first.
      */
     void snapshot(StateWriter& w) const;
 
-    /** Restore the state written by snapshot(). */
+    /**
+     * Restore the state written by snapshot().  Throws StateFormatError
+     * for a metric above 2^29, reachable metrics more than 2^14 apart,
+     * no reachable state, or unreachable states next to a minimum so
+     * close to the 2^20 normalization that they could outlive it.
+     */
     void restore(StateReader& r);
 
   private:
     void traceback(int emit_count, std::vector<uint8_t>& out);
+    /** Re-read the minimum: rebase the metrics, apply the 2^20
+     *  normalization, and recompute slack_. */
+    void settle();
+    /** Set slack_ from the base and the largest reachable metric. */
+    void setSlack(int max16);
+    uint64_t&
+    decisionAt(int t)
+    {
+        return ring_[(head_ + static_cast<size_t>(t)) & ringMask_];
+    }
 
     int tb_;
     int block_;
-    uint32_t metric_[convStates] = {};
-    uint32_t next_[convStates] = {};    ///< per-step scratch
-    uint8_t decided_[convStates] = {};  ///< per-step scratch: 1 = odd won
-    std::vector<uint64_t> decisions_;  ///< one 64-bit word per step
     /**
-     * Expected output bits in butterfly order, as all-ones/zero masks:
-     * index ns = j | u<<5, for the even (2j) and odd (2j+1) predecessor.
+     * Path metrics relative to base_: state s has the absolute metric
+     * base_ + metric16_[s], or is unreachable at the 16-bit cap.
      */
-    uint32_t expA0_[convStates], expB0_[convStates];
-    uint32_t expA1_[convStates], expB1_[convStates];
+    alignas(16) int16_t metric16_[convStates] = {};
+    uint32_t base_ = 0;
+    /** Steps that can neither cross the normalization threshold nor
+     *  approach the 16-bit cap, so the minimum need not be read. */
+    int slack_ = 0;
+    /** Decision memory: one 64-bit word per step, oldest at head_. */
+    std::vector<uint64_t> ring_;
+    size_t ringMask_ = 0;
+    size_t head_ = 0;
+    int count_ = 0;
 };
 
 } // namespace dsp

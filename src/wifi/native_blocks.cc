@@ -1,5 +1,6 @@
 #include "wifi/native_blocks.h"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <deque>
@@ -146,7 +147,8 @@ class ViterbiKernel : public NativeKernel
     {
         depunct_.reset();
         decoder_.reset();
-        lattice_.clear();
+        latticeLen_ = 0;
+        decoded_.clear();
         pairsFed_ = 0;
         emitted_ = 0;
         flushed_ = false;
@@ -157,27 +159,30 @@ class ViterbiKernel : public NativeKernel
     {
         if (flushed_)
             return false;  // trellis complete: ignore trailing input
-        depunct_.input(*in, lattice_);
-        decoded_.clear();
-        size_t pos = 0;  // read cursor into lattice_
-        while (lattice_.size() - pos >= 2 && pairsFed_ < outBits_) {
+        latticeLen_ += depunct_.input(*in, lattice_ + latticeLen_);
+        int pos = 0;  // read cursor into lattice_
+        while (latticeLen_ - pos >= 2 && pairsFed_ < outBits_) {
             decoder_.inputPair(lattice_[pos], lattice_[pos + 1], decoded_);
             pos += 2;
             ++pairsFed_;
         }
-        // Drop the consumed pairs once, so lattice_ holds (and
-        // snapshots) only the entries not yet fed.
-        lattice_.erase(lattice_.begin(),
-                       lattice_.begin() + static_cast<long>(pos));
-        if (pairsFed_ >= outBits_ && !flushed_) {
+        if (pairsFed_ >= outBits_) {
             decoder_.flush(decoded_);
             flushed_ = true;
         }
-        for (uint8_t b : decoded_) {
-            if (emitted_ < outBits_) {
-                em.emit(&b);
-                ++emitted_;
-            }
+        // Keep only the entries not yet fed: at most one before the
+        // flush, which also snapshot() records.
+        for (int i = pos; i < latticeLen_; ++i)
+            lattice_[i - pos] = lattice_[i];
+        latticeLen_ -= pos;
+        if (!decoded_.empty()) {
+            // The decoder releases bits a block at a time.
+            const long n = std::min(static_cast<long>(decoded_.size()),
+                                    outBits_ - emitted_);
+            for (long i = 0; i < n; ++i)
+                em.emit(&decoded_[static_cast<size_t>(i)]);
+            emitted_ += std::max(n, 0L);
+            decoded_.clear();
         }
         return false;
     }
@@ -187,7 +192,7 @@ class ViterbiKernel : public NativeKernel
     {
         w.u32(static_cast<uint32_t>(depunct_.phase()));
         decoder_.snapshot(w);
-        w.blob(lattice_.data(), lattice_.size());
+        w.blob(lattice_, static_cast<size_t>(latticeLen_));
         w.i64(pairsFed_);
         w.i64(emitted_);
         w.u8(flushed_ ? 1 : 0);
@@ -196,20 +201,32 @@ class ViterbiKernel : public NativeKernel
     void
     restore(StateReader& r) override
     {
-        depunct_.setPhase(static_cast<int>(r.u32()));
+        const uint32_t phase = r.u32();
+        if (phase >= static_cast<uint32_t>(depunct_.period()))
+            throw StateFormatError("viterbi depuncturer phase out of range");
+        depunct_.setPhase(static_cast<int>(phase));
         decoder_.restore(r);
         std::vector<uint8_t> lat = r.blob();
-        lattice_.assign(lat.begin(), lat.end());
         pairsFed_ = r.i64();
         emitted_ = r.i64();
         flushed_ = r.u8() != 0;
+        // consume() leaves at most one unfed entry until the flush, and
+        // input after the flush is ignored.
+        if (lat.size() > (flushed_ ? sizeof(lattice_) : 1))
+            throw StateFormatError("viterbi lattice remainder too long");
+        std::copy(lat.begin(), lat.end(), lattice_);
+        latticeLen_ = static_cast<int>(lat.size());
+        decoded_.clear();
     }
 
   private:
     dsp::Depuncturer depunct_;
     dsp::ViterbiDecoder decoder_;
-    std::vector<uint8_t> lattice_;
-    std::vector<uint8_t> decoded_;  ///< per-consume scratch
+    /** Lattice entries not yet fed: a pending half pair plus one
+     *  input()'s worth. */
+    uint8_t lattice_[1 + dsp::Depuncturer::kMaxLattice] = {};
+    int latticeLen_ = 0;
+    std::vector<uint8_t> decoded_;  ///< bits released, not yet emitted
     long outBits_;
     long pairsFed_ = 0;
     long emitted_ = 0;

@@ -19,6 +19,8 @@
 #include "support/bits.h"
 #include "support/rng.h"
 #include "support/state_io.h"
+#include "wifi/native_blocks.h"
+#include "wifi/params.h"
 
 namespace ziria {
 namespace {
@@ -89,6 +91,48 @@ TEST_P(FftSizes, RoundTripAtSize)
 
 INSTANTIATE_TEST_SUITE_P(PowerOfTwo, FftSizes,
                          ::testing::Values(8, 16, 32, 64, 128, 256));
+
+TEST(Fft, OutputDigestIsPinned)
+{
+    // FNV-1a over forward and inverse outputs of seeded inputs at every
+    // size 2..1024, half of them full-range so the inverse saturates.
+    // The value was recorded from the heap-buffer implementation; any
+    // rounding or ordering change in the butterflies moves it.
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](const std::vector<Complex16>& v) {
+        for (const Complex16& c : v) {
+            for (int16_t x : {c.re, c.im}) {
+                const auto u = static_cast<uint16_t>(x);
+                for (uint8_t byte : {static_cast<uint8_t>(u & 0xff),
+                                     static_cast<uint8_t>(u >> 8)}) {
+                    h ^= byte;
+                    h *= 0x100000001b3ull;
+                }
+            }
+        }
+    };
+    for (int n = 2; n <= 1024; n *= 2) {
+        dsp::Fft plan(n);
+        Rng rng(static_cast<uint64_t>(1000 + n));
+        std::vector<Complex16> in(n), out(n);
+        for (int trial = 0; trial < 8; ++trial) {
+            const uint64_t span = trial < 4 ? 8000 : 65536;
+            for (auto& x : in) {
+                x.re = static_cast<int16_t>(
+                    static_cast<int64_t>(rng.below(span)) -
+                    static_cast<int64_t>(span / 2));
+                x.im = static_cast<int16_t>(
+                    static_cast<int64_t>(rng.below(span)) -
+                    static_cast<int64_t>(span / 2));
+            }
+            plan.forward(in.data(), out.data());
+            mix(out);
+            plan.inverse(in.data(), out.data());
+            mix(out);
+        }
+    }
+    EXPECT_EQ(h, 0x6837d156871e0953ull) << std::hex << h;
+}
 
 TEST(ConvCode, KnownRateHalfOutput)
 {
@@ -431,6 +475,165 @@ TEST(ViterbiEquivalence, RejectsOutOfRangeMetric)
     dsp::ViterbiDecoder dec;
     StateReader r(bad);
     EXPECT_THROW(dec.restore(r), StateFormatError);
+}
+
+/**
+ * Restore @p ref's snapshot into a fresh ViterbiDecoder and @p dec's
+ * into a fresh PushViterbi (the two must be in the same state), then
+ * check all four decoders continue identically for @p n pairs.
+ */
+void
+crossRestoreAndContinue(PushViterbi& ref, dsp::ViterbiDecoder& dec,
+                        std::vector<uint8_t> refOut,
+                        std::vector<uint8_t> decOut, uint64_t seed, long n)
+{
+    ASSERT_EQ(snapBytes(ref), snapBytes(dec));
+    PushViterbi ref2;
+    dsp::ViterbiDecoder dec2;
+    const std::vector<uint8_t> fromDec = snapBytes(dec);
+    const std::vector<uint8_t> fromRef = snapBytes(ref);
+    StateReader r1(fromDec), r2(fromRef);
+    ref2.restore(r1);
+    dec2.restore(r2);
+    ASSERT_EQ(snapBytes(ref2), fromDec);
+    ASSERT_EQ(snapBytes(dec2), fromRef);
+
+    std::vector<uint8_t> refOut2 = refOut, decOut2 = decOut;
+    Rng rng1(seed), rng2(seed);
+    feedBoth(ref, dec2, n, [&] { return latticeValue(rng1); }, refOut,
+             decOut2, 1);
+    feedBoth(ref2, dec, n, [&] { return latticeValue(rng2); }, refOut2,
+             decOut, 1);
+    EXPECT_EQ(refOut, refOut2);
+}
+
+TEST(ViterbiEquivalence, SnapshotInFirstStepsCrossesImplementations)
+{
+    // 1-5 steps after reset some states are still unreachable (the
+    // 16-bit pass holds them at its cap, the scalar one at 2^29).
+    for (int steps = 1; steps <= 5; ++steps) {
+        SCOPED_TRACE(steps);
+        Rng rng(static_cast<uint64_t>(60 + steps));
+        PushViterbi ref;
+        dsp::ViterbiDecoder dec;
+        std::vector<uint8_t> refOut, decOut;
+        feedBoth(ref, dec, steps, [&] { return latticeValue(rng); },
+                 refOut, decOut, 1);
+        crossRestoreAndContinue(ref, dec, refOut, decOut,
+                                static_cast<uint64_t>(70 + steps), 3000);
+    }
+}
+
+TEST(ViterbiEquivalence, SnapshotAfterNormalizationCrossesImplementations)
+{
+    // Seed both just below the 2^20 threshold, step until the reference
+    // normalizes, and cross-restore the state that step left.
+    Rng rng(44);
+    StateWriter w;
+    for (int s = 0; s < dsp::convStates; ++s)
+        w.u32((1u << 20) - 30 + static_cast<uint32_t>(rng.below(8)));
+    w.blob(nullptr, 0);
+    const std::vector<uint8_t> seed = w.take();
+    PushViterbi ref;
+    dsp::ViterbiDecoder dec;
+    StateReader r1(seed), r2(seed);
+    ref.restore(r1);
+    dec.restore(r2);
+    std::vector<uint8_t> refOut, decOut;
+    for (int i = 0; i < 1000 && ref.normalizations == 0; ++i)
+        feedBoth(ref, dec, 1, [&] { return latticeValue(rng); }, refOut,
+                 decOut, 1);
+    ASSERT_EQ(ref.normalizations, 1);
+    crossRestoreAndContinue(ref, dec, refOut, decOut, 45, 3000);
+}
+
+/** Snapshot bytes of 64 metrics and no decision memory. */
+std::vector<uint8_t>
+metricSnapshot(const std::vector<uint32_t>& metric)
+{
+    StateWriter w;
+    for (uint32_t m : metric)
+        w.u32(m);
+    w.blob(nullptr, 0);
+    return w.take();
+}
+
+TEST(ViterbiEquivalence, RejectsMetricsSixteenBitsCannotHold)
+{
+    // Reachable metrics 2^16 apart.
+    std::vector<uint32_t> apart(dsp::convStates, 100);
+    apart[9] = 100 + (1u << 16);
+    // No reachable state at all.
+    std::vector<uint32_t> none(dsp::convStates, PushViterbi::kInf);
+    // Unreachable states next to a minimum that normalizes before every
+    // state becomes reachable.
+    std::vector<uint32_t> nearNorm(dsp::convStates, PushViterbi::kInf);
+    nearNorm[0] = (1u << 20) - 1;
+    // A reachable metric whose next step would pass 2^29.
+    std::vector<uint32_t> nearCap(dsp::convStates, PushViterbi::kInf - 1);
+    for (const auto& bad : {apart, none, nearNorm, nearCap}) {
+        const std::vector<uint8_t> bytes = metricSnapshot(bad);
+        dsp::ViterbiDecoder dec;
+        StateReader r(bytes);
+        EXPECT_THROW(dec.restore(r), StateFormatError);
+    }
+    // Just inside the limits still restores and re-snapshots exactly.
+    std::vector<uint32_t> ok(dsp::convStates, PushViterbi::kInf);
+    ok[0] = (1u << 20) - 100;
+    ok[1] = ok[0] + (1u << 14);
+    const std::vector<uint8_t> bytes = metricSnapshot(ok);
+    dsp::ViterbiDecoder dec;
+    StateReader r(bytes);
+    dec.restore(r);
+    EXPECT_EQ(snapBytes(dec), bytes);
+}
+
+/** Collects a native kernel's output bits. */
+class BitCollector : public Emitter
+{
+  public:
+    void emit(const uint8_t* elem) override { bits.push_back(*elem); }
+
+    std::vector<uint8_t> bits;
+};
+
+TEST(ViterbiKernel, SnapshotRestoreMidPuncturedPair)
+{
+    // Cut the coded stream at every point of two puncturing periods
+    // (some cuts leave half a lattice pair pending), move the kernel
+    // through a snapshot, and finish on the restored copy.
+    for (CodingRate rate : {CodingRate::Half, CodingRate::TwoThirds,
+                            CodingRate::ThreeQuarters}) {
+        constexpr int kBits = 600;
+        Rng rng(static_cast<uint64_t>(80 + static_cast<int>(rate)));
+        std::vector<uint8_t> data(kBits);
+        for (auto& b : data)
+            b = rng.bit();
+        dsp::ConvEncoder enc(rate);
+        const std::vector<uint8_t> coded = enc.encode(data);
+        const std::vector<Value> args = {
+            Value::i32(wifi::codCode(rate)), Value::i32(kBits)};
+        for (size_t cut = 300; cut < 312; ++cut) {
+            SCOPED_TRACE(cut);
+            auto a = wifi::specViterbi()->make(args);
+            BitCollector out;
+            for (size_t i = 0; i < cut; ++i)
+                a->consume(&coded[i], out);
+            StateWriter w;
+            a->snapshot(w);
+            const std::vector<uint8_t> bytes = w.take();
+
+            auto b = wifi::specViterbi()->make(args);
+            StateReader r(bytes);
+            b->restore(r);
+            StateWriter again;
+            b->snapshot(again);
+            EXPECT_EQ(again.take(), bytes);
+            for (size_t i = cut; i < coded.size(); ++i)
+                b->consume(&coded[i], out);
+            EXPECT_EQ(out.bits, data);
+        }
+    }
 }
 
 TEST(Crc32, KnownVector)
