@@ -13,8 +13,8 @@
  *  (3) WiFi RX data path at all eight rates on every backend, the
  *      best configuration (native, --opt all) against the hand-written
  *      sora::rxDataBits, and the full receiver against sora::rxFrame;
- *      native kernels (FFT, Viterbi) run inside the fused regions, so
- *      each row also prints its region / fallback count;
+ *      native kernels (FFT, Viterbi) run inside the fused region, so
+ *      each row also prints its region count;
  *  (4) native backend compile cost: cold cache (emit + C++ compile +
  *      dlopen) vs warm cache (CRC-verified hit, no compiler run).
  *
@@ -245,7 +245,7 @@ main()
     rule('-', 96);
     printf("%-8s %8s %8s %8s %8s %8s %8s %8s %8s %5s\n", "rate", "vm",
            "fused", "native", "fz/vm", "ng/vm", "ng/all", "sora",
-           "ng/sora", "r/fb");
+           "ng/sora", "r");
     const int psdu = 1000;
     // One packet decodes in about a millisecond, so every figure comes
     // from the fastest of kReps whole runs: the run least disturbed by
@@ -308,12 +308,12 @@ main()
                                                       psdu).size();
                           }).msps();
         printf("%-8s %8.2f %8.2f %8.2f %7.2fx %7.2fx %8.2f %8.2f %7.2fx "
-               "%2d/%d\n",
+               "%5d\n",
                ("RX" + std::to_string(rateInfo(rate).mbps)).c_str(),
                perBackend[0], perBackend[1], perBackend[2],
                perBackend[1] / perBackend[0],
                perBackend[2] / perBackend[0], ngAll, soraMsps,
-               ngAll / soraMsps, rep.fuse.nodesFused, rep.fuse.fallbacks);
+               ngAll / soraMsps, rep.fuse.nodesFused);
         w.beginObject();
         w.field("mbps", rateInfo(rate).mbps);
         w.field("vm", perBackend[0] * 1e6);
@@ -323,7 +323,6 @@ main()
         w.field("sora", soraMsps * 1e6);
         w.field("native_all_over_sora", ngAll / soraMsps);
         w.field("regions", rep.fuse.nodesFused);
-        w.field("fallbacks", rep.fuse.fallbacks);
         w.endObject();
     }
     w.endArray();
@@ -362,19 +361,18 @@ main()
         }
         double zMsps = z.msps();
         double sMsps = r.msps();
-        printf("%-8s %44s %8.2f %8.2f %7.2fx %2d/%d\n", "RXfull",
+        printf("%-8s %44s %8.2f %8.2f %7.2fx %5d\n", "RXfull",
                "(wifiReceiverComp, all rates)", zMsps, sMsps,
-               zMsps / sMsps, rep.fuse.nodesFused, rep.fuse.fallbacks);
+               zMsps / sMsps, rep.fuse.nodesFused);
         w.beginObject("rx_full");
         w.field("native_all", zMsps * 1e6);
         w.field("sora", sMsps * 1e6);
         w.field("native_all_over_sora", zMsps / sMsps);
         w.field("regions", rep.fuse.nodesFused);
-        w.field("fallbacks", rep.fuse.fallbacks);
         w.endObject();
     }
-    printf("(r/fb = fused regions / VM fallback nodes of the ng/all "
-           "build; %zu reference bits+bytes)\n", soraSink);
+    printf("(r = fused regions of the ng/all build; %zu reference "
+           "bits+bytes)\n", soraSink);
 
     // ---- (4) native compile cost: cold vs warm cache -----------------
     // A private cache directory gives a genuinely cold first compile;

@@ -3,8 +3,8 @@
  * `zirrun` — compile and run a Ziria source file from the command line.
  *
  * Usage:
- *   zirrun FILE.zir [--opt none|vect|all] [--backend vm|fused]
- *                   [--dump] [--bytes N]
+ *   zirrun FILE.zir [--opt none|vect|all] [--backend vm|fused|native]
+ *                   [--cgen-cache-dir DIR] [--dump] [--bytes N]
  *                   [--profile[=FILE]] [--trace-passes[=N]]
  *                   [--latency-budget-us N] [--trace-timeline FILE]
  *                   [--span-frame N]
@@ -15,11 +15,13 @@
  * printed, together with the compile report (chosen vectorization
  * widths, LUTs built) — a miniature of the paper's `wplc` driver.
  *
- * `--backend fused` lowers maximal fusible subtrees into the linear
- * bytecode interpreter (docs/FUSION.md) instead of the closure-tree VM;
- * constructs the fuser cannot flatten (threaded `|>>>|` partitions,
- * native blocks) fall back to VM combinators node by node.  The compile
- * summary reports `fused N region(s), M fallback(s)`.
+ * `--backend fused` lowers the program (each `|>>>|` partition when run
+ * threaded with --deadline-ms) into one region for the linear bytecode
+ * interpreter (docs/FUSION.md) instead of the closure-tree VM; native
+ * blocks run inline and any other `|>>>|` runs as a plain `>>>`.  The
+ * compile summary reports `fused N region(s)`.  `--backend native`
+ * compiles those regions to C++ bound via dlopen (docs/CODEGEN.md),
+ * cached under --cgen-cache-dir.
  *
  * `--profile` compiles with instrumentation and emits a JSON document
  * (to stdout, or FILE with `--profile=FILE`) containing the compile
@@ -721,10 +723,9 @@ main(int argc, char** argv)
                     rep.vect.chosenIn, rep.vect.chosenOut,
                     rep.build.lutsBuilt, rep.build.lutBytes / 1024);
         if (backend == Backend::Fused)
-            std::printf("fused %d region(s) (%d op(s), %d channel(s)), "
-                        "%d fallback(s)\n",
+            std::printf("fused %d region(s) (%d op(s), %d channel(s))\n",
                         rep.fuse.nodesFused, rep.fuse.fusedOps,
-                        rep.fuse.channels, rep.fuse.fallbacks);
+                        rep.fuse.channels);
         if (backend == Backend::Native)
             std::printf("cgen %d region(s): %d native (%s, %.1f ms, "
                         "%d bridge(s)), %d fallback(s)\n",

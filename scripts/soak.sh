@@ -16,7 +16,9 @@
 # The fuse matrix (docs/FUSION.md) runs the same fault x restart grid
 # with `--backend=fused`: the fused bytecode interpreter must compose
 # with every robustness control exactly like the VM — same exit code in
-# every cell.  The cgen matrix (docs/CODEGEN.md) repeats that grid with
+# every cell — and the solo `|>>>|` programs (one region each) must
+# print their VM twins' summaries, clean and checkpoint-healed.  The
+# cgen matrix (docs/CODEGEN.md) repeats that grid with
 # `--backend=native` (dlopen'd compiled regions), adds restart and
 # checkpointing cells whose output must match their VM twins, and a
 # warm-.so-cache byte-equality check.
@@ -121,6 +123,24 @@ check_heal_identity() {
         pass=$((pass + 1))
     fi
     rm -rf "$d"
+}
+
+# solo_twin_cells TAG FLAGS: pipeline.zir and running_sum.zir run
+# solo (their |>>>| lowered as >>>, one region) with backend FLAGS must
+# print their VM twin's summary, clean and healing a fault from a
+# checkpoint.
+solo_twin_cells() {
+    tag="$1"; flags="$2"
+    heal="--restart 2 --backoff-ms 1 --checkpoint=64 --inject-fault throw@7"
+    for name in pipeline running_sum; do
+        for opt in none all; do
+            s="$BIN examples/zir/$name.zir --opt $opt --bytes 4096"
+            check_same "$tag/$name/$opt solo matches vm" \
+                "$s --backend=vm" "$s $flags"
+            check_same "$tag/$name/$opt solo heal matches vm" \
+                "$s $heal --backend=vm" "$s $heal $flags"
+        done
+    done
 }
 
 # start_srv LOG FLAGS...: start a scrambler server (--listen in FLAGS)
@@ -329,6 +349,8 @@ fuse_matrix() {
         done
     done
 
+    solo_twin_cells fuse --backend=fused
+
     # Threaded supervision: pipeline.zir splits at |>>>|, so each fused
     # partition runs under the stall watchdog and restart supervisor.
     c="$BIN examples/zir/pipeline.zir --opt none --backend=fused \
@@ -374,6 +396,8 @@ cgen_matrix() {
                     $c --inject-fault throw@4:0 --restart 2 --backoff-ms 1
         done
     done
+
+    solo_twin_cells cgen "--backend=native --cgen-cache-dir $cache"
 
     # Threaded supervision over per-partition native regions.
     c="$BIN examples/zir/pipeline.zir --opt none --backend=native \

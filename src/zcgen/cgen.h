@@ -9,17 +9,16 @@
  * `>>>` channels become direct `goto`s, and expression closures are
  * inlined as scalar/array code — then compiled with the system C++
  * compiler into a shared object and bound through `dlopen` behind the
- * unchanged ExecNode seam.  Region finding reuses the fused backend's
- * maximal-fusible-subtree walk (`buildNodeFused`), so native blocks
- * and `|>>>|` boundaries keep their VM-spine fallback and the Spin
- * livelock diagnostic is preserved verbatim.
+ * unchanged ExecNode seam.  The region is the fused backend's
+ * (`buildRegion`: one per partition, native kernels inline), so the
+ * Spin livelock diagnostic is preserved verbatim.
  *
  * Compiled objects are cached on disk keyed by a hash of the emitted
  * source, the compiler version and the flags; a CRC-checked manifest
  * guards against torn or corrupted cache entries (same hygiene as
  * zexec/ckpt_store.h).  No working compiler, a failed compile, or a
  * missing symbol all degrade loudly to the bytecode interpreter for the
- * affected regions (fallback ladder: native -> fused -> vm).
+ * region (fallback ladder: native -> fused).
  *
  * Selected via `CompilerOptions::backend` / `zirrun --backend=native`.
  * Emission strategy, cache-key derivation and the security rationale
@@ -38,7 +37,7 @@ namespace ziria {
 /** Statistics from one native build (CompileReport::cgen). */
 struct CgenStats
 {
-    int regions = 0;      ///< fused regions found by the region walk
+    int regions = 0;      ///< fused regions built (one per partition)
     int emitted = 0;      ///< regions emitted as C++
     int compiled = 0;     ///< translation units compiled this run
     int cacheHits = 0;    ///< translation units served from the cache
@@ -106,10 +105,9 @@ std::string fnv1a64Hex(const std::string& data);
 
 /**
  * Build the execution tree with the native backend: the fused region
- * walk runs unchanged, then each region's FusedNode is bound to
- * dlopen'd machine code (or stays on the bytecode interpreter when
- * compilation is unavailable — counted in @p cstats->fallbacks and in
- * the `ziria.cgen.fallbacks` metric).  Drop-in replacement for
+ * is built unchanged, then bound to dlopen'd machine code (or stays on
+ * the bytecode interpreter when compilation is unavailable — counted
+ * in @p cstats->fallbacks and in the `ziria.cgen.fallbacks` metric).  Drop-in replacement for
  * buildNodeFused.  @p cacheDir empty means the default cache location.
  */
 NodePtr buildNodeNative(const CompPtr& c, ExprCompiler& ec,

@@ -1034,12 +1034,12 @@ class CppEmitter
 // Region translation
 // -----------------------------------------------------------------------
 
-/** Translates one FuseProgram into `zr_region_<idx>`. */
+/** Translates one FuseProgram into kRegionSymbol. */
 class RegionEmitter
 {
   public:
-    RegionEmitter(const FuseProgram& p, int idx, const FrameLayout& layout)
-        : p_(p), idx_(idx), layout_(layout)
+    RegionEmitter(const FuseProgram& p, const FrameLayout& layout)
+        : p_(p), layout_(layout)
     {
     }
 
@@ -1048,7 +1048,7 @@ class RegionEmitter
     std::string
     emit()
     {
-        out_ += "extern \"C\" int zr_region_" + std::to_string(idx_) +
+        out_ += std::string("extern \"C\" int ") + kRegionSymbol +
                 "(ZrCtx* zc)\n{\n";
         out_ += "  uint8_t* const fr = zc->fr; (void)fr;\n";
         out_ += "  uint8_t* const st = zc->st; (void)st;\n";
@@ -1369,7 +1369,6 @@ class RegionEmitter
     }
 
     const FuseProgram& p_;
-    int idx_;
     const FrameLayout& layout_;
     int bridges_ = 0;
     std::string out_;
@@ -1560,17 +1559,14 @@ static void zr_nat_mk_complex16(const uint8_t* const* a, uint8_t* r)
 } // namespace
 
 EmitUnit
-emitUnit(const std::vector<const FuseProgram*>& progs,
-         const FrameLayout& layout)
+emitUnit(const FuseProgram& prog, const FrameLayout& layout)
 {
+    RegionEmitter re(prog, layout);
     EmitUnit u;
     u.source = kPreamble;
-    for (size_t i = 0; i < progs.size(); ++i) {
-        RegionEmitter re(*progs[i], static_cast<int>(i), layout);
-        u.source += re.emit();
-        u.source += "\n";
-        u.hostBridges += re.hostBridges();
-    }
+    u.source += re.emit();
+    u.source += "\n";
+    u.hostBridges = re.hostBridges();
     return u;
 }
 

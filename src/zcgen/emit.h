@@ -1,6 +1,6 @@
 /**
  * @file
- * Internal: translate lowered fused regions into one C++ source unit.
+ * Internal: translate one lowered fused region into a C++ source unit.
  *
  * Not installed API — only native.cc (the build driver) and the
  * tests include this.  docs/CODEGEN.md describes the emission strategy.
@@ -9,7 +9,6 @@
 #define ZIRIA_ZCGEN_EMIT_H
 
 #include <string>
-#include <vector>
 
 #include "zexpr/frame.h"
 #include "zfuse/bytecode.h"
@@ -17,7 +16,10 @@
 namespace ziria {
 namespace zcgen {
 
-/** One emitted translation unit covering several regions. */
+/** The one function a unit exports, and its fixed name. */
+constexpr const char* kRegionSymbol = "zr_region_0";
+
+/** One emitted translation unit: the preamble plus one region. */
 struct EmitUnit
 {
     std::string source;   ///< self-contained C++ (no repo includes)
@@ -25,15 +27,14 @@ struct EmitUnit
 };
 
 /**
- * Emit C++ for @p progs: region @p i becomes `zr_region_<i>`.  Closure
+ * Emit C++ for @p prog as kRegionSymbol.  Closure
  * ASTs the emitter cannot express compile to host-callback bridges
  * instead (semantics preserved, counted in hostBridges).  Only reads
- * @p layout, the one the regions were lowered against: the frame stays
+ * @p layout, the one the region was lowered against: the frame stays
  * exactly as the fused interpreter lays it out (re-inlined call
  * parameters become C++ locals).
  */
-EmitUnit emitUnit(const std::vector<const zfuse::FuseProgram*>& progs,
-                  const FrameLayout& layout);
+EmitUnit emitUnit(const zfuse::FuseProgram& prog, const FrameLayout& layout);
 
 } // namespace zcgen
 } // namespace ziria

@@ -2,14 +2,13 @@
  * @file
  * The native build driver.
  *
- * buildNodeNative runs the fused backend's region walk, then emits +
- * compiles ONE translation unit covering every region it made, so a
- * pipeline pays at most one compiler invocation (usually zero: the
- * shared-object cache in jit.cc), and binds each `zr_region_<i>` into
- * its FusedNode.  A region left unbound — no compiler on the host, a
- * failed compile, a missing symbol — stays on the bytecode
- * interpreter over the very same state, so the fallback ladder
- * (native -> fused) never changes observable behaviour, only speed.
+ * buildNodeNative lowers the partition to its one fused region, then
+ * emits + compiles it as ONE translation unit (usually a shared-object
+ * cache hit: jit.cc) and binds its `zr_region_0` into the FusedNode.
+ * A region left unbound — no compiler on the host, a failed compile, a
+ * missing symbol — stays on the bytecode interpreter over the very same
+ * state, so the fallback ladder (native -> fused) never changes
+ * observable behaviour, only speed.
  */
 #include "zcgen/cgen.h"
 
@@ -20,7 +19,52 @@
 
 namespace ziria {
 
-using zfuse::FuseProgram;
+namespace {
+
+/**
+ * Emit, compile and bind @p region; returns why it stays on the
+ * interpreter ("" once bound).
+ */
+std::string
+bindRegion(FusedNode& region, const FrameLayout& layout, CgenStats& cs,
+           const std::string& cacheDir)
+{
+    if (!zcgen::compilerAvailable())
+        return "no C++ compiler found";
+
+    auto& reg = metrics::Registry::global();
+    zcgen::EmitUnit unit = zcgen::emitUnit(region.program(), layout);
+    ++cs.emitted;
+    cs.hostBridges += unit.hostBridges;
+    reg.counter("ziria.cgen.emitted").inc();
+
+    zcgen::JitResult jr = zcgen::compileUnit(
+        unit.source, zcgen::resolveCacheDir(cacheDir));
+    cs.cacheKey = jr.key;
+    cs.compiler = zcgen::compilerVersion();
+    cs.compileSec += jr.compileSec;
+    if (jr.cacheHit) {
+        ++cs.cacheHits;
+        reg.counter("ziria.cgen.cache_hits").inc();
+    } else {
+        ++cs.cacheMisses;
+        reg.counter("ziria.cgen.cache_misses").inc();
+        if (jr.lib) {
+            ++cs.compiled;
+            reg.counter("ziria.cgen.compiled").inc();
+        }
+    }
+    if (!jr.lib)
+        return "native compilation failed: " + jr.error;
+
+    void* fp = jr.lib->sym(zcgen::kRegionSymbol);
+    if (!fp)
+        return std::string("symbol ") + zcgen::kRegionSymbol + " missing";
+    region.bindNative(jr.lib, reinterpret_cast<zcgen::ZrRegionFn>(fp));
+    return "";
+}
+
+} // namespace
 
 NodePtr
 buildNodeNative(const CompPtr& c, ExprCompiler& ec,
@@ -28,78 +72,21 @@ buildNodeNative(const CompPtr& c, ExprCompiler& ec,
                 FuseStats* fstats, CgenStats* cstats,
                 const std::string& cacheDir, const std::string& path)
 {
-    std::vector<FusedNode*> pending;
-    NodePtr root =
-        buildNodeFused(c, ec, opt, stats, fstats, path, &pending, "cgen");
+    std::unique_ptr<FusedNode> region =
+        buildRegion(c, ec, opt, stats, fstats, path);
 
     CgenStats local;
-    CgenStats* cs = cstats ? cstats : &local;
-    cs->regions += static_cast<int>(pending.size());
-    auto& reg = metrics::Registry::global();
-
-    if (pending.empty())
-        return root;
-
-    if (!zcgen::compilerAvailable()) {
+    CgenStats& cs = cstats ? *cstats : local;
+    ++cs.regions;
+    std::string why = bindRegion(*region, ec.layout(), cs, cacheDir);
+    if (!why.empty()) {
         std::fprintf(stderr,
-                     "ziria: cgen: no C++ compiler found; %zu region(s) "
-                     "fall back to the fused interpreter\n",
-                     pending.size());
-        cs->fallbacks += static_cast<int>(pending.size());
-        reg.counter("ziria.cgen.fallbacks").add(pending.size());
-        return root;
+                     "ziria: cgen: %s; the region falls back to the fused "
+                     "interpreter\n", why.c_str());
+        ++cs.fallbacks;
+        metrics::Registry::global().counter("ziria.cgen.fallbacks").inc();
     }
-
-    std::vector<const FuseProgram*> progs;
-    progs.reserve(pending.size());
-    for (FusedNode* n : pending)
-        progs.push_back(&n->program());
-    zcgen::EmitUnit unit = zcgen::emitUnit(progs, ec.layout());
-    cs->emitted += static_cast<int>(pending.size());
-    cs->hostBridges += unit.hostBridges;
-    reg.counter("ziria.cgen.emitted").add(pending.size());
-
-    zcgen::JitResult jr = zcgen::compileUnit(
-        unit.source, zcgen::resolveCacheDir(cacheDir));
-    cs->cacheKey = jr.key;
-    cs->compiler = zcgen::compilerVersion();
-    cs->compileSec += jr.compileSec;
-    if (jr.cacheHit) {
-        ++cs->cacheHits;
-        reg.counter("ziria.cgen.cache_hits").inc();
-    } else {
-        ++cs->cacheMisses;
-        reg.counter("ziria.cgen.cache_misses").inc();
-        if (jr.lib) {
-            ++cs->compiled;
-            reg.counter("ziria.cgen.compiled").inc();
-        }
-    }
-    if (!jr.lib) {
-        std::fprintf(stderr,
-                     "ziria: cgen: native compilation failed; %zu "
-                     "region(s) fall back to the fused interpreter: %s\n",
-                     pending.size(), jr.error.c_str());
-        cs->fallbacks += static_cast<int>(pending.size());
-        reg.counter("ziria.cgen.fallbacks").add(pending.size());
-        return root;
-    }
-
-    for (size_t i = 0; i < pending.size(); ++i) {
-        std::string sym = "zr_region_" + std::to_string(i);
-        void* fp = jr.lib->sym(sym.c_str());
-        if (!fp) {
-            std::fprintf(stderr,
-                         "ziria: cgen: symbol %s missing; region falls "
-                         "back to the fused interpreter\n", sym.c_str());
-            ++cs->fallbacks;
-            reg.counter("ziria.cgen.fallbacks").inc();
-            continue;
-        }
-        pending[i]->bindNative(jr.lib,
-                               reinterpret_cast<zcgen::ZrRegionFn>(fp));
-    }
-    return root;
+    return finishRegion(std::move(region), c, opt, path, "cgen");
 }
 
 } // namespace ziria

@@ -2,7 +2,7 @@
  * @file
  * Linear bytecode for the fused execution backend.
  *
- * A fusible tick/proc subtree lowers to one flat instruction array
+ * A partition's tick/proc tree lowers to one flat instruction array
  * executed by FusedNode with computed-goto dispatch (src/zfuse/
  * fused_node.cc).  The key idea — following "Stream Fusion, to
  * Completeness" — is that the VM's node-tree scheduling discipline

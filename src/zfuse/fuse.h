@@ -3,12 +3,12 @@
  * The fused execution backend: public entry points.
  *
  * `buildNodeFused` is the fused counterpart of `buildNode`
- * (zexec/pipeline.cc): it walks the optimized computation tree, lowers
- * every maximal *fusible* subtree into one FusedNode (a flat bytecode
- * program, zfuse/bytecode.h), and falls back to ordinary VM nodes only
- * above `|>>>|` boundaries, joining fused regions with the usual
- * combinator nodes.  Native stream blocks (FFT, Viterbi, ...) fuse:
- * the region runs their kernels inline.
+ * (zexec/pipeline.cc): it lowers the whole optimized computation tree
+ * of one partition into ONE FusedNode (a flat bytecode program,
+ * zfuse/bytecode.h).  Every form lowers: an interior `|>>>|` runs as a
+ * plain `>>>` (thread partitions are split off before the build, as
+ * the VM does), and native stream blocks (FFT, Viterbi, ...) run their
+ * kernels inline.
  * The result sits behind the ExecNode interface, so tracing, frame
  * spans, fault injection, supervised restart and zserve sessions
  * compose unchanged, and `reset()` re-zeroes the fused state block
@@ -16,8 +16,8 @@
  * zero state + re-enter at the program entry).
  *
  * Selected via `CompilerOptions::backend` / `zirrun --backend=fused`.
- * Fusibility rules, the bytecode format and fallback semantics are
- * documented in docs/FUSION.md.
+ * The lowering rules and the bytecode format are documented in
+ * docs/FUSION.md.
  */
 #ifndef ZIRIA_ZFUSE_FUSE_H
 #define ZIRIA_ZFUSE_FUSE_H
@@ -41,49 +41,44 @@ class Library;
 struct FuseStats
 {
     int nodesFused = 0;  ///< FusedNode instances created
-    int fallbacks = 0;   ///< VM nodes built because fusion was refused
+    int fallbacks = 0;   ///< always 0: every partition fuses (kept for
+                         ///< readers of the report schema)
     int fusedOps = 0;    ///< total bytecode instructions emitted
     int channels = 0;    ///< internal `>>>` boundaries compiled away
 };
 
-/**
- * Can this whole subtree be lowered to fused bytecode?  False only for
- * `|>>>|`-marked pipes (a thread boundary must stay a real node so
- * ThreadedPipeline can split it) and unelaborated computation calls;
- * recursively true otherwise.
- */
-bool fusibleComp(const CompPtr& c);
-
-/**
- * Lower one fusible subtree to bytecode.  @p c must be elaborated and
- * checked; kernels/LUTs are compiled against @p ec exactly as the VM
- * build would.  Exposed separately for tests and disassembly.
- */
-std::shared_ptr<const zfuse::FuseProgram>
-lowerFused(const CompPtr& c, ExprCompiler& ec, const BuildOptions& opt,
-           BuildStats* stats = nullptr, FuseStats* fstats = nullptr);
-
 class FusedNode;
 
 /**
- * Build the execution tree with the fused backend: maximal fusible
- * subtrees become FusedNodes, the rest VM nodes.  Drop-in replacement
- * for buildNode (same width normalization and instrumentation shims).
- * Every FusedNode made is appended to @p regions (if given) in build
- * order, and reported to tracing shims as @p regionKind — the native
- * backend (src/zcgen/) binds compiled code into them afterwards.
+ * Lower @p c (elaborated and checked) into its one region; kernels and
+ * LUTs are compiled against @p ec exactly as the VM build would.  When
+ * instrumented, adds a `native` metrics row per embedded kernel at
+ * `<path>/k<i>`.  The native backend (src/zcgen/) binds compiled code
+ * into the region before finishRegion() hides it behind the shims.
+ */
+std::unique_ptr<FusedNode>
+buildRegion(const CompPtr& c, ExprCompiler& ec, const BuildOptions& opt,
+            BuildStats* stats, FuseStats* fstats, const std::string& path);
+
+/** Width normalization + tracing shim (row kind @p kind), as buildNode. */
+NodePtr finishRegion(std::unique_ptr<FusedNode> region, const CompPtr& c,
+                     const BuildOptions& opt, const std::string& path,
+                     const char* kind);
+
+/**
+ * Build the execution tree with the fused backend: one FusedNode for
+ * the whole of @p c.  Drop-in replacement for buildNode (same width
+ * normalization and instrumentation shims).
  */
 NodePtr buildNodeFused(const CompPtr& c, ExprCompiler& ec,
                        const BuildOptions& opt, BuildStats* stats,
                        FuseStats* fstats = nullptr,
-                       const std::string& path = "root",
-                       std::vector<FusedNode*>* regions = nullptr,
-                       const char* regionKind = "fused");
+                       const std::string& path = "root");
 
 /**
- * One fused region (behind ExecNode; one per region): the bytecode
+ * One fused region (behind ExecNode; one per partition): the bytecode
  * interpreter, with an optional compiled fast path.  Once bindNative()
- * has attached a `zr_region_<i>` entry (src/zcgen/), advance() calls
+ * has attached a `zr_region_0` entry (src/zcgen/), advance() calls
  * it instead of interpreting.  Both engines run the same state machine
  * over the same state: the registers, state block and channel
  * continuations below, plus the parked bytecode pc, spins and out/ctrl

@@ -16,6 +16,7 @@
  *               is item i+1's entry (the "switchtable" of §2.6).
  *   c1 >>> c2   PIPE_INIT (producer pc := left entry), then the right
  *               side's code (consumer-first), then the left side's.
+ *               A `|>>>|` inside a partition lowers the same way.
  *   repeat      body halt continuation = SPIN guard + jump to body
  *               entry (re-running the entry code *is* body->start()).
  *   if/times/while  guards and counters evaluated at exactly the VM's
@@ -37,53 +38,11 @@
 
 #include "support/metrics.h"
 #include "support/panic.h"
-#include "zexec/nodes.h"
 #include "zopt/autolut.h"
 
 namespace ziria {
 
 using namespace zfuse;
-
-// ---------------------------------------------------------------------
-// Fusibility
-// ---------------------------------------------------------------------
-
-bool
-fusibleComp(const CompPtr& c)
-{
-    switch (c->kind()) {
-      case CompKind::CallComp:
-        return false;
-      case CompKind::Pipe: {
-        const auto& p = static_cast<const PipeComp&>(*c);
-        if (p.threaded())
-            return false;
-        return fusibleComp(p.left()) && fusibleComp(p.right());
-      }
-      case CompKind::Seq: {
-        const auto& s = static_cast<const SeqComp&>(*c);
-        for (const auto& it : s.items())
-            if (!fusibleComp(it.comp))
-                return false;
-        return true;
-      }
-      case CompKind::If: {
-        const auto& i = static_cast<const IfComp&>(*c);
-        return fusibleComp(i.thenC()) &&
-               (!i.elseC() || fusibleComp(i.elseC()));
-      }
-      case CompKind::Repeat:
-        return fusibleComp(static_cast<const RepeatComp&>(*c).body());
-      case CompKind::Times:
-        return fusibleComp(static_cast<const TimesComp&>(*c).body());
-      case CompKind::While:
-        return fusibleComp(static_cast<const WhileComp&>(*c).body());
-      case CompKind::LetVar:
-        return fusibleComp(static_cast<const LetVarComp&>(*c).body());
-      default:
-        return true;  // take/takes/emit/emits/return/map/filter/native
-    }
-}
 
 // ---------------------------------------------------------------------
 // Lowerer
@@ -484,9 +443,9 @@ class Lowerer
             break;
           }
           case CompKind::Pipe: {
+            // A `|>>>|` lowers as a plain `>>>`: thread partitions are
+            // split off before the build, as the VM does.
             const auto& p = static_cast<const PipeComp&>(*c);
-            ZIRIA_ASSERT(!p.threaded(),
-                         "threaded pipe reached the fused lowerer");
             int ch = newChannel(widthOf(p.left()->ctype().out));
             int leftEntry = newLabel();
             Instr pi{Op::PipeInit};
@@ -712,7 +671,8 @@ class Lowerer
             lowerNative(static_cast<const NativeComp&>(*c), ctx);
             break;
           case CompKind::CallComp:
-            panic("non-fusible computation reached the fused lowerer");
+            panic("unelaborated computation call reached the fused "
+                  "lowerer");
         }
     }
 
@@ -797,33 +757,49 @@ class Lowerer
 
 } // namespace
 
-std::shared_ptr<const FuseProgram>
-lowerFused(const CompPtr& c, ExprCompiler& ec, const BuildOptions& opt,
-           BuildStats* stats, FuseStats* fstats)
-{
-    ZIRIA_ASSERT(fusibleComp(c), "lowerFused: subtree is not fusible");
-    Lowerer lw(ec, opt, stats, fstats);
-    return lw.run(c);
-}
-
 // ---------------------------------------------------------------------
 // Fused tree construction (the buildNode counterpart)
 // ---------------------------------------------------------------------
 
-namespace {
-
-/** Width normalization + tracing shim, identical to buildNode's tail. */
-NodePtr
-finishNode(NodePtr node, const CompPtr& c, const BuildOptions& opt,
-           const std::string& path, const char* kindName)
+std::unique_ptr<FusedNode>
+buildRegion(const CompPtr& c, ExprCompiler& ec, const BuildOptions& opt,
+            BuildStats* stats, FuseStats* fstats, const std::string& path)
 {
+    if (stats)
+        ++stats->nodes;
+    auto node = std::make_unique<FusedNode>(
+        Lowerer(ec, opt, stats, fstats).run(c));
+    if (opt.instrument && opt.metrics) {
+        // One row per embedded kernel, so profiles still show the FFT
+        // or the Viterbi by name once it sits inside a region.
+        const auto& ks = node->program().kernels;
+        for (size_t i = 0; i < ks.size(); ++i) {
+            NodeMetrics& nm = opt.metrics->addNode(
+                path + "/k" + std::to_string(i), "native");
+            nm.inWidth = ks[i].inWidth;
+            nm.outWidth = ks[i].outWidth;
+            node->setKernelMetrics(i, &nm);
+        }
+    }
+    if (fstats)
+        ++fstats->nodesFused;
+    metrics::Registry::global().counter("ziria.fuse.nodes_fused").inc();
+    return node;
+}
+
+NodePtr
+finishRegion(std::unique_ptr<FusedNode> region, const CompPtr& c,
+             const BuildOptions& opt, const std::string& path,
+             const char* kind)
+{
+    NodePtr node = std::move(region);
     const CompType& ct = c->ctype();
     node->setInWidth(widthOf(ct.in));
     node->setOutWidth(widthOf(ct.out));
     if (ct.isComputer)
         node->setCtrlWidth(widthOf(ct.ctrl));
     if (opt.instrument && opt.metrics) {
-        NodeMetrics& nm = opt.metrics->addNode(path, kindName);
+        NodeMetrics& nm = opt.metrics->addNode(path, kind);
         nm.inWidth = node->inWidth();
         nm.outWidth = node->outWidth();
         node = std::make_unique<TracedNode>(std::move(node), &nm,
@@ -832,147 +808,12 @@ finishNode(NodePtr node, const CompPtr& c, const BuildOptions& opt,
     return node;
 }
 
-void
-countFallback(FuseStats* fstats)
-{
-    if (fstats)
-        ++fstats->fallbacks;
-    metrics::Registry::global().counter("ziria.fuse.fallbacks").inc();
-}
-
-/** The maximal-fusible-subtree walk behind buildNodeFused. */
-struct RegionWalk
-{
-    ExprCompiler& ec;
-    const BuildOptions& opt;
-    BuildStats* stats;
-    FuseStats* fstats;
-    std::vector<FusedNode*>* regions;
-    const char* regionKind;
-
-    NodePtr build(const CompPtr& c, const std::string& path);
-};
-
-NodePtr
-RegionWalk::build(const CompPtr& c, const std::string& path)
-{
-    if (fusibleComp(c)) {
-        if (stats)
-            ++stats->nodes;
-        auto node =
-            std::make_unique<FusedNode>(lowerFused(c, ec, opt, stats, fstats));
-        if (opt.instrument && opt.metrics) {
-            // One row per embedded kernel, so profiles still show the
-            // FFT or the Viterbi by name once it sits inside a region.
-            const auto& ks = node->program().kernels;
-            for (size_t i = 0; i < ks.size(); ++i) {
-                NodeMetrics& nm = opt.metrics->addNode(
-                    path + "/k" + std::to_string(i), "native");
-                nm.inWidth = ks[i].inWidth;
-                nm.outWidth = ks[i].outWidth;
-                node->setKernelMetrics(i, &nm);
-            }
-        }
-        if (fstats)
-            ++fstats->nodesFused;
-        metrics::Registry::global()
-            .counter("ziria.fuse.nodes_fused")
-            .inc();
-        if (regions)
-            regions->push_back(node.get());
-        return finishNode(std::move(node), c, opt, path, regionKind);
-    }
-
-    // Not fusible at this level (a `|>>>|` below): build the VM
-    // combinator here and fuse maximal subtrees underneath it.
-    if (stats)
-        ++stats->nodes;
-    countFallback(fstats);
-    switch (c->kind()) {
-      case CompKind::Pipe: {
-        const auto& p = static_cast<const PipeComp&>(*c);
-        NodePtr l = build(p.left(), path + "/l");
-        NodePtr r = build(p.right(), path + "/r");
-        NodePtr node = std::make_unique<PipeNode>(std::move(l), std::move(r));
-        return finishNode(std::move(node), c, opt, path, "pipe");
-      }
-      case CompKind::Seq: {
-        const auto& s = static_cast<const SeqComp&>(*c);
-        std::vector<SeqNode::Item> items;
-        items.reserve(s.items().size());
-        size_t i = 0;
-        for (const auto& it : s.items()) {
-            SeqNode::Item item;
-            item.node = build(it.comp, path + "/s" + std::to_string(i++));
-            if (it.bind) {
-                item.bindOff =
-                    static_cast<long>(ec.layout().add(it.bind));
-                item.bindWidth = it.bind->type->byteWidth();
-            }
-            items.push_back(std::move(item));
-        }
-        NodePtr node = std::make_unique<SeqNode>(std::move(items));
-        return finishNode(std::move(node), c, opt, path, "seq");
-      }
-      case CompKind::If: {
-        const auto& i = static_cast<const IfComp&>(*c);
-        NodePtr t = build(i.thenC(), path + "/t");
-        NodePtr e = i.elseC() ? build(i.elseC(), path + "/e") : nullptr;
-        NodePtr node = std::make_unique<IfNode>(
-            ec.compileInt(i.cond()), std::move(t), std::move(e));
-        return finishNode(std::move(node), c, opt, path, "if");
-      }
-      case CompKind::Repeat: {
-        const auto& r = static_cast<const RepeatComp&>(*c);
-        NodePtr node =
-            std::make_unique<RepeatNode>(build(r.body(), path + "/rep"));
-        return finishNode(std::move(node), c, opt, path, "repeat");
-      }
-      case CompKind::Times: {
-        const auto& t = static_cast<const TimesComp&>(*c);
-        long ivOff = -1;
-        TypeKind ivKind = TypeKind::Int32;
-        if (t.inductionVar()) {
-            ivOff = static_cast<long>(ec.layout().add(t.inductionVar()));
-            ivKind = t.inductionVar()->type->kind();
-        }
-        NodePtr node = std::make_unique<TimesNode>(
-            ec.compileInt(t.count()), ivOff, ivKind,
-            build(t.body(), path + "/times"));
-        return finishNode(std::move(node), c, opt, path, "times");
-      }
-      case CompKind::While: {
-        const auto& w = static_cast<const WhileComp&>(*c);
-        NodePtr node = std::make_unique<WhileNode>(
-            ec.compileInt(w.cond()), build(w.body(), path + "/while"));
-        return finishNode(std::move(node), c, opt, path, "while");
-      }
-      case CompKind::LetVar: {
-        const auto& l = static_cast<const LetVarComp&>(*c);
-        size_t off = ec.layout().add(l.var());
-        EvalInto init;
-        if (l.init())
-            init = ec.compileInto(l.init());
-        NodePtr node = std::make_unique<LetVarNode>(
-            off, l.var()->type->byteWidth(), std::move(init),
-            build(l.body(), path + "/let"));
-        return finishNode(std::move(node), c, opt, path, "letvar");
-      }
-      default:
-        panic("buildNodeFused: unexpected non-fusible leaf");
-    }
-}
-
-} // namespace
-
 NodePtr
 buildNodeFused(const CompPtr& c, ExprCompiler& ec, const BuildOptions& opt,
-               BuildStats* stats, FuseStats* fstats,
-               const std::string& path, std::vector<FusedNode*>* regions,
-               const char* regionKind)
+               BuildStats* stats, FuseStats* fstats, const std::string& path)
 {
-    return RegionWalk{ec, opt, stats, fstats, regions, regionKind}.build(
-        c, path);
+    return finishRegion(buildRegion(c, ec, opt, stats, fstats, path), c,
+                        opt, path, "fused");
 }
 
 // ---------------------------------------------------------------------

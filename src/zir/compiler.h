@@ -38,10 +38,10 @@ enum class OptLevel { None, Vectorize, All };
 
 /**
  * Execution backend: the closure-tree VM (one ExecNode per computation
- * form), the fused bytecode interpreter (maximal fusible subtrees
- * flattened into linear programs, docs/FUSION.md), or native code
- * generation (fused regions emitted as C++, compiled and dlopen'd with
- * an on-disk shared-object cache, docs/CODEGEN.md).  All sit behind
+ * form), the fused bytecode interpreter (each partition flattened into
+ * one linear program, docs/FUSION.md), or native code generation (that
+ * program emitted as C++, compiled and dlopen'd with an on-disk
+ * shared-object cache, docs/CODEGEN.md).  All sit behind
  * ExecNode, so every driver and decorator composes with any of them.
  */
 enum class Backend { Vm, Fused, Native };

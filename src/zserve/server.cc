@@ -863,11 +863,16 @@ Server::handleWrite(const std::shared_ptr<Session>& s)
             s->txBytes += static_cast<uint64_t>(n);
             // Advance the delivered-payload watermark past every staged
             // Data frame the kernel has now fully accepted.
+            const uint64_t sentBefore = s->sentPayloadAbs;
             while (!s->txMarks.empty() &&
                    s->txMarks.front().first <= s->txBytes) {
                 s->sentPayloadAbs = s->txMarks.front().second;
                 s->txMarks.pop_front();
             }
+            // Without a store nothing persists the retained tail, so it
+            // need not reach back past the watermark.
+            if (!store_ && s->sentPayloadAbs != sentBefore)
+                s->trimRetained(s->sentPayloadAbs);
             s->lastActivityNs = nowNs();
             budget -= std::min(budget, static_cast<size_t>(n));
             continue;

@@ -1,5 +1,7 @@
 #include "zserve/session.h"
 
+#include <algorithm>
+
 #include "support/metrics.h"
 #include "zexec/snapshot.h"
 
@@ -302,6 +304,19 @@ Session::beginRetention()
     // retained window anchored at absolute offset 0.
     outTail_.assign(outRaw_.begin(), outRaw_.end());
     outTailBase_ = 0;
+}
+
+void
+Session::trimRetained(uint64_t abs)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!retainOut_ || abs <= outTailBase_)
+        return;
+    const uint64_t n =
+        std::min<uint64_t>(abs - outTailBase_, outTail_.size());
+    outTail_.erase(outTail_.begin(),
+                   outTail_.begin() + static_cast<long>(n));
+    outTailBase_ += n;
 }
 
 std::string

@@ -265,6 +265,14 @@ class Session
     /** Arm output retention for a fresh keyed session (base 0). */
     void beginRetention();
 
+    /**
+     * Drop retained output below absolute byte @p abs (I/O thread).  A
+     * server with no checkpoint store calls it as the sent watermark
+     * advances: only a live migration reads its tail, and that client
+     * receives every byte up to the watermark before its Redirect.
+     */
+    void trimRetained(uint64_t abs);
+
     /** Input elements consumed; only valid while the session is
      *  quiesced (persist-cadence throttling on the I/O thread). */
     uint64_t
@@ -374,7 +382,8 @@ class Session
                                 ///< stash's delivered count
     // Retained output tail for durable checkpoints: every delivered
     // output element is also appended here (only when retainOut_), and
-    // checkpoint() trims it to the lagged sent watermark.  Covers
+    // checkpoint() trims it to the lagged sent watermark (trimRetained()
+    // to the live one on a storeless server).  Covers
     // [outTailBase_, delivered bytes) contiguously.
     bool retainOut_ = false;
     std::vector<uint8_t> outTail_;

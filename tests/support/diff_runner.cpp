@@ -101,7 +101,8 @@ fusedMatrix()
                 m.push_back(c);
             }
     // Threaded fused cells: each |>>>| partition becomes its own fused
-    // region below the threaded driver (the fallback path).
+    // region below the threaded driver; the cells above lower the same
+    // |>>>| as a plain >>> inside one region.
     DiffConfig mt0;
     mt0.name = "O0/mt/fz";
     mt0.threaded = true;

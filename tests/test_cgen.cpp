@@ -3,9 +3,9 @@
  * Native code-generation backend tests (ctest labels
  * `tier1;cgen;diff;sanitizer`):
  *
- *  - region finding and fallback ladder: whole fusible programs become
- *    one dlopen'd region, native blocks and threaded `|>>>|` keep the
- *    VM spine, and everything stays bit-identical to the VM;
+ *  - regions and the fallback ladder: a program (each `|>>>|`
+ *    partition when threaded) becomes one dlopen'd region with its
+ *    native blocks inline, and everything stays bit-identical to the VM;
  *  - the three-backend differential oracle {O0..O3} x {vec} x
  *    {vm,fused,native} on generated programs — the VM is the
  *    semantics, the machine code must match bit-exactly;
@@ -486,8 +486,8 @@ class NativeRoundTrip : public ::testing::TestWithParam<Rate>
 TEST_P(NativeRoundTrip, NativeTxToNativeRxDecodes)
 {
     // Native TX -> channel -> native RX.  The receiver leans on native
-    // blocks (FFT, CCA), so this also proves compiled regions compose
-    // with the VM-fallback spine inside one real pipeline.
+    // blocks (FFT, CCA), so this also proves compiled regions run
+    // their kernels inline inside one real pipeline.
     Rate rate = GetParam();
     Rng rng(600 + static_cast<uint64_t>(rate));
     std::vector<uint8_t> payload(72);

@@ -2,10 +2,9 @@
  * @file
  * Fused-backend tests (ctest labels `tier1;fuse;diff`):
  *
- *  - fusibility classification: what lowers (native blocks too), what
- *    falls back (threaded `|>>>|`), and where the boundary sits in a
- *    mixed tree;
- *  - bytecode structure: channel counts, single Halt, disassembly;
+ *  - lowering: every partition is one region (native blocks and an
+ *    interior `|>>>|` too); bytecode structure: channel counts, single
+ *    Halt, disassembly;
  *  - the differential oracle over the fused axis ({O0..O3} x {vec} x
  *    {vm,fused} plus threaded-fused cells) on generated programs —
  *    the VM is the semantics, the fused backend must match bit-exactly;
@@ -21,11 +20,13 @@
 
 #include <gtest/gtest.h>
 
+#include "support/backends.h"
 #include "support/diff_runner.h"
 #include "support/fault_injector.h"
 #include "support/metrics.h"
 #include "support/shapes.h"
 #include "zast/builder.h"
+#include "zexec/snapshot.h"
 #include "zfuse/fuse.h"
 #include "zgen/generator.h"
 #include "zir/compiler.h"
@@ -36,9 +37,11 @@ namespace {
 using namespace zb;
 using difftest::DiffConfig;
 using difftest::runDifferential;
+using testsupport::backendName;
 using testsupport::burstBlock;
 using testsupport::incBlock;
 using testsupport::intBytes;
+using testsupport::nativeUnavailable;
 using testsupport::resetShapes;
 using testsupport::Shape;
 using testsupport::throwAtBlock;
@@ -54,45 +57,10 @@ fusedOptions(OptLevel lvl = OptLevel::None)
     return opt;
 }
 
-// --------------------------------------------------- fusibility rules
-
-TEST(Fusibility, PrimitivesAndCombinatorsAreFusible)
-{
-    EXPECT_TRUE(fusibleComp(incBlock(1)));
-    EXPECT_TRUE(fusibleComp(pipe(incBlock(1), incBlock(2))));
-
-    VarRef x = freshVar("x", Type::int32());
-    FunRef f = fun("inc", {x}, {}, var(x) + 1);
-    EXPECT_TRUE(fusibleComp(mapc(f)));
-
-    VarRef i = freshVar("i", Type::int32());
-    EXPECT_TRUE(fusibleComp(
-        letvar(i, cInt(0),
-               whilec(var(i) < 4,
-                      seqc({just(doS({assign(var(i), var(i) + 1)})),
-                            just(emit(var(i)))})))));
-    EXPECT_TRUE(fusibleComp(timesc(cInt(3), incBlock(0))));
-    EXPECT_TRUE(fusibleComp(ifc(cInt(1) == 1, incBlock(1), incBlock(2))));
-}
-
-TEST(Fusibility, NativeFusesThreadedPipeRefuses)
-{
-    // A native block is an ordinary fusible leaf: its kernel runs
-    // inside the region.
-    EXPECT_TRUE(fusibleComp(throwAtBlock(uint64_t(1) << 62)));
-    EXPECT_TRUE(fusibleComp(repeatc(
-        seqc({just(take(Type::int32())),
-              just(throwAtBlock(uint64_t(1) << 62))}))));
-
-    CompPtr mt = ppipe(incBlock(1), incBlock(2));
-    EXPECT_FALSE(fusibleComp(mt));
-
-    // Non-fusibility propagates to every enclosing combinator...
-    EXPECT_FALSE(fusibleComp(pipe(incBlock(1), ppipe(incBlock(2),
-                                                     incBlock(3)))));
-    // ... but sibling subtrees stay independently fusible.
-    EXPECT_TRUE(fusibleComp(incBlock(1)));
-}
+// Native cells compile into one private cache directory (via
+// $ZIRIA_CGEN_CACHE), not the user's ~/.cache/ziria/zcgen.
+[[maybe_unused]] const ::testing::Environment* const kCacheEnv =
+    ::testing::AddGlobalTestEnvironment(new testsupport::PrivateCgenCache);
 
 // ------------------------------------------------- lowering structure
 
@@ -151,17 +119,103 @@ TEST(FusedLowering, NativeBlockJoinsFusedRegion)
     EXPECT_EQ(p->runBytes(bytes), want);
 }
 
+/**
+ * Supply @p p at most @p maxElems elements of @p bytes from element
+ * @p from, appending its yields to @p out.  Stops parked on NeedInput
+ * (where snapshots are taken), at end of input, or at Done; returns
+ * the elements supplied.
+ */
+size_t
+driveSome(Pipeline& p, const std::vector<uint8_t>& bytes, size_t from,
+          size_t maxElems, std::vector<uint8_t>& out)
+{
+    ExecNode& root = p.root();
+    Frame& f = p.frame();
+    const size_t w = p.inWidth();
+    size_t used = 0;
+    for (;;) {
+        Status s = root.advance(f);
+        if (s == Status::Yield) {
+            out.insert(out.end(), root.out(), root.out() + p.outWidth());
+        } else if (s == Status::NeedInput) {
+            const size_t pos = (from + used) * w;
+            if (used >= maxElems || pos + w > bytes.size())
+                break;
+            root.supply(f, bytes.data() + pos);
+            ++used;
+        } else {
+            break;  // Done
+        }
+    }
+    return used;
+}
+
+TEST(FusedLowering, InteriorThreadedPipeIsOneRegion)
+{
+    // A `|>>>|` below the partition split runs as a plain `>>>`, as on
+    // the VM: the whole program is one region, both boundaries become
+    // channels, and the region's snapshots move between engines.
+    auto make = [] {
+        return pipe(incBlock(1), ppipe(incBlock(2), incBlock(3)));
+    };
+    std::vector<int32_t> in(96);
+    for (size_t i = 0; i < in.size(); ++i)
+        in[i] = static_cast<int32_t>(5 * i - 40);
+    auto bytes = intBytes(in);
+    auto want = compilePipeline(make(),
+                                CompilerOptions::forLevel(OptLevel::None))
+                    ->runBytes(bytes);
+    ASSERT_EQ(want.size(), bytes.size());
+
+    auto compile = [&](Backend be) {
+        CompilerOptions opt = fusedOptions();
+        opt.backend = be;
+        CompileReport rep;
+        auto p = compilePipeline(make(), opt, &rep);
+        EXPECT_EQ(rep.fuse.nodesFused, 1);
+        EXPECT_EQ(rep.fuse.fallbacks, 0);
+        EXPECT_EQ(rep.fuse.channels, 2);
+        EXPECT_EQ(rep.cgen.fallbacks, 0);
+        EXPECT_NE(dynamic_cast<FusedNode*>(&p->root()), nullptr);
+        return p;
+    };
+    for (Backend be : {Backend::Fused, Backend::Native}) {
+        if (nativeUnavailable(be))
+            continue;
+        SCOPED_TRACE(backendName(be));
+        EXPECT_EQ(compile(be)->runBytes(bytes), want);
+    }
+
+    if (nativeUnavailable(Backend::Native))
+        GTEST_SKIP() << "no C++ compiler on this host";
+    for (Backend from : {Backend::Fused, Backend::Native}) {
+        const Backend to =
+            from == Backend::Fused ? Backend::Native : Backend::Fused;
+        SCOPED_TRACE(std::string(backendName(from)) + " -> " +
+                     backendName(to));
+        auto src = compile(from);
+        auto dst = compile(to);
+        std::vector<uint8_t> out;
+        src->root().start(src->frame());
+        const size_t head = driveSome(*src, bytes, 0, 17, out);
+        ASSERT_EQ(head, 17u);
+        auto snap = takeSnapshot(src->root(), src->frame(),
+                                 FrameRange::whole(src->frame()), head, 0);
+        restoreSnapshot(dst->root(), dst->frame(),
+                        FrameRange::whole(dst->frame()), snap);
+        driveSome(*dst, bytes, head, SIZE_MAX, out);
+        EXPECT_EQ(out, want);
+    }
+}
+
 TEST(FusedLowering, MetricsCountersAdvance)
 {
     auto& reg = metrics::Registry::global();
     uint64_t fusedBefore = reg.counter("ziria.fuse.nodes_fused").value();
-    uint64_t fallbackBefore = reg.counter("ziria.fuse.fallbacks").value();
     compilePipeline(incBlock(1), fusedOptions());
     compilePipeline(ppipe(incBlock(1), incBlock(2)), fusedOptions());
     EXPECT_GE(reg.counter("ziria.fuse.nodes_fused").value(),
-              fusedBefore + 3);  // whole program + two |>>>| partitions
-    EXPECT_GE(reg.counter("ziria.fuse.fallbacks").value(),
-              fallbackBefore + 1);  // the threaded pipe spine
+              fusedBefore + 2);  // one region per program
 }
 
 // ------------------------------------------- differential equivalence
@@ -394,6 +448,45 @@ TEST(FusedComposition, ThreadedDriverRunsFusedPartitions)
     auto vm = compilePipeline(pipe(incBlock(1), incBlock(10)),
                               CompilerOptions::forLevel(OptLevel::None));
     EXPECT_EQ(sink.data(), vm->runBytes(bytes));
+}
+
+TEST(FusedComposition, NestedThreadedPipeStaysInItsPartition)
+{
+    // Only the top-level `|>>>|` chain splits into threads; the one
+    // nested in the second partition lowers inside that partition's
+    // region.
+    auto make = [] {
+        return ppipe(incBlock(1),
+                     pipe(incBlock(2), ppipe(incBlock(3), incBlock(4))));
+    };
+    for (Backend be : {Backend::Fused, Backend::Native}) {
+        if (nativeUnavailable(be))
+            continue;
+        SCOPED_TRACE(backendName(be));
+        CompilerOptions opt = fusedOptions();
+        opt.backend = be;
+        CompileReport rep;
+        auto p = compileThreadedPipeline(make(), opt, &rep);
+        EXPECT_EQ(p->stageCount(), 2u);
+        EXPECT_EQ(rep.fuse.nodesFused, 2);  // one region per partition
+        EXPECT_EQ(rep.fuse.fallbacks, 0);
+        EXPECT_EQ(rep.fuse.channels, 2);
+        if (be == Backend::Native) {
+            EXPECT_EQ(rep.cgen.regions, 2);
+            EXPECT_EQ(rep.cgen.fallbacks, 0);
+        }
+
+        std::vector<int32_t> in(300);
+        for (size_t i = 0; i < in.size(); ++i)
+            in[i] = static_cast<int32_t>(i * 3);
+        auto bytes = intBytes(in);
+        MemSource src(bytes, 4);
+        VecSink sink(4);
+        p->run(src, sink);
+        auto vm = compilePipeline(make(),
+                                  CompilerOptions::forLevel(OptLevel::None));
+        EXPECT_EQ(sink.data(), vm->runBytes(bytes));
+    }
 }
 
 TEST(FusedComposition, HaltedComputerExposesCtrl)

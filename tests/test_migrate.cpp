@@ -460,6 +460,82 @@ TEST(Migrate, LiveHandOffByteIdenticalNeighborUntouched)
     b.stop();
 }
 
+TEST(Migrate, StorelessTailStaysBoundedByUnsentOutput)
+{
+    // With no checkpoint store the retained tail follows the sent
+    // watermark, so a long keyed session migrates with a small payload.
+    // A stand-in peer captures the Transfer and rejects it; the session
+    // then finishes on A as if nothing happened.
+    auto factory = scramblerFactory();
+    ServerConfig cfg;
+    cfg.workers = 2;
+    Server a(factory, cfg);
+    a.start();
+
+    auto input = randomBits(131072 * 8, 47);
+    auto expect = soloRun(factory, input);
+    const uint64_t totalElems = input.size() / 8;
+
+    KeyedClient c;
+    ASSERT_TRUE(c.attach(a.port(), "storeless-1")) << c.errorMsg;
+    ASSERT_TRUE(c.sendRange(input, 0, totalElems / 2));
+    // Read (nearly) all of the first half's output, then stop reading:
+    // whatever the checkpoint below finds unsent is what the client has
+    // not received.
+    const size_t want = expect.size() / 2 - 64 * c.greet.outWidth;
+    Frame f;
+    while (c.out.size() < want && c.readFrame(f))
+        if (f.type == FrameType::Data)
+            c.out.insert(c.out.end(), f.payload.begin(), f.payload.end());
+    ASSERT_GE(c.out.size(), want);
+    ASSERT_GT(c.out.size(), size_t(256) * 1024);
+
+    SockFd ls = listenTcp(0);
+    std::vector<uint8_t> ckpt;
+    std::thread peer([&] {
+        KeyedClient p;  // frame plumbing only
+        p.sock = SockFd(::accept(ls.get(), nullptr, nullptr));
+        std::vector<uint8_t> wire;
+        encodeHello(wire, c.greet.inWidth, c.greet.outWidth);
+        if (!sendAll(p.sock.get(), wire.data(), wire.size()))
+            return;
+        Frame t;
+        std::string key;
+        if (!p.readFrame(t) || t.type != FrameType::Migrate ||
+            !decodeMigrateTransfer(t.payload, key, ckpt))
+            return;
+        wire.clear();
+        encodeMigrateAck(wire, false, "capture only");
+        sendAll(p.sock.get(), wire.data(), wire.size());
+    });
+    std::string msg;
+    EXPECT_FALSE(requestMigrate(a.port(), "storeless-1", "127.0.0.1",
+                                boundPort(ls.get()), &msg));
+    peer.join();
+    ASSERT_FALSE(ckpt.empty()) << msg;
+
+    StateReader r(ckpt.data(), ckpt.size());
+    ASSERT_EQ(r.u32(), kSessionCheckpointVersion);
+    r.u64();  // consumed
+    const uint64_t deliveredB = r.u64() * c.greet.outWidth;
+    r.u64();  // backlog elements
+    r.blob();  // pipeline snapshot
+    r.blob();  // input backlog
+    const uint64_t tailBase = r.u64();
+    const std::vector<uint8_t> tail = r.blob();
+    ASSERT_GE(deliveredB, c.out.size());
+    EXPECT_EQ(tailBase + tail.size(), deliveredB);
+    EXPECT_LE(tail.size(), deliveredB - c.out.size());
+    EXPECT_LT(ckpt.size(), size_t(64) * 1024);
+
+    ASSERT_TRUE(c.sendRange(input, totalElems / 2, totalElems));
+    ASSERT_TRUE(c.sendEnd());
+    c.drain();
+    EXPECT_TRUE(c.sawEnd) << c.errorMsg;
+    EXPECT_EQ(c.out, expect);
+    a.stop();
+}
+
 TEST(Migrate, RejectedHandOffRollsBackWithoutDataLoss)
 {
     auto factory = scramblerFactory();
