@@ -9,10 +9,13 @@
  *      compiled C); the fused backend lowers the interior `>>>` to a
  *      two-instruction channel jump, target <= 40 ns.
  *  (2) full WiFi TX chain throughput at all eight rates, vm vs fused
- *      vs native, unoptimized and fully optimized;
+ *      vs native, unoptimized and fully optimized, plus native
+ *      --opt all without auto-LUT (ng/nolut: does the table still pay
+ *      once native code inlines its lookups?);
  *  (3) WiFi RX data path at all eight rates on every backend, the
  *      best configuration (native, --opt all) against the hand-written
- *      sora::rxDataBits, and the full receiver against sora::rxFrame;
+ *      sora::rxDataBits, native --opt all without auto-LUT, and the
+ *      full receiver against sora::rxFrame;
  *      native kernels (FFT, Viterbi) run inside the fused region, so
  *      each row also prints its region count;
  *  (4) native backend compile cost: cold cache (emit + C++ compile +
@@ -136,6 +139,15 @@ withBackend(OptLevel lvl, Backend b)
     return opt;
 }
 
+/** Native --opt all with auto-LUT off: the ng/nolut columns. */
+CompilerOptions
+nativeNoLut()
+{
+    CompilerOptions opt = withBackend(OptLevel::All, Backend::Native);
+    opt.autoLut = false;
+    return opt;
+}
+
 } // namespace
 
 int
@@ -194,9 +206,9 @@ main()
     printf("WiFi TX chain (scramble>>>encode>>>interleave>>>map), "
            "M bits/s:\n");
     rule();
-    printf("%-8s %9s %9s %9s %7s %9s %9s %9s %7s\n", "rate", "vm/none",
-           "fz/none", "ng/none", "ng/fz", "vm/all", "fz/all", "ng/all",
-           "ng/fz");
+    printf("%-8s %9s %9s %9s %7s %9s %9s %9s %7s %9s\n", "rate",
+           "vm/none", "fz/none", "ng/none", "ng/fz", "vm/all", "fz/all",
+           "ng/all", "ng/fz", "ng/nolut");
     auto bitsIn = randomBits(576 * 64, 5);
     const uint64_t BITS = 576 * 600;
     w.beginArray("tx");
@@ -222,10 +234,13 @@ main()
             elemsPerSec(txChain(rate),
                         withBackend(OptLevel::All, Backend::Native),
                         bitsIn, 1, BITS);
-        printf("%-8s %9.2f %9.2f %9.2f %6.2fx %9.2f %9.2f %9.2f %6.2fx\n",
+        double nl = elemsPerSec(txChain(rate), nativeNoLut(), bitsIn, 1,
+                                BITS);
+        printf("%-8s %9.2f %9.2f %9.2f %6.2fx %9.2f %9.2f %9.2f %6.2fx "
+               "%9.2f\n",
                ("TX" + std::to_string(rateInfo(rate).mbps)).c_str(),
                vn / 1e6, fn / 1e6, nn / 1e6, nn / fn, va / 1e6, fa / 1e6,
-               na / 1e6, na / fa);
+               na / 1e6, na / fa, nl / 1e6);
         w.beginObject();
         w.field("mbps", rateInfo(rate).mbps);
         w.field("vm_none", vn);
@@ -234,6 +249,7 @@ main()
         w.field("vm_all", va);
         w.field("fused_all", fa);
         w.field("native_all", na);
+        w.field("native_all_nolut", nl);
         w.endObject();
     }
     w.endArray();
@@ -241,11 +257,12 @@ main()
     // ---- (3) RX data path, all 8 rates, and the full receiver -------
     printf("\nWiFi RX data path (native kernels inline in fused "
            "regions), M samples/s;\nvm/fz/ng at --opt none, ng/all = "
-           "native --opt all, sora = sora::rxDataBits:\n");
-    rule('-', 96);
-    printf("%-8s %8s %8s %8s %8s %8s %8s %8s %8s %5s\n", "rate", "vm",
-           "fused", "native", "fz/vm", "ng/vm", "ng/all", "sora",
-           "ng/sora", "r");
+           "native --opt all, ng/nolut = the same without auto-LUT,\n"
+           "sora = sora::rxDataBits:\n");
+    rule('-', 105);
+    printf("%-8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %5s\n", "rate", "vm",
+           "fused", "native", "fz/vm", "ng/vm", "ng/all", "ng/nolut",
+           "sora", "ng/sora", "r");
     const int psdu = 1000;
     // One packet decodes in about a millisecond, so every figure comes
     // from the fastest of kReps whole runs: the run least disturbed by
@@ -303,16 +320,19 @@ main()
             wifiRxDataComp(rate, psdu),
             withBackend(OptLevel::All, Backend::Native), &rep);
         double ngAll = zRun(*best, in).msps();
+        double ngNoLut =
+            zRun(*compilePipeline(wifiRxDataComp(rate, psdu), nativeNoLut()),
+                 in).msps();
         double soraMsps = soraRun(samples.size(), [&] {
                               return sora::rxDataBits(samples, rate,
                                                       psdu).size();
                           }).msps();
-        printf("%-8s %8.2f %8.2f %8.2f %7.2fx %7.2fx %8.2f %8.2f %7.2fx "
-               "%5d\n",
+        printf("%-8s %8.2f %8.2f %8.2f %7.2fx %7.2fx %8.2f %8.2f %8.2f "
+               "%7.2fx %5d\n",
                ("RX" + std::to_string(rateInfo(rate).mbps)).c_str(),
                perBackend[0], perBackend[1], perBackend[2],
                perBackend[1] / perBackend[0],
-               perBackend[2] / perBackend[0], ngAll, soraMsps,
+               perBackend[2] / perBackend[0], ngAll, ngNoLut, soraMsps,
                ngAll / soraMsps, rep.fuse.nodesFused);
         w.beginObject();
         w.field("mbps", rateInfo(rate).mbps);
@@ -320,6 +340,7 @@ main()
         w.field("fused", perBackend[1] * 1e6);
         w.field("native", perBackend[2] * 1e6);
         w.field("native_all", ngAll * 1e6);
+        w.field("native_all_nolut", ngNoLut * 1e6);
         w.field("sora", soraMsps * 1e6);
         w.field("native_all_over_sora", ngAll / soraMsps);
         w.field("regions", rep.fuse.nodesFused);
@@ -361,8 +382,8 @@ main()
         }
         double zMsps = z.msps();
         double sMsps = r.msps();
-        printf("%-8s %44s %8.2f %8.2f %7.2fx %5d\n", "RXfull",
-               "(wifiReceiverComp, all rates)", zMsps, sMsps,
+        printf("%-8s %44s %8.2f %8s %8.2f %7.2fx %5d\n", "RXfull",
+               "(wifiReceiverComp, all rates)", zMsps, "", sMsps,
                zMsps / sMsps, rep.fuse.nodesFused);
         w.beginObject("rx_full");
         w.field("native_all", zMsps * 1e6);

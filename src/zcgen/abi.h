@@ -6,18 +6,22 @@
  * the ExecNode status (0 = Yield, 1 = NeedInput, 2 = Done).  The host
  * (FusedNode) points the context at its frame/state/register spaces
  * before each call; the generated code reads and writes them directly
- * and calls back through the function pointers for closures it could
- * not inline (host bridges), LUTs, and runtime diagnostics (traps throw
- * FatalError host-side so messages match the interpreter byte-for-byte).
- * Native stream kernels embedded in a region are started and fed
- * through `kStart`/`kFeed`; their output rings are read in place
- * through `kern`.
+ * and calls back through the function pointers only for closures it
+ * could not inline (host bridges), generic-shape LUTs, and runtime
+ * diagnostics (traps throw FatalError host-side so messages match the
+ * interpreter byte-for-byte).  Every other lookup table is indexed in
+ * place through `lut`: the host-owned tables of the region's
+ * FuseProgram, never copied into the unit.  Native stream kernels
+ * embedded in a region are started and fed through `kStart`/`kFeed`;
+ * their output rings are read in place through `kern`.
  *
  * This struct is mirrored TEXTUALLY into every emitted translation unit
- * (zcgen/emit.cc, kPreamble) — keep the two in lock-step and bump
- * kZrAbiVersion on any layout change; the loader refuses objects whose
- * `zr_abi` symbol disagrees, so a stale cache can never be dereferenced
- * with the wrong layout.
+ * (zcgen/emit.cc, kPreambleAbi) — keep the two in lock-step and bump
+ * kZrAbiVersion on any layout change.  Each unit static_asserts the
+ * host's sizeof(ZrCtx) and offsetof(ZrCtx, lut), so a drifted mirror
+ * fails to compile, and the loader refuses objects whose `zr_abi` symbol
+ * disagrees, so a stale cache can never be dereferenced with the wrong
+ * layout.
  */
 #ifndef ZIRIA_ZCGEN_ABI_H
 #define ZIRIA_ZCGEN_ABI_H
@@ -27,7 +31,7 @@
 namespace ziria {
 namespace zcgen {
 
-constexpr int kZrAbiVersion = 2;
+constexpr int kZrAbiVersion = 3;
 
 extern "C" {
 
@@ -73,6 +77,9 @@ struct ZrCtx
     ZrKernel* kern;         ///< per-kernel output rings
     void (*kStart)(void* host, int32_t k);
     void (*kFeed)(void* host, int32_t k, const uint8_t* in);
+
+    /// Per-LUT table base (FuseProgram::luts[i]->table()), host-owned.
+    const uint8_t* const* lut;
 };
 
 /** Signature of a generated region entry point. */

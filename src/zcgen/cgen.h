@@ -43,7 +43,7 @@ struct CgenStats
     int cacheHits = 0;    ///< translation units served from the cache
     int cacheMisses = 0;  ///< translation units not found in the cache
     int fallbacks = 0;    ///< regions left on the bytecode interpreter
-    int hostBridges = 0;  ///< closures routed through host callbacks
+    int hostBridges = 0;  ///< closures and lookups left on host callbacks
     double compileSec = 0.0;   ///< wall time spent in the C++ compiler
     std::string compiler;      ///< compiler version line ("" if none)
     std::string cacheKey;      ///< cache key of the last translation unit

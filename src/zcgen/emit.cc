@@ -7,10 +7,12 @@
  *  - The *region translator* turns each FuseProgram instruction into a
  *    labeled block `L<i>: { ... }`; control flow is direct `goto`s for
  *    static targets and a `switch (pc)` dispatch for the dynamic ones
- *    (channel continuations, re-entry after a park).  The generated
- *    function is a faithful transcription of FusedNode::advance — every
- *    branch, spin reset and memcpy appears in the same order, so parked
- *    pcs, channel protocol state and outputs are bit-identical.
+ *    (channel continuations, re-entry after a park).  LUT lookups on the
+ *    per-bit path are unrolled in place against the host-owned table.
+ *    The generated function is a faithful transcription of
+ *    FusedNode::advance — every branch, spin reset and memcpy appears in
+ *    the same order, so parked pcs, channel protocol state and outputs
+ *    are bit-identical.
  *
  *  - The *expression emitter* re-emits the closure ASTs recorded by the
  *    lowerer (FuseProgram::intoSrc/intSrc/actionSrc) as straight-line
@@ -30,6 +32,7 @@
 #include "zcgen/emit.h"
 
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -37,6 +40,7 @@
 
 #include "support/panic.h"
 #include "zast/comp.h"
+#include "zcgen/abi.h"
 #include "ztype/value.h"
 
 namespace ziria {
@@ -440,18 +444,9 @@ class CppEmitter
         // Generic cases (complex leaves, arrays, structs).
         switch (e->kind()) {
           case ExprKind::Const: {
-            const Value& v = static_cast<const ConstExpr&>(*e).value();
-            std::vector<uint8_t> bytes = v.bytes();
-            std::string name = fresh();
-            std::string init;
-            for (size_t i = 0; i < bytes.size(); ++i) {
-                if (i)
-                    init += ",";
-                init += std::to_string(bytes[i]);
-            }
-            line("static const uint8_t " + name + "[] = {" + init +
-                 "};");
-            line("memcpy(" + dst + ", " + name + ", " +
+            std::vector<uint8_t> bytes =
+                static_cast<const ConstExpr&>(*e).value().bytes();
+            line("memcpy(" + dst + ", " + constImage(bytes) + ", " +
                  num(bytes.size()) + ");");
             return;
           }
@@ -512,14 +507,24 @@ class CppEmitter
           case ExprKind::Slice:
           case ExprKind::Field:
             return addrExpr(e);
-          default: {
-            // Materialize the rvalue into local scratch.
-            size_t w = e->type()->byteWidth();
-            std::string buf = declBuf(w > 0 ? w : 1);
-            intoExpr(e, buf);
-            return buf;
+          case ExprKind::Const: {
+            // Read a constant aggregate in place.  Lvalue chains are
+            // rooted at variables (zcheck), so nothing writes through
+            // the pointer.
+            std::vector<uint8_t> bytes =
+                static_cast<const ConstExpr&>(*e).value().bytes();
+            if (!bytes.empty())
+                return "((uint8_t*)" + constImage(bytes) + ")";
+            break;
           }
+          default:
+            break;
         }
+        // Materialize the rvalue into local scratch.
+        size_t w = e->type()->byteWidth();
+        std::string buf = declBuf(w > 0 ? w : 1);
+        intoExpr(e, buf);
+        return buf;
     }
 
     std::string
@@ -980,6 +985,21 @@ class CppEmitter
         return r;
     }
 
+    /** A `static const` image of @p bytes (non-empty); its name. */
+    std::string
+    constImage(const std::vector<uint8_t>& bytes)
+    {
+        std::string name = fresh();
+        std::string init;
+        for (size_t i = 0; i < bytes.size(); ++i) {
+            if (i)
+                init += ",";
+            init += std::to_string(bytes[i]);
+        }
+        line("static const uint8_t " + name + "[] = {" + init + "};");
+        return name;
+    }
+
     std::string
     declC(bool c16, const std::string& buf)
     {
@@ -1247,9 +1267,11 @@ class RegionEmitter
             break;
           }
           case Op::Lut:
-            // LUT tables live host-side; always bridge.
-            ln("zc->hostLut(zc->host, " + num(i.fn) + ", " + loc(i.a) +
-               ");");
+            if (!inlineLut(i)) {
+                ++bridges_;
+                ln("zc->hostLut(zc->host, " + num(i.fn) + ", " + loc(i.a) +
+                   ");");
+            }
             ln("goto " + next + ";");
             break;
           case Op::KStart:
@@ -1342,6 +1364,51 @@ class RegionEmitter
         out_ += "}\n";
     }
 
+    /**
+     * CompiledLut::apply unrolled with constant offsets: key bits from
+     * the frame, the entry from the host table `zc->lut[fn]`, then the
+     * return value and the state bits in apply()'s order.  False (the
+     * caller bridges) for shapes off the per-bit path or with a Generic
+     * return.
+     */
+    bool
+    inlineLut(const Instr& i)
+    {
+        const CompiledLut& lut = *p_.luts[i.fn];
+        using RetPath = CompiledLut::RetPath;
+        if (!lut.bitKeyed() || lut.retPath() == RetPath::Generic)
+            return false;
+        std::string key;
+        const std::vector<uint32_t>& kb = lut.keyBitOffsets();
+        for (size_t b = 0; b < kb.size(); ++b) {
+            key += (b ? " | " : "") + std::string("((uint64_t)(fr[") +
+                   num(kb[b]) + "] & 1) << " + num(b) + ")";
+        }
+        ln("const uint8_t* e = zc->lut[" + num(i.fn) + "] + (" +
+           (key.empty() ? "0" : key) + ") * " + num(lut.entryBytes()) +
+           ";");
+        const std::string dst = loc(i.a);
+        switch (lut.retPath()) {
+          case RetPath::Copy:
+            ln("memcpy(" + dst + ", e, " + num(lut.retBytes()) + ");");
+            break;
+          case RetPath::Bits: {
+            const std::vector<uint32_t>& rb = lut.retBitOffsets();
+            for (size_t b = 0; b < rb.size(); ++b)
+                ln(dst + "[" + num(rb[b]) + "] = (e[" + num(b >> 3) +
+                   "] >> " + num(b & 7) + ") & 1;");
+            break;
+          }
+          default:
+            break;
+        }
+        for (const auto& [off, bit] : lut.stateBits())
+            ln("fr[" + num(off) + "] = (e[" +
+               num(lut.retBytes() + (bit >> 3)) + "] >> " + num(bit & 7) +
+               ") & 1;");
+        return true;
+    }
+
     /** writeIntRaw by static kind (IvWrite / TimesStep). */
     void
     storeKind(TypeKind k, const std::string& p, const std::string& v)
@@ -1376,13 +1443,14 @@ class RegionEmitter
 
 /**
  * Everything a generated unit needs, with no repo includes: the ZrCtx
- * mirror (keep in lock-step with zcgen/abi.h), load/store helpers, the
- * complex-arithmetic helpers, and the native function bodies
- * (transcribed from zexpr/natives.cc — same libm in-process, so results
- * are bit-identical).
+ * mirror (keep in lock-step with zcgen/abi.h; abiStamp() closes it),
+ * load/store helpers, the complex-arithmetic helpers, and the native
+ * function bodies (transcribed from zexpr/natives.cc — same libm
+ * in-process, so results are bit-identical).
  */
-const char* const kPreamble = R"ZRC(// Generated by ziria zcgen. Do not edit.
+const char* const kPreambleAbi = R"ZRC(// Generated by ziria zcgen. Do not edit.
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -1421,10 +1489,28 @@ struct ZrCtx {
     ZrKernel* kern;
     void (*kStart)(void* host, int32_t k);
     void (*kFeed)(void* host, int32_t k, const uint8_t* in);
+    const uint8_t* const* lut;
 };
-int zr_abi(void) { return 2; }
-} // extern "C"
+)ZRC";
 
+/**
+ * The ABI version this host loads, and the host's own layout of the
+ * mirrored struct: a mirror that drifts from zcgen/abi.h fails to
+ * compile instead of reading the wrong fields.
+ */
+std::string
+abiStamp()
+{
+    return "int zr_abi(void) { return " + std::to_string(kZrAbiVersion) +
+           "; }\n} // extern \"C\"\n"
+           "static_assert(sizeof(ZrCtx) == " + num(sizeof(ZrCtx)) +
+           ", \"ZrCtx mirror drifted from zcgen/abi.h\");\n"
+           "static_assert(offsetof(ZrCtx, lut) == " +
+           num(offsetof(ZrCtx, lut)) +
+           ", \"ZrCtx mirror drifted from zcgen/abi.h\");\n";
+}
+
+const char* const kPreambleHelpers = R"ZRC(
 static inline void zr_trap_msg(ZrCtx* zc, const char* m)
 { zc->trapMsg(zc->host, m); }
 static inline void zr_trap_index(ZrCtx* zc, int64_t k, int64_t n)
@@ -1563,7 +1649,9 @@ emitUnit(const FuseProgram& prog, const FrameLayout& layout)
 {
     RegionEmitter re(prog, layout);
     EmitUnit u;
-    u.source = kPreamble;
+    u.source = kPreambleAbi;
+    u.source += abiStamp();
+    u.source += kPreambleHelpers;
     u.source += re.emit();
     u.source += "\n";
     u.hostBridges = re.hostBridges();

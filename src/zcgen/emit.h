@@ -23,13 +23,14 @@ constexpr const char* kRegionSymbol = "zr_region_0";
 struct EmitUnit
 {
     std::string source;   ///< self-contained C++ (no repo includes)
-    int hostBridges = 0;  ///< closures that fell back to host callbacks
+    int hostBridges = 0;  ///< closures and lookups left on host callbacks
 };
 
 /**
  * Emit C++ for @p prog as kRegionSymbol.  Closure
- * ASTs the emitter cannot express compile to host-callback bridges
- * instead (semantics preserved, counted in hostBridges).  Only reads
+ * ASTs the emitter cannot express, and lookup tables of the generic
+ * shape, compile to host-callback bridges instead (semantics preserved,
+ * counted in hostBridges).  Only reads
  * @p layout, the one the region was lowered against: the frame stays
  * exactly as the fused interpreter lays it out (re-inlined call
  * parameters become C++ locals).

@@ -76,8 +76,11 @@ std::optional<LutPlan> planLut(std::vector<LutSlot> key_slots,
  *    field with unpackValueBits.
  * Key and state fields made only of bits take the same per-bit offset
  * path; other key/state shapes are packed and unpacked generically.
- * The VM map node, the fused Op::Lut and native code's host callback all
- * call this one apply().
+ * The VM map node, the fused Op::Lut and native code's generic-shape
+ * host callback all call this one apply().  The native emitter reads the
+ * plan through the accessors below and unrolls apply() for every table
+ * on the per-bit path whose return is not Generic, indexing this same
+ * host-owned table through the region's context.
  */
 class CompiledLut
 {
@@ -103,6 +106,25 @@ class CompiledLut
     int keyBits() const { return plan_.keyBits; }
     size_t tableBytes() const { return table_.size(); }
     size_t entries() const { return size_t{1} << plan_.keyBits; }
+
+    // ---- the decoding plan, read-only (the native emitter unrolls it)
+
+    /** Key and state fields all take the per-bit offset path. */
+    bool bitKeyed() const { return fast_; }
+    /** bitKeyed(): frame offset of key bit i (LSB first). */
+    const std::vector<uint32_t>& keyBitOffsets() const { return keyBitOff_; }
+    /** bitKeyed(): (frame offset, bit within the state area) per bit. */
+    const std::vector<std::pair<uint32_t, uint32_t>>&
+    stateBits() const
+    {
+        return outBits_;
+    }
+    /** Bits: destination offset of return bit i. */
+    const std::vector<uint32_t>& retBitOffsets() const { return retBitOff_; }
+    /** Packed return bytes at the head of each entry (0 for unit). */
+    size_t retBytes() const { return retBytes_; }
+    size_t entryBytes() const { return plan_.entryBytes; }
+    const uint8_t* table() const { return table_.data(); }
 
   private:
     /**

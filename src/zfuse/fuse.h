@@ -87,6 +87,8 @@ NodePtr buildNodeFused(const CompPtr& c, ExprCompiler& ec,
  * runs the region, and interchangeable between the two.  The node also
  * owns the running instances of the program's native kernels and their
  * output rings; both engines reach them through the same ZrCtx entries.
+ * Compiled code indexes the program's lookup tables in place (the
+ * `lut` entry); only generic-shape tables go through cbLut.
  */
 class FusedNode : public ExecNode
 {
@@ -172,6 +174,7 @@ class FusedNode : public ExecNode
     std::vector<uint8_t> chFull_;
     std::vector<KernelSlot> kern_;
     std::vector<zcgen::ZrKernel> kview_;  ///< per-kernel ring cursors
+    std::vector<const uint8_t*> lutTables_;  ///< luts[i]->table()
     /** Points at the arrays above, which therefore never reallocate. */
     zcgen::ZrCtx ctx_;
     Frame* curFrame_ = nullptr;  ///< frame of the running compiled call

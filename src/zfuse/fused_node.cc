@@ -53,6 +53,8 @@ FusedNode::FusedNode(std::shared_ptr<const FuseProgram> prog)
     chFull_.resize(prog_->channels.size(), 0);
     kern_.resize(prog_->kernels.size());
     kview_.resize(prog_->kernels.size(), zcgen::ZrKernel{});
+    for (const auto& lut : prog_->luts)
+        lutTables_.push_back(lut->table());
     setInWidth(prog_->inWidth);
     setOutWidth(prog_->outWidth);
     setCtrlWidth(prog_->ctrlWidth);
@@ -75,6 +77,7 @@ FusedNode::FusedNode(std::shared_ptr<const FuseProgram> prog)
     ctx_.kern = kview_.data();
     ctx_.kStart = &FusedNode::cbKStart;
     ctx_.kFeed = &FusedNode::cbKFeed;
+    ctx_.lut = lutTables_.data();
 }
 
 void

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "support/backends.h"
+#include "support/drive.h"
 #include "support/rng.h"
 #include "zast/builder.h"
 #include "zcheck/check.h"
+#include "zexec/snapshot.h"
 #include "zir/compiler.h"
 #include "zopt/autolut.h"
 #include "zopt/passes.h"
@@ -337,6 +339,21 @@ int16Kernel()
 }
 
 LutKernel
+int16StateKernel()
+{
+    // int16 return plus one state bit: the copy return path next to the
+    // state fast path, so a snapshot between two lookups must carry the
+    // bit the table wrote.
+    VarRef x = keyParam(9);
+    VarRef st = freshVar("st", Type::bit());
+    StmtList body;
+    body.push_back(assign(var(st), idx(var(x), 4) ^ var(st)));
+    ExprPtr r = weightedBits(x, 9, Type::int16()) * 5 -
+                cast(Type::int16(), var(st)) * 700;
+    return {fun("retint16st", {x}, std::move(body), std::move(r)), st};
+}
+
+LutKernel
 complexArrayKernel()
 {
     // The 802.11 modulator's shape: 12 key bits -> arr[12] complex16.
@@ -368,6 +385,7 @@ struct ReturnShape
     const char* name;
     LutKernel (*make)();
     CompiledLut::RetPath path;
+    int hostBridges;  ///< native: the lookup calls back to the host
 };
 
 void
@@ -416,53 +434,119 @@ TEST_P(LutReturnShape, ApplyMatchesKernelForEveryKey)
     }
 }
 
-TEST_P(LutReturnShape, BackendsAgreeByteForByte)
+/** The shape's kernel as a map, its state bit (if any) a letvar. */
+CompPtr
+lutProgram(const ReturnShape& shape)
 {
-    const ReturnShape& shape = GetParam();
-    auto program = [&] {
-        LutKernel k = shape.make();
-        CompPtr m = mapc(k.f);
-        return k.st ? letvar(k.st, cBit(0), std::move(m)) : m;
-    };
+    LutKernel k = shape.make();
+    CompPtr m = mapc(k.f);
+    return k.st ? letvar(k.st, cBit(0), std::move(m)) : m;
+}
+
+/** One LUT and nothing else: auto-LUT on, vectorize/auto-map off. */
+CompilerOptions
+lutOnly(Backend b)
+{
+    CompilerOptions all = CompilerOptions::forLevel(OptLevel::All);
+    all.vectorize = false;
+    all.autoMap = false;
+    all.backend = b;
+    return all;
+}
+
+std::vector<uint8_t>
+lutInput(const ReturnShape& shape)
+{
     const int len = shape.make().f->params[0]->type->len();
     Rng rng(91);
     std::vector<uint8_t> input(static_cast<size_t>(len) * 300);
     for (auto& b : input)
         b = rng.bit();
+    return input;
+}
+
+TEST_P(LutReturnShape, BackendsAgreeByteForByte)
+{
+    const ReturnShape& shape = GetParam();
+    const std::vector<uint8_t> input = lutInput(shape);
     const std::vector<uint8_t> expect =
-        compilePipeline(program(), CompilerOptions::forLevel(OptLevel::None))
+        compilePipeline(lutProgram(shape),
+                        CompilerOptions::forLevel(OptLevel::None))
             ->runBytes(input);
 
     for (Backend b : testsupport::kAllBackends) {
         if (testsupport::nativeUnavailable(b))
             continue;
-        CompilerOptions all = CompilerOptions::forLevel(OptLevel::All);
-        all.vectorize = false;
-        all.autoMap = false;
-        all.backend = b;
         CompileReport rep;
-        auto p = compilePipeline(program(), all, &rep);
+        auto p = compilePipeline(lutProgram(shape), lutOnly(b), &rep);
         EXPECT_EQ(rep.build.lutsBuilt, 1) << testsupport::backendName(b);
         if (b == Backend::Native) {
-            // The whole map is one compiled region calling the table.
+            // The whole map is one compiled region; only a generic
+            // return shape still calls the host for its lookup.
             EXPECT_EQ(rep.cgen.emitted, 1);
             EXPECT_EQ(rep.cgen.fallbacks, 0);
+            EXPECT_EQ(rep.cgen.hostBridges, shape.hostBridges);
         }
         EXPECT_EQ(p->runBytes(input), expect)
             << shape.name << " on " << testsupport::backendName(b);
     }
 }
 
+TEST_P(LutReturnShape, SnapshotsInterchangeFusedAndNative)
+{
+    // Snapshot between two lookups under one region engine, restore
+    // under the other (its lookups inlined in compiled code, or the
+    // interpreter's apply()): the state bits the table wrote carry over
+    // and the joined output is the VM's bytes.
+    const ReturnShape& shape = GetParam();
+    if (testsupport::nativeUnavailable(Backend::Native))
+        GTEST_SKIP() << "no C++ compiler on this host";
+    const std::vector<uint8_t> input = lutInput(shape);
+    const std::vector<uint8_t> expect =
+        compilePipeline(lutProgram(shape),
+                        CompilerOptions::forLevel(OptLevel::None))
+            ->runBytes(input);
+
+    for (Backend from : {Backend::Fused, Backend::Native}) {
+        const Backend to =
+            from == Backend::Fused ? Backend::Native : Backend::Fused;
+        for (size_t k : {1, 5, 17}) {
+            SCOPED_TRACE(std::string(testsupport::backendName(from)) +
+                         " -> " + testsupport::backendName(to) +
+                         " after yield " + std::to_string(k));
+            auto src = compilePipeline(lutProgram(shape), lutOnly(from));
+            auto head = testsupport::driveYields(*src, input, k);
+            ASSERT_FALSE(head.done);
+            auto snap =
+                takeSnapshot(src->root(), src->frame(),
+                             testsupport::cells(*src), head.consumed, k);
+
+            auto dst = compilePipeline(lutProgram(shape), lutOnly(to));
+            testsupport::driveUpTo(*dst, input, 0, SIZE_MAX, true);
+            restoreSnapshot(dst->root(), dst->frame(),
+                            testsupport::cells(*dst), snap);
+            auto got = testsupport::driveUpTo(*dst, input, head.consumed,
+                                              SIZE_MAX, false);
+            head.out.insert(head.out.end(), got.out.begin(),
+                            got.out.end());
+            EXPECT_EQ(head.out, expect);
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Returns, LutReturnShape,
     ::testing::Values(
-        ReturnShape{"bit", bitKernel, CompiledLut::RetPath::Bits},
-        ReturnShape{"bit_array", bitArrayKernel, CompiledLut::RetPath::Bits},
-        ReturnShape{"int16", int16Kernel, CompiledLut::RetPath::Copy},
+        ReturnShape{"bit", bitKernel, CompiledLut::RetPath::Bits, 0},
+        ReturnShape{"bit_array", bitArrayKernel, CompiledLut::RetPath::Bits,
+                    0},
+        ReturnShape{"int16", int16Kernel, CompiledLut::RetPath::Copy, 0},
+        ReturnShape{"int16_state", int16StateKernel,
+                    CompiledLut::RetPath::Copy, 0},
         ReturnShape{"complex16_array", complexArrayKernel,
-                    CompiledLut::RetPath::Copy},
+                    CompiledLut::RetPath::Copy, 0},
         ReturnShape{"bit_int8_struct", mixedStructKernel,
-                    CompiledLut::RetPath::Generic}),
+                    CompiledLut::RetPath::Generic, 1}),
     [](const ::testing::TestParamInfo<ReturnShape>& info) {
         return std::string(info.param.name);
     });

@@ -13,7 +13,8 @@
  *    rates: golden TX chain (zero fallbacks) and TX -> channel -> RX
  *    round trips;
  *  - the on-disk shared-object cache: miss-then-hit, corrupt
- *    .so/manifest quarantine + recompile, stale-key misses, cache-key
+ *    .so/manifest quarantine + recompile, stale-key misses, an object
+ *    stamped with the previous ABI refused and recompiled, cache-key
  *    determinism, and the ziria.cgen.* counters.
  *
  * Tests that require real machine code gate on
@@ -660,6 +661,81 @@ TEST(CgenCache, WarmPipelineRecompileIsAPureHit)
         in[i] = static_cast<int32_t>(i);
     auto bytes = intBytes(in);
     EXPECT_EQ(p1->runBytes(bytes), p2->runBytes(bytes));
+}
+
+std::string
+readText(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+TEST(CgenCache, StaleAbiUnitIsRefusedAndTheRegionStillRuns)
+{
+    // An object stamped with the previous ABI version loads with the
+    // wrong ZrCtx layout, so the loader must refuse it — freshly
+    // compiled or served from the cache — and the region must still
+    // produce the VM's bytes.
+    if (!zcgen::compilerAvailable())
+        GTEST_SKIP() << "no C++ compiler on this host";
+    const std::string stamp = "int zr_abi(void) { return " +
+                              std::to_string(zcgen::kZrAbiVersion) +
+                              "; }";
+    const std::string staleStamp =
+        "int zr_abi(void) { return " +
+        std::to_string(zcgen::kZrAbiVersion - 1) + "; }";
+
+    const std::string staleToy =
+        "extern \"C\" " + staleStamp +
+        "\nextern \"C\" int zr_toy(int x) { return x + 41; }\n";
+    auto toy = zcgen::compileUnit(staleToy, makeTempDir());
+    EXPECT_EQ(toy.lib, nullptr) << "a stale-ABI object must not load";
+    EXPECT_NE(toy.error.find("ABI"), std::string::npos) << toy.error;
+
+    // Plant a stale object under the key a real region will look up.
+    auto make = [] { return pipe(incBlock(3), incBlock(4)); };
+    std::string dir = makeTempDir();
+    CompilerOptions opt = nativeConf();
+    opt.cgenCacheDir = dir;
+    std::string key;
+    {
+        CompileReport cold;
+        compilePipeline(make(), opt, &cold);
+        ASSERT_EQ(cold.cgen.compiled, 1);
+        key = cold.cgen.cacheKey;
+    }  // dlclose before replacing the object
+    std::string source = readText(dir + "/" + key + ".cc");
+    size_t at = source.find(stamp);
+    ASSERT_NE(at, std::string::npos);
+    source.replace(at, stamp.size(), staleStamp);
+    std::string staleDir = makeTempDir();
+    auto stale = zcgen::compileUnit(source, staleDir);
+    ASSERT_EQ(stale.lib, nullptr);
+    std::string manifest =
+        readText(staleDir + "/" + stale.key + ".manifest");
+    at = manifest.find("key " + stale.key);
+    ASSERT_NE(at, std::string::npos);
+    manifest.replace(at, 4 + stale.key.size(), "key " + key);
+    scribbleFile(dir + "/" + key + ".so",
+                 readText(staleDir + "/" + stale.key + ".so"));
+    scribbleFile(dir + "/" + key + ".manifest", manifest);
+
+    CompileReport rep;
+    auto p = compilePipeline(make(), opt, &rep);
+    EXPECT_EQ(rep.cgen.cacheHits, 0) << "the stale object was served";
+    EXPECT_EQ(rep.cgen.fallbacks, 0);
+    EXPECT_EQ(rep.cgen.compiled, 1);
+    EXPECT_GE(countSuffix(dir, ".bad"), 1);
+
+    std::vector<int32_t> in(64);
+    for (size_t i = 0; i < in.size(); ++i)
+        in[i] = static_cast<int32_t>(i * 5 - 40);
+    auto bytes = intBytes(in);
+    EXPECT_EQ(p->runBytes(bytes),
+              compilePipeline(make(),
+                              CompilerOptions::forLevel(OptLevel::None))
+                  ->runBytes(bytes));
 }
 
 TEST(CgenCache, CacheKeyHashIsDeterministic)

@@ -29,6 +29,7 @@
 #include "channel/channel.h"
 #include "sora/sora.h"
 #include "support/backends.h"
+#include "support/drive.h"
 #include "support/fault_injector.h"
 #include "support/metrics.h"
 #include "support/rng.h"
@@ -48,6 +49,9 @@ namespace {
 using namespace zb;
 using testsupport::backendName;
 using testsupport::burstBlock;
+using testsupport::cells;
+using testsupport::driveUpTo;
+using testsupport::driveYields;
 using testsupport::incBlock;
 using testsupport::intBytes;
 using testsupport::kAllBackends;
@@ -58,61 +62,6 @@ using testsupport::throwAtBlock;
 
 [[maybe_unused]] const ::testing::Environment* const kCacheEnv =
     ::testing::AddGlobalTestEnvironment(new testsupport::PrivateCgenCache);
-
-// ------------------------------------------------------------- helpers
-
-struct DriveResult
-{
-    std::vector<uint8_t> out;
-    size_t consumed = 0;  ///< input elements supplied
-    bool done = false;
-};
-
-/**
- * Drive @p p by hand from @p bytes, starting @p startElem elements in,
- * supplying at most @p maxElems elements.  Stops parked on NeedInput
- * (the quiescent point snapshots require), at end of input, or at
- * Done.  With @p init false the tree is NOT start()ed — how the
- * round-trip tests prove restoreSnapshot() alone rebuilt the state.
- */
-DriveResult
-driveUpTo(Pipeline& p, const std::vector<uint8_t>& bytes,
-          size_t startElem, size_t maxElems, bool init)
-{
-    ExecNode& root = p.root();
-    Frame& f = p.frame();
-    if (init)
-        root.start(f);
-    const size_t w = p.inWidth();
-    size_t pos = startElem * w;
-    DriveResult r;
-    for (;;) {
-        Status s = root.advance(f);
-        if (s == Status::Yield) {
-            r.out.insert(r.out.end(), root.out(),
-                         root.out() + p.outWidth());
-        } else if (s == Status::NeedInput) {
-            if (r.consumed >= maxElems)
-                break;  // parked — quiescent
-            if (pos + w > bytes.size())
-                break;  // input exhausted
-            root.supply(f, bytes.data() + pos);
-            pos += w;
-            ++r.consumed;
-        } else {
-            r.done = true;
-            break;
-        }
-    }
-    return r;
-}
-
-/** The frame range a Pipeline's snapshots carry: all of it. */
-FrameRange
-cells(Pipeline& p)
-{
-    return FrameRange::whole(p.frame());
-}
 
 // ---------------------------------------------------- state-io basics
 
@@ -488,30 +437,19 @@ TEST(SnapshotRoundTrip, KernelRingSurvivesBetweenYields)
                          backendName(to) + " after yield " +
                          std::to_string(k));
             auto src = compile(from);
-            ExecNode& root = src->root();
-            Frame& f = src->frame();
-            root.start(f);
-            size_t consumed = 0;
-            std::vector<uint8_t> head;
-            while (head.size() < k * 4) {
-                Status s = root.advance(f);
-                if (s == Status::Yield) {
-                    head.insert(head.end(), root.out(), root.out() + 4);
-                } else {
-                    ASSERT_EQ(s, Status::NeedInput);
-                    root.supply(f, bytes.data() + consumed * 4);
-                    ++consumed;
-                }
-            }
-            auto snap = takeSnapshot(root, f, cells(*src), consumed, k);
+            auto head = driveYields(*src, bytes, k);
+            ASSERT_FALSE(head.done);
+            auto snap = takeSnapshot(src->root(), src->frame(),
+                                     cells(*src), head.consumed, k);
 
             auto dst = compile(to);
             driveUpTo(*dst, bytes, 0, SIZE_MAX, /*init=*/true);
             restoreSnapshot(dst->root(), dst->frame(), cells(*dst), snap);
-            auto got = driveUpTo(*dst, bytes, consumed, SIZE_MAX,
+            auto got = driveUpTo(*dst, bytes, head.consumed, SIZE_MAX,
                                  /*init=*/false);
-            head.insert(head.end(), got.out.begin(), got.out.end());
-            EXPECT_EQ(head, whole.out);
+            head.out.insert(head.out.end(), got.out.begin(),
+                            got.out.end());
+            EXPECT_EQ(head.out, whole.out);
         }
     }
 }

@@ -438,9 +438,10 @@ INSTANTIATE_TEST_SUITE_P(AllRates, ZiriaRoundTrip,
 // ------------------------------------------- fused-backend conformance
 //
 // The same golden vectors, executed by the fused bytecode backend
-// (docs/FUSION.md).  The fused output must equal the VM output BYTE FOR
-// BYTE — not merely match the golden prefix — so any divergence fails
-// even where the goldens would tolerate a dropped vectorization tail.
+// (docs/FUSION.md), and optimized TX by the native one.  The fused and
+// native output must equal the VM output BYTE FOR BYTE — not merely
+// match the golden prefix — so any divergence fails even where the
+// goldens would tolerate a dropped vectorization tail.
 
 CompilerOptions
 fusedConf(OptLevel lvl)
@@ -530,11 +531,37 @@ TEST_P(FusedTxChainGolden, MatchesGoldenAndVmAtEveryRate)
 
     // Optimized: fused must equal the optimized VM byte for byte —
     // including any vectorization tail behavior.
-    auto vm1 = compilePipeline(chain(),
-                               CompilerOptions::forLevel(OptLevel::All));
+    const std::vector<uint8_t> vm1 =
+        compilePipeline(chain(), CompilerOptions::forLevel(OptLevel::All))
+            ->runBytes(dataBits);
     auto f1 = compilePipeline(chain(), fusedConf(OptLevel::All));
-    EXPECT_EQ(f1->runBytes(dataBits), vm1->runBytes(dataBits))
+    EXPECT_EQ(f1->runBytes(dataBits), vm1)
         << ri.mbps << " Mbps (optimized)";
+
+    // Native at --opt all, the configuration phy_link measures: the
+    // auto-LUT'd scrambler, encoder and modulator run as lookups inlined
+    // into compiled code.  Both the chain above and the exact
+    // wifiTxDataComp(rate) program must equal the VM byte for byte.
+    const std::vector<uint8_t> vmTx =
+        compilePipeline(wifiTxDataComp(rate),
+                        CompilerOptions::forLevel(OptLevel::All))
+            ->runBytes(dataBits);
+    for (bool whole : {false, true}) {
+        SCOPED_TRACE(std::to_string(ri.mbps) + " Mbps native, " +
+                     (whole ? "wifiTxDataComp" : "chain"));
+        CompilerOptions nat = CompilerOptions::forLevel(OptLevel::All);
+        nat.backend = Backend::Native;
+        CompileReport nrep;
+        auto n1 = compilePipeline(whole ? wifiTxDataComp(rate) : chain(),
+                                  nat, &nrep);
+        EXPECT_GT(nrep.build.lutsBuilt, 0);
+        if (!testsupport::nativeUnavailable(Backend::Native)) {
+            EXPECT_EQ(nrep.cgen.fallbacks, 0);
+            EXPECT_EQ(nrep.cgen.hostBridges, 0)
+                << "every TX lookup should be inlined";
+        }
+        EXPECT_EQ(n1->runBytes(dataBits), whole ? vmTx : vm1);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRates, FusedTxChainGolden,
