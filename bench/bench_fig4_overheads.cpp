@@ -41,7 +41,7 @@ doubleInput(size_t n)
 ExprPtr
 sinOf(ExprPtr e)
 {
-    return call(natives::sinF(), {std::move(e)});
+    return call(natives::lookup("sin"), {std::move(e)});
 }
 
 /** repeat { x <- take; do y := sin y (n separate seq items); emit y } */

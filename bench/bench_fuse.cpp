@@ -64,7 +64,7 @@ doubleInput(size_t n)
 ExprPtr
 sinOf(ExprPtr e)
 {
-    return call(natives::sinF(), {std::move(e)});
+    return call(natives::lookup("sin"), {std::move(e)});
 }
 
 /** n `repeat { x <- take; emit sin x }` blocks composed with `>>>`. */

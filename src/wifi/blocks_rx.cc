@@ -57,10 +57,11 @@ demapLimitBlock()
     };
     return repeatc(seqc(
         {bindc(x, take(Type::complex16())),
-         just(doS({sDecl(re, clamp(call(natives::creal16(), {var(x)}))),
-                   sDecl(im,
-                         clamp(call(natives::cimag16(), {var(x)})))})),
-         just(emit(call(natives::mkC16(), {var(re), var(im)})))}));
+         just(doS(
+             {sDecl(re, clamp(call(natives::lookup("creal"), {var(x)}))),
+              sDecl(im, clamp(call(natives::lookup("cimag"), {var(x)})))})),
+         just(emit(call(natives::lookup("mk_complex16"),
+                        {var(re), var(im)})))}));
 }
 
 CompPtr
@@ -74,7 +75,7 @@ equalizerBlock(const VarRef& params)
          just(doS({sDecl(y, nullptr),
                    sFor(k, cInt(0), cInt(fftSize),
                         {assign(idx(var(y), var(k)),
-                                call(natives::cmul16(),
+                                call(natives::lookup("cmul16"),
                                      {idx(var(x), var(k)),
                                       idx(var(params), var(k)),
                                       cInt(12)}))})})),
@@ -128,8 +129,8 @@ demapperBlock(dsp::Modulation m)
     VarRef re = freshVar("re", Type::int16());
     VarRef im = freshVar("im", Type::int16());
     StmtList decls{
-        sDecl(re, call(natives::creal16(), {var(x)})),
-        sDecl(im, call(natives::cimag16(), {var(x)})),
+        sDecl(re, call(natives::lookup("creal"), {var(x)})),
+        sDecl(im, call(natives::lookup("cimag"), {var(x)})),
     };
     std::vector<ExprPtr> bits;
     ExprPtr zero = cI16(0);

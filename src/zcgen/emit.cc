@@ -20,10 +20,16 @@
  *    evaluation order (explicit temporaries defeat C++'s unspecified
  *    argument order), same truncation and shift semantics, same runtime
  *    diagnostics (traps call back into the host, which throws the
- *    exact fatalf the interpreter would).  Anything it cannot express
- *    — unknown natives, exotic shapes — throws Unsupported and the
- *    closure is bridged back to the host std::function instead, so
- *    emission never changes semantics, only speed.
+ *    exact fatalf the interpreter would).  Complex operators and the
+ *    built-in natives are one call each into the runtime both sides
+ *    share.  Anything it cannot express — unknown natives, exotic
+ *    shapes — throws Unsupported and the closure is bridged back to
+ *    the host std::function instead, so emission never changes
+ *    semantics, only speed.
+ *
+ * A unit is self-contained: zcgen/runtime.h embedded verbatim (CMake
+ * turns it into the string literal runtime.inc), the ABI stamp, then
+ * the region.
  *
  * Layout note: jumping over C++ initializations is ill-formed, which is
  * why every instruction body lives in its own brace block with the
@@ -36,11 +42,11 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <set>
 
 #include "support/panic.h"
 #include "zast/comp.h"
 #include "zcgen/abi.h"
+#include "zexpr/natives.h"
 #include "ztype/value.h"
 
 namespace ziria {
@@ -59,18 +65,6 @@ struct Unsupported
 {
     const char* why;
 };
-
-/** Natives replicated as zr_nat_<name> helpers in the preamble. */
-bool
-knownNative(const std::string& name)
-{
-    static const std::set<std::string> kNames = {
-        "creal",  "cimag",       "mk_complex16", "sin",    "cos",
-        "sqrt",   "exp",         "log",          "atan2",  "cmul16",
-        "cmul_conj16", "cabs2",  "conj16",       "cadd32", "sat16",
-    };
-    return kNames.count(name) != 0;
-}
 
 int
 bitsOfKind(TypeKind k)
@@ -406,15 +400,7 @@ class CppEmitter
                 bool c16 = t->kind() == TypeKind::Complex16;
                 std::string ba = declBuf(8);
                 intoExpr(u.sub(), ba);
-                std::string a = declC(c16, ba);
-                std::string r = fresh();
-                line("ZrC32 " + r + " = { -" + a + ".re, -" + a +
-                     ".im };");
-                if (c16) {
-                    line(r + ".re = (int16_t)" + r + ".re;");
-                    line(r + ".im = (int16_t)" + r + ".im;");
-                }
-                storeC(c16, dst, r);
+                storeC(c16, dst, "zr_cneg(" + loadC(c16, ba) + ")");
                 return;
               }
               case ExprKind::Cast: {
@@ -422,18 +408,14 @@ class CppEmitter
                 const TypePtr& from = c.sub()->type();
                 if (!from->isComplex())
                     throw Unsupported{"complex cast from non-complex"};
-                bool fromC16 = from->kind() == TypeKind::Complex16;
                 std::string ba = declBuf(8);
                 intoExpr(c.sub(), ba);
-                std::string a = declC(fromC16, ba);
-                if (t->kind() == TypeKind::Complex16) {
-                    line("{ int16_t zre = zr_sat16(" + a +
-                         ".re); int16_t zim = zr_sat16(" + a +
-                         ".im); memcpy(" + dst + ", &zre, 2); memcpy(" +
-                         dst + " + 2, &zim, 2); }");
-                } else {
+                std::string a =
+                    loadC(from->kind() == TypeKind::Complex16, ba);
+                if (t->kind() == TypeKind::Complex16)
+                    storeC(true, dst, "zr_csat16(" + a + ")");
+                else
                     storeC(false, dst, a);
-                }
                 return;
               }
               default:
@@ -722,48 +704,25 @@ class CppEmitter
         std::string ba = declBuf(8);
         intoExpr(b.lhs(), ba);
         if (b.op() == BinOp::Shl || b.op() == BinOp::Shr) {
-            std::string a = declC(c16, ba);
             std::string sh = intExpr(b.rhs());
-            std::string s = fresh();
-            line("int " + s + " = (int)" + sh + " & 31;");
-            std::string r = fresh();
-            const char* op = b.op() == BinOp::Shl ? "<<" : ">>";
-            line("ZrC32 " + r + " = { " + a + ".re " + op + " " + s +
-                 ", " + a + ".im " + op + " " + s + " };");
-            storeC(c16, dst, r);
+            const char* fn = b.op() == BinOp::Shl ? "zr_cshl(" : "zr_cshr(";
+            storeC(c16, dst, fn + loadC(c16, ba) + ", " + sh + ")");
             return;
         }
         std::string bb = declBuf(8);
         intoExpr(b.rhs(), bb);
-        std::string a = declC(c16, ba);
-        std::string c = declC(c16, bb);
-        std::string r = fresh();
-        switch (b.op()) {
-          case BinOp::Add:
-            line("ZrC32 " + r + " = { " + a + ".re + " + c + ".re, " +
-                 a + ".im + " + c + ".im };");
-            break;
-          case BinOp::Sub:
-            line("ZrC32 " + r + " = { " + a + ".re - " + c + ".re, " +
-                 a + ".im - " + c + ".im };");
-            break;
-          case BinOp::Mul:
-            line("ZrC32 " + r + " = { " + a + ".re * " + c + ".re - " +
-                 a + ".im * " + c + ".im, " + a + ".re * " + c +
-                 ".im + " + a + ".im * " + c + ".re };");
-            break;
-          default:
+        const char* fn = b.op() == BinOp::Add   ? "zr_cadd("
+                         : b.op() == BinOp::Sub ? "zr_csub("
+                         : b.op() == BinOp::Mul ? "zr_cmul("
+                                                : nullptr;
+        if (!fn) {
             // The closure fatals at run time after evaluating both
             // operands; reproduce that.
             line("zr_trap_msg(zc, \"complex operator not supported\");");
-            line("ZrC32 " + r + " = { 0, 0 };");
-            break;
+            return;
         }
-        if (c16) {
-            line(r + ".re = (int16_t)" + r + ".re;");
-            line(r + ".im = (int16_t)" + r + ".im;");
-        }
-        storeC(c16, dst, r);
+        storeC(c16, dst,
+               fn + loadC(c16, ba) + ", " + loadC(c16, bb) + ")");
     }
 
     // ---- calls (prepareCall / compileCall*) --------------------------
@@ -796,9 +755,11 @@ class CppEmitter
     void
     nativeCall(const CallExpr& c, const std::string& dst)
     {
+        // Only a built-in itself has a runtime body; a host native that
+        // merely shares its name keeps its own (bridged).
         const std::string& name = c.fun()->name;
-        if (!knownNative(name))
-            throw Unsupported{"unknown native function"};
+        if (natives::lookup(name) != c.fun())
+            throw Unsupported{"not a built-in native"};
         std::vector<std::string> refs;
         refs.reserve(c.args().size());
         for (const auto& a : c.args())
@@ -1000,13 +961,12 @@ class CppEmitter
         return name;
     }
 
-    std::string
-    declC(bool c16, const std::string& buf)
+    /** The runtime's load of the complex value at @p buf. */
+    static std::string
+    loadC(bool c16, const std::string& buf)
     {
-        std::string r = fresh();
-        line("ZrC32 " + r + " = zr_ldc(" + (c16 ? "1" : "0") + ", " +
-             buf + ");");
-        return r;
+        return std::string("zr_ldc(") + (c16 ? "1" : "0") + ", " + buf +
+               ")";
     }
 
     void
@@ -1441,217 +1401,36 @@ class RegionEmitter
     std::string out_;
 };
 
-/**
- * Everything a generated unit needs, with no repo includes: the ZrCtx
- * mirror (keep in lock-step with zcgen/abi.h; abiStamp() closes it),
- * load/store helpers, the complex-arithmetic helpers, and the native
- * function bodies (transcribed from zexpr/natives.cc — same libm
- * in-process, so results are bit-identical).
- */
-const char* const kPreambleAbi = R"ZRC(// Generated by ziria zcgen. Do not edit.
-#include <cmath>
-#include <cstddef>
-#include <cstdint>
-#include <cstring>
+} // namespace
 
-using std::memcpy;
-using std::memmove;
-using std::memset;
+const char*
+runtimeSource()
+{
+    return
+#include "zcgen/runtime.inc"
+        ;
+}
 
-extern "C" {
-struct ZrKernel {
-    const uint8_t* ring;
-    uint64_t head;
-    uint64_t size;
-    uint64_t finished;
-};
-struct ZrCtx {
-    uint8_t* fr;
-    uint8_t* st;
-    int64_t* regs;
-    uint32_t* chProdPc;
-    uint32_t* chConsPc;
-    uint8_t* chFull;
-    uint32_t pc;
-    uint32_t pad_;
-    uint64_t spins;
-    const uint8_t* outPtr;
-    const uint8_t* ctrlPtr;
-    uint64_t ctrlWidth;
-    void* host;
-    void (*hostInto)(void* host, int32_t idx, uint8_t* dst);
-    int64_t (*hostInt)(void* host, int32_t idx);
-    void (*hostAction)(void* host, int32_t idx);
-    void (*hostLut)(void* host, int32_t idx, uint8_t* dst);
-    void (*trapMsg)(void* host, const char* msg);
-    void (*trapIndex)(void* host, int64_t k, int64_t n);
-    void (*trapSlice)(void* host, int64_t k, int64_t kEnd, int64_t n);
-    ZrKernel* kern;
-    void (*kStart)(void* host, int32_t k);
-    void (*kFeed)(void* host, int32_t k, const uint8_t* in);
-    const uint8_t* const* lut;
-};
-)ZRC";
-
-/**
- * The ABI version this host loads, and the host's own layout of the
- * mirrored struct: a mirror that drifts from zcgen/abi.h fails to
- * compile instead of reading the wrong fields.
- */
 std::string
 abiStamp()
 {
-    return "int zr_abi(void) { return " + std::to_string(kZrAbiVersion) +
-           "; }\n} // extern \"C\"\n"
+    return "extern \"C\" int zr_abi(void) { return " +
+           std::to_string(kZrAbiVersion) + "; }\n"
            "static_assert(sizeof(ZrCtx) == " + num(sizeof(ZrCtx)) +
-           ", \"ZrCtx mirror drifted from zcgen/abi.h\");\n"
-           "static_assert(offsetof(ZrCtx, lut) == " +
-           num(offsetof(ZrCtx, lut)) +
-           ", \"ZrCtx mirror drifted from zcgen/abi.h\");\n";
+           " && offsetof(ZrCtx, lut) == " + num(offsetof(ZrCtx, lut)) +
+           ", \"the unit's compiler lays out ZrCtx unlike the host\");\n";
 }
-
-const char* const kPreambleHelpers = R"ZRC(
-static inline void zr_trap_msg(ZrCtx* zc, const char* m)
-{ zc->trapMsg(zc->host, m); }
-static inline void zr_trap_index(ZrCtx* zc, int64_t k, int64_t n)
-{ zc->trapIndex(zc->host, k, n); }
-static inline void zr_trap_slice(ZrCtx* zc, int64_t k, int64_t ke,
-                                 int64_t n)
-{ zc->trapSlice(zc->host, k, ke, n); }
-
-static inline int64_t zr_ld8(const uint8_t* p)
-{ int8_t v; memcpy(&v, p, 1); return v; }
-static inline int64_t zr_ld16(const uint8_t* p)
-{ int16_t v; memcpy(&v, p, 2); return v; }
-static inline int64_t zr_ld32(const uint8_t* p)
-{ int32_t v; memcpy(&v, p, 4); return v; }
-static inline int64_t zr_ld64(const uint8_t* p)
-{ int64_t v; memcpy(&v, p, 8); return v; }
-static inline void zr_st8(uint8_t* p, int64_t v)
-{ int8_t x = (int8_t)v; memcpy(p, &x, 1); }
-static inline void zr_st16(uint8_t* p, int64_t v)
-{ int16_t x = (int16_t)v; memcpy(p, &x, 2); }
-static inline void zr_st32(uint8_t* p, int64_t v)
-{ int32_t x = (int32_t)v; memcpy(p, &x, 4); }
-static inline void zr_st64(uint8_t* p, int64_t v)
-{ memcpy(p, &v, 8); }
-static inline double zr_ldd(const uint8_t* p)
-{ double v; memcpy(&v, p, 8); return v; }
-static inline void zr_std(uint8_t* p, double v)
-{ memcpy(p, &v, 8); }
-
-struct ZrC32 { int32_t re, im; };
-static inline ZrC32 zr_ldc(int c16, const uint8_t* p)
-{
-    if (c16) {
-        int16_t re, im;
-        memcpy(&re, p, 2);
-        memcpy(&im, p + 2, 2);
-        return ZrC32{re, im};
-    }
-    ZrC32 c;
-    memcpy(&c, p, 8);
-    return c;
-}
-static inline void zr_stc(int c16, uint8_t* p, ZrC32 v)
-{
-    if (c16) {
-        int16_t re = (int16_t)v.re, im = (int16_t)v.im;
-        memcpy(p, &re, 2);
-        memcpy(p + 2, &im, 2);
-    } else {
-        memcpy(p, &v, 8);
-    }
-}
-static inline int16_t zr_sat16(int32_t v)
-{
-    if (v > 32767) return 32767;
-    if (v < -32768) return -32768;
-    return (int16_t)v;
-}
-
-// --- native expression functions (zexpr/natives.cc) -------------------
-static inline ZrC32 zr_rdc16(const uint8_t* p)
-{ int16_t re, im; memcpy(&re, p, 2); memcpy(&im, p + 2, 2);
-  return ZrC32{re, im}; }
-static inline void zr_wrc16(uint8_t* r, int16_t re, int16_t im)
-{ memcpy(r, &re, 2); memcpy(r + 2, &im, 2); }
-
-static void zr_nat_sin(const uint8_t* const* a, uint8_t* r)
-{ double v = std::sin(zr_ldd(a[0])); zr_std(r, v); }
-static void zr_nat_cos(const uint8_t* const* a, uint8_t* r)
-{ double v = std::cos(zr_ldd(a[0])); zr_std(r, v); }
-static void zr_nat_sqrt(const uint8_t* const* a, uint8_t* r)
-{ double v = std::sqrt(zr_ldd(a[0])); zr_std(r, v); }
-static void zr_nat_exp(const uint8_t* const* a, uint8_t* r)
-{ double v = std::exp(zr_ldd(a[0])); zr_std(r, v); }
-static void zr_nat_log(const uint8_t* const* a, uint8_t* r)
-{ double v = std::log(zr_ldd(a[0])); zr_std(r, v); }
-static void zr_nat_atan2(const uint8_t* const* a, uint8_t* r)
-{ double v = std::atan2(zr_ldd(a[0]), zr_ldd(a[1])); zr_std(r, v); }
-static void zr_nat_cmul16(const uint8_t* const* a, uint8_t* r)
-{
-    ZrC32 x = zr_rdc16(a[0]);
-    ZrC32 y = zr_rdc16(a[1]);
-    int s = (int)zr_ld32(a[2]) & 31;
-    int32_t re = (x.re * y.re - x.im * y.im) >> s;
-    int32_t im = (x.re * y.im + x.im * y.re) >> s;
-    zr_wrc16(r, (int16_t)re, (int16_t)im);
-}
-static void zr_nat_cmul_conj16(const uint8_t* const* a, uint8_t* r)
-{
-    ZrC32 x = zr_rdc16(a[0]);
-    ZrC32 y = zr_rdc16(a[1]);
-    int s = (int)zr_ld32(a[2]) & 31;
-    int32_t re = (x.re * y.re + x.im * y.im) >> s;
-    int32_t im = (x.im * y.re - x.re * y.im) >> s;
-    zr_wrc16(r, (int16_t)re, (int16_t)im);
-}
-static void zr_nat_cabs2(const uint8_t* const* a, uint8_t* r)
-{
-    ZrC32 x = zr_rdc16(a[0]);
-    int32_t v = x.re * x.re + x.im * x.im;
-    memcpy(r, &v, 4);
-}
-static void zr_nat_conj16(const uint8_t* const* a, uint8_t* r)
-{
-    ZrC32 x = zr_rdc16(a[0]);
-    zr_wrc16(r, (int16_t)x.re, (int16_t)-x.im);
-}
-static void zr_nat_cadd32(const uint8_t* const* a, uint8_t* r)
-{
-    ZrC32 x, y;
-    memcpy(&x, a[0], 8);
-    memcpy(&y, a[1], 8);
-    ZrC32 v{x.re + y.re, x.im + y.im};
-    memcpy(r, &v, 8);
-}
-static void zr_nat_sat16(const uint8_t* const* a, uint8_t* r)
-{
-    int32_t v = (int32_t)zr_ld32(a[0]);
-    int16_t x = v > 32767 ? 32767
-                          : (v < -32768 ? (int16_t)-32768 : (int16_t)v);
-    memcpy(r, &x, 2);
-}
-static void zr_nat_creal(const uint8_t* const* a, uint8_t* r)
-{ memcpy(r, a[0], 2); }
-static void zr_nat_cimag(const uint8_t* const* a, uint8_t* r)
-{ memcpy(r, a[0] + 2, 2); }
-static void zr_nat_mk_complex16(const uint8_t* const* a, uint8_t* r)
-{ memcpy(r, a[0], 2); memcpy(r + 2, a[1], 2); }
-
-)ZRC";
-
-} // namespace
 
 EmitUnit
 emitUnit(const FuseProgram& prog, const FrameLayout& layout)
 {
     RegionEmitter re(prog, layout);
     EmitUnit u;
-    u.source = kPreambleAbi;
+    u.source = "// Generated by ziria zcgen. Do not edit.\n";
+    u.source += runtimeSource();
+    u.source += "using std::memcpy;\nusing std::memmove;\n"
+                "using std::memset;\n";
     u.source += abiStamp();
-    u.source += kPreambleHelpers;
     u.source += re.emit();
     u.source += "\n";
     u.hostBridges = re.hostBridges();

@@ -19,7 +19,7 @@ namespace zcgen {
 /** The one function a unit exports, and its fixed name. */
 constexpr const char* kRegionSymbol = "zr_region_0";
 
-/** One emitted translation unit: the preamble plus one region. */
+/** One emitted translation unit: the runtime plus one region. */
 struct EmitUnit
 {
     std::string source;   ///< self-contained C++ (no repo includes)
@@ -36,6 +36,16 @@ struct EmitUnit
  * parameters become C++ locals).
  */
 EmitUnit emitUnit(const zfuse::FuseProgram& prog, const FrameLayout& layout);
+
+/** The text of zcgen/runtime.h, as every unit embeds it. */
+const char* runtimeSource();
+
+/**
+ * The unit's `zr_abi` symbol (kZrAbiVersion, which the loader checks)
+ * and a static_assert that the unit's compiler lays ZrCtx out as the
+ * host did.
+ */
+std::string abiStamp();
 
 } // namespace zcgen
 } // namespace ziria

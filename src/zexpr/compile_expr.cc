@@ -4,6 +4,7 @@
 
 #include "support/panic.h"
 #include "zast/printer.h"
+#include "zcgen/runtime.h"
 #include "ztype/value.h"
 
 namespace ziria {
@@ -119,38 +120,33 @@ makeStore(TypeKind k, EvalInt val)
     }
 }
 
-Complex32
-loadComplex(const TypePtr& t, const uint8_t* p)
+/**
+ * A complex binary operator as one closure: evaluate both operands,
+ * then apply the runtime helper @p Op (zcgen/runtime.h, the definition
+ * generated code calls too).
+ */
+template <ZrC32 (*Op)(ZrC32, ZrC32)>
+EvalInto
+complexBin(EvalInto la, EvalInto ra, int c16)
 {
-    if (t->kind() == TypeKind::Complex16) {
-        Complex16 c;
-        std::memcpy(&c, p, 4);
-        return Complex32{c.re, c.im};
-    }
-    Complex32 c;
-    std::memcpy(&c, p, 8);
-    return c;
+    return [la, ra, c16](Frame& f, uint8_t* dst) {
+        uint8_t ba[8], bb[8];
+        la(f, ba);
+        ra(f, bb);
+        zr_stc(c16, dst, Op(zr_ldc(c16, ba), zr_ldc(c16, bb)));
+    };
 }
 
-void
-storeComplex(const TypePtr& t, uint8_t* p, Complex32 v)
+/** A complex shift by an integer count (runtime helper @p Op). */
+template <ZrC32 (*Op)(ZrC32, int64_t)>
+EvalInto
+complexShift(EvalInto la, EvalInt sh, int c16)
 {
-    if (t->kind() == TypeKind::Complex16) {
-        Complex16 c{static_cast<int16_t>(v.re), static_cast<int16_t>(v.im)};
-        std::memcpy(p, &c, 4);
-    } else {
-        std::memcpy(p, &v, 8);
-    }
-}
-
-int16_t
-sat16(int32_t v)
-{
-    if (v > 32767)
-        return 32767;
-    if (v < -32768)
-        return -32768;
-    return static_cast<int16_t>(v);
+    return [la, sh, c16](Frame& f, uint8_t* dst) {
+        uint8_t ba[8];
+        la(f, ba);
+        zr_stc(c16, dst, Op(zr_ldc(c16, ba), sh(f)));
+    };
 }
 
 } // namespace
@@ -599,71 +595,42 @@ ExprCompiler::compileInto(const ExprPtr& e)
         };
     }
     if (t->isComplex()) {
+        // Every operator is one call into the runtime shared with
+        // generated code (zcgen/runtime.h).
+        const int c16 = t->kind() == TypeKind::Complex16;
         switch (e->kind()) {
           case ExprKind::Bin: {
             const auto& b = static_cast<const BinExpr&>(*e);
             EvalInto la = compileInto(b.lhs());
-            bool c16 = t->kind() == TypeKind::Complex16;
-            TypePtr tt = t;
-            if (b.op() == BinOp::Shl || b.op() == BinOp::Shr) {
-                EvalInt sh = compileInt(b.rhs());
-                bool left = b.op() == BinOp::Shl;
-                return [la, sh, left, tt](Frame& f, uint8_t* dst) {
-                    uint8_t ba[8];
+            if (b.op() == BinOp::Shl)
+                return complexShift<zr_cshl>(la, compileInt(b.rhs()), c16);
+            if (b.op() == BinOp::Shr)
+                return complexShift<zr_cshr>(la, compileInt(b.rhs()), c16);
+            EvalInto ra = compileInto(b.rhs());
+            switch (b.op()) {
+              case BinOp::Add:
+                return complexBin<zr_cadd>(la, ra, c16);
+              case BinOp::Sub:
+                return complexBin<zr_csub>(la, ra, c16);
+              case BinOp::Mul:
+                return complexBin<zr_cmul>(la, ra, c16);
+              default:
+                return [la, ra](Frame& f, uint8_t*) {
+                    uint8_t ba[8], bb[8];
                     la(f, ba);
-                    Complex32 a = loadComplex(tt, ba);
-                    int s = static_cast<int>(sh(f)) & 31;
-                    Complex32 r = left ? Complex32{a.re << s, a.im << s}
-                                       : Complex32{a.re >> s, a.im >> s};
-                    storeComplex(tt, dst, r);
+                    ra(f, bb);
+                    fatal("complex operator not supported");
                 };
             }
-            EvalInto ra = compileInto(b.rhs());
-            BinOp op = b.op();
-            return [la, ra, op, c16, tt](Frame& f, uint8_t* dst) {
-                uint8_t ba[8], bb[8];
-                la(f, ba);
-                ra(f, bb);
-                Complex32 a = loadComplex(tt, ba);
-                Complex32 b2 = loadComplex(tt, bb);
-                Complex32 r;
-                switch (op) {
-                  case BinOp::Add:
-                    r = {a.re + b2.re, a.im + b2.im};
-                    break;
-                  case BinOp::Sub:
-                    r = {a.re - b2.re, a.im - b2.im};
-                    break;
-                  case BinOp::Mul:
-                    r = {a.re * b2.re - a.im * b2.im,
-                         a.re * b2.im + a.im * b2.re};
-                    break;
-                  default:
-                    fatal("complex operator not supported");
-                }
-                if (c16) {
-                    r.re = static_cast<int16_t>(r.re);
-                    r.im = static_cast<int16_t>(r.im);
-                }
-                storeComplex(tt, dst, r);
-            };
           }
           case ExprKind::Un: {
             const auto& u = static_cast<const UnExpr&>(*e);
             ZIRIA_ASSERT(u.op() == UnOp::Neg);
             EvalInto sa = compileInto(u.sub());
-            TypePtr tt = t;
-            bool c16 = t->kind() == TypeKind::Complex16;
-            return [sa, tt, c16](Frame& f, uint8_t* dst) {
+            return [sa, c16](Frame& f, uint8_t* dst) {
                 uint8_t ba[8];
                 sa(f, ba);
-                Complex32 a = loadComplex(tt, ba);
-                Complex32 r{-a.re, -a.im};
-                if (c16) {
-                    r.re = static_cast<int16_t>(r.re);
-                    r.im = static_cast<int16_t>(r.im);
-                }
-                storeComplex(tt, dst, r);
+                zr_stc(c16, dst, zr_cneg(zr_ldc(c16, ba)));
             };
           }
           case ExprKind::Cast: {
@@ -671,21 +638,18 @@ ExprCompiler::compileInto(const ExprPtr& e)
             const TypePtr& from = c.sub()->type();
             ZIRIA_ASSERT(from->isComplex());
             EvalInto sa = compileInto(c.sub());
-            TypePtr ft = from;
-            if (t->kind() == TypeKind::Complex16) {
-                return [sa, ft](Frame& f, uint8_t* dst) {
+            const int fromC16 = from->kind() == TypeKind::Complex16;
+            if (c16) {
+                return [sa, fromC16](Frame& f, uint8_t* dst) {
                     uint8_t ba[8];
                     sa(f, ba);
-                    Complex32 a = loadComplex(ft, ba);
-                    Complex16 r{sat16(a.re), sat16(a.im)};
-                    std::memcpy(dst, &r, 4);
+                    zr_stc(1, dst, zr_csat16(zr_ldc(fromC16, ba)));
                 };
             }
-            return [sa, ft](Frame& f, uint8_t* dst) {
+            return [sa, fromC16](Frame& f, uint8_t* dst) {
                 uint8_t ba[8];
                 sa(f, ba);
-                Complex32 a = loadComplex(ft, ba);
-                std::memcpy(dst, &a, 8);
+                zr_stc(0, dst, zr_ldc(fromC16, ba));
             };
           }
           default:

@@ -1,277 +1,79 @@
 #include "zexpr/natives.h"
 
-#include <cmath>
-#include <cstring>
-
-#include "ztype/value.h"
+#include "zcgen/runtime.h"
 
 namespace ziria {
 namespace natives {
 
 namespace {
 
-double
-readD(const uint8_t* p)
+struct Param
 {
-    double v;
-    std::memcpy(&v, p, 8);
-    return v;
-}
+    const char* name;
+    TypePtr (*type)();
+};
 
-void
-writeD(uint8_t* p, double v)
+/** One built-in: surface name, parameters, return type, runtime body. */
+struct Builtin
 {
-    std::memcpy(p, &v, 8);
-}
-
-Complex16
-readC16(const uint8_t* p)
-{
-    Complex16 c;
-    std::memcpy(&c, p, 4);
-    return c;
-}
-
-void
-writeC16(uint8_t* p, Complex16 c)
-{
-    std::memcpy(p, &c, 4);
-}
-
-int32_t
-readI32(const uint8_t* p)
-{
-    int32_t v;
-    std::memcpy(&v, p, 4);
-    return v;
-}
-
-FunRef
-unaryD(const char* name, double (*fn)(double))
-{
-    return makeNativeFun(
-        name, {freshVar("x", Type::real())}, Type::real(),
-        [fn](const uint8_t* const* args, uint8_t* ret) {
-            writeD(ret, fn(readD(args[0])));
-        });
-}
+    const char* name;
+    std::vector<Param> params;
+    TypePtr (*ret)();
+    void (*body)(const uint8_t* const* args, uint8_t* ret);
+};
 
 } // namespace
 
-FunRef
-sinF()
+const std::vector<FunRef>&
+builtins()
 {
-    static FunRef f = unaryD("sin", std::sin);
-    return f;
-}
-
-FunRef
-cosF()
-{
-    static FunRef f = unaryD("cos", std::cos);
-    return f;
-}
-
-FunRef
-sqrtF()
-{
-    static FunRef f = unaryD("sqrt", std::sqrt);
-    return f;
-}
-
-FunRef
-expF()
-{
-    static FunRef f = unaryD("exp", std::exp);
-    return f;
-}
-
-FunRef
-logF()
-{
-    static FunRef f = unaryD("log", std::log);
-    return f;
-}
-
-FunRef
-atan2F()
-{
-    static FunRef f = makeNativeFun(
-        "atan2", {freshVar("y", Type::real()), freshVar("x", Type::real())},
-        Type::real(), [](const uint8_t* const* args, uint8_t* ret) {
-            writeD(ret, std::atan2(readD(args[0]), readD(args[1])));
-        });
-    return f;
-}
-
-FunRef
-cmul16()
-{
-    static FunRef f = makeNativeFun(
-        "cmul16",
-        {freshVar("a", Type::complex16()), freshVar("b", Type::complex16()),
-         freshVar("shift", Type::int32())},
-        Type::complex16(), [](const uint8_t* const* args, uint8_t* ret) {
-            Complex16 a = readC16(args[0]);
-            Complex16 b = readC16(args[1]);
-            int s = readI32(args[2]) & 31;
-            int32_t re = (a.re * b.re - a.im * b.im) >> s;
-            int32_t im = (a.re * b.im + a.im * b.re) >> s;
-            writeC16(ret, Complex16{static_cast<int16_t>(re),
-                                    static_cast<int16_t>(im)});
-        });
-    return f;
-}
-
-FunRef
-cmulConj16()
-{
-    static FunRef f = makeNativeFun(
-        "cmul_conj16",
-        {freshVar("a", Type::complex16()), freshVar("b", Type::complex16()),
-         freshVar("shift", Type::int32())},
-        Type::complex16(), [](const uint8_t* const* args, uint8_t* ret) {
-            Complex16 a = readC16(args[0]);
-            Complex16 b = readC16(args[1]);
-            int s = readI32(args[2]) & 31;
-            int32_t re = (a.re * b.re + a.im * b.im) >> s;
-            int32_t im = (a.im * b.re - a.re * b.im) >> s;
-            writeC16(ret, Complex16{static_cast<int16_t>(re),
-                                    static_cast<int16_t>(im)});
-        });
-    return f;
-}
-
-FunRef
-cabs2_16()
-{
-    static FunRef f = makeNativeFun(
-        "cabs2", {freshVar("a", Type::complex16())}, Type::int32(),
-        [](const uint8_t* const* args, uint8_t* ret) {
-            Complex16 a = readC16(args[0]);
-            int32_t v = a.re * a.re + a.im * a.im;
-            std::memcpy(ret, &v, 4);
-        });
-    return f;
-}
-
-FunRef
-conj16()
-{
-    static FunRef f = makeNativeFun(
-        "conj16", {freshVar("a", Type::complex16())}, Type::complex16(),
-        [](const uint8_t* const* args, uint8_t* ret) {
-            Complex16 a = readC16(args[0]);
-            writeC16(ret, Complex16{a.re, static_cast<int16_t>(-a.im)});
-        });
-    return f;
-}
-
-FunRef
-cadd32()
-{
-    static FunRef f = makeNativeFun(
-        "cadd32",
-        {freshVar("a", Type::complex32()),
-         freshVar("b", Type::complex32())},
-        Type::complex32(), [](const uint8_t* const* args, uint8_t* ret) {
-            Complex32 a, b;
-            std::memcpy(&a, args[0], 8);
-            std::memcpy(&b, args[1], 8);
-            Complex32 r{a.re + b.re, a.im + b.im};
-            std::memcpy(ret, &r, 8);
-        });
-    return f;
-}
-
-FunRef
-satI16()
-{
-    static FunRef f = makeNativeFun(
-        "sat16", {freshVar("v", Type::int32())}, Type::int16(),
-        [](const uint8_t* const* args, uint8_t* ret) {
-            int32_t v = readI32(args[0]);
-            int16_t r = v > 32767
-                ? 32767
-                : (v < -32768 ? -32768 : static_cast<int16_t>(v));
-            std::memcpy(ret, &r, 2);
-        });
-    return f;
-}
-
-FunRef
-creal16()
-{
-    static FunRef f = makeNativeFun(
-        "creal", {freshVar("a", Type::complex16())}, Type::int16(),
-        [](const uint8_t* const* args, uint8_t* ret) {
-            Complex16 a = readC16(args[0]);
-            std::memcpy(ret, &a.re, 2);
-        });
-    return f;
-}
-
-FunRef
-cimag16()
-{
-    static FunRef f = makeNativeFun(
-        "cimag", {freshVar("a", Type::complex16())}, Type::int16(),
-        [](const uint8_t* const* args, uint8_t* ret) {
-            Complex16 a = readC16(args[0]);
-            std::memcpy(ret, &a.im, 2);
-        });
-    return f;
-}
-
-FunRef
-mkC16()
-{
-    static FunRef f = makeNativeFun(
-        "mk_complex16",
-        {freshVar("re", Type::int16()), freshVar("im", Type::int16())},
-        Type::complex16(), [](const uint8_t* const* args, uint8_t* ret) {
-            int16_t re, im;
-            std::memcpy(&re, args[0], 2);
-            std::memcpy(&im, args[1], 2);
-            Complex16 c{re, im};
-            writeC16(ret, c);
-        });
-    return f;
+    static const std::vector<FunRef> funs = [] {
+        const Builtin table[] = {
+            {"sin", {{"x", Type::real}}, Type::real, &zr_nat_sin},
+            {"cos", {{"x", Type::real}}, Type::real, &zr_nat_cos},
+            {"sqrt", {{"x", Type::real}}, Type::real, &zr_nat_sqrt},
+            {"exp", {{"x", Type::real}}, Type::real, &zr_nat_exp},
+            {"log", {{"x", Type::real}}, Type::real, &zr_nat_log},
+            {"atan2", {{"y", Type::real}, {"x", Type::real}}, Type::real,
+             &zr_nat_atan2},
+            {"cmul16",
+             {{"a", Type::complex16}, {"b", Type::complex16},
+              {"shift", Type::int32}},
+             Type::complex16, &zr_nat_cmul16},
+            {"cmul_conj16",
+             {{"a", Type::complex16}, {"b", Type::complex16},
+              {"shift", Type::int32}},
+             Type::complex16, &zr_nat_cmul_conj16},
+            {"cabs2", {{"a", Type::complex16}}, Type::int32, &zr_nat_cabs2},
+            {"conj16", {{"a", Type::complex16}}, Type::complex16,
+             &zr_nat_conj16},
+            {"cadd32", {{"a", Type::complex32}, {"b", Type::complex32}},
+             Type::complex32, &zr_nat_cadd32},
+            {"sat16", {{"v", Type::int32}}, Type::int16, &zr_nat_sat16},
+            {"creal", {{"a", Type::complex16}}, Type::int16, &zr_nat_creal},
+            {"cimag", {{"a", Type::complex16}}, Type::int16, &zr_nat_cimag},
+            {"mk_complex16", {{"re", Type::int16}, {"im", Type::int16}},
+             Type::complex16, &zr_nat_mk_complex16},
+        };
+        std::vector<FunRef> out;
+        for (const Builtin& b : table) {
+            std::vector<VarRef> params;
+            for (const Param& p : b.params)
+                params.push_back(freshVar(p.name, p.type()));
+            out.push_back(makeNativeFun(b.name, std::move(params),
+                                        b.ret(), b.body));
+        }
+        return out;
+    }();
+    return funs;
 }
 
 FunRef
 lookup(const std::string& name)
 {
-    if (name == "creal")
-        return creal16();
-    if (name == "cimag")
-        return cimag16();
-    if (name == "mk_complex16")
-        return mkC16();
-    if (name == "sin")
-        return sinF();
-    if (name == "cos")
-        return cosF();
-    if (name == "sqrt")
-        return sqrtF();
-    if (name == "exp")
-        return expF();
-    if (name == "log")
-        return logF();
-    if (name == "atan2")
-        return atan2F();
-    if (name == "cmul16")
-        return cmul16();
-    if (name == "cmul_conj16")
-        return cmulConj16();
-    if (name == "cabs2")
-        return cabs2_16();
-    if (name == "conj16")
-        return conj16();
-    if (name == "cadd32")
-        return cadd32();
-    if (name == "sat16")
-        return satI16();
+    for (const FunRef& f : builtins())
+        if (f->name == name)
+            return f;
     return nullptr;
 }
 

@@ -1,61 +1,36 @@
 /**
  * @file
- * Native expression functions available to Ziria programs.
+ * The built-in native expression functions available to Ziria programs.
  *
- * These cover the math primitives (sin, cos, sqrt, atan2 — used by the
- * paper's overhead micro-benchmarks) and the fixed-point complex helpers a
- * PHY implementation needs (scaled complex multiply, conjugate multiply,
- * magnitudes), mirroring the SIMD intrinsics wrappers of the paper's
- * "basic signal processing library".
+ * These cover the math primitives (sin, cos, sqrt, exp, log, atan2 —
+ * used by the paper's overhead micro-benchmarks) and the fixed-point
+ * complex helpers a PHY implementation needs (scaled complex multiply,
+ * conjugate multiply, magnitudes, saturation), mirroring the SIMD
+ * intrinsics wrappers of the paper's "basic signal processing library".
+ *
+ * Each body is `zr_nat_<name>` in zcgen/runtime.h, the runtime the VM
+ * and generated code share: the VM calls it through the FunDef, the
+ * native backend emits a direct call to the same definition.  This
+ * table is the one list of built-ins — the parser resolves names
+ * through lookup(), and the emitter inlines exactly the calls lookup()
+ * knows.
  */
 #ifndef ZIRIA_ZEXPR_NATIVES_H
 #define ZIRIA_ZEXPR_NATIVES_H
 
 #include <string>
+#include <vector>
 
 #include "zast/expr.h"
 
 namespace ziria {
 namespace natives {
 
-/** double -> double */
-FunRef sinF();
-FunRef cosF();
-FunRef sqrtF();
-FunRef expF();
-FunRef logF();
+/** Every built-in, in table order (the same FunRefs on every call). */
+const std::vector<FunRef>& builtins();
 
-/** (double, double) -> double */
-FunRef atan2F();
-
-/** (complex16, complex16, int shift) -> complex16: (a*b) >> shift. */
-FunRef cmul16();
-
-/** (complex16, complex16, int shift) -> complex16: (a*conj(b)) >> shift. */
-FunRef cmulConj16();
-
-/** complex16 -> int: re^2 + im^2. */
-FunRef cabs2_16();
-
-/** complex16 -> complex16: conjugate. */
-FunRef conj16();
-
-/** (complex32, complex32) -> complex32 wide add (no saturation). */
-FunRef cadd32();
-
-/** int -> int16 saturating narrow. */
-FunRef satI16();
-
-/** complex16 -> int16 real part. */
-FunRef creal16();
-
-/** complex16 -> int16 imaginary part. */
-FunRef cimag16();
-
-/** (int16, int16) -> complex16 constructor. */
-FunRef mkC16();
-
-/** Look up a native function by surface name; null if unknown. */
+/** The built-in named @p name (surface name, e.g. "cmul16"); null if
+ *  there is none. */
 FunRef lookup(const std::string& name);
 
 } // namespace natives

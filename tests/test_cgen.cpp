@@ -15,7 +15,11 @@
  *  - the on-disk shared-object cache: miss-then-hit, corrupt
  *    .so/manifest quarantine + recompile, stale-key misses, an object
  *    stamped with the previous ABI refused and recompiled, cache-key
- *    determinism, and the ziria.cgen.* counters.
+ *    determinism, and the ziria.cgen.* counters;
+ *  - the runtime host and units share (zcgen/runtime.h): every built-in
+ *    native and the wrapping complex operators byte-identical on all
+ *    three backends, the runtime compiling alone as a unit, and one
+ *    embedded copy per unit.
  *
  * Tests that require real machine code gate on
  * zcgen::compilerAvailable(); without a compiler the backend degrades
@@ -26,12 +30,14 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -52,6 +58,8 @@
 #include "wifi/tx.h"
 #include "zast/builder.h"
 #include "zcgen/cgen.h"
+#include "zcgen/emit.h"
+#include "zexpr/natives.h"
 #include "zgen/generator.h"
 #include "zir/compiler.h"
 
@@ -747,6 +755,374 @@ TEST(CgenCache, CacheKeyHashIsDeterministic)
     EXPECT_EQ(zcgen::fnv1a64Hex(kToySource),
               zcgen::fnv1a64Hex(kToySource));
     EXPECT_NE(zcgen::fnv1a64Hex("a"), zcgen::fnv1a64Hex("b"));
+}
+
+// ------------------------------------------------------ shared runtime
+
+/** Little-endian bytes of one scalar. */
+template <typename T>
+std::vector<uint8_t>
+le(T v)
+{
+    std::vector<uint8_t> b(sizeof(T));
+    std::memcpy(b.data(), &v, sizeof(T));
+    return b;
+}
+
+template <typename T>
+std::vector<uint8_t>
+cplx(T re, T im)
+{
+    std::vector<uint8_t> b = le(re);
+    std::vector<uint8_t> i = le(im);
+    b.insert(b.end(), i.begin(), i.end());
+    return b;
+}
+
+std::vector<uint8_t>
+c16(int16_t re, int16_t im)
+{
+    return cplx(re, im);
+}
+
+std::vector<uint8_t>
+c32(int32_t re, int32_t im)
+{
+    return cplx(re, im);
+}
+
+template <typename T>
+T
+readAt(const std::vector<uint8_t>& bytes, size_t off)
+{
+    T v;
+    EXPECT_LE(off + sizeof(T), bytes.size());
+    std::memcpy(&v, bytes.data() + off, sizeof(T));
+    return v;
+}
+
+/**
+ * `repeat { x <- take : in; emit build(x) }` run on every backend at
+ * OptLevel::None: fused and native must print the VM's bytes as one
+ * region, and native code must call no host bridge.  Returns the VM's
+ * bytes.
+ */
+std::vector<uint8_t>
+recordMapOnEveryBackend(const TypePtr& in,
+                        const std::function<ExprPtr(const VarRef&)>& build,
+                        const std::vector<uint8_t>& input)
+{
+    auto make = [&] {
+        VarRef x = freshVar("x", in);
+        return repeatc(seqc({bindc(x, take(in)), just(emit(build(x)))}));
+    };
+    std::vector<uint8_t> want;
+    for (Backend be : testsupport::kAllBackends) {
+        if (testsupport::nativeUnavailable(be))
+            continue;
+        SCOPED_TRACE(testsupport::backendName(be));
+        CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
+        opt.backend = be;
+        CompileReport rep;
+        auto out = compilePipeline(make(), opt, &rep)->runBytes(input);
+        if (be == Backend::Vm) {
+            want = out;
+            continue;
+        }
+        EXPECT_EQ(out, want);
+        EXPECT_EQ(rep.fuse.nodesFused, 1);
+        if (be == Backend::Native) {
+            EXPECT_EQ(rep.cgen.fallbacks, 0);
+            EXPECT_EQ(rep.cgen.hostBridges, 0);
+        }
+    }
+    return want;
+}
+
+/** One built-in native and its argument rows (bytes per parameter). */
+struct NativeCase
+{
+    const char* name;
+    std::vector<std::vector<std::vector<uint8_t>>> rows;
+};
+
+TEST(SharedRuntime, EveryBuiltinNativeAgreesAcrossBackends)
+{
+    // One record per row carries the arguments of every built-in; the
+    // output record carries every result.  A built-in with fewer rows
+    // repeats its last one.
+    const double nan = std::nan("");
+    const std::vector<NativeCase> cases = {
+        {"sin", {{le(0.0)}, {le(-1.5)}, {le(1e300)}, {le(nan)}}},
+        {"cos", {{le(0.0)}, {le(-1.5)}, {le(1e300)}, {le(nan)}}},
+        {"sqrt", {{le(2.0)}, {le(-1.0)}, {le(-0.0)}}},
+        {"exp", {{le(1.0)}, {le(-746.0)}, {le(710.0)}}},
+        {"log", {{le(10.0)}, {le(-1.0)}, {le(0.0)}}},
+        {"atan2",
+         {{le(1.0), le(-1.0)}, {le(-0.0), le(-1.0)}, {le(0.0), le(0.0)}}},
+        {"cmul16",
+         {{c16(-32768, -32768), c16(-32768, -32768), le<int32_t>(0)},
+          {c16(-32768, -32768), c16(-32768, -32768), le<int32_t>(31)},
+          {c16(-32768, -32768), c16(-32768, -32768), le<int32_t>(32)},
+          {c16(-32768, -32768), c16(-32768, -32768), le<int32_t>(-1)},
+          {c16(1000, 2000), c16(-300, 50), le<int32_t>(6)}}},
+        {"cmul_conj16",
+         {{c16(-32768, -32768), c16(-32768, -32768), le<int32_t>(0)},
+          {c16(-32768, -32768), c16(-32768, -32768), le<int32_t>(31)},
+          {c16(-32768, -32768), c16(-32768, -32768), le<int32_t>(32)},
+          {c16(-32768, -32768), c16(-32768, -32768), le<int32_t>(-1)},
+          {c16(1000, 2000), c16(-300, 50), le<int32_t>(6)}}},
+        {"cabs2",
+         {{c16(-32768, -32768)}, {c16(3, -4)}, {c16(32767, -32768)}}},
+        {"conj16", {{c16(5, -32768)}, {c16(-32768, 32767)}}},
+        {"cadd32",
+         {{c32(INT32_MAX, INT32_MIN), c32(1, -1)},
+          {c32(-5, 7), c32(2, 3)}}},
+        {"sat16",
+         {{le<int32_t>(32767)}, {le<int32_t>(32768)}, {le<int32_t>(-32768)},
+          {le<int32_t>(-32769)}, {le<int32_t>(INT32_MIN)}}},
+        {"creal", {{c16(-32768, 7)}}},
+        {"cimag", {{c16(7, -32768)}}},
+        {"mk_complex16", {{le<int16_t>(-32768), le<int16_t>(32767)}}},
+    };
+    std::set<std::string> covered;
+    for (const NativeCase& c : cases)
+        covered.insert(c.name);
+    for (const FunRef& f : natives::builtins())
+        EXPECT_EQ(covered.count(f->name), 1u) << "no case for " << f->name;
+    ASSERT_EQ(covered.size(), natives::builtins().size());
+
+    std::vector<FunRef> funs;
+    std::vector<std::pair<std::string, TypePtr>> inFields, outFields;
+    size_t rows = 0;
+    for (size_t i = 0; i < cases.size(); ++i) {
+        FunRef f = natives::lookup(cases[i].name);
+        ASSERT_NE(f, nullptr) << cases[i].name;
+        funs.push_back(f);
+        for (size_t j = 0; j < f->params.size(); ++j)
+            inFields.push_back({"a" + std::to_string(i) + "_" +
+                                    std::to_string(j),
+                                f->params[j]->type});
+        outFields.push_back({cases[i].name, f->retType});
+        rows = std::max(rows, cases[i].rows.size());
+    }
+    TypePtr inT = Type::strct("NativeArgs", inFields);
+    TypePtr outT = Type::strct("NativeResults", outFields);
+
+    std::vector<uint8_t> input;
+    for (size_t r = 0; r < rows; ++r) {
+        for (size_t i = 0; i < cases.size(); ++i) {
+            const auto& row =
+                cases[i].rows[std::min(r, cases[i].rows.size() - 1)];
+            ASSERT_EQ(row.size(), funs[i]->params.size()) << cases[i].name;
+            for (size_t j = 0; j < row.size(); ++j) {
+                ASSERT_EQ(row[j].size(),
+                          funs[i]->params[j]->type->byteWidth())
+                    << cases[i].name << " arg " << j;
+                input.insert(input.end(), row[j].begin(), row[j].end());
+            }
+        }
+    }
+    ASSERT_EQ(input.size(), rows * inT->byteWidth());
+
+    auto out = recordMapOnEveryBackend(
+        inT,
+        [&](const VarRef& x) {
+            std::vector<ExprPtr> results;
+            for (size_t i = 0; i < funs.size(); ++i) {
+                std::vector<ExprPtr> args;
+                for (size_t j = 0; j < funs[i]->params.size(); ++j)
+                    args.push_back(field(var(x), "a" + std::to_string(i) +
+                                                     "_" +
+                                                     std::to_string(j)));
+                results.push_back(call(funs[i], std::move(args)));
+            }
+            return structLit(outT, std::move(results));
+        },
+        input);
+    ASSERT_EQ(out.size(), rows * outT->byteWidth());
+
+    // The wrapped and saturated values every backend must reproduce.
+    auto at = [&](size_t row, const char* name) {
+        return row * outT->byteWidth() +
+               static_cast<size_t>(outT->fieldOffset(name));
+    };
+    auto c16At = [&](size_t row, const char* name) {
+        return std::make_pair(readAt<int16_t>(out, at(row, name)),
+                              readAt<int16_t>(out, at(row, name) + 2));
+    };
+    using P16 = std::pair<int16_t, int16_t>;
+    const int16_t sat[] = {32767, 32767, -32768, -32768, -32768};
+    for (size_t r = 0; r < 5; ++r)
+        EXPECT_EQ(readAt<int16_t>(out, at(r, "sat16")), sat[r]) << r;
+    EXPECT_EQ(c16At(0, "conj16"), P16(5, -32768));
+    EXPECT_EQ(c16At(1, "conj16"), P16(-32768, -32767));
+    EXPECT_EQ(readAt<int32_t>(out, at(0, "cabs2")), INT32_MIN);
+    EXPECT_EQ(readAt<int32_t>(out, at(1, "cabs2")), 25);
+    EXPECT_EQ(readAt<int32_t>(out, at(2, "cabs2")), 2147418113);
+    // (-32768, -32768)^2 = (0, 2^31): the imaginary part wraps to
+    // INT32_MIN; shift counts are taken & 31, so 32 is 0 and -1 is 31.
+    const P16 sq[] = {{0, 0}, {0, -1}, {0, 0}, {0, -1}};
+    const P16 sqConj[] = {{0, 0}, {-1, 0}, {0, 0}, {-1, 0}};
+    for (size_t r = 0; r < 4; ++r) {
+        EXPECT_EQ(c16At(r, "cmul16"), sq[r]) << r;
+        EXPECT_EQ(c16At(r, "cmul_conj16"), sqConj[r]) << r;
+    }
+    EXPECT_EQ(c16At(4, "cmul16"), P16(-6250, -8594));
+    EXPECT_EQ(c16At(4, "cmul_conj16"), P16(-3125, -10157));
+    EXPECT_EQ(readAt<int32_t>(out, at(0, "cadd32")), INT32_MIN);
+    EXPECT_EQ(readAt<int32_t>(out, at(0, "cadd32") + 4), INT32_MAX);
+    EXPECT_TRUE(std::isnan(readAt<double>(out, at(1, "sqrt"))));
+    EXPECT_TRUE(std::isnan(readAt<double>(out, at(1, "log"))));
+    EXPECT_EQ(readAt<double>(out, at(2, "log")), -HUGE_VAL);
+    EXPECT_EQ(readAt<int16_t>(out, at(0, "creal")), -32768);
+    EXPECT_EQ(readAt<int16_t>(out, at(0, "cimag")), -32768);
+    EXPECT_EQ(c16At(0, "mk_complex16"), P16(-32768, 32767));
+}
+
+TEST(SharedRuntime, ComplexOverflowWrapsOnEveryBackend)
+{
+    // Complex operators run on 32-bit parts that wrap: (-32768,
+    // -32768)^2 reaches 2^31, complex32 sums and products overflow,
+    // negating INT32_MIN and shifting negative parts stay defined.
+    // Before the shared runtime the VM's closures computed these in
+    // signed int — undefined behaviour a UBSan build aborts on.
+    TypePtr inT = Type::strct(
+        "WrapArgs", {{"a", Type::complex16()}, {"b", Type::complex16()},
+                     {"p", Type::complex32()}, {"q", Type::complex32()},
+                     {"s", Type::int32()}});
+    TypePtr outT = Type::strct(
+        "WrapResults",
+        {{"mul16", Type::complex16()}, {"shl16", Type::complex16()},
+         {"neg16", Type::complex16()}, {"add32", Type::complex32()},
+         {"sub32", Type::complex32()}, {"mul32", Type::complex32()},
+         {"shl32", Type::complex32()}, {"shr32", Type::complex32()},
+         {"neg32", Type::complex32()}, {"sat16", Type::complex16()}});
+    std::vector<uint8_t> input;
+    for (const auto& part :
+         {c16(-32768, -32768), c16(-32768, -32768),
+          c32(INT32_MAX, INT32_MIN), c32(1, -1), le<int32_t>(1),
+          c16(3, -4), c16(-2, 7), c32(INT32_MIN, INT32_MAX), c32(1, -1),
+          le<int32_t>(33)})
+        input.insert(input.end(), part.begin(), part.end());
+
+    auto out = recordMapOnEveryBackend(
+        inT,
+        [&](const VarRef& x) {
+            auto f = [&](const char* n) { return field(var(x), n); };
+            return structLit(
+                outT, {f("a") * f("b"), f("a") << f("s"), neg(f("a")),
+                       f("p") + f("q"), f("p") - f("q"), f("p") * f("q"),
+                       f("p") << f("s"), f("p") >> f("s"), neg(f("p")),
+                       cast(Type::complex16(), f("p"))});
+        },
+        input);
+    ASSERT_EQ(out.size(), 2 * outT->byteWidth());
+
+    using P = std::pair<int32_t, int32_t>;
+    auto get = [&](size_t row, const char* name) {
+        size_t off = row * outT->byteWidth() +
+                     static_cast<size_t>(outT->fieldOffset(name));
+        if (outT->fieldType(name)->kind() == TypeKind::Complex16)
+            return P(readAt<int16_t>(out, off),
+                     readAt<int16_t>(out, off + 2));
+        return P(readAt<int32_t>(out, off), readAt<int32_t>(out, off + 4));
+    };
+    EXPECT_EQ(get(0, "mul16"), P(0, 0));
+    EXPECT_EQ(get(0, "shl16"), P(0, 0));
+    EXPECT_EQ(get(0, "neg16"), P(-32768, -32768));
+    EXPECT_EQ(get(0, "add32"), P(INT32_MIN, INT32_MAX));
+    EXPECT_EQ(get(0, "sub32"), P(INT32_MAX - 1, INT32_MIN + 1));
+    EXPECT_EQ(get(0, "mul32"), P(-1, 1));
+    EXPECT_EQ(get(0, "shl32"), P(-2, 0));
+    EXPECT_EQ(get(0, "shr32"), P(1073741823, -1073741824));
+    EXPECT_EQ(get(0, "neg32"), P(-INT32_MAX, INT32_MIN));
+    EXPECT_EQ(get(0, "sat16"), P(32767, -32768));
+    // Row 1: the shift count 33 is taken & 31.
+    EXPECT_EQ(get(1, "mul16"), P(22, 29));
+    EXPECT_EQ(get(1, "shl16"), P(6, -8));
+    EXPECT_EQ(get(1, "neg16"), P(-3, 4));
+    EXPECT_EQ(get(1, "add32"), P(INT32_MIN + 1, INT32_MAX - 1));
+    EXPECT_EQ(get(1, "sub32"), P(INT32_MAX, INT32_MIN));
+    EXPECT_EQ(get(1, "mul32"), P(-1, -1));
+    EXPECT_EQ(get(1, "shl32"), P(0, -2));
+    EXPECT_EQ(get(1, "shr32"), P(-1073741824, 1073741823));
+    EXPECT_EQ(get(1, "neg32"), P(INT32_MIN, -INT32_MAX));
+    EXPECT_EQ(get(1, "sat16"), P(-32768, 32767));
+}
+
+TEST(SharedRuntime, HostNativeNamedLikeABuiltinKeepsItsBody)
+{
+    // Native code inlines the runtime body only for the built-in's own
+    // FunRef: a host native that is also called "sin" stays a bridge to
+    // its lambda, as the VM runs it.
+    FunRef mySin = makeNativeFun(
+        "sin", {freshVar("x", Type::real())}, Type::real(),
+        [](const uint8_t* const*, uint8_t* ret) {
+            const double v = 42.0;
+            std::memcpy(ret, &v, 8);
+        });
+    for (Backend be : testsupport::kAllBackends) {
+        if (testsupport::nativeUnavailable(be))
+            continue;
+        SCOPED_TRACE(testsupport::backendName(be));
+        VarRef x = freshVar("x", Type::real());
+        CompPtr prog = repeatc(seqc({bindc(x, take(Type::real())),
+                                     just(emit(call(mySin, {var(x)})))}));
+        CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
+        opt.backend = be;
+        CompileReport rep;
+        auto out = compilePipeline(prog, opt, &rep)->runBytes(le(0.0));
+        ASSERT_EQ(out.size(), 8u);
+        EXPECT_EQ(readAt<double>(out, 0), 42.0);
+        if (be == Backend::Native) {
+            EXPECT_EQ(rep.cgen.hostBridges, 1);
+        }
+    }
+}
+
+TEST(SharedRuntime, RuntimeCompilesAloneAsAUnit)
+{
+    // Units build with -std=c++17 while the host builds the same header
+    // as C++20.  A construct only the host accepts must fail here, with
+    // the compiler's diagnostic, rather than leave every region on the
+    // interpreter.
+    if (!zcgen::compilerAvailable())
+        GTEST_SKIP() << "no C++ compiler on this host";
+    auto r = zcgen::compileUnit(
+        std::string(zcgen::runtimeSource()) + zcgen::abiStamp(),
+        makeTempDir());
+    EXPECT_NE(r.lib, nullptr)
+        << "zcgen/runtime.h does not build as a generated unit:\n"
+        << r.error;
+}
+
+TEST(SharedRuntime, EmittedUnitEmbedsTheRuntimeOnce)
+{
+    // The unit's context struct is the host's header, embedded once and
+    // stamped with the ABI version the loader checks.
+    if (!zcgen::compilerAvailable())
+        GTEST_SKIP() << "no C++ compiler on this host";
+    std::string dir = makeTempDir();
+    CompilerOptions opt = nativeConf();
+    opt.cgenCacheDir = dir;
+    CompileReport rep;
+    compilePipeline(pipe(incBlock(3), incBlock(4)), opt, &rep);
+    ASSERT_EQ(rep.cgen.compiled, 1);
+    const std::string source = readText(dir + "/" + rep.cgen.cacheKey + ".cc");
+    auto count = [&](const std::string& needle) {
+        int n = 0;
+        for (size_t at = source.find(needle); at != std::string::npos;
+             at = source.find(needle, at + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(count("struct ZrCtx"), 1);
+    EXPECT_EQ(count("struct ZrKernel"), 1);
+    EXPECT_EQ(count("static inline ZrC32 zr_cmul("), 1);
+    EXPECT_EQ(count("static inline void zr_nat_cmul16("), 1);
+    EXPECT_EQ(count("int zr_abi(void) { return 3; }"), 1);
+    EXPECT_NE(source.find(zcgen::runtimeSource()), std::string::npos);
 }
 
 } // namespace

@@ -275,7 +275,7 @@ TEST(ExprVm, ByRefParameterMutatesCallerArray)
 
 TEST(ExprVm, NativeSin)
 {
-    EXPECT_NEAR(evalD(call(natives::sinF(), {cDouble(1.0)})),
+    EXPECT_NEAR(evalD(call(natives::lookup("sin"), {cDouble(1.0)})),
                 std::sin(1.0), 1e-12);
 }
 
@@ -283,8 +283,8 @@ TEST(ExprVm, NativeCmul16)
 {
     FrameLayout layout;
     ExprCompiler ec(layout);
-    ExprPtr e = call(natives::cmul16(), {cC16(1000, 2000),
-                                         cC16(-300, 50), cInt(6)});
+    ExprPtr e = call(natives::lookup("cmul16"),
+                     {cC16(1000, 2000), cC16(-300, 50), cInt(6)});
     EvalInto f = ec.compileInto(e);
     Frame fr(layout.frameSize());
     uint8_t buf[4];
