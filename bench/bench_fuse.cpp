@@ -19,7 +19,12 @@
  *      native kernels (FFT, Viterbi) run inside the fused region, so
  *      each row also prints its region count;
  *  (4) native backend compile cost: cold cache (emit + C++ compile +
- *      dlopen) vs warm cache (CRC-verified hit, no compiler run).
+ *      dlopen) vs warm cache (CRC-verified hit, no compiler run);
+ *  (5) the per-element boundary cost: the identity program
+ *      `repeat { x <- take; emit x }` over complex16 and over bit, from
+ *      a MemSource into a VecSink (the phy_link driver's endpoints),
+ *      on every backend.  What it costs is the driver <-> region hand-
+ *      off alone, which run-granular I/O windows amortize.
  *
  * All three backends share every series; the native backend
  * (docs/CODEGEN.md) compiles the same fused regions to machine code
@@ -137,6 +142,39 @@ withBackend(OptLevel lvl, Backend b)
     CompilerOptions opt = CompilerOptions::forLevel(lvl);
     opt.backend = b;
     return opt;
+}
+
+/** `repeat { x <- take; emit x }` over @p t. */
+CompPtr
+identity(const TypePtr& t)
+{
+    VarRef x = freshVar("x", t);
+    return repeatc(seqc({bindc(x, take(t)), just(emit(var(x)))}));
+}
+
+/**
+ * ns per element of the identity program over @p t on @p b: the
+ * fastest of 15 runs of @p n elements from a MemSource into a VecSink.
+ */
+double
+identityNs(const TypePtr& t, Backend b, size_t n)
+{
+    auto p = compilePipeline(identity(t), withBackend(OptLevel::None, b));
+    std::vector<uint8_t> in(n * p->inWidth());
+    for (size_t i = 0; i < in.size(); ++i)
+        in[i] = static_cast<uint8_t>(t->kind() == TypeKind::Bit ? i & 1
+                                                                : i * 7);
+    double best = 1e30;
+    for (int k = 0; k < 15; ++k) {
+        MemSource src(in, p->inWidth());
+        VecSink sink(p->outWidth());
+        Stopwatch sw;
+        p->run(src, sink);
+        best = std::min(best, sw.elapsedSec());
+        if (sink.data() != in)
+            fatal("bench_fuse: identity program changed its input");
+    }
+    return best * 1e9 / static_cast<double>(n);
 }
 
 /** Native --opt all with auto-LUT off: the ng/nolut columns. */
@@ -431,6 +469,30 @@ main()
         w.field("compiler", "");
     }
     w.endObject();
+
+    // ---- (5) per-element boundary cost -------------------------------
+    printf("\nPer-element boundary cost: identity program, MemSource -> "
+           "VecSink, ns/element:\n");
+    rule();
+    printf("%-10s %10s %10s %10s\n", "type", "vm", "fused", "native");
+    w.beginArray("identity");
+    const size_t kIdElems = 1 << 18;
+    for (const auto& [name, ty] :
+         {std::make_pair("complex16", Type::complex16()),
+          std::make_pair("bit", Type::bit())}) {
+        double ns[3];
+        int slot = 0;
+        for (Backend b : {Backend::Vm, Backend::Fused, Backend::Native})
+            ns[slot++] = identityNs(ty, b, kIdElems);
+        printf("%-10s %10.1f %10.1f %10.1f\n", name, ns[0], ns[1], ns[2]);
+        w.beginObject();
+        w.field("type", name);
+        w.field("vm_ns", ns[0]);
+        w.field("fused_ns", ns[1]);
+        w.field("native_ns", ns[2]);
+        w.endObject();
+    }
+    w.endArray();
     w.endObject();
 
     rule();

@@ -177,11 +177,12 @@ class ViterbiKernel : public NativeKernel
         latticeLen_ -= pos;
         if (!decoded_.empty()) {
             // The decoder releases bits a block at a time.
-            const long n = std::min(static_cast<long>(decoded_.size()),
-                                    outBits_ - emitted_);
-            for (long i = 0; i < n; ++i)
-                em.emit(&decoded_[static_cast<size_t>(i)]);
-            emitted_ += std::max(n, 0L);
+            const long n = std::max(
+                std::min(static_cast<long>(decoded_.size()),
+                         outBits_ - emitted_),
+                0L);
+            em.emitRun(decoded_.data(), static_cast<size_t>(n), 1);
+            emitted_ += n;
             decoded_.clear();
         }
         return false;

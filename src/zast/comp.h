@@ -356,6 +356,15 @@ class Emitter
 
     /** Emit one output element (outType-width bytes). */
     virtual void emit(const uint8_t* elem) = 0;
+
+    /** Emit @p n elements of @p width bytes each, in order (default:
+     *  one emit() per element). */
+    virtual void
+    emitRun(const uint8_t* elems, size_t n, size_t width)
+    {
+        for (size_t i = 0; i < n; ++i)
+            emit(elems + i * width);
+    }
 };
 
 /**

@@ -13,7 +13,10 @@
  * place through `lut`: the host-owned tables of the region's
  * FuseProgram, never copied into the unit.  Native stream kernels
  * embedded in a region are started and fed through `kStart`/`kFeed`;
- * their output rings are read in place through `kern`.
+ * their output rings are read in place through `kern`.  External takes
+ * and emits move whole runs through the `inCur`/`outCur` windows
+ * (ABI 4); the region returns only when the input window is used up,
+ * the output window is full, or the program halts.
  *
  * `ZrCtx` and `ZrKernel` are defined once, in zcgen/runtime.h, which
  * the host includes and every emitted unit embeds verbatim, so the
@@ -30,7 +33,7 @@
 namespace ziria {
 namespace zcgen {
 
-constexpr int kZrAbiVersion = 3;
+constexpr int kZrAbiVersion = 4;
 
 using ZrKernel = ::ZrKernel;
 using ZrCtx = ::ZrCtx;

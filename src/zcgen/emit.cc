@@ -509,6 +509,16 @@ class CppEmitter
         return buf;
     }
 
+    /** Whether @p e is an integer literal within [lo, hi]. */
+    static bool
+    literalIn(const ExprPtr& e, long lo, long hi)
+    {
+        if (e->kind() != ExprKind::Const)
+            return false;
+        int64_t v = static_cast<const ConstExpr&>(*e).value().asInt();
+        return v >= lo && v <= hi;
+    }
+
     std::string
     addrExpr(const ExprPtr& e)
     {
@@ -521,10 +531,13 @@ class CppEmitter
             size_t w = e->type()->byteWidth();
             long n = i.arr()->type()->len();
             // Index first, bounds check, then the base address —
-            // closure order (compileAddr).
+            // closure order (compileAddr).  A literal index already
+            // known in range needs no check; one out of range keeps it
+            // and traps when reached, as the closure does.
             std::string k = intExpr(i.idx());
-            line("if (" + k + " < 0 || " + k + " >= " + num(n) +
-                 ") zr_trap_index(zc, " + k + ", " + num(n) + ");");
+            if (!literalIn(i.idx(), 0, n - 1))
+                line("if (" + k + " < 0 || " + k + " >= " + num(n) +
+                     ") zr_trap_index(zc, " + k + ", " + num(n) + ");");
             std::string base = refExpr(i.arr());
             return declPtr(base + " + (size_t)" + k + " * " + num(w));
           }
@@ -534,9 +547,10 @@ class CppEmitter
             long n = s.arr()->type()->len();
             long len = s.sliceLen();
             std::string k = intExpr(s.base());
-            line("if (" + k + " < 0 || " + k + " + " + num(len) +
-                 " > " + num(n) + ") zr_trap_slice(zc, " + k + ", " + k +
-                 " + " + num(len) + ", " + num(n) + ");");
+            if (!literalIn(s.base(), 0, n - len))
+                line("if (" + k + " < 0 || " + k + " + " + num(len) +
+                     " > " + num(n) + ") zr_trap_slice(zc, " + k + ", " +
+                     k + " + " + num(len) + ", " + num(n) + ");");
             std::string base = refExpr(s.arr());
             return declPtr(base + " + (size_t)" + k + " * " + num(w));
           }
@@ -1103,16 +1117,30 @@ class RegionEmitter
         out_ += label(pc) + ": {\n";
         switch (i.op) {
           case Op::TakeExt:
-            ln("if (!regs[" + num(i.c) + "]) { zc->pc = " + I +
-               "; zc->spins = spins; return 1; }");
-            ln("regs[" + num(i.c) + "] = 0; spins = 0; goto " + next +
-               ";");
+            ln("if (regs[" + num(i.c) + "]) { regs[" + num(i.c) +
+               "] = 0; spins = 0; goto " + next + "; }");
+            ln("if (zc->inCur != zc->inEnd) { memcpy(" + loc(i.a) +
+               ", zc->inCur, " + num(i.b) + "); zc->inCur += " +
+               num(i.b) + "; spins = 0; goto " + next + "; }");
+            ln("zc->pc = " + I + "; zc->spins = spins; return 1;");
             break;
-          case Op::TakeManyExt:
-            ln("if (regs[" + num(i.c) + "] >= " + intLit(i.d) +
+          case Op::TakeManyExt: {
+            const std::string have = "regs[" + num(i.c) + "]";
+            ln("if (" + have + " < " + intLit(i.d) +
+               " && zc->inCur != zc->inEnd) {");
+            ln("  size_t k = (size_t)(zc->inEnd - zc->inCur) / " +
+               num(i.b) + ", need = (size_t)(" + intLit(i.d) + " - " +
+               have + ");");
+            ln("  if (k > need) k = need;");
+            ln("  memcpy(" + loc(i.a) + " + " + have + " * " + num(i.b) +
+               ", zc->inCur, k * " + num(i.b) + "); zc->inCur += k * " +
+               num(i.b) + "; " + have + " += (int64_t)k;");
+            ln("}");
+            ln("if (" + have + " >= " + intLit(i.d) +
                ") { spins = 0; goto " + next + "; }");
             ln("zc->pc = " + I + "; zc->spins = spins; return 1;");
             break;
+          }
           case Op::TakeCh: {
             const std::string buf =
                 "(st + " + num(p_.channels[i.c].bufOff) + ")";
@@ -1142,10 +1170,15 @@ class RegionEmitter
                "; pc = zc->chProdPc[" + num(i.c) + "]; goto zdispatch;");
             break;
           }
-          case Op::EmitExt:
-            ln("zc->outPtr = " + loc(i.a) + "; zc->spins = 0; zc->pc = " +
-               num(pc + 1) + "; return 0;");
+          case Op::EmitExt: {
+            const std::string w = num(p_.outWidth);
+            ln("zc->outPtr = " + loc(i.a) + ";");
+            ln("if (zc->outCur != zc->outEnd) { memcpy(zc->outCur, " +
+               loc(i.a) + ", " + w + "); zc->outCur += " + w +
+               "; spins = 0; goto " + next + "; }");
+            ln("zc->spins = 0; zc->pc = " + num(pc + 1) + "; return 0;");
             break;
+          }
           case Op::EmitChSig:
             ln("zc->chFull[" + num(i.a) + "] = 1; zc->chProdPc[" +
                num(i.a) + "] = " + num(pc + 1) +
@@ -1163,14 +1196,27 @@ class RegionEmitter
                "]; goto zdispatch;");
             break;
           }
-          case Op::EmitsExt:
-            ln("if (regs[" + num(i.c) + "] >= " + intLit(i.d) +
-               ") goto " + label(i.e) + ";");
-            ln("zc->outPtr = " + loc(i.a) + " + regs[" + num(i.c) +
-               "] * " + num(i.b) + ";");
-            ln("++regs[" + num(i.c) + "]; zc->spins = 0; zc->pc = " + I +
+          case Op::EmitsExt: {
+            const std::string idx = "regs[" + num(i.c) + "]";
+            ln("if (" + idx + " >= " + intLit(i.d) + ") goto " +
+               label(i.e) + ";");
+            ln("if (zc->outCur != zc->outEnd) {");
+            ln("  size_t k = (size_t)(zc->outEnd - zc->outCur) / " +
+               num(i.b) + ", left = (size_t)(" + intLit(i.d) + " - " +
+               idx + ");");
+            ln("  if (k > left) k = left;");
+            ln("  memcpy(zc->outCur, " + loc(i.a) + " + " + idx + " * " +
+               num(i.b) + ", k * " + num(i.b) + "); zc->outCur += k * " +
+               num(i.b) + "; " + idx + " += (int64_t)k;");
+            ln("  zc->outPtr = " + loc(i.a) + " + (" + idx + " - 1) * " +
+               num(i.b) + "; spins = 0; goto " + label(pc) + ";");
+            ln("}");
+            ln("zc->outPtr = " + loc(i.a) + " + " + idx + " * " +
+               num(i.b) + ";");
+            ln("++" + idx + "; zc->spins = 0; zc->pc = " + I +
                "; return 0;");
             break;
+          }
           case Op::EmitsCh: {
             const uint32_t ch = static_cast<uint32_t>(i.fn);
             const std::string buf =

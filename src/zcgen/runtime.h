@@ -44,10 +44,11 @@ struct ZrKernel
 
 /**
  * What a region entry point `int zr_region_0(ZrCtx*)` reads and writes:
- * the host (FusedNode) points it at its frame, state and registers
- * before each call.  Generated code calls back only for closures it
- * could not inline (host bridges), generic-shape lookup tables, runtime
- * diagnostics and the native kernels.
+ * the host (FusedNode) points it at its frame, state and registers,
+ * and at the driver's I/O windows, before each call.  Generated code
+ * calls back only for closures it could not inline (host bridges),
+ * generic-shape lookup tables, runtime diagnostics and the native
+ * kernels.
  */
 struct ZrCtx
 {
@@ -81,6 +82,16 @@ struct ZrCtx
 
     /// Per-LUT table base (FuseProgram::luts[i]->table()), host-owned.
     const uint8_t* const* lut;
+
+    // The driver's I/O windows for this call (ExecNode::run): external
+    // takes copy from [inCur, inEnd) and external emits append to
+    // [outCur, outEnd) without returning.  Kept here, not in locals,
+    // so a trap unwinding through the call leaves them current for the
+    // host to read back.  Empty windows mean park and yield per element.
+    const uint8_t* inCur;   ///< next input element
+    const uint8_t* inEnd;   ///< end of the input window
+    uint8_t* outCur;        ///< next free output slot
+    uint8_t* outEnd;        ///< end of the output window
 };
 
 } // extern "C"

@@ -16,12 +16,15 @@
  *  - `advance()` in the need-input state is idempotent until `supply()`
  *    provides one element (the pointer must stay valid until the next
  *    `advance()` returns);
- *  - after Done, `advance()` is not called again until `start()`.
+ *  - after Done, `advance()` is not called again until `start()`;
+ *  - `run()` moves whole windows of elements through the same state
+ *    machine; with both windows empty it is one `advance()`.
  */
 #ifndef ZIRIA_ZEXEC_NODE_H
 #define ZIRIA_ZEXEC_NODE_H
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -35,6 +38,25 @@ enum class Status : uint8_t {
     Yield,      ///< one output element available via out()
     NeedInput,  ///< must supply() one input element to make progress
     Done,       ///< (computers only) halted; control value via ctrl()
+};
+
+/**
+ * The driver-owned I/O windows of one ExecNode::run() call: a run of
+ * input elements to take from and a run of output slots to fill, both
+ * as [cursor, end) byte ranges of whole elements.  run() advances the
+ * cursors past what it took and wrote, also when it throws, so the
+ * driver can account exactly that much.  An empty window (null
+ * cursors) is the per-element protocol.
+ */
+struct RunWindow
+{
+    const uint8_t* in = nullptr;     ///< next input element to take
+    const uint8_t* inEnd = nullptr;
+    uint8_t* out = nullptr;          ///< next free output slot
+    uint8_t* outEnd = nullptr;
+    /** The node returned NeedInput from the last run() and nothing has
+     *  touched it since, so its first step is to take input. */
+    bool parked = false;
 };
 
 /** Base class for execution nodes. */
@@ -51,6 +73,42 @@ class ExecNode
 
     /** Provide one input element of inWidth() bytes. */
     virtual void supply(Frame& f, const uint8_t* in) = 0;
+
+    /**
+     * Make progress through @p w: take input from its input window and
+     * write output into its output window without returning, until the
+     * node needs input with the input window used up (NeedInput), yields
+     * with the output window full (Yield: the element is at out(), after
+     * the window's elements), or halts (Done).  A node parked on
+     * NeedInput takes the window's first element before anything else.
+     *
+     * The default adapts advance()/supply()/out() element by element;
+     * the fused region overrides it so compiled code copies whole
+     * windows in place.
+     */
+    virtual Status
+    run(Frame& f, RunWindow& w)
+    {
+        // A parked node takes first: no second, idempotent advance().
+        Status s = w.parked && w.in != w.inEnd ? Status::NeedInput
+                                               : advance(f);
+        for (;; s = advance(f)) {
+            if (s == Status::NeedInput) {
+                if (w.in == w.inEnd)
+                    return s;
+                // Taken before supply(): a throwing supply() has used
+                // the element up, as a per-element driver's pull has.
+                const uint8_t* e = w.in;
+                w.in += inWidth_;
+                supply(f, e);
+            } else if (s == Status::Yield && w.out != w.outEnd) {
+                std::memcpy(w.out, out(), outWidth_);
+                w.out += outWidth_;
+            } else {
+                return s;
+            }
+        }
+    }
 
     /** Pointer to the last yielded output element (outWidth() bytes). */
     virtual const uint8_t* out() const = 0;

@@ -213,20 +213,28 @@ class FilterNode : public ExecNode
 class RingEmitter : public Emitter
 {
   public:
+    RingEmitter() = default;
     RingEmitter(std::vector<uint8_t>& ring, size_t width)
-        : ring_(ring), width_(width)
+        : ring_(&ring), width_(width)
     {
     }
 
     void
     emit(const uint8_t* elem) override
     {
-        ring_.insert(ring_.end(), elem, elem + width_);
+        ring_->insert(ring_->end(), elem, elem + width_);
+    }
+
+    /** The whole run in one insert. */
+    void
+    emitRun(const uint8_t* elems, size_t n, size_t width) override
+    {
+        ring_->insert(ring_->end(), elems, elems + n * width);
     }
 
   private:
-    std::vector<uint8_t>& ring_;
-    size_t width_;
+    std::vector<uint8_t>* ring_ = nullptr;
+    size_t width_ = 0;
 };
 
 /** Adapter running a NativeKernel (FFT, Viterbi, ...) as a node. */

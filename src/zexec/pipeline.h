@@ -6,6 +6,7 @@
 #ifndef ZIRIA_ZEXEC_PIPELINE_H
 #define ZIRIA_ZEXEC_PIPELINE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -34,6 +35,25 @@ class InputSource
 
     /** Pointer to the next element, or null at end of stream. */
     virtual const uint8_t* next() = 0;
+
+    /**
+     * The elements available now, as a run: sets @p n (>= 1) and
+     * returns the first, or null at end of stream.  commit(k) then
+     * marks the first k of them consumed; the rest stay in the source
+     * and lead the next window.  The default is next() as a run of
+     * one, already consumed (its commit is a no-op), so a caller must
+     * use a window's first element before asking for another.
+     */
+    virtual const uint8_t*
+    window(size_t* n)
+    {
+        const uint8_t* p = next();
+        *n = p ? 1 : 0;
+        return p;
+    }
+
+    /** Consume the first @p n elements of the last window(). */
+    virtual void commit(size_t n) { (void)n; }
 
     /**
      * Ask a blocked next() to give up and return null as soon as it can.
@@ -77,6 +97,16 @@ class MemSource : public InputSource
         return p;
     }
 
+    /** Everything not yet consumed. */
+    const uint8_t*
+    window(size_t* n) override
+    {
+        *n = width_ ? (bytes_ - pos_) / width_ : 0;
+        return *n ? data_ + pos_ : nullptr;
+    }
+
+    void commit(size_t n) override { pos_ += n * width_; }
+
     void rewind() { pos_ = 0; }
 
   private:
@@ -116,6 +146,28 @@ class CyclicSource : public InputSource
         return p;
     }
 
+    /** Up to the end of the buffer or of the total, whichever is first. */
+    const uint8_t*
+    window(size_t* n) override
+    {
+        if (remaining_ == 0 || width_ == 0) {
+            *n = 0;
+            return nullptr;
+        }
+        if (pos_ + width_ > buf_.size())
+            pos_ = 0;
+        *n = static_cast<size_t>(std::min<uint64_t>(
+            remaining_, (buf_.size() - pos_) / width_));
+        return buf_.data() + pos_;
+    }
+
+    void
+    commit(size_t n) override
+    {
+        remaining_ -= n;
+        pos_ += n * width_;
+    }
+
   private:
     const std::vector<uint8_t>& buf_;
     size_t width_;
@@ -130,6 +182,22 @@ class OutputSink
     virtual ~OutputSink() = default;
 
     virtual void put(const uint8_t* elem) = 0;
+
+    /**
+     * Whether putRun() takes a run in one step.  Only then does a
+     * driver stage outputs into runs for this sink; otherwise every
+     * element goes through put() as it is produced.  A sink that takes
+     * runs must take all of one or throw having taken none.
+     */
+    virtual bool takesRuns() const { return false; }
+
+    /** Consume @p n elements of @p width bytes each (default: put()). */
+    virtual void
+    putRun(const uint8_t* elems, size_t n, size_t width)
+    {
+        for (size_t i = 0; i < n; ++i)
+            put(elems + i * width);
+    }
 
     /** Ask a blocked put() to give up (see InputSource::cancel()). */
     virtual void cancel() {}
@@ -150,6 +218,14 @@ class VecSink : public OutputSink
         data_.insert(data_.end(), elem, elem + width_);
     }
 
+    bool takesRuns() const override { return true; }
+
+    void
+    putRun(const uint8_t* elems, size_t n, size_t width) override
+    {
+        data_.insert(data_.end(), elems, elems + n * width);
+    }
+
     const std::vector<uint8_t>& data() const { return data_; }
     size_t elems() const { return width_ ? data_.size() / width_ : 0; }
 
@@ -163,6 +239,8 @@ class NullSink : public OutputSink
 {
   public:
     void put(const uint8_t*) override { ++count_; }
+    bool takesRuns() const override { return true; }
+    void putRun(const uint8_t*, size_t n, size_t) override { count_ += n; }
 
     uint64_t count() const { return count_; }
 

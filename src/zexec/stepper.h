@@ -1,25 +1,30 @@
 /**
  * @file
- * Cooperative tick/proc stepping: the one inner loop of every pipeline
+ * Cooperative tick/proc stepping: the one run loop of every pipeline
  * driver, and the checkpoint carry that supervises it.
  *
  * The paper's execution model (§2.6) makes each compiled computation a
  * re-enterable state machine, so *driving* one is a small pure loop:
- * advance(), route a yielded element to the sink, feed a needed element
- * from the source, stop on halt.  Stepper is that loop.  Pipeline::run
- * drives it to completion against a blocking source (never Empty);
- * zserve::Session::step drives it in bursts against a queue source that
- * reports Empty when the session should park and free its worker; each
- * ThreadedPipeline stage drives one against its SPSC queues.
- * SupervisedStepper adds the checkpoint carry and restore-else-reset
- * healing, shared by all three, so a served session or a `|>>>|` stage
- * heals exactly as a solo run does.
+ * hand the node a window of input and room for output
+ * (ExecNode::run), account what it took and made, refill, stop on
+ * halt.  Stepper is that loop.  Pipeline::run drives it to completion
+ * against a blocking source (never Empty); zserve::Session::step
+ * drives it in bursts against a queue source that reports Empty when
+ * the session should park and free its worker; each ThreadedPipeline
+ * stage drives one against its SPSC queues.  A source that only hands
+ * out one element at a time, or a sink that takes none as a run, gets
+ * windows of one element and no output run, which is the per-element
+ * protocol.  SupervisedStepper adds the checkpoint carry and
+ * restore-else-reset healing, shared by all three, so a served session
+ * or a `|>>>|` stage heals exactly as a solo run does.
  */
 #ifndef ZIRIA_ZEXEC_STEPPER_H
 #define ZIRIA_ZEXEC_STEPPER_H
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "zexec/node.h"
@@ -46,7 +51,37 @@ enum class StepOutcome : uint8_t {
 };
 
 /**
- * Drives one execution-node tree against pull/push callbacks, keeping
+ * Endpoints that move one element at a time, for drivers fed from
+ * queues: `Feed pull(const uint8_t** elem)` yields a run of one and
+ * `bool push(const uint8_t* elem)` takes each output as it is made.
+ */
+template <typename PullFn, typename PushFn>
+struct ElementIo
+{
+    PullFn& pullOne;
+    PushFn& pushOne;
+
+    Feed
+    pull(const uint8_t** p, size_t* n)
+    {
+        *n = 1;
+        return pullOne(p);
+    }
+
+    void commit(size_t) {}
+    size_t outRoom() const { return 0; }
+    bool push(const uint8_t* e, size_t) { return pushOne(e); }
+};
+
+template <typename PullFn, typename PushFn>
+ElementIo<PullFn, PushFn>
+elementIo(PullFn& pull, PushFn& push)
+{
+    return {pull, push};
+}
+
+/**
+ * Drives one execution-node tree against a driver's endpoints, keeping
  * the consumed/emitted accounting every driver reports.
  */
 class Stepper
@@ -82,49 +117,92 @@ class Stepper
     void setSpans(SpanTracker* s) { spans_ = s; }
 
     /**
-     * Advance until the node blocks, halts, or the budget runs out.
+     * Run the node until it blocks, halts, or the budget runs out.
+     * @p io is what the drive reads and writes; it provides
      *
-     * @param pull `Feed pull(const uint8_t** elem)` — produce one input
-     *             element of the node's inWidth (pointer stays valid
-     *             until the next advance, per the ExecNode contract).
-     * @param push `bool push(const uint8_t* elem)` — consume one output
-     *             element; return false to suspend stepping (the element
-     *             HAS been counted as emitted).
-     * @param maxSteps advance() budget for this burst (0 = unlimited).
+     *  - `Feed pull(const uint8_t** p, size_t* n)`: a run of `*n >= 1`
+     *    input elements at `*p`, valid until the next pull;
+     *  - `void commit(size_t n)`: the node took the first n of them;
+     *  - `size_t outRoom() const`: how many outputs it takes as one run
+     *    now (0 = each element as it is produced);
+     *  - `bool push(const uint8_t* p, size_t n)`: deliver n outputs;
+     *    false suspends stepping (they HAVE been counted as emitted).
+     *
+     * The output run is staged in at most kOutRunBytes.  A run the node
+     * was in the middle of when it threw is accounted before the
+     * exception leaves: what it took is committed and what it made is
+     * pushed.
+     *
+     * @param maxSteps budget for this burst in elements moved, at least
+     *                 one per run call, about the advance() calls an
+     *                 element-wise drive makes (0 = unlimited).
      */
-    template <typename PullFn, typename PushFn>
+    template <typename Io>
     StepOutcome
-    drive(Frame& f, PullFn&& pull, PushFn&& push, uint64_t maxSteps = 0)
+    drive(Frame& f, Io& io, uint64_t maxSteps = 0)
     {
-        for (uint64_t steps = 0;; ++steps) {
-            if (maxSteps && steps >= maxSteps)
-                return StepOutcome::Budget;
-            Status s = root_.advance(f);
+        const size_t ow = root_.outWidth();
+        const size_t runCap = ow ? kOutRunBytes / ow : 0;
+        RunWindow w;  // the input window lives across run() calls
+        uint64_t steps = 0;
+        for (;;) {
+            const size_t room = spans_ ? 0 : std::min(io.outRoom(), runCap);
+            if (room && !outRun_)
+                outRun_.reset(new uint8_t[kOutRunBytes]);
+            w.out = room ? outRun_.get() : nullptr;
+            w.outEnd = room ? w.out + room * ow : nullptr;
+            const uint8_t* in0 = w.in;
+            const uint64_t moved = consumed_ + emitted_;
+            Status s;
+            try {
+                s = root_.run(f, w);
+            } catch (...) {
+                settle(io, in0, w);
+                throw;
+            }
+            bool more = settle(io, in0, w);
+            w.parked = s == Status::NeedInput;
+            if (s == Status::Done)
+                return StepOutcome::Halted;
             if (s == Status::Yield) {
                 ++emitted_;
                 if (spans_)
                     spans_->onOutput();
-                if (!push(root_.out()))
-                    return StepOutcome::SinkFull;
-            } else if (s == Status::NeedInput) {
-                const uint8_t* p = nullptr;
-                switch (pull(&p)) {
-                  case Feed::Ready:
-                    root_.supply(f, p);
-                    ++consumed_;
-                    if (spans_)
-                        spans_->onInput();
-                    break;
-                  case Feed::Empty:
-                    return StepOutcome::NeedInput;
-                  case Feed::End:
-                    return StepOutcome::EndOfInput;
-                }
-            } else {  // Status::Done
-                return StepOutcome::Halted;
+                // Delivered even when the run already asked to stop:
+                // the node cannot take a yield back.
+                more = io.push(root_.out(), 1) && more;
             }
+            steps += std::max<uint64_t>(consumed_ + emitted_ - moved, 1);
+            if (!more)
+                return StepOutcome::SinkFull;
+            if (w.in != w.inEnd)
+                continue;  // the rest of the window comes first
+            if (maxSteps && steps >= maxSteps)
+                return StepOutcome::Budget;
+            if (s == Status::Yield)
+                continue;
+            size_t n = 0;
+            const uint8_t* p = nullptr;
+            switch (io.pull(&p, &n)) {
+              case Feed::Ready:
+                break;
+              case Feed::Empty:
+                return StepOutcome::NeedInput;
+              case Feed::End:
+                return StepOutcome::EndOfInput;
+            }
+            if (spans_)
+                n = 1;  // stamp every element as it is consumed
+            else if (maxSteps)
+                n = std::min<uint64_t>(n, std::max<uint64_t>(
+                                              maxSteps - steps, 1));
+            w.in = p;
+            w.inEnd = p + n * root_.inWidth();
         }
     }
+
+    /** Bytes of output one run may stage before it reaches the sink. */
+    static constexpr size_t kOutRunBytes = 16384;
 
     uint64_t consumed() const { return consumed_; }
     uint64_t emitted() const { return emitted_; }
@@ -139,10 +217,46 @@ class Stepper
     }
 
   private:
+    /**
+     * Account one run() call: commit the input it took since @p in0 and
+     * push the outputs it staged.  Returns push's verdict (true when
+     * nothing was staged).
+     */
+    template <typename Io>
+    bool
+    settle(Io& io, const uint8_t* in0, const RunWindow& w)
+    {
+        const size_t took = elems(in0, w.in, root_.inWidth());
+        if (took) {
+            io.commit(took);
+            consumed_ += took;
+            if (spans_)
+                spans_->onInput();  // runs of one while spans are on
+        }
+        const size_t made =
+            w.out ? elems(outRun_.get(), w.out, root_.outWidth()) : 0;
+        if (!made)
+            return true;
+        emitted_ += made;
+        return io.push(outRun_.get(), made);
+    }
+
+    /** Whole elements of @p width between two cursors; the run of one
+     *  that per-element drivers move costs no division. */
+    static size_t
+    elems(const uint8_t* from, const uint8_t* to, size_t width)
+    {
+        const size_t bytes = static_cast<size_t>(to - from);
+        if (bytes == 0 || bytes == width)
+            return bytes ? 1 : 0;
+        return bytes / width;
+    }
+
     ExecNode& root_;
     SpanTracker* spans_ = nullptr;
     uint64_t consumed_ = 0;
     uint64_t emitted_ = 0;
+    std::unique_ptr<uint8_t[]> outRun_;  ///< staged output run
 };
 
 /**
@@ -223,50 +337,92 @@ class SupervisedStepper
     uint64_t delivered() const { return stepper_.emitted() + suppress_; }
 
     /** Stepper::drive with the carry applied; same contract. */
-    template <typename PullFn, typename PushFn>
+    template <typename Io>
     StepOutcome
-    drive(PullFn&& pull, PushFn&& push, uint64_t maxSteps = 0)
+    drive(Io& io, uint64_t maxSteps = 0)
     {
         if (!interval_ && replayPos_ >= replay_.size() && suppress_ == 0)
-            return stepper_.drive(frame_, pull, push, maxSteps);
-        auto carriedPull = [&](const uint8_t** p) {
-            if (replayPos_ < replay_.size()) {
+            return stepper_.drive(frame_, io, maxSteps);
+        Carried<Io> carried{*this, io};
+        return stepper_.drive(frame_, carried, maxSteps);
+    }
+
+  private:
+    /**
+     * The carry around a driver's endpoints: the replay queue leads
+     * the live source, the input window is capped at the next snapshot
+     * boundary, every element taken is journaled, and outputs the
+     * downstream already holds are dropped from the front of each run.
+     */
+    template <typename Io>
+    struct Carried
+    {
+        SupervisedStepper& s;
+        Io& io;
+        const uint8_t* win = nullptr;  ///< the window being taken from
+        bool replaying = false;
+
+        Feed
+        pull(const uint8_t** p, size_t* n)
+        {
+            replaying = s.replayPos_ < s.replay_.size();
+            if (replaying) {
                 // Journaled again: a second failure replays it too.
-                *p = replay_.data() + replayPos_;
-                replayPos_ += inWidth_;
-                journal(*p);
+                *p = win = s.replay_.data() + s.replayPos_;
+                *n = (s.replay_.size() - s.replayPos_) / s.inWidth_;
                 return Feed::Ready;
             }
             // Quiescent point: snapshot once the interval has elapsed,
             // outside replay and suppression (where the sink's position
             // matches the stepper's).
-            if (interval_ && suppress_ == 0 &&
-                stepper_.consumed() - snapConsumed_ >= interval_)
-                cadence();
-            Feed fd = pull(p);
-            if (fd == Feed::Ready)
-                journal(*p);
-            return fd;
-        };
-        auto carriedPush = [&](const uint8_t* e) {
-            if (suppress_ > 0) {  // the downstream already holds it
-                --suppress_;
-                return true;
+            const uint64_t since =
+                s.stepper_.consumed() - s.snapConsumed_;
+            if (s.interval_ && s.suppress_ == 0 && since >= s.interval_)
+                s.cadence();
+            Feed fd = io.pull(p, n);
+            win = *p;
+            if (fd == Feed::Ready && s.interval_) {
+                // End the window where a per-element drive would take
+                // the next snapshot; while outputs are being swallowed
+                // that point is not known ahead, so go element-wise.
+                uint64_t left = s.suppress_
+                    ? 1
+                    : s.interval_ -
+                          (s.stepper_.consumed() - s.snapConsumed_);
+                *n = static_cast<size_t>(std::min<uint64_t>(*n, left));
             }
-            bool more = push(e);
-            delivered_ = stepper_.emitted();
-            return more;
-        };
-        return stepper_.drive(frame_, carriedPull, carriedPush, maxSteps);
-    }
+            return fd;
+        }
 
-  private:
-    void
-    journal(const uint8_t* e)
-    {
-        if (interval_)
-            journal_.insert(journal_.end(), e, e + inWidth_);
-    }
+        void
+        commit(size_t n)
+        {
+            const size_t bytes = n * s.inWidth_;
+            if (s.interval_)
+                s.journal_.insert(s.journal_.end(), win, win + bytes);
+            win += bytes;
+            if (replaying)
+                s.replayPos_ += bytes;
+            else
+                io.commit(n);
+        }
+
+        size_t outRoom() const { return io.outRoom(); }
+
+        bool
+        push(const uint8_t* e, size_t n)
+        {
+            // The downstream already holds the first suppress_ outputs.
+            const size_t drop =
+                static_cast<size_t>(std::min<uint64_t>(s.suppress_, n));
+            s.suppress_ -= drop;
+            if (drop == n)
+                return true;
+            bool more = io.push(e + drop * s.root_.outWidth(), n - drop);
+            s.delivered_ = s.stepper_.emitted();
+            return more;
+        }
+    };
 
     void cadence();
 

@@ -79,7 +79,7 @@ struct ThreadedPipeline::StageResult
  * waits, once per batch.
  *
  * @p abort is the run-wide teardown flag (set by the watchdog or at the
- * end of a run); every advance() is followed by a pull or a push, and
+ * end of a run); the stage moves one element per pull or push, and
  * both poll it, as does every batch transfer.  @p wait_slice_ms bounds
  * each queue wait so the flag is polled even while blocked (-1 = plain
  * blocking waits, used when the run is unsupervised).
@@ -223,7 +223,8 @@ ThreadedPipeline::runStage(size_t index, SpscQueue* inq, InputSource* src,
         return outBatch.size() < kBatchElems * outW || flush();
     };
     try {
-        if (flush() && st.drive(pull, push) == StepOutcome::Halted)
+        auto io = elementIo(pull, push);
+        if (flush() && st.drive(io) == StepOutcome::Halted)
             c.halted = true;
     } catch (...) {
         res.error = std::current_exception();

@@ -232,6 +232,37 @@ class TracedNode : public ExecNode
         inner_->supply(f, in);
     }
 
+    /**
+     * Forwards the whole run, then counts it as the per-element
+     * protocol would have: each element taken is a supply after a
+     * NeedInput (the first one answers the NeedInput a parked node
+     * returned last time), each element written a Yield.  Runs are
+     * timed on the same 1-in-2^sampleShift sample, weighted by the
+     * advances they stand for.
+     */
+    Status
+    run(Frame& f, RunWindow& w) override
+    {
+        const uint8_t* in0 = w.in;
+        const uint8_t* out0 = w.out;
+        const bool sampled = (runs_++ & sampleMask_) == 0;
+        const uint64_t t0 = sampled ? nowNs() : 0;
+        const uint64_t before = m_->advances;
+        Status s;
+        try {
+            s = inner_->run(f, w);
+        } catch (...) {
+            countRun(in0, out0, w, nullptr);
+            throw;
+        }
+        countRun(in0, out0, w, &s);
+        if (sampled) {
+            m_->sampledNs += nowNs() - t0;
+            m_->samples += m_->advances - before;
+        }
+        return s;
+    }
+
     const uint8_t* out() const override { return inner_->out(); }
     const uint8_t* ctrl() const override { return inner_->ctrl(); }
 
@@ -247,9 +278,35 @@ class TracedNode : public ExecNode
     }
 
   private:
+    /** Element-exact counts for one run; @p s null when it threw. */
+    void
+    countRun(const uint8_t* in0, const uint8_t* out0, const RunWindow& w,
+             const Status* s)
+    {
+        const uint64_t took =
+            inWidth_ ? static_cast<uint64_t>(w.in - in0) / inWidth_ : 0;
+        const uint64_t made =
+            outWidth_ ? static_cast<uint64_t>(w.out - out0) / outWidth_ : 0;
+        uint64_t needs = took - (took && w.parked ? 1 : 0);
+        uint64_t yields = made;
+        uint64_t dones = 0;
+        if (s && *s == Status::Yield)
+            ++yields;
+        else if (s && *s == Status::NeedInput)
+            ++needs;
+        else if (s)
+            ++dones;
+        m_->supplies += took;
+        m_->yields += yields;
+        m_->needInputs += needs;
+        m_->dones += dones;
+        m_->advances += yields + needs + dones;
+    }
+
     NodePtr inner_;
     NodeMetrics* m_;
     uint64_t sampleMask_;
+    uint64_t runs_ = 0;  ///< run() calls, for the timing sample
 };
 
 } // namespace ziria

@@ -50,10 +50,11 @@ inline uint32_t stateLoc(size_t off) { return uint32_t(off); }
 enum class Op : uint8_t {
     // --- stream I/O ---------------------------------------------------
     TakeExt,      ///< a=dst, b=width, c=pendingReg: external take
+                  ///< (from the input window, else park)
     TakeManyExt,  ///< a=dst, b=elemW, c=haveReg, d=n: external takes-n
     TakeCh,       ///< a=dst, b=width, c=channel: internal channel take
     TakeManyCh,   ///< a=dst, b=elemW, c=channel, d=n, e=haveReg
-    EmitExt,      ///< a=src: yield one element to the driver
+    EmitExt,      ///< a=src: into the output window, else yield it
     EmitChSig,    ///< a=channel: buffer already written; hand to consumer
     EmitCh,       ///< a=src, b=width, c=channel: copy then hand over
     EmitsExt,     ///< a=base, b=elemW, c=idxReg, d=len, e=donePc

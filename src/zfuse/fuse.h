@@ -28,6 +28,7 @@
 
 #include "zast/comp.h"
 #include "zcgen/abi.h"
+#include "zexec/nodes.h"
 #include "zexec/pipeline.h"
 #include "zfuse/bytecode.h"
 
@@ -103,6 +104,9 @@ class FusedNode : public ExecNode
     void reset(Frame& f) override { start(f); }
     Status advance(Frame& f) override;
     void supply(Frame& f, const uint8_t* in) override;
+    /** advance() with the windows in the ZrCtx: both engines take and
+     *  emit whole runs through them (docs/CODEGEN.md, "Run windows"). */
+    Status run(Frame& f, RunWindow& w) override;
     const uint8_t* out() const override { return ctx_.outPtr; }
     const uint8_t* ctrl() const override { return ctx_.ctrlPtr; }
 
@@ -140,11 +144,17 @@ class FusedNode : public ExecNode
     {
         std::unique_ptr<NativeKernel> kernel;  ///< null until KStart
         std::vector<uint8_t> ring;             ///< ZrKernel::ring's bytes
+        RingEmitter em;                        ///< appends to `ring`
         NodeMetrics* metrics = nullptr;
     };
 
+    /** Hand the cursors back to @p w and empty the ZrCtx windows. */
+    void readBack(RunWindow& w);
+
     void kernelStart(int32_t k);
     void kernelFeed(int32_t k, const uint8_t* in);
+    void kernelFinished(int32_t k);  ///< a computer kernel halted
+    void countFeed(int32_t k);       ///< metrics, when attached
     std::unique_ptr<NativeKernel> makeKernel(int32_t k) const;
 
     uint8_t* loc(Frame& f, uint32_t enc)
@@ -172,7 +182,7 @@ class FusedNode : public ExecNode
     std::vector<uint32_t> chProdPc_;
     std::vector<uint32_t> chConsPc_;
     std::vector<uint8_t> chFull_;
-    std::vector<KernelSlot> kern_;
+    std::vector<KernelSlot> kern_;  ///< sized once: `em` points into it
     std::vector<zcgen::ZrKernel> kview_;  ///< per-kernel ring cursors
     std::vector<const uint8_t*> lutTables_;  ///< luts[i]->table()
     /** Points at the arrays above, which therefore never reallocate. */

@@ -7,9 +7,13 @@
  * take instruction and returns NeedInput (supply() then writes directly
  * into the take's destination and re-arms it), an external emit returns
  * Yield with out() pointing into the state block, and Halt returns Done
- * with ctrl() set by the preceding Ctrl instruction.  Internal `>>>`
- * boundaries never leave the loop: they are two saved program counters
- * and a one-element buffer (see zfuse/bytecode.h for the protocol).
+ * with ctrl() set by the preceding Ctrl instruction.  Under run() the
+ * driver's windows sit in the ZrCtx: takes copy from the input window
+ * and emits append to the output window without returning, so only an
+ * empty input window, a full output window or Halt leave the loop.
+ * Internal `>>>` boundaries never leave the loop: they are two saved
+ * program counters and a one-element buffer (see zfuse/bytecode.h for
+ * the protocol).
  *
  * Dispatch is computed-goto under GCC/Clang (one indirect branch per
  * instruction, the classic direct-threaded interpreter) with a switch
@@ -25,6 +29,7 @@
  */
 #include "zfuse/fuse.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "support/panic.h"
@@ -52,6 +57,8 @@ FusedNode::FusedNode(std::shared_ptr<const FuseProgram> prog)
     chConsPc_.resize(prog_->channels.size(), 0);
     chFull_.resize(prog_->channels.size(), 0);
     kern_.resize(prog_->kernels.size());
+    for (size_t k = 0; k < kern_.size(); ++k)
+        kern_[k].em = RingEmitter(kern_[k].ring, prog_->kernels[k].outWidth);
     kview_.resize(prog_->kernels.size(), zcgen::ZrKernel{});
     for (const auto& lut : prog_->luts)
         lutTables_.push_back(lut->table());
@@ -142,30 +149,40 @@ FusedNode::kernelStart(int32_t k)
 void
 FusedNode::kernelFeed(int32_t k, const uint8_t* in)
 {
-    const FuseKernel& fk = prog_->kernels[k];
     KernelSlot& ks = kern_[k];
     zcgen::ZrKernel& v = kview_[k];
     // KNext feeds only a drained ring, so nothing buffered is lost; the
     // view is emptied first in case consume() throws.
     ks.ring.clear();
     v.head = v.size = 0;
-    RingEmitter em(ks.ring, fk.outWidth);
-    if (ks.kernel->consume(in, em)) {
-        ZIRIA_ASSERT(fk.isComputer, "transformer kernel claimed completion");
-        const std::vector<uint8_t>& c = ks.kernel->ctrl();
-        ZIRIA_ASSERT(c.size() == fk.ctrlWidth,
-                     "native control value width mismatch");
-        std::memcpy(state_.data() + fk.ctrlOff, c.data(), c.size());
-        v.finished = 1;
-    }
+    if (ks.kernel->consume(in, ks.em))
+        kernelFinished(k);
     v.ring = ks.ring.data();
-    v.head = 0;
     v.size = ks.ring.size();
-    if (ks.metrics) {
-        ++ks.metrics->supplies;
-        if (fk.outWidth)
-            ks.metrics->yields += v.size / fk.outWidth;
-    }
+    if (ks.metrics)
+        countFeed(k);
+}
+
+void
+FusedNode::kernelFinished(int32_t k)
+{
+    const FuseKernel& fk = prog_->kernels[k];
+    ZIRIA_ASSERT(fk.isComputer, "transformer kernel claimed completion");
+    const std::vector<uint8_t>& c = kern_[k].kernel->ctrl();
+    ZIRIA_ASSERT(c.size() == fk.ctrlWidth,
+                 "native control value width mismatch");
+    std::memcpy(state_.data() + fk.ctrlOff, c.data(), c.size());
+    kview_[k].finished = 1;
+}
+
+void
+FusedNode::countFeed(int32_t k)
+{
+    const size_t ow = prog_->kernels[k].outWidth;
+    NodeMetrics& m = *kern_[k].metrics;
+    ++m.supplies;
+    if (ow)
+        m.yields += kview_[k].size / ow;
 }
 
 void
@@ -404,6 +421,35 @@ FusedNode::supply(Frame& f, const uint8_t* in)
 }
 
 Status
+FusedNode::run(Frame& f, RunWindow& w)
+{
+    ctx_.inCur = w.in;
+    ctx_.inEnd = w.inEnd;
+    ctx_.outCur = w.out;
+    ctx_.outEnd = w.outEnd;
+    Status s;
+    try {
+        s = advance(f);
+    } catch (...) {
+        // Whatever the region took and wrote before the trap is the
+        // driver's to account.
+        readBack(w);
+        throw;
+    }
+    readBack(w);
+    return s;
+}
+
+void
+FusedNode::readBack(RunWindow& w)
+{
+    w.in = ctx_.inCur;
+    w.out = ctx_.outCur;
+    ctx_.inCur = ctx_.inEnd = nullptr;
+    ctx_.outCur = ctx_.outEnd = nullptr;
+}
+
+Status
 FusedNode::advance(Frame& f)
 {
     if (fn_) {
@@ -444,17 +490,32 @@ FusedNode::advance(Frame& f)
     {
         const Instr& i = code[pc];
         if (regs_[i.c]) {
-            regs_[i.c] = 0;
-            ctx_.spins = 0;
-            ++pc;
-            NEXT();
+            regs_[i.c] = 0;  // supplied while parked
+        } else if (ctx_.inCur != ctx_.inEnd) {
+            std::memcpy(loc(f, i.a), ctx_.inCur, i.b);
+            ctx_.inCur += i.b;
+        } else {
+            ctx_.pc = pc;
+            return Status::NeedInput;
         }
-        ctx_.pc = pc;
-        return Status::NeedInput;
+        ctx_.spins = 0;
+        ++pc;
+        NEXT();
     }
     OP(TakeManyExt)
     {
         const Instr& i = code[pc];
+        if (regs_[i.c] < static_cast<int64_t>(i.d) &&
+            ctx_.inCur != ctx_.inEnd) {
+            // As many as the window holds, up to the count.
+            size_t k = std::min<size_t>(
+                static_cast<size_t>(ctx_.inEnd - ctx_.inCur) / i.b,
+                static_cast<size_t>(i.d - regs_[i.c]));
+            std::memcpy(loc(f, i.a) + regs_[i.c] * i.b, ctx_.inCur,
+                        k * i.b);
+            ctx_.inCur += k * i.b;
+            regs_[i.c] += static_cast<int64_t>(k);
+        }
         if (regs_[i.c] >= static_cast<int64_t>(i.d)) {
             ctx_.spins = 0;
             ++pc;
@@ -502,6 +563,12 @@ FusedNode::advance(Frame& f)
     {
         ctx_.outPtr = loc(f, code[pc].a);
         ctx_.spins = 0;
+        if (ctx_.outCur != ctx_.outEnd) {
+            std::memcpy(ctx_.outCur, ctx_.outPtr, prog_->outWidth);
+            ctx_.outCur += prog_->outWidth;
+            ++pc;
+            NEXT();
+        }
         ctx_.pc = pc + 1;
         return Status::Yield;
     }
@@ -531,9 +598,22 @@ FusedNode::advance(Frame& f)
             pc = i.e;
             NEXT();
         }
+        ctx_.spins = 0;
+        if (ctx_.outCur != ctx_.outEnd) {
+            // As many as the window has room for; then re-run this
+            // instruction, which ends the loop or yields the next one.
+            size_t k = std::min<size_t>(
+                static_cast<size_t>(ctx_.outEnd - ctx_.outCur) / i.b,
+                static_cast<size_t>(i.d - regs_[i.c]));
+            std::memcpy(ctx_.outCur, loc(f, i.a) + regs_[i.c] * i.b,
+                        k * i.b);
+            ctx_.outCur += k * i.b;
+            regs_[i.c] += static_cast<int64_t>(k);
+            ctx_.outPtr = loc(f, i.a) + (regs_[i.c] - 1) * i.b;
+            NEXT();
+        }
         ctx_.outPtr = loc(f, i.a) + regs_[i.c] * i.b;
         ++regs_[i.c];
-        ctx_.spins = 0;
         ctx_.pc = pc;  // self-loop: next advance re-runs this instruction
         return Status::Yield;
     }

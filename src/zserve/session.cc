@@ -405,7 +405,8 @@ Session::step()
     };
 
     try {
-        StepOutcome oc = ss.drive(pull, push, cfg_.stepQuantum);
+        auto io = elementIo(pull, push);
+        StepOutcome oc = ss.drive(io, cfg_.stepQuantum);
         switch (oc) {
           case StepOutcome::Budget:
             return StepResult::Again;

@@ -73,7 +73,7 @@ struct SessionConfig
 {
     size_t inQueueElems = 1024;   ///< bounded input queue (backpressure)
     size_t outHighWaterBytes = 256 * 1024;  ///< pause stepping above this
-    uint64_t stepQuantum = 8192;  ///< advance() budget per worker burst
+    uint64_t stepQuantum = 8192;  ///< Stepper::drive budget per burst
     bool trackLatency = false;    ///< allocate a per-session SpanTracker
     SpanConfig span;              ///< its frame size / ratio / SLO budget
 };

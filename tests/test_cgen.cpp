@@ -19,7 +19,10 @@
  *  - the runtime host and units share (zcgen/runtime.h): every built-in
  *    native and the wrapping complex operators byte-identical on all
  *    three backends, the runtime compiling alone as a unit, and one
- *    embedded copy per unit.
+ *    embedded copy per unit;
+ *  - literal indices: in range they compile without a bounds check, out
+ *    of range they trap with the interpreter's message on every
+ *    backend.
  *
  * Tests that require real machine code gate on
  * zcgen::compilerAvailable(); without a compiler the backend degrades
@@ -1121,8 +1124,67 @@ TEST(SharedRuntime, EmittedUnitEmbedsTheRuntimeOnce)
     EXPECT_EQ(count("struct ZrKernel"), 1);
     EXPECT_EQ(count("static inline ZrC32 zr_cmul("), 1);
     EXPECT_EQ(count("static inline void zr_nat_cmul16("), 1);
-    EXPECT_EQ(count("int zr_abi(void) { return 3; }"), 1);
+    EXPECT_EQ(count("int zr_abi(void) { return 4; }"), 1);
     EXPECT_NE(source.find(zcgen::runtimeSource()), std::string::npos);
+}
+
+// ----------------------------------------------- literal index checks
+
+/** repeat { x <- take; emit [x, x+1, x+2, x+3][i] } */
+CompPtr
+pickBlock(ExprPtr i)
+{
+    VarRef x = freshVar("x", Type::int32());
+    return repeatc(seqc(
+        {bindc(x, take(Type::int32())),
+         just(emit(idx(arrayLit({var(x), var(x) + 1, var(x) + 2,
+                                 var(x) + 3}),
+                       std::move(i))))}));
+}
+
+TEST(LiteralIndices, InRangeLiteralCompilesWithoutABoundsCheck)
+{
+    if (!zcgen::compilerAvailable())
+        GTEST_SKIP() << "no C++ compiler on this host";
+    auto trapSites = [](CompPtr c) {
+        std::string dir = makeTempDir();
+        CompilerOptions opt = nativeConf();
+        opt.cgenCacheDir = dir;
+        CompileReport rep;
+        auto p = compilePipeline(std::move(c), opt, &rep);
+        EXPECT_EQ(rep.cgen.compiled, 1);
+        const std::string src =
+            readText(dir + "/" + rep.cgen.cacheKey + ".cc");
+        int n = 0;
+        for (size_t at = src.find("zr_trap_index(zc, ");
+             at != std::string::npos;
+             at = src.find("zr_trap_index(zc, ", at + 1))
+            ++n;
+        return std::make_pair(n, p->runBytes(intBytes({1, 5, 9})));
+    };
+    auto lit = trapSites(pickBlock(cInt(2)));
+    EXPECT_EQ(lit.first, 0);
+    EXPECT_EQ(lit.second, intBytes({3, 7, 11}));
+    auto dyn = trapSites(pickBlock(cInt(3) - cInt(1)));
+    EXPECT_EQ(dyn.second, intBytes({3, 7, 11}));
+    EXPECT_GE(dyn.first, 1) << "a computed index keeps its check";
+}
+
+TEST(LiteralIndices, OutOfRangeLiteralStillTrapsWithTheSameMessage)
+{
+    for (Backend b : testsupport::kAllBackends) {
+        SCOPED_TRACE(testsupport::backendName(b));
+        CompilerOptions opt = nativeConf();
+        opt.backend = b;
+        auto p = compilePipeline(pickBlock(cInt(5)), opt);
+        try {
+            p->runBytes(intBytes({1, 2}));
+            ADD_FAILURE() << "no trap";
+        } catch (const FatalError& e) {
+            EXPECT_STREQ(e.what(),
+                         "array index out of bounds: 5 not in [0, 4)");
+        }
+    }
 }
 
 } // namespace
