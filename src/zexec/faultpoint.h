@@ -87,6 +87,17 @@ class FaultySource : public InputSource
     const uint8_t* next() override;
     void cancel() override;
 
+    /** End once the fault or a cancel ended the read, else the inner
+     *  source's state (a queue source's Empty passes through). */
+    Feed
+    state() const override
+    {
+        return cancelled_.load(std::memory_order_relaxed) ||
+                (spec_.kind == FaultSpec::Kind::Truncate && n_ >= spec_.tick)
+            ? Feed::End
+            : inner_.state();
+    }
+
     /**
      * Clear the sticky cancel latch for a restart attempt.  The fault
      * clock (ticks) and the fired count survive: a transient fault that
@@ -95,9 +106,6 @@ class FaultySource : public InputSource
      * supervisor forever.
      */
     void rearm() override;
-
-    /** Elements delivered so far (the fault clock). */
-    uint64_t ticks() const { return n_; }
 
     /** Times the fault has fired (Throw/Stall). */
     uint64_t fired() const { return fired_; }

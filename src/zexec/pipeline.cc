@@ -272,7 +272,6 @@ Pipeline::configureStepper()
     const bool durable = durableStore_ && ckpt_.enabled();
     stepper_.setInterval(restart_.enabled() || durable ? ckpt_.interval
                                                        : 0);
-    stepper_.setSpans(spans_.get());
     return durable;
 }
 
@@ -315,59 +314,15 @@ Pipeline::durableSave(const std::vector<uint8_t>& snap)
         ZIRIA_LOG(Warn, "ckpt: durable save failed (", err, ")");
 }
 
-namespace {
-
-/** Pipeline::run's endpoints: windows from the source, output runs for
- *  a sink that takes them, and the max_out stop. */
-struct RunIo
-{
-    InputSource& src;
-    OutputSink& sink;
-    const Stepper& st;
-    uint64_t maxOut;
-    size_t width;
-
-    Feed
-    pull(const uint8_t** p, size_t* n)
-    {
-        *p = src.window(n);
-        return *p ? Feed::Ready : Feed::End;
-    }
-
-    void commit(size_t n) { src.commit(n); }
-
-    size_t
-    outRoom() const
-    {
-        if (!sink.takesRuns())
-            return 0;
-        if (!maxOut)
-            return SIZE_MAX;
-        // Leave one for the element a full window yields.
-        const uint64_t e = st.emitted();
-        return maxOut > e + 1 ? static_cast<size_t>(maxOut - e - 1) : 0;
-    }
-
-    bool
-    push(const uint8_t* elems, size_t n)
-    {
-        if (n == 1)
-            sink.put(elems);
-        else
-            sink.putRun(elems, n, width);
-        return !(maxOut && st.emitted() >= maxOut);
-    }
-};
-
-} // namespace
-
 RunStats
 Pipeline::run(InputSource& src, OutputSink& sink, uint64_t max_out)
 {
     const bool durable = configureStepper();
     stepper_.begin();
     const Stepper& st = stepper_.stepper();
-    RunIo io{src, sink, st, max_out, outWidth_};
+    RunIo io{src, sink, st, outWidth_};
+    io.maxOut = max_out;
+    io.inSpans = io.outSpans = spans_.get();
     StepOutcome oc = RestartSupervisor(restart_).run(
         [&] {
             metrics::Registry::global().counter("ziria.pipeline_runs").inc();
@@ -380,6 +335,8 @@ Pipeline::run(InputSource& src, OutputSink& sink, uint64_t max_out)
             // The backoff is slept; resume from the last checkpoint (or
             // a frame boundary) against the live source.
             stepper_.heal();
+            if (spans_)
+                spans_->onRestart();
             src.rearm();
             sink.rearm();
         });

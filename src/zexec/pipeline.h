@@ -7,6 +7,7 @@
 #define ZIRIA_ZEXEC_PIPELINE_H
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -54,6 +55,10 @@ class InputSource
 
     /** Consume the first @p n elements of the last window(). */
     virtual void commit(size_t n) { (void)n; }
+
+    /** Why the last window() or next() returned null: End (the
+     *  default) or Empty (nothing now; more may come, so park). */
+    virtual Feed state() const { return Feed::End; }
 
     /**
      * Ask a blocked next() to give up and return null as soon as it can.
@@ -199,6 +204,10 @@ class OutputSink
             put(elems + i * width);
     }
 
+    /** Whether the driver should return after this push, as it does
+     *  at max_out: a session over its high water, a torn-down queue. */
+    virtual bool full() const { return false; }
+
     /** Ask a blocked put() to give up (see InputSource::cancel()). */
     virtual void cancel() {}
 
@@ -246,6 +255,81 @@ class NullSink : public OutputSink
 
   private:
     uint64_t count_ = 0;
+};
+
+/**
+ * The one adapter between a driver's endpoints and Stepper::drive, for
+ * Pipeline::run, every ThreadedPipeline stage and every served session.
+ * A null window ends the drive as src.state() says (Empty parks, End
+ * finishes); the drive returns after a push that reaches maxOut, fills
+ * the sink or meets the abort flag.  Spans are stamped here: input on
+ * commit, output on push, in windows and runs of one element.
+ */
+struct RunIo
+{
+    InputSource& src;
+    OutputSink& sink;
+    const Stepper& st;
+    size_t width;                ///< output element bytes
+    uint64_t maxOut = 0;         ///< stop after this many outputs (0 = no)
+    size_t cap = SIZE_MAX;       ///< most elements per window and run
+    SpanTracker* inSpans = nullptr;   ///< opens frames on commit
+    SpanTracker* outSpans = nullptr;  ///< closes frames on push
+    const std::atomic<bool>* abort = nullptr;   ///< a stage's teardown
+    std::atomic<uint64_t>* progress = nullptr;  ///< elements moved
+
+    Feed
+    pull(const uint8_t** p, size_t* n)
+    {
+        if (aborted())
+            return Feed::End;
+        if (!(*p = src.window(n)))
+            return src.state();
+        *n = std::min(*n, inSpans || outSpans ? size_t{1} : cap);
+        return Feed::Ready;
+    }
+
+    void
+    commit(size_t n)
+    {
+        src.commit(n);
+        if (inSpans)
+            inSpans->onInput(n);
+        if (progress)
+            progress->fetch_add(n, std::memory_order_relaxed);
+    }
+
+    size_t
+    outRoom() const
+    {
+        if (inSpans || outSpans || !sink.takesRuns())
+            return 0;
+        if (!maxOut)
+            return cap;
+        // Leave one for the element a full window yields.
+        const uint64_t e = st.emitted();
+        return maxOut > e + 1
+            ? static_cast<size_t>(std::min<uint64_t>(cap, maxOut - e - 1))
+            : 0;
+    }
+
+    bool
+    push(const uint8_t* elems, size_t n)
+    {
+        sink.putRun(elems, n, width);
+        if (outSpans)
+            outSpans->onOutput(n);
+        if (progress)
+            progress->fetch_add(n, std::memory_order_relaxed);
+        return !sink.full() && !(maxOut && st.emitted() >= maxOut) &&
+               !aborted();
+    }
+
+    bool
+    aborted() const
+    {
+        return abort && abort->load(std::memory_order_relaxed);
+    }
 };
 
 /** Outcome of one pipeline run. */

@@ -60,20 +60,22 @@ class SpanTracker
   public:
     explicit SpanTracker(SpanConfig cfg);
 
-    /** Input side: one consumed element. */
+    /** Input side: @p n consumed elements (as n single calls). */
     void
-    onInput()
+    onInput(uint64_t n = 1)
     {
-        uint64_t i = in_.fetch_add(1, std::memory_order_relaxed);
+        if (n == 0)
+            return;
+        uint64_t i = in_.fetch_add(n, std::memory_order_relaxed) + n - 1;
         if (i >= nextOpenAt_.load(std::memory_order_relaxed))
             openSpans(i);
     }
 
-    /** Output side: one emitted element. */
+    /** Output side: @p n emitted elements (as n single calls). */
     void
-    onOutput()
+    onOutput(uint64_t n = 1)
     {
-        uint64_t o = out_.fetch_add(1, std::memory_order_relaxed) + 1;
+        uint64_t o = out_.fetch_add(n, std::memory_order_relaxed) + n;
         if (o >= nextCloseAt_.load(std::memory_order_relaxed))
             closeSpans(o);
     }

@@ -78,8 +78,6 @@ SupervisedStepper::heal()
         stepper_.resume(stepper_.consumed(), stepper_.emitted());
     }
     journal_.clear();
-    if (spans_)
-        spans_->onRestart();
     return restored;
 }
 

@@ -7,14 +7,14 @@
  * re-enterable state machine, so *driving* one is a small pure loop:
  * hand the node a window of input and room for output
  * (ExecNode::run), account what it took and made, refill, stop on
- * halt.  Stepper is that loop.  Pipeline::run drives it to completion
- * against a blocking source (never Empty); zserve::Session::step
- * drives it in bursts against a queue source that reports Empty when
- * the session should park and free its worker; each ThreadedPipeline
- * stage drives one against its SPSC queues.  A source that only hands
- * out one element at a time, or a sink that takes none as a run, gets
- * windows of one element and no output run, which is the per-element
- * protocol.  SupervisedStepper adds the checkpoint carry and
+ * halt.  Stepper is that loop, and every driver feeds it through RunIo
+ * (zexec/pipeline.h): Pipeline::run to completion from a blocking
+ * source; zserve::Session::step in bursts from a QueueSource that
+ * reports Empty when the session should park; each ThreadedPipeline
+ * stage from and to its SPSC queues (zexec/queue_io.h).  A source that
+ * only hands out one element at a time, or a sink that takes none as a
+ * run, gets windows of one element and no output run, which is the
+ * per-element protocol.  SupervisedStepper adds the checkpoint carry and
  * restore-else-reset healing, shared by all three, so a served session
  * or a `|>>>|` stage heals exactly as a solo run does.
  */
@@ -29,7 +29,6 @@
 
 #include "zexec/node.h"
 #include "zexec/snapshot.h"
-#include "zexec/span.h"
 #include "zexpr/frame.h"
 
 namespace ziria {
@@ -49,36 +48,6 @@ enum class StepOutcome : uint8_t {
     Halted,      ///< the computation returned; ctrl value is available
     Budget,      ///< maxSteps advances consumed; more work may be ready
 };
-
-/**
- * Endpoints that move one element at a time, for drivers fed from
- * queues: `Feed pull(const uint8_t** elem)` yields a run of one and
- * `bool push(const uint8_t* elem)` takes each output as it is made.
- */
-template <typename PullFn, typename PushFn>
-struct ElementIo
-{
-    PullFn& pullOne;
-    PushFn& pushOne;
-
-    Feed
-    pull(const uint8_t** p, size_t* n)
-    {
-        *n = 1;
-        return pullOne(p);
-    }
-
-    void commit(size_t) {}
-    size_t outRoom() const { return 0; }
-    bool push(const uint8_t* e, size_t) { return pushOne(e); }
-};
-
-template <typename PullFn, typename PushFn>
-ElementIo<PullFn, PushFn>
-elementIo(PullFn& pull, PushFn& push)
-{
-    return {pull, push};
-}
 
 /**
  * Drives one execution-node tree against a driver's endpoints, keeping
@@ -110,13 +79,6 @@ class Stepper
     }
 
     /**
-     * Attach a frame-span latency tracker (null = off).  When off the
-     * drive loop pays exactly one predictable-false branch per element
-     * — the same zero-cost-when-off contract as TracedNode.
-     */
-    void setSpans(SpanTracker* s) { spans_ = s; }
-
-    /**
      * Run the node until it blocks, halts, or the budget runs out.
      * @p io is what the drive reads and writes; it provides
      *
@@ -146,7 +108,7 @@ class Stepper
         RunWindow w;  // the input window lives across run() calls
         uint64_t steps = 0;
         for (;;) {
-            const size_t room = spans_ ? 0 : std::min(io.outRoom(), runCap);
+            const size_t room = std::min(io.outRoom(), runCap);
             if (room && !outRun_)
                 outRun_.reset(new uint8_t[kOutRunBytes]);
             w.out = room ? outRun_.get() : nullptr;
@@ -166,8 +128,6 @@ class Stepper
                 return StepOutcome::Halted;
             if (s == Status::Yield) {
                 ++emitted_;
-                if (spans_)
-                    spans_->onOutput();
                 // Delivered even when the run already asked to stop:
                 // the node cannot take a yield back.
                 more = io.push(root_.out(), 1) && more;
@@ -191,9 +151,7 @@ class Stepper
               case Feed::End:
                 return StepOutcome::EndOfInput;
             }
-            if (spans_)
-                n = 1;  // stamp every element as it is consumed
-            else if (maxSteps)
+            if (maxSteps)
                 n = std::min<uint64_t>(n, std::max<uint64_t>(
                                               maxSteps - steps, 1));
             w.in = p;
@@ -230,8 +188,6 @@ class Stepper
         if (took) {
             io.commit(took);
             consumed_ += took;
-            if (spans_)
-                spans_->onInput();  // runs of one while spans are on
         }
         const size_t made =
             w.out ? elems(outRun_.get(), w.out, root_.outWidth()) : 0;
@@ -253,7 +209,6 @@ class Stepper
     }
 
     ExecNode& root_;
-    SpanTracker* spans_ = nullptr;
     uint64_t consumed_ = 0;
     uint64_t emitted_ = 0;
     std::unique_ptr<uint8_t[]> outRun_;  ///< staged output run
@@ -285,15 +240,6 @@ class SupervisedStepper
 
     /** Snapshot cadence in consumed input elements (0 = off). */
     void setInterval(uint64_t elems) { interval_ = elems; }
-
-    /** Frame-span tracker (null = off), re-based by heal(); @p stamp
-     *  also stamps every consumed and emitted element. */
-    void
-    setSpans(SpanTracker* s, bool stamp = true)
-    {
-        spans_ = s;
-        stepper_.setSpans(stamp ? s : nullptr);
-    }
 
     /** Called with every cadence snapshot (the durable-save hook). */
     void
@@ -432,7 +378,6 @@ class SupervisedStepper
     size_t inWidth_;
     Stepper stepper_;
     uint64_t interval_ = 0;
-    SpanTracker* spans_ = nullptr;
     std::function<void(const std::vector<uint8_t>&)> onSnapshot_;
     bool started_ = false;
     bool seeded_ = false;             ///< next begin() keeps the position

@@ -12,6 +12,7 @@
 #include "support/spsc_queue.h"
 #include "support/timeline.h"
 #include "support/timing.h"
+#include "zexec/queue_io.h"
 #include "zexec/span.h"
 
 namespace ziria {
@@ -21,11 +22,6 @@ namespace {
 /** Queue-wait slice for supervised runs: long enough that the periodic
  *  wake-up is noise, short enough that an abort is noticed promptly. */
 constexpr long kSupervisedSliceMs = 20;
-
-/** Elements moved per interthread-queue transfer: enough that the lock
- *  and the wake-up are noise next to the stages' compute, few enough
- *  that a batch stays in cache. */
-constexpr size_t kBatchElems = 256;
 
 /** Element width of the queue behind @p producer (at least a byte). */
 size_t
@@ -65,175 +61,52 @@ struct ThreadedPipeline::StageResult
 };
 
 /**
- * Drive stage @p index with its SupervisedStepper: pull input from
- * @p inq (or @p src for stage 0), push output to @p outq (or @p sink
- * for the last stage).
- * Elements cross a queue in batches of up to kBatchElems: a consumer
- * pops a batch into a stage-local buffer and feeds the node from it; a
- * producer collects its outputs and pushes them as one span when the
- * batch is full, before it fetches new input (a src->next() call or an
- * input-batch refill, either of which may block), and before it closes
- * its queue.  So no stage waits for input while it holds outputs.
- * With a span tracker the first stage stamps the frames it consumes, the
- * last completes the frames it emits, and every stage times its queue
- * waits, once per batch.
- *
- * @p abort is the run-wide teardown flag (set by the watchdog or at the
- * end of a run); the stage moves one element per pull or push, and
- * both poll it, as does every batch transfer.  @p wait_slice_ms bounds
- * each queue wait so the flag is polled even while blocked (-1 = plain
- * blocking waits, used when the run is unsupervised).
- *
- * A stage resumed after a failed attempt continues where its stepper
- * stands (live, or healed by rearmStage): it first re-pushes its
- * unpushed outputs `c.pendingOut`, then feeds its popped, unconsumed
- * input `c.pendingIn` before it pops again (a healed stage replays its
- * journal ahead of both).  On exit both carry fields are refilled with
- * whatever a teardown left over.
+ * Drive stage @p index through RunIo, as every driver does: from its
+ * QueueSource (or @p src for stage 0) to its QueueSink (or @p sink for
+ * the last stage), in windows and runs of at most kBatchElems.  The run
+ * a window made is pushed before the next pull, so no stage waits for
+ * input while it holds outputs.  With a span tracker, stage 0 stamps
+ * the frames it commits, the last stage those it pushes, and the queue
+ * endpoints time their waits.  RunIo checks the teardown flag at every
+ * pull and push, the endpoints between wait slices.  A resumed stage
+ * continues where its stepper stands (live, or healed by rearmStage):
+ * its QueueSink pushes what a teardown left it first (all a halted
+ * stage still does), and its QueueSource hands out its popped rest
+ * (after a healed stage's journal) before it pops again.
  */
 void
-ThreadedPipeline::runStage(size_t index, SpscQueue* inq, InputSource* src,
-                           SpscQueue* outq, OutputSink* sink,
-                           StageCarry& c, StageResult& res,
-                           const std::atomic<bool>& abort,
-                           long wait_slice_ms)
+ThreadedPipeline::runStage(size_t index, RunState& rs, InputSource& src,
+                           OutputSink& sink, StageResult& res)
 {
+    StageCarry& c = rs.carry[index];
     SupervisedStepper& st = steppers_[index];
     SpanTracker* spans = spans_.get();
+    const bool last = index + 1 == stages_.size();
     Stopwatch sw;
     const uint64_t startNs = nowNs();
-    auto aborting = [&abort] {
-        return abort.load(std::memory_order_relaxed);
-    };
-    auto progress = [&res] {
-        res.progress.fetch_add(1, std::memory_order_relaxed);
-    };
-
-    // Input batch popped from inq; elements [inPos, inLen) are unconsumed.
-    const size_t inW = inq ? inq->elemWidth() : 0;
-    std::vector<uint8_t> inBatch = std::move(c.pendingIn);
-    size_t inPos = 0;
-    size_t inLen = inW ? inBatch.size() / inW : 0;
-    ZIRIA_ASSERT(inLen <= kBatchElems);
-    inBatch.resize(kBatchElems * inW);
-    c.pendingIn.clear();
-
-    // Outputs not yet handed on, oldest first.  The last stage delivers
-    // straight to the sink and only ever keeps the one a teardown
-    // interrupted.
-    const size_t outW =
-        outq ? outq->elemWidth() : stages_[index]->outWidth();
-    std::vector<uint8_t> outBatch = std::move(c.pendingOut);
-    c.pendingOut.clear();
-    auto deliver = [&](const uint8_t* e) {
-        sink->put(e);
-        if (spans)
-            spans->onOutput();
-        progress();
-    };
-    // Hand the whole output batch on.  On teardown (queue cancelled or
-    // run aborted) the rest stays in outBatch and false is returned.
-    auto flush = [&] {
-        size_t off = 0;
-        if (!outq) {
-            // One at a time, so a throwing sink leaves its element and
-            // the rest to be delivered first on resume.
-            while (!outBatch.empty() && !aborting()) {
-                deliver(outBatch.data());
-                outBatch.erase(outBatch.begin(), outBatch.begin() +
-                                   static_cast<std::ptrdiff_t>(outW));
-            }
-        } else if (!outBatch.empty()) {
-            const uint64_t t0 = spans ? nowNs() : 0;
-            while (off < outBatch.size() && !aborting()) {
-                size_t done = 0;
-                QueueWait w = outq->pushSpan(outBatch.data() + off,
-                                             (outBatch.size() - off) / outW,
-                                             wait_slice_ms, &done);
-                if (w == QueueWait::Cancelled)
-                    break;  // downstream stopped (or run torn down)
-                off += done * outW;
-            }
-            if (spans)
-                res.pushWaitNs += nowNs() - t0;
-        }
-        outBatch.erase(outBatch.begin(),
-                       outBatch.begin() + static_cast<std::ptrdiff_t>(off));
-        if (!outBatch.empty()) {
-            res.aborted = true;
-            return false;
-        }
-        return true;
-    };
-    auto pull = [&](const uint8_t** p) {
-        if (aborting()) {
-            res.aborted = true;
-            return Feed::End;
-        }
-        if (inq) {
-            if (inPos == inLen) {
-                if (!flush())
-                    return Feed::End;
-                uint64_t t0 = spans ? nowNs() : 0;
-                QueueWait w;
-                size_t got = 0;
-                while ((w = inq->popSpan(inBatch.data(), kBatchElems,
-                                         wait_slice_ms, &got)) ==
-                           QueueWait::Timeout &&
-                       !aborting()) {
-                }
-                if (spans)
-                    res.popWaitNs += nowNs() - t0;
-                if (w != QueueWait::Ready) {
-                    // Closed = upstream finished (normal EOS);
-                    // Cancelled/abort = torn down.
-                    res.aborted = w != QueueWait::Closed;
-                    return Feed::End;
-                }
-                inPos = 0;
-                inLen = got;
-            }
-            *p = inBatch.data() + inPos++ * inW;
-        } else {
-            if (!flush())
-                return Feed::End;
-            if (!(*p = src->next())) {
-                res.aborted = aborting();  // a cancelled read is no EOS
-                return Feed::End;
-            }
-            if (spans)
-                spans->onInput();
-        }
-        progress();
-        return Feed::Ready;
-    };
-    auto push = [&](const uint8_t* e) {
-        if (!outq && !aborting()) {
-            deliver(e);
-            return true;
-        }
-        // Kept even when the run is torn down: the next attempt
-        // re-pushes it instead of losing it.
-        outBatch.insert(outBatch.end(), e, e + outW);
-        if (aborting()) {
-            res.aborted = true;
-            return false;
-        }
-        progress();
-        return outBatch.size() < kBatchElems * outW || flush();
-    };
+    RunIo io{c.in ? *c.in : src, c.out ? *c.out : sink, st.stepper(),
+             stages_[index]->outWidth()};
+    io.cap = kBatchElems;
+    io.inSpans = index ? nullptr : spans;
+    io.outSpans = last ? spans : nullptr;
+    io.abort = &rs.abort;
+    io.progress = &res.progress;
+    if (c.in)
+        c.in->poll.waitNs = spans ? &res.popWaitNs : nullptr;
+    if (c.out)
+        c.out->poll.waitNs = spans ? &res.pushWaitNs : nullptr;
+    StepOutcome oc = StepOutcome::SinkFull;
     try {
-        auto io = elementIo(pull, push);
-        if (flush() && st.drive(io) == StepOutcome::Halted)
-            c.halted = true;
+        if ((!c.out || c.out->flush()) && !c.halted)
+            oc = st.drive(io);
     } catch (...) {
         res.error = std::current_exception();
     }
-    flush();  // hand on what is still batched before the queue closes
-    c.pendingOut = std::move(outBatch);
-    c.pendingIn.assign(
-        inBatch.begin() + static_cast<std::ptrdiff_t>(inPos * inW),
-        inBatch.begin() + static_cast<std::ptrdiff_t>(inLen * inW));
+    c.halted = c.halted || oc == StepOutcome::Halted;
+    // Held outputs, a cancelled read, a torn-down queue or an abort are
+    // no end of stream: the stage resumes in the next attempt.
+    res.aborted = (c.out && c.out->full()) ||
+                  (!c.halted && (io.aborted() || (c.in && c.in->tornDown())));
     res.sec = sw.elapsedSec();
     if (timeline::Recorder* r = timeline::active()) {
         uint32_t track = timeline::currentTrack();
@@ -241,11 +114,11 @@ ThreadedPipeline::runStage(size_t index, SpscQueue* inq, InputSource* src,
         r->complete("stage", "stage" + std::to_string(index),
                     startNs, nowNs() - startNs, track);
     }
-    if (outq)
-        outq->close();
+    if (!last)
+        rs.queues[index]->close();
     // A halted (or failed) stage stops upstream producers.
-    if ((c.halted || res.error) && inq)
-        inq->cancel();
+    if ((c.halted || res.error) && index)
+        rs.queues[index - 1]->cancel();
     res.finished.store(true, std::memory_order_release);
 }
 
@@ -267,25 +140,31 @@ ThreadedPipeline::ThreadedPipeline(std::vector<NodePtr> stages,
 RunStats
 ThreadedPipeline::run(InputSource& src, OutputSink& sink)
 {
-    std::vector<std::unique_ptr<SpscQueue>> queues;
-    for (size_t i = 0; i + 1 < stages_.size(); ++i)
-        queues.push_back(
+    RunState rs;
+    rs.carry.resize(stages_.size());
+    const QueuePoll poll{deadlineMs_ > 0 ? kSupervisedSliceMs : -1,
+                         &rs.abort};
+    for (size_t i = 0; i + 1 < stages_.size(); ++i) {
+        rs.queues.push_back(
             std::make_unique<SpscQueue>(queueWidth(*stages_[i]), queueCap_));
+        rs.carry[i].out = std::make_unique<QueueSink>(*rs.queues[i], poll);
+        rs.carry[i + 1].in =
+            std::make_unique<QueueSource>(*rs.queues[i], poll);
+    }
 
     // A cadence only with a restart policy, as Pipeline::run.
     for (SupervisedStepper& s : steppers_) {
         s.setInterval(restart_.enabled() ? ckpt_.interval : 0);
         s.begin();
     }
-    std::vector<StageCarry> carry(stages_.size());
     RunStats st = RestartSupervisor(restart_).run(
-        [&] { return runAttempt(queues, src, sink, carry); },
+        [&] { return runAttempt(rs, src, sink); },
         [&](const StageFailure&) {
             // The backoff is slept and every stage thread was joined
             // before runAttempt threw, so re-arming is single-threaded.
             // Clearing the endpoints' cancel latches lets the live source
             // keep feeding the next attempt.
-            rearmStage(queues, carry);
+            rearmStage(rs);
             src.rearm();
             sink.rearm();
             if (spans_)
@@ -299,16 +178,15 @@ ThreadedPipeline::run(InputSource& src, OutputSink& sink)
 /**
  * Ready the next attempt: every failed stage heals as a solo run does
  * (SupervisedStepper::heal: restore-and-replay, else reset) and keeps
- * its carried batches; healthy stages keep their live state.  No queue
- * is dropped: each has its teardown latches cleared, and the queue of a
- * finished producer is closed again so its consumer still sees
- * end-of-stream.
+ * what its queue endpoints hold; healthy stages keep their live state.
+ * No queue is dropped: each has its teardown latches cleared, and the
+ * queue of a finished producer is closed again so its consumer still
+ * sees end-of-stream.
  */
 void
-ThreadedPipeline::rearmStage(
-    std::vector<std::unique_ptr<SpscQueue>>& queues,
-    std::vector<StageCarry>& carry)
+ThreadedPipeline::rearmStage(RunState& rs)
 {
+    auto& carry = rs.carry;
     auto& reg = metrics::Registry::global();
     for (size_t i = 0; i < carry.size(); ++i) {
         if (!carry[i].failed)
@@ -316,24 +194,25 @@ ThreadedPipeline::rearmStage(
         reg.counter("restart.stage.attempts").inc();
         if (steppers_[i].heal())
             reg.counter("restart.stage.restored").inc();
+        carry[i].halted = false;  // it runs again from where it healed
     }
-    for (size_t qi = 0; qi < queues.size(); ++qi) {
+    for (size_t qi = 0; qi < rs.queues.size(); ++qi) {
         // Queue qi sits between stage qi (producer) and qi+1 (consumer).
-        queues[qi]->uncancel();
+        rs.queues[qi]->uncancel();
         if (carry[qi].doneClean)
-            queues[qi]->close();
+            rs.queues[qi]->close();
     }
 }
 
 RunStats
-ThreadedPipeline::runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
-                             InputSource& src, OutputSink& sink,
-                             std::vector<StageCarry>& carry)
+ThreadedPipeline::runAttempt(RunState& rs, InputSource& src,
+                             OutputSink& sink)
 {
     using clock = std::chrono::steady_clock;
     const size_t n = stages_.size();
     const bool supervised = deadlineMs_ > 0;
-    const long slice = supervised ? kSupervisedSliceMs : -1;
+    auto& queues = rs.queues;
+    auto& carry = rs.carry;
 
     std::vector<StageResult> results(n);
     // A stage that already finished (halted or hit end-of-stream) in an
@@ -348,7 +227,8 @@ ThreadedPipeline::runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
         if (carry[i].halted && i > 0)
             queues[i - 1]->cancel();
     }
-    std::atomic<bool> abort{false};
+    std::atomic<bool>& abort = rs.abort;
+    abort.store(false, std::memory_order_relaxed);
     std::atomic<bool> watchdogStop{false};
     std::atomic<long> stalledStage{-1};
 
@@ -421,12 +301,7 @@ ThreadedPipeline::runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
     // Stage i reads the source (i == 0) or queue i-1 and writes queue i,
     // or the sink when it is the last stage, which runs on the calling
     // thread.
-    auto stage = [&](size_t i) {
-        const bool last = i + 1 == n;
-        runStage(i, i ? queues[i - 1].get() : nullptr, i ? nullptr : &src,
-                 last ? nullptr : queues[i].get(), last ? &sink : nullptr,
-                 carry[i], results[i], abort, slice);
-    };
+    auto stage = [&](size_t i) { runStage(i, rs, src, sink, results[i]); };
     std::vector<std::thread> threads;
     for (size_t i = 0; i + 1 < n; ++i)
         if (!carry[i].doneClean)
@@ -446,8 +321,8 @@ ThreadedPipeline::runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
     const long stalled = stalledStage.load(std::memory_order_relaxed);
 
     // Decide which stages the next attempt heals and which it resumes
-    // (before any throw; runStage already left the holdovers in the
-    // carry).  The stages that threw heal; the stalled one only when
+    // (before any throw; the queue endpoints already hold what the
+    // stages left).  The stages that threw heal; the stalled one only when
     // none threw, as in the error propagation below.
     // A stage that exits cleanly on end-of-stream only *genuinely*
     // finished if every stage upstream of it did too: a failed stage

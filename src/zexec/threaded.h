@@ -35,8 +35,9 @@
  * cadence snapshot, replays its journal and swallows the outputs its
  * consumer already holds; without one it resets to a frame boundary.
  * Healthy stages keep their live state, no queue is dropped, and every
- * stage keeps the batch it popped but has not consumed and the outputs
- * it has not pushed yet, feeding and pushing them first when it resumes.
+ * stage's queue endpoints keep what they hold: its QueueSource the rest
+ * of the batch it popped but has not consumed, its QueueSink the outputs
+ * it has not pushed yet, which go first when the stage resumes.
  * The run then sleeps out an exponential backoff and resumes from the
  * live source.  With a cadence the healed output is byte-identical to an
  * uninterrupted run.  Only when the retry budget is spent does run()
@@ -53,11 +54,10 @@
 
 #include "support/panic.h"
 #include "zexec/pipeline.h"
+#include "zexec/queue_io.h"
 #include "zexec/supervisor.h"
 
 namespace ziria {
-
-class SpscQueue;
 
 /** A pipeline whose stages run on separate threads. */
 class ThreadedPipeline
@@ -107,9 +107,10 @@ class ThreadedPipeline
      * the drive loops use plain blocking waits, so the unsupervised path
      * costs exactly what it did before supervision existed.
      *
-     * The deadline must exceed the longest single-element compute time
-     * of any stage: the watchdog cannot distinguish a stage stuck in a
-     * kernel from one legitimately crunching a huge element.
+     * A stage reports progress as each window of up to kBatchElems
+     * elements settles, so the deadline must exceed the longest compute
+     * of one window in any stage: the watchdog cannot tell a stage stuck
+     * in a kernel from one crunching a window of huge elements.
      */
     void setStallDeadline(double ms) { deadlineMs_ = ms; }
     double stallDeadline() const { return deadlineMs_; }
@@ -154,22 +155,23 @@ class ThreadedPipeline
         bool doneClean = false;  ///< halted / hit EOS; do not re-run
         bool halted = false;     ///< the stage's computer returned
         bool failed = false;     ///< threw or stalled; heal before retry
-        std::vector<uint8_t> pendingOut;  ///< outputs whose push was torn
-                                          ///< down; re-pushed first
-        std::vector<uint8_t> pendingIn;   ///< popped, unconsumed input
-                                          ///< batch; fed first on resume
+        std::unique_ptr<QueueSource> in;  ///< null for stage 0
+        std::unique_ptr<QueueSink> out;   ///< null for the last stage
+    };
+    /** One run(): its queues (queue i feeds stage i+1), the stages'
+     *  carries and the teardown flag every endpoint polls. */
+    struct RunState
+    {
+        std::vector<std::unique_ptr<SpscQueue>> queues;
+        std::vector<StageCarry> carry;
+        std::atomic<bool> abort{false};
     };
     struct StageResult;  ///< one attempt's watchdog view and telemetry
 
-    void runStage(size_t index, SpscQueue* inq, InputSource* src,
-                  SpscQueue* outq, OutputSink* sink, StageCarry& c,
-                  StageResult& res, const std::atomic<bool>& abort,
-                  long wait_slice_ms);
-    RunStats runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
-                        InputSource& src, OutputSink& sink,
-                        std::vector<StageCarry>& carry);
-    void rearmStage(std::vector<std::unique_ptr<SpscQueue>>& queues,
-                    std::vector<StageCarry>& carry);
+    void runStage(size_t index, RunState& rs, InputSource& src,
+                  OutputSink& sink, StageResult& res);
+    RunStats runAttempt(RunState& rs, InputSource& src, OutputSink& sink);
+    void rearmStage(RunState& rs);
 
     std::vector<NodePtr> stages_;
     Frame frame_;

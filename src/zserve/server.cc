@@ -908,6 +908,24 @@ Server::stageData(const std::shared_ptr<Session>& s, const uint8_t* data,
     }
 }
 
+/** Stage buffered output as Data frames of up to kDataChunk (or one
+ *  wider element) while under @p wire_cap unsent wire bytes; returns
+ *  whether anything was staged. */
+bool
+Server::stageOutput(const std::shared_ptr<Session>& s, size_t wire_cap)
+{
+    const size_t chunk = std::max(kDataChunk, s->outWidth());
+    bool staged = false;
+    std::vector<uint8_t> payload;
+    while (s->outWire.size() - s->outWirePos < wire_cap &&
+           s->takeOutput(payload, chunk) > 0) {
+        stageData(s, payload.data(), payload.size());
+        payload.clear();
+        staged = true;
+    }
+    return staged;
+}
+
 void
 Server::serviceSession(const std::shared_ptr<Session>& s)
 {
@@ -932,17 +950,7 @@ Server::serviceSession(const std::shared_ptr<Session>& s)
         s->outWire.clear();
         s->outWirePos = 0;
     }
-    size_t chunk = std::max(kDataChunk, s->outWidth());
-    bool drained = false;
-    std::vector<uint8_t> payload;
-    while (s->outWire.size() - s->outWirePos < kWireTarget) {
-        payload.clear();
-        if (s->takeOutput(payload, chunk) == 0)
-            break;
-        stageData(s, payload.data(), payload.size());
-        drained = true;
-    }
-    if (drained)
+    if (stageOutput(s, kWireTarget))
         enqueue(s);  // raw space freed: un-park an OutputFull worker
 
     // Once the worker is done and the raw buffer is empty, append the
@@ -1169,13 +1177,7 @@ Server::driveDrain()
 
         // Flush every buffered output element into Data frames ahead of
         // the checkpoint; the wire target does not apply to a drain.
-        std::vector<uint8_t> payload;
-        for (;;) {
-            payload.clear();
-            if (s->takeOutput(payload, kDataChunk) == 0)
-                break;
-            stageData(s, payload.data(), payload.size());
-        }
+        stageOutput(s, SIZE_MAX);
 
         // The client reads every staged Data frame before the
         // Checkpoint frame, so a keyed session retains no tail past it.
@@ -1367,13 +1369,7 @@ Server::migrateNow(const std::shared_ptr<Session>& s,
     // the checkpoint's retained window, so a duplicate delivery on the
     // peer is impossible — the client's received count covers it), then
     // redirect the data client and retire the session as completed.
-    std::vector<uint8_t> payload;
-    for (;;) {
-        payload.clear();
-        if (s->takeOutput(payload, kDataChunk) == 0)
-            break;
-        stageData(s, payload.data(), payload.size());
-    }
+    stageOutput(s, SIZE_MAX);
     encodeMigrateRedirect(s->outWire, job.host, job.port);
     ++s->txFrames;
     encodeFrame(s->outWire, FrameType::End);

@@ -167,6 +167,7 @@ class Server
     std::string statJson(const std::shared_ptr<Session>& s);
     void stageData(const std::shared_ptr<Session>& s, const uint8_t* data,
                    size_t n);
+    bool stageOutput(const std::shared_ptr<Session>& s, size_t wire_cap);
     void handleAttach(const std::shared_ptr<Session>& s, Frame& f);
     void handleMigrate(const std::shared_ptr<Session>& s, Frame& f);
     void drivePersist();

@@ -69,12 +69,40 @@ readContinuation(const std::vector<uint8_t>& payload, size_t inW,
 
 } // namespace
 
+/** step()'s sink: output runs go to the raw buffer (and the retained
+ *  tail); full() once the buffer reaches the high water. */
+class Session::RawSink final : public OutputSink
+{
+  public:
+    explicit RawSink(Session& s) : s_(s) {}
+
+    void put(const uint8_t* e) override { putRun(e, 1, s_.outW_); }
+    bool takesRuns() const override { return true; }
+
+    void
+    putRun(const uint8_t* e, size_t n, size_t width) override
+    {
+        std::lock_guard<std::mutex> lk(s_.mu_);
+        s_.outRaw_.insert(s_.outRaw_.end(), e, e + n * width);
+        if (s_.retainOut_)
+            s_.outTail_.insert(s_.outTail_.end(), e, e + n * width);
+        full_ = s_.outRaw_.size() - s_.outRawPos_ >=
+                s_.cfg_.outHighWaterBytes;
+    }
+
+    bool full() const override { return full_; }
+
+  private:
+    Session& s_;
+    bool full_ = false;
+};
+
 Session::Session(uint64_t id, int fd, std::unique_ptr<Pipeline> pipe,
                  const SessionConfig& cfg, const FaultSpec& fault)
     : id_(id), fd_(fd), pipe_(std::move(pipe)),
       inW_(pipe_->inWidth()), outW_(pipe_->outWidth()), cfg_(cfg),
       inQ_(inW_ ? inW_ : 1, cfg.inQueueElems),
-      qsrc_(inQ_, inW_, restorePending_), fault_(fault),
+      qsrc_(inQ_, QueuePoll{0}, &restorePending_), fault_(fault),
       fsrc_(qsrc_, fault), sup_(pipe_->restartPolicy())
 {
     if (cfg.trackLatency) {
@@ -82,11 +110,10 @@ Session::Session(uint64_t id, int fd, std::unique_ptr<Pipeline> pipe,
         sc.name = "session" + std::to_string(id);
         spans_ = std::make_unique<SpanTracker>(sc);
     }
-    // The pipeline's own policies, as in a solo run.  Spans are stamped
-    // at ingress (offerInput) and delivery (step), so the stepping loop
-    // only re-bases them after a heal.
+    if (!inW_)
+        inQ_.close();  // the pipeline takes no input
+    // The pipeline's own policies, as in a solo run.
     pipe_->configureStepper();
-    pipe_->stepper().setSpans(spans_.get(), /*stamp=*/false);
 }
 
 Session::~Session() = default;
@@ -106,8 +133,7 @@ Session::offerInput(const uint8_t* data, size_t n, size_t& consumed)
     // Spans open at ingress so queue dwell and scheduler parking are
     // part of the measured end-to-end latency.
     if (spans_)
-        for (size_t i = 0; i < done; ++i)
-            spans_->onInput();
+        spans_->onInput(done);
     return w == QueueWait::Ready && done == elems;
 }
 
@@ -181,9 +207,11 @@ Session::checkpoint(std::vector<uint8_t>& out, std::string* err)
     }
 
     // Unconsumed input, oldest first, without draining anything: input
-    // the carry has yet to replay, a peek of the queue, then the I/O
-    // thread's decoded-but-unqueued remainder.
+    // the carry has yet to replay, the rest of the batch the queue
+    // source popped, a peek of the queue, then the I/O thread's
+    // decoded-but-unqueued remainder.
     std::vector<uint8_t> backlog = ss.unreplayed();
+    qsrc_.appendRest(backlog);
     if (inW_)
         inQ_.peekAll(backlog);
     backlog.insert(backlog.end(),
@@ -338,7 +366,7 @@ Session::applyCheckpoint()
         return err;
     // Input the queue source held back while the restore was pending
     // follows the donor's backlog.
-    qsrc_.takeHeld(c.backlog);
+    qsrc_.appendRest(c.backlog, /*consume=*/true);
     try {
         // An empty snapshot means the donor never started stepping; the
         // backlog alone reconstructs the session.  The downstream holds
@@ -374,38 +402,15 @@ Session::step()
         ss.begin();
     // The fault decorator sits between the queue and the stepper, exactly
     // where it sits between a capture file and a pipeline in zirrun.
-    InputSource& src =
-        fault_.enabled() ? static_cast<InputSource&>(fsrc_) : qsrc_;
-    auto pull = [&](const uint8_t** p) {
-        *p = src.next();
-        if (*p)
-            return Feed::Ready;
-        // A Truncate fault ends the stream without consulting the queue,
-        // so the queue-source state would be stale for that one case.
-        if (fault_.kind == FaultSpec::Kind::Truncate &&
-            fsrc_.ticks() >= fault_.tick)
-            return Feed::End;
-        return qsrc_.state();
-    };
-    bool overHighWater = false;
-    auto push = [&](const uint8_t* elem) {
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            outRaw_.insert(outRaw_.end(), elem, elem + outW_);
-            if (retainOut_)
-                outTail_.insert(outTail_.end(), elem, elem + outW_);
-            overHighWater =
-                outRaw_.size() - outRawPos_ >= cfg_.outHighWaterBytes;
-        }
-        // Outside mu_: span completion may take the tracker's own lock
-        // (and emit a timeline event) — keep the lock graph flat.
-        if (spans_)
-            spans_->onOutput();
-        return !overHighWater;
-    };
-
+    // Spans open at ingress (offerInput) and close here, as output is
+    // buffered.  An output run holds at most the high water's worth.
+    RawSink sink(*this);
+    RunIo io{fault_.enabled() ? static_cast<InputSource&>(fsrc_) : qsrc_,
+             sink, ss.stepper(), outW_};
+    io.cap = std::max<size_t>(
+        cfg_.outHighWaterBytes / std::max<size_t>(outW_, 1), 1);
+    io.outSpans = spans_.get();
     try {
-        auto io = elementIo(pull, push);
         StepOutcome oc = ss.drive(io, cfg_.stepQuantum);
         switch (oc) {
           case StepOutcome::Budget:
@@ -441,6 +446,8 @@ Session::step()
             // reset to a frame boundary); the live queue and the output
             // already buffered are kept.
             ss.heal();
+            if (spans_)
+                spans_->onRestart();
             fsrc_.rearm();
             restarts_.fetch_add(1);
             metrics::Registry::global()

@@ -50,6 +50,7 @@
 #include "support/spsc_queue.h"
 #include "zexec/faultpoint.h"
 #include "zexec/pipeline.h"
+#include "zexec/queue_io.h"
 #include "zexec/span.h"
 #include "zexec/stepper.h"
 #include "zexec/supervisor.h"
@@ -76,67 +77,6 @@ struct SessionConfig
     uint64_t stepQuantum = 8192;  ///< Stepper::drive budget per burst
     bool trackLatency = false;    ///< allocate a per-session SpanTracker
     SpanConfig span;              ///< its frame size / ratio / SLO budget
-};
-
-/**
- * InputSource over the session's bounded element queue, non-blocking:
- * next() never waits — it reports Empty through state() so the stepper
- * can park the session.  Wrapping it in a FaultySource (the decorator
- * from zexec/faultpoint.h) gives per-session fault injection for free.
- * While @p hold is set (an adopted checkpoint not yet applied) queued
- * input belongs after the checkpoint's backlog: next() keeps a popped
- * element back (takeHeld) and reports Empty, never End.
- */
-class QueueSource : public InputSource
-{
-  public:
-    QueueSource(SpscQueue& q, size_t elem_width,
-                const std::atomic<bool>& hold)
-        : q_(q), width_(elem_width), buf_(elem_width ? elem_width : 1),
-          hold_(hold)
-    {
-    }
-
-    const uint8_t*
-    next() override
-    {
-        if (width_ == 0) {
-            state_ = Feed::End;  // pipeline takes no input
-            return nullptr;
-        }
-        QueueWait w = held_ ? QueueWait::Ready : q_.popWait(buf_.data(), 0);
-        held_ = w == QueueWait::Ready;
-        // Checked after the pop, which orders it against the I/O
-        // thread's adopt-then-enqueue.
-        if (w == QueueWait::Timeout || hold_.load(std::memory_order_acquire)) {
-            state_ = Feed::Empty;
-            return nullptr;
-        }
-        held_ = false;
-        // Closed (input done and drained) or Cancelled: End.
-        state_ = w == QueueWait::Ready ? Feed::Ready : Feed::End;
-        return w == QueueWait::Ready ? buf_.data() : nullptr;
-    }
-
-    /** Why the last next() returned null (Empty vs End). */
-    Feed state() const { return state_; }
-
-    /** Move a kept-back element, if any, to the end of @p backlog. */
-    void
-    takeHeld(std::vector<uint8_t>& backlog)
-    {
-        if (held_)
-            backlog.insert(backlog.end(), buf_.begin(), buf_.end());
-        held_ = false;
-    }
-
-  private:
-    SpscQueue& q_;
-    size_t width_;
-    std::vector<uint8_t> buf_;
-    const std::atomic<bool>& hold_;
-    bool held_ = false;  ///< buf_ holds a popped, undelivered element
-    Feed state_ = Feed::Empty;
 };
 
 /** What a worker burst decided about a session (scheduler verdict). */
@@ -216,8 +156,9 @@ class Session
     /**
      * Serialize this session's continuation into @p out (the payload
      * described at kSessionCheckpointVersion): the pipeline snapshot,
-     * the unconsumed input backlog (input still to replay, the queue,
-     * then the I/O thread's decoded-but-unqueued pendingIn bytes), the
+     * the unconsumed input backlog (input still to replay, the rest of
+     * the batch the queue source popped, the queue, then the I/O
+     * thread's decoded-but-unqueued pendingIn bytes), the
      * delivered output count and the retained output tail — empty when
      * retention is off.  The session keeps running unchanged if the
      * payload is never restored (periodic persists, rejected
@@ -371,6 +312,7 @@ class Session
     /** Apply the adopted checkpoint (worker side); returns an error
      *  message, empty on success. */
     std::string applyCheckpoint();
+    class RawSink;  ///< step()'s OutputSink: appends to outRaw_
 
     // Output buffer shared worker -> I/O thread.
     std::mutex mu_;

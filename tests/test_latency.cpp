@@ -354,6 +354,40 @@ TEST(SpanAccounting, RestartAbortsOpenSpansAndRebases)
     EXPECT_EQ(s.open, 0u);
 }
 
+TEST(SpanAccounting, CountFormMatchesSingleCalls)
+{
+    // onInput(n) and onOutput(n) open and close exactly the frames n
+    // single calls do, across frame boundaries and a restart.
+    SpanConfig cfg;
+    cfg.frameElems = 4;
+    cfg.outPerIn = 1.5;
+    SpanTracker runs(cfg), single(cfg);
+    auto expectSame = [&] {
+        SpanTracker::Snapshot a = runs.snapshot(), b = single.snapshot();
+        EXPECT_EQ(a.completed, b.completed);
+        EXPECT_EQ(a.open, b.open);
+        EXPECT_EQ(a.aborted, b.aborted);
+        EXPECT_EQ(a.latencyNs.count(), b.latencyNs.count());
+    };
+    for (int round = 0; round < 2; ++round) {
+        for (uint64_t n : {1, 3, 7, 4, 0, 9, 2, 13}) {
+            runs.onInput(n);
+            for (uint64_t k = 0; k < n; ++k)
+                single.onInput();
+            expectSame();
+            runs.onOutput(n);
+            for (uint64_t k = 0; k < n; ++k)
+                single.onOutput();
+            expectSame();
+        }
+        runs.onRestart();
+        single.onRestart();
+        expectSame();
+    }
+    EXPECT_GT(single.snapshot().completed, 4u);
+    EXPECT_GT(single.snapshot().aborted, 0u);
+}
+
 TEST(SpanAccounting, MergeIntoRegistryWritesFrameAndBudgetCounters)
 {
     auto& reg = metrics::Registry::global();

@@ -8,7 +8,11 @@
  *  - every resetShapes() shape on every backend, and every
  *    nativeMatrix() cell, driven with windows of 1, 3 and 4096
  *    elements: the bytes, control value, consumed and emitted counts of
- *    the VM driven one element at a time;
+ *    the VM driven one element at a time; every shape also through a
+ *    1-stage and a 2-stage ThreadedPipeline and a served Session, which
+ *    drive through the same endpoints and move whole windows (a counted
+ *    node sees far fewer run() calls than elements), and the watchdog
+ *    sees a stage's progress once per window;
  *  - a computer that halts mid-window leaves the rest in the source,
  *    so a second Pipeline::run over the same MemSource picks up there;
  *  - cadence snapshots (every 64 elements) byte-identical to those of a
@@ -19,9 +23,11 @@
  *  - TracedNode counts stay element-exact under windows.
  */
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,9 +38,12 @@
 #include "support/panic.h"
 #include "support/shapes.h"
 #include "zast/builder.h"
+#include "zexec/faultpoint.h"
 #include "zexec/pipeline.h"
 #include "zexec/stepper.h"
+#include "zexec/threaded.h"
 #include "zir/compiler.h"
+#include "zserve/session.h"
 
 namespace ziria {
 namespace {
@@ -171,6 +180,52 @@ optionsFor(Backend b, OptLevel lvl)
 
 constexpr size_t kCaps[] = {1, 3, 4096};
 
+/** Everything a `|>>>|` run over @p in observed. */
+Outcome
+driveThreaded(ThreadedPipeline& p, const std::vector<uint8_t>& in)
+{
+    MemSource src(in, p.inWidth());
+    VecSink sink(p.outWidth());
+    RunStats st = p.run(src, sink);
+    return {sink.data(), st.ctrl, st.consumed, st.emitted, st.halted};
+}
+
+/** @p p served as a session: the whole elements of @p in offered as
+ *  the queue takes them, with the session stepped in between, then
+ *  ended and stepped to the end. */
+Outcome
+driveSession(std::unique_ptr<Pipeline> p, const std::vector<uint8_t>& in)
+{
+    const size_t outW = p->outWidth();
+    const size_t whole = in.size() - in.size() % p->inWidth();
+    serve::Session s(1, /*fd=*/-1, std::move(p), serve::SessionConfig{},
+                     FaultSpec{});
+    Outcome o;
+    size_t off = 0;
+    for (int guard = 0; guard < 100000; ++guard) {
+        if (off < whole) {
+            size_t did = 0;
+            s.offerInput(in.data() + off, whole - off, did);
+            off += did;
+            if (off == whole)
+                s.endInput();
+        }
+        serve::StepResult r = s.step();
+        while (s.takeOutput(o.out, SIZE_MAX) > 0) {
+        }
+        if (r == serve::StepResult::Finished ||
+            r == serve::StepResult::Failed)
+            break;
+    }
+    serve::Session::Completion c = s.completion();
+    EXPECT_TRUE(c.finished && !c.failed) << c.failMessage;
+    o.halted = c.halted;
+    o.ctrl = c.ctrl;
+    o.consumed = s.quiescentConsumed();
+    o.emitted = o.out.size() / outW;
+    return o;
+}
+
 // ------------------------------------------------ windows vs elements
 
 TEST(RunWindows, EveryShapeOnEveryBackendMatchesThePerElementVm)
@@ -182,17 +237,44 @@ TEST(RunWindows, EveryShapeOnEveryBackendMatchesThePerElementVm)
                 compilePipeline(sh.make(), optionsFor(Backend::Vm, lvl));
             const Outcome want = drivePerElement(*vm, in);
             ASSERT_FALSE(want.out.empty()) << sh.name;
+            const Outcome want2 = drivePerElement(
+                *compilePipeline(pipe(sh.make(), incBlock(0)),
+                                 optionsFor(Backend::Vm, lvl)),
+                in);
             for (Backend b : kAllBackends) {
                 if (nativeUnavailable(b))
                     continue;
                 auto p = compilePipeline(sh.make(), optionsFor(b, lvl));
+                const std::string where =
+                    std::string(sh.name) + " on " + backendName(b) +
+                    (lvl == OptLevel::All ? " --opt all" : " --opt none");
                 for (size_t cap : kCaps) {
-                    SCOPED_TRACE(std::string(sh.name) + " on " +
-                                 backendName(b) + (lvl == OptLevel::All
-                                                       ? " --opt all"
-                                                       : " --opt none") +
-                                 ", windows of " + std::to_string(cap));
+                    SCOPED_TRACE(where + ", windows of " +
+                                 std::to_string(cap));
                     expectSame(want, driveWindows(*p, in, cap));
+                }
+                const CompilerOptions opt = optionsFor(b, lvl);
+                {
+                    SCOPED_TRACE(where + ", one stage");
+                    auto t = compileThreadedPipeline(sh.make(), opt);
+                    ASSERT_EQ(t->stageCount(), 1u);
+                    expectSame(want, driveThreaded(*t, in));
+                }
+                {
+                    // The VM twin is the same program with `>>>`: at
+                    // --opt all the appended stage can change how the
+                    // shape is vectorized.
+                    SCOPED_TRACE(where + ", two stages");
+                    auto t = compileThreadedPipeline(
+                        ppipe(sh.make(), incBlock(0)), opt);
+                    ASSERT_EQ(t->stageCount(), 2u);
+                    expectSame(want2, driveThreaded(*t, in));
+                }
+                {
+                    SCOPED_TRACE(where + ", served");
+                    expectSame(want,
+                               driveSession(compilePipeline(sh.make(), opt),
+                                            in));
                 }
             }
         }
@@ -260,6 +342,144 @@ TEST(RunWindows, HaltMidWindowLeavesTheRestInTheSource)
     }
 }
 
+/** Delegates to a compiled tree, counting the run() calls it gets and
+ *  sleeping @p perElem for every element a call takes. */
+class RunCounter : public ExecNode
+{
+  public:
+    RunCounter(NodePtr inner, uint64_t& calls,
+               std::chrono::microseconds perElem = {})
+        : inner_(std::move(inner)), calls_(calls), perElem_(perElem)
+    {
+        setInWidth(inner_->inWidth());
+        setOutWidth(inner_->outWidth());
+    }
+
+    void start(Frame& f) override { inner_->start(f); }
+    Status advance(Frame& f) override { return inner_->advance(f); }
+    void supply(Frame& f, const uint8_t* in) override { inner_->supply(f, in); }
+    const uint8_t* out() const override { return inner_->out(); }
+    void reset(Frame& f) override { inner_->reset(f); }
+
+    Status
+    run(Frame& f, RunWindow& w) override
+    {
+        ++calls_;
+        const uint8_t* in0 = w.in;
+        Status s = inner_->run(f, w);
+        if (perElem_.count() && w.in != in0)
+            std::this_thread::sleep_for(
+                perElem_ * ((w.in - in0) / static_cast<long>(inWidth())));
+        return s;
+    }
+
+  private:
+    NodePtr inner_;
+    uint64_t& calls_;
+    std::chrono::microseconds perElem_;
+};
+
+/** incBlock(@p delta) on the VM behind a RunCounter, its cells appended
+ *  to @p layout. */
+NodePtr
+countedInc(int32_t delta, FrameLayout& layout, uint64_t& calls,
+           std::chrono::microseconds perElem = {})
+{
+    CompPtr c = optimizeComp(incBlock(delta),
+                             CompilerOptions::forLevel(OptLevel::None));
+    ExprCompiler ec(layout);
+    return std::make_unique<RunCounter>(
+        buildNode(c, ec, BuildOptions{}, nullptr), calls, perElem);
+}
+
+/** A fast VM stage, then one that costs @p perElem per element taken,
+ *  under a watchdog deadline of @p deadlineMs; @p calls counts each
+ *  stage's run() calls. */
+std::unique_ptr<ThreadedPipeline>
+slowLastStage(std::chrono::microseconds perElem, double deadlineMs,
+              uint64_t (&calls)[2])
+{
+    FrameLayout layout;
+    std::vector<NodePtr> stages;
+    std::vector<FrameRange> frames;
+    for (size_t i = 0; i < 2; ++i) {
+        const size_t begin = layout.frameSize();
+        stages.push_back(countedInc(1, layout, calls[i],
+                                    i ? perElem : std::chrono::microseconds{}));
+        frames.push_back({begin, layout.frameSize()});
+    }
+    auto t = std::make_unique<ThreadedPipeline>(
+        std::move(stages), std::move(frames), layout.frameSize(), 4, 4);
+    t->setStallDeadline(deadlineMs);
+    return t;
+}
+
+TEST(RunWindows, StagesAndSessionsMoveWholeWindows)
+{
+    // 4096 elements through a counted VM node: a driver that moves one
+    // element per call makes at least one run() per element, one that
+    // hands over whole windows a few per batch.
+    constexpr size_t kElems = 4096;
+    const auto in = rampInts(kElems);
+    std::vector<int32_t> plus11(kElems);
+    for (size_t i = 0; i < kElems; ++i)
+        plus11[i] = static_cast<int32_t>(i * 37 % 101) + 11;
+
+    uint64_t calls0 = 0, calls1 = 0;
+    FrameLayout layout;
+    std::vector<NodePtr> stages;
+    std::vector<FrameRange> frames;
+    for (auto [delta, calls] : {std::pair<int32_t, uint64_t*>{1, &calls0},
+                                {10, &calls1}}) {
+        const size_t begin = layout.frameSize();
+        stages.push_back(countedInc(delta, layout, *calls));
+        frames.push_back({begin, layout.frameSize()});
+    }
+    ThreadedPipeline t(std::move(stages), std::move(frames),
+                       layout.frameSize(), 4, 4);
+    const Outcome staged = driveThreaded(t, in);
+    EXPECT_EQ(staged.out, intBytes(plus11));
+    EXPECT_LT(calls0 * 16, kElems) << "stage 0 ran element by element";
+    EXPECT_LT(calls1 * 16, kElems) << "stage 1 ran element by element";
+
+    uint64_t calls = 0;
+    FrameLayout one;
+    NodePtr root = countedInc(11, one, calls);
+    const Outcome served = driveSession(
+        std::make_unique<Pipeline>(std::move(root), one.frameSize(), 4, 4),
+        in);
+    EXPECT_EQ(served.out, intBytes(plus11));
+    EXPECT_LT(calls * 16, kElems) << "the session ran element by element";
+}
+
+TEST(RunWindows, WatchdogSeesProgressOncePerWindow)
+{
+    // A stage reports progress when a window settles, up to kBatchElems
+    // elements: the deadline has to exceed one window's compute.
+    // 1536 elements at 200 us take about 310 ms in windows of 256
+    // (51 ms each), past a 200 ms deadline as a whole but not per
+    // window: the run completes.
+    const auto in = rampInts(1536);
+    std::vector<int32_t> plus2(1536);
+    for (size_t i = 0; i < plus2.size(); ++i)
+        plus2[i] = static_cast<int32_t>(i * 37 % 101) + 2;
+    uint64_t calls[2] = {0, 0};
+    auto ok = slowLastStage(std::chrono::microseconds(200), 200, calls);
+    EXPECT_EQ(driveThreaded(*ok, in).out, intBytes(plus2));
+
+    // Eight elements at 40 ms each arrive as one 320 ms window: each
+    // element is under the 50 ms deadline, the window is not, and the
+    // watchdog calls a stall.
+    auto slow = slowLastStage(std::chrono::milliseconds(40), 50, calls);
+    try {
+        driveThreaded(*slow, rampInts(8));
+        FAIL() << "a window slower than the deadline went unnoticed";
+    } catch (const StageFailureError& e) {
+        EXPECT_EQ(e.failure().cause, FailureCause::Stall);
+        EXPECT_EQ(e.failure().stage, 1u);
+    }
+}
+
 // ------------------------------------------------- cadence snapshots
 
 /** Pipeline::run's endpoints over a MemSource and a byte vector. */
@@ -287,6 +507,33 @@ struct MemIo
     }
 };
 
+/** The per-element protocol as endpoints: windows of one element from
+ *  next(), and every output pushed as it is made. */
+struct OneByOneIo
+{
+    MemSource& src;
+    size_t outW;
+    std::vector<uint8_t> out;
+
+    Feed
+    pull(const uint8_t** p, size_t* n)
+    {
+        *n = 1;
+        *p = src.next();
+        return *p ? Feed::Ready : Feed::End;
+    }
+
+    void commit(size_t) {}
+    size_t outRoom() const { return 0; }
+
+    bool
+    push(const uint8_t* e, size_t n)
+    {
+        out.insert(out.end(), e, e + n * outW);
+        return true;
+    }
+};
+
 /** Snapshots a 64-element cadence takes over @p in, plus the output. */
 std::pair<std::vector<std::vector<uint8_t>>, std::vector<uint8_t>>
 cadenceRun(Pipeline& p, const std::vector<uint8_t>& in, bool windows)
@@ -298,24 +545,14 @@ cadenceRun(Pipeline& p, const std::vector<uint8_t>& in, bool windows)
     ss.setInterval(64);
     ss.begin();
     MemSource src(in, p.inWidth());
-    std::vector<uint8_t> out;
     if (windows) {
         MemIo io{src, p.outWidth(), {}};
         ss.drive(io);
-        out = std::move(io.out);
-    } else {
-        auto pull = [&](const uint8_t** e) {
-            *e = src.next();
-            return *e ? Feed::Ready : Feed::End;
-        };
-        auto push = [&](const uint8_t* e) {
-            out.insert(out.end(), e, e + p.outWidth());
-            return true;
-        };
-        auto io = elementIo(pull, push);
-        ss.drive(io);
+        return {snaps, io.out};
     }
-    return {snaps, out};
+    OneByOneIo io{src, p.outWidth(), {}};
+    ss.drive(io);
+    return {snaps, io.out};
 }
 
 TEST(RunWindows, CadenceSnapshotsMatchAPerElementDrive)

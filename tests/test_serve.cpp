@@ -668,6 +668,51 @@ TEST(Serve, SessionCheckpointRoundTripOffline)
     EXPECT_EQ(got, expect);
 }
 
+TEST(Serve, CheckpointMidWindowKeepsTheWindowsRest)
+{
+    // A session over its output high water parks in the middle of the
+    // batch its queue source popped.  The checkpoint's backlog must
+    // carry the rest of that batch ahead of the queue and the pending
+    // tail, or the resumed stream skips it.
+    auto factory = scramblerFactory();
+    auto input = randomBits(2048 * 8, 47);
+    auto expect = soloRun(factory, input);
+
+    SessionConfig cfg;
+    cfg.outHighWaterBytes = 1;  // park after every output run
+    cfg.inQueueElems = 4096;
+    Session a(1, /*fd=*/-1, factory(1), cfg, FaultSpec{});
+    const size_t w = a.inWidth();
+    const size_t fed = 1024;
+    size_t consumed = 0;
+    ASSERT_TRUE(a.offerInput(input.data(), fed * w, consumed));
+    ASSERT_EQ(a.step(), StepResult::OutputFull);
+    std::vector<uint8_t> outA;
+    while (a.takeOutput(outA, SIZE_MAX) > 0) {
+    }
+    const uint8_t* tail = input.data() + fed * w;
+    a.pendingIn.assign(tail, tail + w);
+
+    std::vector<uint8_t> ck;
+    std::string err;
+    ASSERT_TRUE(a.checkpoint(ck, &err)) << err;
+    const uint64_t ckConsumed = readU64(ck, 4);
+    const uint64_t ckBacklog = readU64(ck, 20);
+    EXPECT_GT(ckConsumed, 0u);
+    EXPECT_LT(ckConsumed, kBatchElems) << "the session did not park "
+                                          "mid-window";
+    EXPECT_EQ(ckConsumed + ckBacklog, fed + 1);
+
+    Session b(2, /*fd=*/-1, factory(2), SessionConfig{}, FaultSpec{});
+    b.adoptCheckpoint(ck);
+    std::vector<uint8_t> outB;
+    finishStream(b, input, static_cast<size_t>(ckConsumed + ckBacklog) * w,
+                 outB);
+    std::vector<uint8_t> got = outA;
+    got.insert(got.end(), outB.begin(), outB.end());
+    EXPECT_EQ(got, expect);
+}
+
 namespace {
 
 /**
@@ -1006,6 +1051,86 @@ TEST(Serve, DrainEmitsCheckpointAndSecondServerResumes)
     std::vector<uint8_t> got = out1;
     got.insert(got.end(), c2.out.begin(), c2.out.end());
     EXPECT_EQ(got, expect) << "migrated stream diverged from solo run";
+}
+
+TEST(Serve, DrainFlushesOutputElementsWiderThanADataChunk)
+{
+    // Every output element is 68,000 bytes, wider than one 64 KiB Data
+    // chunk.  The client reads nothing until the drain, so elements pile
+    // up in the session's output buffer; the drain must flush all of
+    // them ahead of the Checkpoint, which counts them as delivered.
+    const char* src = R"(
+let comp wide() =
+    var a : arr[17000] int in
+    repeat {
+        seq { (x : int) <- take : int
+            ; do { a[0] := x; a[16999] := a[16999] + x; }
+            ; emit a
+            }
+    }
+
+wide()
+)";
+    CompPtr program = parseComp(src);
+    CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
+    Server::PipelineFactory factory = [program, opt](uint64_t) {
+        return compilePipeline(program, opt, nullptr);
+    };
+    std::vector<uint8_t> input(256 * 4);
+    for (size_t i = 0; i < input.size(); ++i)
+        input[i] = static_cast<uint8_t>(i * 7 + 1);
+    auto expect = soloRun(factory, input);
+
+    ServerConfig cfg;
+    cfg.workers = 1;
+    Server serverA(factory, cfg);
+    serverA.start();
+    TestClient c1;
+    ASSERT_TRUE(c1.connect(serverA.port()));
+    ASSERT_GT(c1.hello.outWidth, 64u * 1024);
+    ASSERT_TRUE(c1.sendAllData(input));
+    // Far more output than the socket buffers hold: the session parks
+    // over its high water with whole elements buffered.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    std::thread drainer([&] { serverA.drainStop(); });
+
+    std::vector<uint8_t> out1, ck;
+    Frame f;
+    while (c1.readFrame(f)) {
+        if (f.type == FrameType::Data)
+            out1.insert(out1.end(), f.payload.begin(), f.payload.end());
+        else if (f.type == FrameType::Checkpoint) {
+            ck = f.payload;
+            break;
+        } else
+            FAIL() << "unexpected frame type during drain";
+    }
+    drainer.join();
+    ASSERT_FALSE(ck.empty()) << "drain never produced a Checkpoint frame";
+    EXPECT_EQ(out1.size(), readU64(ck, 12) * c1.hello.outWidth)
+        << "outputs counted as delivered never reached the client";
+
+    Server serverB(factory, cfg);
+    serverB.start();
+    TestClient c2;
+    ASSERT_TRUE(c2.connect(serverB.port()));
+    std::vector<uint8_t> wire;
+    encodeFrame(wire, FrameType::Checkpoint, ck.data(), ck.size());
+    ASSERT_TRUE(sendAll(c2.sock.get(), wire.data(), wire.size()));
+    const size_t resumeOff =
+        static_cast<size_t>(readU64(ck, 4) + readU64(ck, 20)) * 4;
+    ASSERT_LE(resumeOff, input.size());
+    ASSERT_TRUE(c2.sendAllData(std::vector<uint8_t>(
+        input.begin() + static_cast<long>(resumeOff), input.end())));
+    ASSERT_TRUE(c2.sendEnd());
+    c2.drain();
+    EXPECT_TRUE(c2.sawEnd);
+    EXPECT_FALSE(c2.sawError) << c2.errorMsg;
+    serverB.stop();
+
+    std::vector<uint8_t> got = out1;
+    got.insert(got.end(), c2.out.begin(), c2.out.end());
+    EXPECT_EQ(got, expect);
 }
 
 TEST(Serve, DrainLetsFinishedSessionsCompleteNaturally)

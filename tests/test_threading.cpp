@@ -1036,6 +1036,53 @@ TEST(Threaded, StageRestartRepushesUnflushedOutputsInOrder)
     });
 }
 
+TEST(Threaded, HaltedStageRepushesOutputsHeldAtTeardown)
+{
+    // Stage 0 takes one element, emits 40 and halts in one run of its
+    // node, but the queue holds 8: it is still pushing that run when the
+    // sink throws under the last stage, which cancels the queue.  The
+    // halted stage keeps the unpushed rest and must push it in the next
+    // attempt, or the healed run ends short.
+    auto mk = [](bool threaded) {
+        VarRef x = freshVar("x", Type::int32());
+        std::vector<SeqComp::Item> items;
+        items.push_back(bindc(x, take(Type::int32())));
+        for (int32_t k = 0; k < 40; ++k)
+            items.push_back(just(emit(var(x) * cInt(40) + cInt(k))));
+        CompPtr burst = seqc(std::move(items));
+        return threaded ? ppipe(std::move(burst), incBlock(100))
+                        : pipe(std::move(burst), incBlock(100));
+    };
+    for (Backend be : kAllBackends) {
+        if (nativeUnavailable(be))
+            continue;
+        SCOPED_TRACE(backendName(be));
+        CompilerOptions opt = stageScoped(be, 2);
+        opt.checkpoint.interval = 4;
+        auto p = compileThreadedPipeline(mk(true), opt);
+        auto bytes = intBytes({3, 4});
+        auto expect = compilePipeline(
+            mk(false), CompilerOptions::forLevel(OptLevel::None))
+            ->runBytes(bytes);
+        ASSERT_EQ(expect.size(), 40u * 4);
+
+        MemSource mem(bytes, 4);
+        VecSink vec(4);
+        FaultySink sink(vec, FaultSpec::parse("throw@3"));
+        auto& reg = metrics::Registry::global();
+        uint64_t attempts0 = reg.counter("restart.stage.attempts").value();
+
+        RunStats st = p->run(mem, sink);  // must not throw
+
+        EXPECT_TRUE(st.halted);
+        EXPECT_EQ(sink.fired(), 1u);
+        EXPECT_EQ(reg.counter("restart.stage.attempts").value(),
+                  attempts0 + 1);
+        EXPECT_EQ(vec.data(), expect)
+            << "outputs a halted stage held at teardown were lost";
+    }
+}
+
 TEST(Threaded, StageScopedRestartPreservesDownstreamState)
 {
     for (Backend be : kAllBackends)
