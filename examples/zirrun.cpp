@@ -100,11 +100,14 @@
  *                      127.0.0.1:PORT (default 0 = kernel-assigned;
  *                      the bound port is printed either way).  Each
  *                      accepted connection gets its own compiled
- *                      pipeline instance; --inject-fault, --restart,
+ *                      pipeline instance, built on the server's compile
+ *                      thread in accept order while live sessions keep
+ *                      streaming; --inject-fault, --restart,
  *                      --backoff-ms and --checkpoint then apply per
  *                      session.  Stop with SIGINT/SIGTERM.
  *   --max-sessions N   admission cap: further clients are refused with
- *                      a protocol Error frame (default 64)
+ *                      a protocol Error frame (default 64); connections
+ *                      still compiling count toward it
  *   --workers K        stepping worker threads (default 2)
  *   --idle-timeout-ms N  evict sessions with no socket traffic for N ms
  *   --metrics-interval-ms N  dump the metric registry as JSON every N ms
@@ -769,7 +772,9 @@ main(int argc, char** argv)
 
     // Serving mode: hand the compiled program to the multi-session
     // server and run until a stop signal.  Every accepted connection
-    // gets a fresh pipeline instance from the factory below.
+    // gets a fresh pipeline instance from the factory below, which the
+    // server calls on its compile thread, one connection at a time in
+    // accept order; live sessions keep streaming meanwhile.
     if (listen) {
         try {
             serve::ServerConfig scfg;
@@ -799,6 +804,7 @@ main(int argc, char** argv)
             fcopt.backend = backend;
             fcopt.restart = restart;
             fcopt.checkpoint.interval = checkpointElems;
+            fcopt.cgenCacheDir = cgenCacheDir;
             serve::Server server(
                 [program, fcopt](uint64_t) {
                     return compilePipeline(program, fcopt, nullptr);

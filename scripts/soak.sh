@@ -12,6 +12,9 @@
 # same way: a zirrun --listen server must survive misbehaving clients —
 # a hard disconnect mid-frame, a slow reader forcing backpressure, a
 # burst over the session cap — and still serve the next clean session.
+# Its cold-compile cell streams one native session while a neighbour's
+# pipeline compiles cold: the streaming client's bytes must equal a solo
+# run's and no frame may miss the server's latency budget.
 #
 # The fuse matrix (docs/FUSION.md) runs the same fault x restart grid
 # with `--backend=fused`: the fused bytecode interpreter must compose
@@ -326,6 +329,87 @@ serve_matrix() {
         pass=$((pass + 1))
     fi
     rm -f "$srv_log"
+
+    serve_cold_compile_cell
+}
+
+# serve_cold_compile_cell: a native --listen server with an empty .so
+# cache and a 100 ms frame budget.  A solo session first gives the
+# reference bytes.  Then a rate-paced session streams for about two
+# seconds, and once its pipeline is built the cache is emptied again,
+# so a second client's session compiles cold (the C++ compiler runs)
+# while the first streams.  The compile runs on the server's compile
+# thread: the streaming session's output must equal the solo run's and
+# the server's latency.budget.missed must stay 0.
+serve_cold_compile_cell() {
+    tag="serve/native cold compile beside a stream"
+    work=$(mktemp -d /tmp/ziria-soak-cold.XXXXXX)
+    cache="$work/cache"
+    start_srv "$work/srv.log" --listen=0 --backend native \
+        --cgen-cache-dir "$cache" --latency-budget-us 100000
+    if [ -z "$srv_port" ]; then
+        echo "FAIL $tag: server never reported its port"
+        cat "$work/srv.log"
+        kill "$srv_pid" 2>/dev/null
+        rm -rf "$work"
+        fail=$((fail + 1))
+        return
+    fi
+    zc="$ZCLIENT --port $srv_port --quiet"
+    stream="--seed 9 --frames 64 --elems-per-frame 256"
+    why=""
+    if ! timeout "$DEADLINE_S" $zc $stream --out "$work/solo.bin" \
+             > /dev/null 2>&1; then
+        why="the solo client failed"
+    else
+        rm -rf "$cache"
+        timeout "$DEADLINE_S" $zc $stream --rate 8192 \
+            --out "$work/first.bin" > /dev/null 2>&1 &
+        first_pid=$!
+        t=0
+        while [ "$t" -lt 200 ] && ! ls "$cache"/*.so > /dev/null 2>&1; do
+            t=$((t + 1))
+            sleep 0.05
+        done
+        rm -rf "$cache"
+        timeout "$DEADLINE_S" $zc --frames 4 > /dev/null 2>&1 ||
+            why="the second client failed"
+        wait "$first_pid" || why="the streaming client failed"
+        [ -n "$why" ] || ls "$cache"/*.so > /dev/null 2>&1 ||
+            why="the second session did not compile a native region"
+    fi
+    if [ -z "$why" ] && ! cmp -s "$work/solo.bin" "$work/first.bin"; then
+        why="the streaming session's output differs from the solo run"
+    fi
+    if [ -z "$why" ]; then
+        # Sessions merge their spans into the registry on close; poll a
+        # Stat probe until all three have.
+        t=0
+        while [ "$t" -lt 50 ]; do
+            timeout "$DEADLINE_S" $zc --stat > "$work/stat.json" 2>&1
+            grep -q '"server.sessions.completed":3' "$work/stat.json" &&
+                break
+            t=$((t + 1))
+            sleep 0.1
+        done
+        if ! grep -q '"server.latency.budget.met":[1-9]' \
+                 "$work/stat.json"; then
+            why="no frame was counted against the budget"
+        elif ! grep -q '"server.latency.budget.missed":0[,}]' \
+                   "$work/stat.json"; then
+            why="a frame missed the latency budget: $(grep -o \
+                '"server.latency.budget.missed":[0-9]*' "$work/stat.json")"
+        fi
+    fi
+    kill -TERM "$srv_pid" 2>/dev/null
+    wait "$srv_pid"
+    if [ -n "$why" ]; then
+        echo "FAIL $tag: $why"
+        fail=$((fail + 1))
+    else
+        pass=$((pass + 1))
+    fi
+    rm -rf "$work"
 }
 
 # Fuse matrix: {backend=fused} x {fault} x {restart} x {opt}.  Every

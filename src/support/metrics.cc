@@ -49,6 +49,13 @@ Registry::histogram(const std::string& name)
     return findOrAdd(histograms_, name);
 }
 
+void
+Registry::observe(const std::string& name, uint64_t x)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    findOrAdd(histograms_, name).observe(x);
+}
+
 std::vector<std::pair<std::string, uint64_t>>
 Registry::counterValues() const
 {

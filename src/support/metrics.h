@@ -201,7 +201,8 @@ class Histogram
  * are stable for the registry's lifetime (deque storage), so callers on
  * hot paths resolve once and increment lock-free afterwards.  Counters
  * and gauges are relaxed atomics, so any number of threads may update
- * one entry; a histogram still has a single writer.
+ * one entry; a histogram still has a single writer, unless every writer
+ * goes through observe().
  */
 class Registry
 {
@@ -209,6 +210,10 @@ class Registry
     Counter& counter(const std::string& name);
     Gauge& gauge(const std::string& name);
     Histogram& histogram(const std::string& name);
+
+    /** Record @p x in histogram @p name under the registry mutex, so
+     *  writers on several threads and toJson never overlap. */
+    void observe(const std::string& name, uint64_t x);
 
     /** Snapshot of all counters as (name, value), sorted by name. */
     std::vector<std::pair<std::string, uint64_t>> counterValues() const;

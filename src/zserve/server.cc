@@ -127,6 +127,8 @@ Server::Server(PipelineFactory factory, ServerConfig cfg)
     reg.counter("ziria.ckpt.disk.quarantined");
     reg.counter("ziria.ckpt.disk.gc");
     reg.gauge("server.sessions.active");
+    reg.gauge("server.sessions.compiling");
+    reg.histogram("server.compile.wait_ns");
 
     if (!cfg_.ckptDir.empty())
         store_ = std::make_unique<CkptStore>(cfg_.ckptDir);
@@ -143,8 +145,10 @@ Server::start()
     if (started_)
         return;
     stopping_.store(false);
+    drainSwept_.store(false);
     started_ = true;
     ioThread_ = std::thread(&Server::ioLoop, this);
+    compileThread_ = std::thread(&Server::compileLoop, this);
     int n = std::max(1, cfg_.workers);
     workers_.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i)
@@ -164,6 +168,11 @@ Server::stop()
         std::lock_guard<std::mutex> lk(schedMu_);
     }
     schedCv_.notify_all();
+    {
+        // Likewise for the compile thread.
+        std::lock_guard<std::mutex> lk(compileMu_);
+    }
+    compileCv_.notify_all();
     if (ioThread_.joinable())
         ioThread_.join();
     schedCv_.notify_all();
@@ -171,6 +180,11 @@ Server::stop()
         if (w.joinable())
             w.join();
     workers_.clear();
+    // A compile in progress runs to its end; its result is dropped.
+    if (compileThread_.joinable())
+        compileThread_.join();
+    compileq_.clear();
+    compiled_.clear();
     started_ = false;
 }
 
@@ -184,7 +198,10 @@ Server::drainStop()
     const uint64_t deadline =
         nowNs() + msToNs(std::max(cfg_.drainTimeoutMs, 0.0));
     while (nowNs() < deadline && !stopping_.load()) {
-        if (counters().active == 0)
+        // Until the I/O thread has swept the compiling connections, a
+        // connection accepted just before the drain may still be
+        // waiting for its pipeline with no session counted yet.
+        if (drainSwept_.load() && counters().active == 0)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         wake_.wake();  // keep the I/O loop turning the drain crank
@@ -202,6 +219,7 @@ Server::counters() const
     c.completed = completed_.load();
     uint64_t closedTotal = c.evicted + c.completed;
     c.active = c.accepted > closedTotal ? c.accepted - closedTotal : 0;
+    c.compiling = compilingCount_.load();
     return c;
 }
 
@@ -283,6 +301,51 @@ Server::workerLoop()
 }
 
 // ---------------------------------------------------------------------
+// Compile thread
+// ---------------------------------------------------------------------
+
+/**
+ * Build one pipeline per queued connection, in accept order, and post
+ * each result for the I/O thread.  The I/O thread keeps the socket; this
+ * thread sees only the session id.
+ */
+void
+Server::compileLoop()
+{
+    for (;;) {
+        Compiled c;
+        {
+            std::unique_lock<std::mutex> lk(compileMu_);
+            compileCv_.wait(lk, [&] {
+                return stopping_.load() || !compileq_.empty();
+            });
+            if (stopping_.load())
+                return;
+            c.id = compileq_.front();
+            compileq_.pop_front();
+        }
+        try {
+            c.pipe = factory_(c.id);
+        } catch (const std::exception& e) {
+            c.refuse = std::string("pipeline construction failed: ") +
+                       e.what();
+        } catch (...) {
+            c.refuse = "pipeline construction failed";
+        }
+        if (c.refuse.empty() && !c.pipe)
+            c.refuse = "pipeline construction failed";
+        if (c.refuse.empty() && (c.pipe->inWidth() > kMaxPayload ||
+                                 c.pipe->outWidth() > kMaxPayload))
+            c.refuse = "element width exceeds the frame payload cap";
+        {
+            std::lock_guard<std::mutex> lk(compileMu_);
+            compiled_.push_back(std::move(c));
+        }
+        wake_.wake();
+    }
+}
+
+// ---------------------------------------------------------------------
 // I/O thread
 // ---------------------------------------------------------------------
 
@@ -317,8 +380,14 @@ Server::ioLoop()
         for (auto& s : snap)
             serviceSession(s);  // may close sessions
 
-        if (draining)
+        if (draining) {
+            // Accepts stop with this pass (the listen socket is not
+            // polled), so one sweep refuses every connection whose
+            // pipeline has not come back.
+            refuseCompiling();
+            drainSwept_.store(true);
             driveDrain();  // checkpoint quiesced mid-stream sessions
+        }
 
         pfds.clear();
         fds.clear();
@@ -353,6 +422,7 @@ Server::ioLoop()
                 wake_.drain();
             if (pfds[1].revents & POLLIN)
                 acceptPending();
+            adoptCompiled();
             // Handlers may close sessions; fds freed here are not handed
             // out again until the next pass (accepts happened above), so
             // a by-fd re-lookup is a reliable liveness check.
@@ -406,74 +476,139 @@ Server::ioLoop()
         ::close(kv.first);
     }
     sessions_.clear();
+    for (auto& kv : compiling_)
+        ::close(kv.second.fd);
+    compiling_.clear();
+    publishCompiling();
     metrics::Registry::global().gauge("server.sessions.active").set(0);
 }
 
 void
 Server::acceptPending()
 {
-    auto& reg = metrics::Registry::global();
     for (;;) {
         sockaddr_in peer{};
         socklen_t plen = sizeof peer;
         int cfd = ::accept(listen_.get(),
                            reinterpret_cast<sockaddr*>(&peer), &plen);
         if (cfd < 0)
-            return;  // EAGAIN (drained) or a transient error: next pass
+            break;  // EAGAIN (drained) or a transient error: next pass
         setNonBlocking(cfd);
         setNoDelay(cfd);
 
-        std::string refuse;
-        std::unique_ptr<Pipeline> pipe;
-        if (sessions_.size() >= cfg_.maxSessions) {
-            refuse = "server full: session limit reached";
-        } else {
-            try {
-                pipe = factory_(nextId_);
-            } catch (const std::exception& e) {
-                refuse = std::string("pipeline construction failed: ") +
-                         e.what();
-            }
-            if (refuse.empty() && !pipe)
-                refuse = "pipeline construction failed";
-            if (refuse.empty() && (pipe->inWidth() > kMaxPayload ||
-                                   pipe->outWidth() > kMaxPayload))
-                refuse = "element width exceeds the frame payload cap";
+        // Connections still compiling hold their slot.
+        if (sessions_.size() + compiling_.size() >= cfg_.maxSessions) {
+            refuseConnection(cfd, "server full: session limit reached");
+            continue;
         }
-        if (!refuse.empty()) {
-            std::vector<uint8_t> wire;
-            encodeError(wire, refuse);
-            // Fresh socket, empty send buffer: a single non-blocking
-            // send delivers this small frame (best effort regardless).
-            (void)!::send(cfd, wire.data(), wire.size(), MSG_NOSIGNAL);
-            ::close(cfd);
-            rejected_.fetch_add(1);
-            reg.counter("server.sessions.rejected").inc();
+        const uint64_t id = nextId_++;
+        compiling_[id] = PendingConn{cfd, nowNs()};
+        {
+            std::lock_guard<std::mutex> lk(compileMu_);
+            compileq_.push_back(id);
+        }
+        compileCv_.notify_one();
+    }
+    publishCompiling();
+}
+
+/** Mirror compiling_.size() into counters() and the registry gauge. */
+void
+Server::publishCompiling()
+{
+    compilingCount_.store(compiling_.size());
+    metrics::Registry::global()
+        .gauge("server.sessions.compiling")
+        .set(static_cast<double>(compiling_.size()));
+}
+
+/**
+ * Turn every posted compile into a session (I/O thread): Hello and
+ * scheduling as an accept did when it compiled inline, or the refusal's
+ * Error frame.  A result whose connection a drain already refused is
+ * dropped.
+ */
+void
+Server::adoptCompiled()
+{
+    std::vector<Compiled> done;
+    {
+        std::lock_guard<std::mutex> lk(compileMu_);
+        done.swap(compiled_);
+    }
+    if (done.empty())
+        return;
+    auto& reg = metrics::Registry::global();
+    for (Compiled& c : done) {
+        auto it = compiling_.find(c.id);
+        if (it == compiling_.end())
+            continue;
+        const PendingConn pc = it->second;
+        compiling_.erase(it);
+        if (!c.refuse.empty()) {
+            refuseConnection(pc.fd, c.refuse);
             continue;
         }
 
-        uint64_t id = nextId_++;
         FaultSpec fault;
         if (cfg_.fault.enabled() &&
             (cfg_.faultSession < 0 ||
-             static_cast<int64_t>(id) == cfg_.faultSession))
+             static_cast<int64_t>(c.id) == cfg_.faultSession))
             fault = cfg_.fault;
 
-        auto s = std::make_shared<Session>(id, cfd, std::move(pipe),
+        auto s = std::make_shared<Session>(c.id, pc.fd, std::move(c.pipe),
                                            cfg_.session, fault);
         s->lastActivityNs = nowNs();
         s->schedEnteredNs = s->lastActivityNs;  // dwell clock starts now
         encodeHello(s->outWire, static_cast<uint32_t>(s->inWidth()),
                     static_cast<uint32_t>(s->outWidth()));
         ++s->txFrames;
-        sessions_[cfd] = s;
+        sessions_[pc.fd] = s;
         accepted_.fetch_add(1);
         reg.counter("server.sessions.accepted").inc();
-        reg.gauge("server.sessions.active")
-            .set(static_cast<double>(sessions_.size()));
+        reg.observe("server.compile.wait_ns",
+                    s->lastActivityNs - pc.acceptNs);
         // Source-style pipelines produce output with no input at all.
         enqueue(s);
     }
+    reg.gauge("server.sessions.active")
+        .set(static_cast<double>(sessions_.size()));
+    publishCompiling();
+}
+
+/** Drain pass (I/O thread): refuse every connection still waiting for
+ *  its pipeline; queued compiles are skipped, a running one's result is
+ *  dropped. */
+void
+Server::refuseCompiling()
+{
+    if (compiling_.empty())
+        return;
+    {
+        std::lock_guard<std::mutex> lk(compileMu_);
+        compileq_.clear();
+    }
+    for (auto& kv : compiling_)
+        refuseConnection(kv.second.fd,
+                         "server draining: session not started");
+    compiling_.clear();
+    publishCompiling();
+}
+
+/** Answer a connection that gets no session with an Error frame and
+ *  close it; counted in server.sessions.rejected. */
+void
+Server::refuseConnection(int fd, const std::string& msg)
+{
+    std::vector<uint8_t> wire;
+    encodeError(wire, msg);
+    // Nothing has been written to this socket yet, so its send buffer is
+    // empty and one non-blocking send delivers this small frame (best
+    // effort regardless).
+    (void)!::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
+    ::close(fd);
+    rejected_.fetch_add(1);
+    metrics::Registry::global().counter("server.sessions.rejected").inc();
 }
 
 void
@@ -1100,6 +1235,7 @@ Server::statJson(const std::shared_ptr<Session>& s)
     w.field("evicted", c.evicted);
     w.field("completed", c.completed);
     w.field("active", c.active);
+    w.field("compiling", c.compiling);
     w.field("workers", static_cast<uint64_t>(std::max(1, cfg_.workers)));
     w.endObject();
 

@@ -1,15 +1,25 @@
 /**
  * @file
- * The zserve server: a TCP accept loop, a poll()-based I/O thread, and
- * an N-thread worker pool stepping every live session's pipeline
- * cooperatively (round-robin run queue, bounded quantum per burst).
+ * The zserve server: a TCP accept loop, a poll()-based I/O thread, one
+ * compile thread building each new session's pipeline, and an N-thread
+ * worker pool stepping every live session's pipeline cooperatively
+ * (round-robin run queue, bounded quantum per burst).
  *
  * Division of labor:
  *  - the I/O thread owns every socket: it accepts connections (with
  *    admission control — over the session cap a client is refused with
  *    a protocol Error frame), decodes inbound wire frames into each
  *    session's bounded input queue, frames buffered output back onto
- *    the wire, applies idle timeouts, and closes finished sessions;
+ *    the wire, applies idle timeouts, and closes finished sessions.  It
+ *    never compiles: an accepted connection gets its session id and is
+ *    queued for the compile thread, and its socket is not polled until
+ *    the pipeline is back (the kernel buffers anything sent early);
+ *  - the compile thread calls the pipeline factory for one queued
+ *    connection at a time, in accept order, and posts the pipeline (or
+ *    the refusal) back to the I/O thread, which then creates the
+ *    Session and sends Hello (or an Error frame).  A cold compile thus
+ *    delays only the sessions queued behind it, never a live session's
+ *    frames;
  *  - workers pull Ready sessions off one shared run queue and step each
  *    for one quantum; a session that blocks (input empty / output full)
  *    parks until the I/O thread re-schedules it.  The scheduler state
@@ -24,8 +34,9 @@
  * neighbor output under injected faults).
  *
  * Observability: `server.sessions.{accepted,rejected,evicted,completed}`
- * counters and the `server.sessions.active` gauge in the global metric
- * registry, per-session byte/frame counters aggregated into
+ * counters, the `server.sessions.{active,compiling}` gauges and the
+ * accept-to-Hello histogram `server.compile.wait_ns` in the global
+ * metric registry, per-session byte/frame counters aggregated into
  * `server.{rx,tx}.{frames,bytes}` on close, and an optional periodic
  * JSON dump (a `{"ts_ns":...,"registry":{...}}` document replaced
  * atomically via temp-file + rename so a tailing reader never sees a
@@ -94,7 +105,9 @@ class Server
     /** Spawn the I/O thread and the worker pool. */
     void start();
 
-    /** Stop accepting, cancel live sessions, join every thread. */
+    /** Stop accepting, cancel live sessions, close connections still
+     *  waiting for their pipeline, join every thread (a compile in
+     *  progress runs to its end first). */
     void stop();
 
     /**
@@ -106,7 +119,10 @@ class Server
      * drain.completed — zero data loss), then stop().  Sessions still
      * live when ServerConfig::drainTimeoutMs elapses are force-closed
      * and counted in server.drain.aborted, as is any session whose
-     * checkpoint cannot be built or exceeds the payload cap.
+     * checkpoint cannot be built or exceeds the payload cap.  A
+     * connection whose pipeline is not built yet is refused with an
+     * Error frame ("server draining") and counted as rejected; its
+     * compile is skipped, or its result discarded if already running.
      */
     void drainStop();
 
@@ -121,6 +137,7 @@ class Server
                                  ///< idle timeout, client abort)
         uint64_t completed = 0;  ///< orderly close (End delivered)
         uint64_t active = 0;     ///< live right now
+        uint64_t compiling = 0;  ///< accepted, waiting for a pipeline
     };
     Counters counters() const;
 
@@ -145,12 +162,33 @@ class Server
         uint64_t stampNs = 0;
     };
 
+    /** An accepted connection waiting for its pipeline. */
+    struct PendingConn
+    {
+        int fd = -1;
+        uint64_t acceptNs = 0;
+    };
+
+    /** A finished compile, posted by the compile thread: a pipeline,
+     *  or the message the connection is refused with. */
+    struct Compiled
+    {
+        uint64_t id = 0;
+        std::unique_ptr<Pipeline> pipe;
+        std::string refuse;
+    };
+
     void ioLoop();
     void workerLoop();
+    void compileLoop();
     void enqueue(const std::shared_ptr<Session>& s);
 
     // All of the below run on the I/O thread only.
     void acceptPending();
+    void adoptCompiled();
+    void refuseCompiling();
+    void refuseConnection(int fd, const std::string& msg);
+    void publishCompiling();
     void handleRead(const std::shared_ptr<Session>& s);
     void handleWrite(const std::shared_ptr<Session>& s);
     void processFrames(const std::shared_ptr<Session>& s);
@@ -185,8 +223,12 @@ class Server
 
     std::atomic<bool> stopping_{false};
     std::atomic<bool> draining_{false};
+    /** Set by the I/O thread once a drain pass has refused every
+     *  connection still compiling; no accept follows it. */
+    std::atomic<bool> drainSwept_{false};
     bool started_ = false;
     std::thread ioThread_;
+    std::thread compileThread_;
     std::vector<std::thread> workers_;
 
     // Sessions keyed by fd; owned by the I/O thread (workers hold
@@ -194,6 +236,14 @@ class Server
     std::map<int, std::shared_ptr<Session>> sessions_;
     uint64_t nextId_ = 0;
     uint64_t lastMetricsNs_ = 0;
+    // Connections waiting for their pipeline, by session id.
+    std::map<uint64_t, PendingConn> compiling_;
+
+    // Compile thread hand-off: ids in, pipelines or refusals out.
+    std::mutex compileMu_;
+    std::condition_variable compileCv_;
+    std::deque<uint64_t> compileq_;
+    std::vector<Compiled> compiled_;
 
     // Durable checkpoints & live migration (I/O thread only).
     std::unique_ptr<CkptStore> store_;
@@ -209,6 +259,7 @@ class Server
     std::atomic<uint64_t> rejected_{0};
     std::atomic<uint64_t> evicted_{0};
     std::atomic<uint64_t> completed_{0};
+    std::atomic<uint64_t> compilingCount_{0};
 };
 
 } // namespace serve

@@ -5,12 +5,15 @@
  * a solo in-process run, multi-session fault isolation (a faulted
  * session is evicted exactly once while its neighbor's output stays
  * byte-identical), per-session supervised restart, admission control,
- * idle timeouts, and protocol-error eviction.
+ * idle timeouts, protocol-error eviction, and the compile thread (a slow
+ * compile next to a streaming session, under admission, stop and
+ * drain).
  *
  * All socket traffic is loopback (127.0.0.1); no test talks to the
  * outside world.
  */
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -91,6 +94,33 @@ soloRun(const Server::PipelineFactory& factory,
 {
     auto p = factory(~0ull);
     return p->runBytes(input);
+}
+
+/** Counts of slow compiles begun and finished (see slowFactory). */
+struct CompileGate
+{
+    std::atomic<int> started{0};
+    std::atomic<int> finished{0};
+};
+
+/**
+ * The scrambler factory, except that sessions with ids in
+ * [@p slowFrom, @p slowTo) sleep @p sleepMs first, standing in for a
+ * cold native compile.
+ */
+Server::PipelineFactory
+slowFactory(CompileGate& gate, int sleepMs, uint64_t slowFrom,
+            uint64_t slowTo = UINT64_MAX)
+{
+    auto inner = scramblerFactory();
+    return [inner, &gate, sleepMs, slowFrom, slowTo](uint64_t id) {
+        if (id >= slowFrom && id < slowTo) {
+            gate.started.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(sleepMs));
+            gate.finished.fetch_add(1);
+        }
+        return inner(id);
+    };
 }
 
 /** Poll @p cond for up to @p ms milliseconds. */
@@ -414,7 +444,10 @@ TEST(Serve, PerSessionRestartHealsTransientFault)
 
 TEST(Serve, AdmissionControlRejectsOverCap)
 {
-    auto factory = scramblerFactory();
+    // Session 0 compiles slowly, so the first refusal below arrives
+    // while the one slot is held by a connection still compiling.
+    CompileGate gate;
+    auto factory = slowFactory(gate, 300, 0, 1);
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.maxSessions = 1;
@@ -422,7 +455,18 @@ TEST(Serve, AdmissionControlRejectsOverCap)
     server.start();
 
     TestClient held;
-    ASSERT_TRUE(held.connect(server.port()));  // occupies the one slot
+    bool heldOk = false;
+    std::thread heldThread([&] { heldOk = held.connect(server.port()); });
+    ASSERT_TRUE(waitFor([&] { return gate.started.load() == 1; }));
+
+    TestClient early;
+    EXPECT_FALSE(early.connect(server.port()));
+    EXPECT_TRUE(early.sawError);
+    EXPECT_NE(early.errorMsg.find("full"), std::string::npos)
+        << early.errorMsg;
+    EXPECT_EQ(gate.finished.load(), 0) << "refused only after the compile";
+    heldThread.join();
+    ASSERT_TRUE(heldOk);  // the compiling connection kept its slot
 
     TestClient refused;
     EXPECT_FALSE(refused.connect(server.port()));
@@ -430,7 +474,7 @@ TEST(Serve, AdmissionControlRejectsOverCap)
     EXPECT_NE(refused.errorMsg.find("full"), std::string::npos)
         << refused.errorMsg;
 
-    EXPECT_TRUE(waitFor([&] { return server.counters().rejected == 1; }));
+    EXPECT_TRUE(waitFor([&] { return server.counters().rejected == 2; }));
 
     // Releasing the slot re-opens admission.
     held.sendEnd();
@@ -442,6 +486,231 @@ TEST(Serve, AdmissionControlRejectsOverCap)
     next.run(server.port(), randomBits(8 * 8, 61));
     EXPECT_TRUE(next.sawEnd);
     server.stop();
+}
+
+// ------------------------------------------------------- compile thread
+
+TEST(Serve, SlowCompileDoesNotDelayANeighboursFrames)
+{
+    // Session 1's pipeline takes half a second to build.  Session 0
+    // streams frames meanwhile; none of its round trips may wait for
+    // that compile, and none may miss a 100 ms frame budget.
+    constexpr int kCompileMs = 500;
+    constexpr size_t kFrames = 32;
+    constexpr size_t kFrameElems = 64;
+    CompileGate gate;
+    auto factory = slowFactory(gate, kCompileMs, 1);
+
+    auto& reg = metrics::Registry::global();
+    const uint64_t met0 = reg.counter("server.latency.budget.met").value();
+    const uint64_t missed0 =
+        reg.counter("server.latency.budget.missed").value();
+
+    ServerConfig cfg;
+    cfg.workers = 2;
+    cfg.session.trackLatency = true;
+    cfg.session.span.frameElems = kFrameElems;
+    cfg.session.span.budgetNs = 100ull * 1000 * 1000;
+    Server server(factory, cfg);
+    server.start();
+
+    TestClient a;
+    ASSERT_TRUE(a.connect(server.port()));
+    TestClient b;
+    bool bOk = false;
+    std::thread bThread([&] { bOk = b.connect(server.port()); });
+    ASSERT_TRUE(waitFor([&] { return gate.started.load() == 1; }));
+
+    const size_t frameBytes = kFrameElems * a.hello.inWidth;
+    const auto input = randomBits(kFrames * frameBytes, 91);
+    double worstMs = 0;
+    for (size_t i = 0; i < kFrames; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        ASSERT_TRUE(a.sendData(input.data() + i * frameBytes, frameBytes));
+        Frame f;
+        while (a.out.size() < (i + 1) * frameBytes) {
+            ASSERT_TRUE(a.readFrame(f));
+            ASSERT_EQ(f.type, FrameType::Data);
+            a.out.insert(a.out.end(), f.payload.begin(), f.payload.end());
+        }
+        worstMs = std::max(
+            worstMs, std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count());
+    }
+    // Every frame made its round trip while session 1 was compiling.
+    EXPECT_EQ(gate.finished.load(), 0);
+    EXPECT_LT(worstMs, kCompileMs / 5.0);
+
+    ASSERT_TRUE(a.sendEnd());
+    a.drain();
+    EXPECT_TRUE(a.sawEnd);
+    EXPECT_EQ(a.out, soloRun(scramblerFactory(), input));
+    bThread.join();
+    ASSERT_TRUE(bOk);
+    ASSERT_TRUE(b.sendEnd());
+    b.drain();
+    EXPECT_TRUE(b.sawEnd);
+    EXPECT_TRUE(waitFor([&] { return server.counters().completed == 2; }));
+    server.stop();
+
+    EXPECT_GE(reg.counter("server.latency.budget.met").value(),
+              met0 + kFrames);
+    EXPECT_EQ(reg.counter("server.latency.budget.missed").value(), missed0);
+}
+
+TEST(Serve, CompileWaitIsExported)
+{
+    // While session 1 compiles, the gauge, the counters and a Stat
+    // reply show one connection compiling; its accept-to-Hello wait
+    // lands in server.compile.wait_ns.
+    constexpr int kCompileMs = 300;
+    CompileGate gate;
+    auto factory = slowFactory(gate, kCompileMs, 1);
+    auto& reg = metrics::Registry::global();
+    ServerConfig cfg;
+    cfg.workers = 1;
+    Server server(factory, cfg);
+    server.start();
+    uint64_t count0 = 0, sum0 = 0;
+    {
+        // Read unlocked only while no I/O thread can observe into it:
+        // this server has had no connection yet.
+        auto& h = reg.histogram("server.compile.wait_ns");
+        count0 = h.count();
+        sum0 = h.sum();
+    }
+
+    TestClient a;
+    ASSERT_TRUE(a.connect(server.port()));
+    TestClient b;
+    bool bOk = false;
+    std::thread bThread([&] { bOk = b.connect(server.port()); });
+    ASSERT_TRUE(waitFor([&] { return gate.started.load() == 1; }));
+    EXPECT_TRUE(waitFor([&] { return server.counters().compiling == 1; }));
+    EXPECT_EQ(server.counters().active, 1u);
+
+    std::vector<uint8_t> wire;
+    encodeFrame(wire, FrameType::Stat);
+    ASSERT_TRUE(sendAll(a.sock.get(), wire.data(), wire.size()));
+    Frame f;
+    ASSERT_TRUE(a.readFrame(f));
+    ASSERT_EQ(f.type, FrameType::Stat);
+    const std::string json(f.payload.begin(), f.payload.end());
+    EXPECT_NE(json.find("\"compiling\":1"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"server.sessions.compiling\":{\"value\":1"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"server.compile.wait_ns\""), std::string::npos)
+        << json;
+    EXPECT_EQ(gate.finished.load(), 0);
+
+    bThread.join();
+    ASSERT_TRUE(bOk);
+    EXPECT_EQ(server.counters().compiling, 0u);
+    a.sendEnd();
+    a.drain();
+    b.sendEnd();
+    b.drain();
+    server.stop();
+
+    auto& h = reg.histogram("server.compile.wait_ns");
+    EXPECT_EQ(h.count(), count0 + 2);
+    EXPECT_GE(h.sum() - sum0, static_cast<uint64_t>(kCompileMs) * 1000000);
+}
+
+TEST(Serve, StopJoinsACompileInProgress)
+{
+    CompileGate gate;
+    auto factory = slowFactory(gate, 300, 0);
+    ServerConfig cfg;
+    cfg.workers = 1;
+    Server server(factory, cfg);
+    server.start();
+
+    TestClient c;
+    bool ok = true;
+    std::thread client([&] { ok = c.connect(server.port()); });
+    ASSERT_TRUE(waitFor([&] { return gate.started.load() == 1; }));
+    EXPECT_EQ(server.counters().compiling, 1u);
+    server.stop();
+    // stop() returned with the compile run to its end and the thread
+    // joined; the connection that never got a session is closed.
+    EXPECT_EQ(gate.finished.load(), 1);
+    client.join();
+    EXPECT_FALSE(ok);
+    EXPECT_EQ(server.counters().accepted, 0u);
+    EXPECT_EQ(server.counters().compiling, 0u);
+}
+
+TEST(Serve, DrainRefusesConnectionsStillCompiling)
+{
+    // The drain rule: a client that got a Hello gets its End or a
+    // Checkpoint; a connection whose pipeline is not built yet gets an
+    // Error frame.  Session 1 is mid-compile and session 2 queued behind
+    // it when the drain starts; session 0 is mid-stream.
+    constexpr int kCompileMs = 500;
+    CompileGate gate;
+    auto factory = slowFactory(gate, kCompileMs, 1);
+    ServerConfig cfg;
+    cfg.workers = 1;
+    Server server(factory, cfg);
+    server.start();
+
+    TestClient a;
+    ASSERT_TRUE(a.connect(server.port()));
+    ASSERT_TRUE(a.sendAllData(randomBits(64 * a.hello.inWidth, 92)));
+
+    TestClient b, c;
+    int finishedAtRefusal[2] = {-1, -1};
+    std::thread bThread([&] {
+        if (!b.connect(server.port()))
+            finishedAtRefusal[0] = gate.finished.load();
+    });
+    ASSERT_TRUE(waitFor([&] { return gate.started.load() == 1; }));
+    std::thread cThread([&] {
+        if (!c.connect(server.port()))
+            finishedAtRefusal[1] = gate.finished.load();
+    });
+    ASSERT_TRUE(waitFor([&] { return server.counters().compiling == 2; }));
+
+    double drainMs = 0;
+    std::thread drainer([&] {
+        const auto t0 = std::chrono::steady_clock::now();
+        server.drainStop();
+        drainMs = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    });
+
+    // Session 0: Hello, then (whatever output) a Checkpoint.
+    bool sawCkpt = false;
+    Frame f;
+    while (!sawCkpt && a.readFrame(f)) {
+        EXPECT_TRUE(f.type == FrameType::Data ||
+                    f.type == FrameType::Checkpoint);
+        sawCkpt = f.type == FrameType::Checkpoint;
+    }
+    EXPECT_TRUE(sawCkpt);
+    a.sock.reset();  // hang up, as a migrating client does
+    drainer.join();
+    bThread.join();
+    cThread.join();
+    // Sessions 1 and 2: an Error frame, sent while 1 still compiled.
+    for (TestClient* t : {&b, &c}) {
+        EXPECT_TRUE(t->sawError);
+        EXPECT_NE(t->errorMsg.find("draining"), std::string::npos)
+            << t->errorMsg;
+    }
+    EXPECT_EQ(finishedAtRefusal[0], 0);
+    EXPECT_EQ(finishedAtRefusal[1], 0);
+    // drainStop joined the compile thread: session 1's compile ran out,
+    // session 2's never started.
+    EXPECT_EQ(gate.finished.load(), 1);
+    EXPECT_EQ(gate.started.load(), 1);
+    EXPECT_LT(drainMs, cfg.drainTimeoutMs);
+    EXPECT_EQ(server.counters().accepted, 1u);
+    EXPECT_EQ(server.counters().rejected, 2u);
 }
 
 TEST(Serve, IdleSessionIsTimedOut)
