@@ -28,6 +28,8 @@ using namespace zbench;
 
 namespace {
 
+/** Hands out @p base's elements in windows of one, stamping each as
+ *  it is handed out: the paper's per-read sample. */
 class TimedSource : public InputSource
 {
   public:
@@ -37,26 +39,32 @@ class TimedSource : public InputSource
     }
 
     const uint8_t*
-    next() override
+    window(size_t* n) override
     {
         ts_.push_back(nowNs());
-        return base_.next();
+        const uint8_t* p = base_.window(n);
+        *n = std::min<size_t>(*n, 1);
+        return p;
     }
+
+    void commit(size_t n) override { base_.commit(n); }
 
   private:
     InputSource& base_;
     std::vector<uint64_t>& ts_;
 };
 
+/** Stamps every element of a run as the run arrives: the paper's
+ *  per-write sample. */
 class TimedSink : public OutputSink
 {
   public:
     explicit TimedSink(std::vector<uint64_t>& ts) : ts_(ts) {}
 
     void
-    put(const uint8_t*) override
+    putRun(const uint8_t*, size_t n, size_t) override
     {
-        ts_.push_back(nowNs());
+        ts_.insert(ts_.end(), n, nowNs());
     }
 
   private:

@@ -127,6 +127,7 @@
  *   1  anything else (internal error)
  */
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -259,21 +260,23 @@ struct TimelineGuard
     }
 };
 
-/** Streams output elements straight to a stdio file (`--out FILE`). */
+/** Streams output runs straight to a stdio file (`--out FILE`); a
+ *  short write fails the run. */
 class FileSink : public OutputSink
 {
   public:
-    FileSink(std::FILE* f, size_t elem_width) : f_(f), w_(elem_width) {}
+    FileSink(std::FILE* f, const std::string& path) : f_(f), path_(path) {}
 
     void
-    put(const uint8_t* elem) override
+    putRun(const uint8_t* elems, size_t n, size_t width) override
     {
-        std::fwrite(elem, 1, w_, f_);
+        if (std::fwrite(elems, width, n, f_) != n)
+            fatalf("cannot write ", path_, ": ", std::strerror(errno));
     }
 
   private:
     std::FILE* f_;
-    size_t w_;
+    std::string path_;
 };
 
 /**
@@ -708,10 +711,10 @@ main(int argc, char** argv)
         copt.backend = backend;
         copt.stallDeadlineMs = deadlineMs;
         copt.restart = restart;
-        // Checkpointing only pays off under a restart policy (the
-        // snapshot is consumed by the re-arm path), but setting it
-        // unconditionally is harmless: the pipeline ignores it when no
-        // restart ever fires.
+        // The cadence runs under a restart policy (a heal restores its
+        // snapshot) or with a --ckpt-dir store, which persists every
+        // snapshot even without one (Pipeline::configureStepper); with
+        // neither, the interval is ignored.
         copt.checkpoint.interval = checkpointElems;
         copt.cgenCacheDir = cgenCacheDir;
 
@@ -940,21 +943,33 @@ main(int argc, char** argv)
 
         // A resumed run re-reads the deterministic input stream from
         // the top; skip what the restored pipeline already consumed.
-        for (uint64_t i = 0; i < resumedConsumed; ++i)
-            if (!src.next())
+        for (uint64_t left = resumedConsumed; left > 0;) {
+            size_t n = 0;
+            if (!src.window(&n))
                 break;
+            n = static_cast<size_t>(std::min<uint64_t>(n, left));
+            src.commit(n);
+            left -= n;
+        }
 
         VecSink vsink(outW);
         std::unique_ptr<FileSink> fsink;
         OutputSink* sink = &vsink;
         if (outFile) {
-            fsink = std::make_unique<FileSink>(outFile, outW);
+            fsink = std::make_unique<FileSink>(outFile, outPath);
             sink = fsink.get();
         }
         RunStats st = threaded ? tp->run(src, *sink) : p->run(src, *sink);
         if (outFile) {
-            std::fclose(outFile);
+            // The closing flush writes what stdio still buffers; the
+            // error flag keeps a failed write a restart carried on past.
+            const bool closed = std::fflush(outFile) == 0 &&
+                                !std::ferror(outFile) &&
+                                std::fclose(outFile) == 0;
             outFile = nullptr;
+            if (!closed)
+                fatalf("cannot write ", outPath, ": ",
+                       std::strerror(errno));
         }
         const auto& out = vsink.data();
         std::printf("consumed %llu element(s), emitted %llu",

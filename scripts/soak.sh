@@ -242,6 +242,20 @@ recovery_matrix() {
     check 5 "recovery/serve permanent throw" \
             $sc --opt none --serve=2000 --inject-fault throw@100:0 \
             --restart 2 --backoff-ms 1
+
+    # An --out file that cannot be written fails the run: a short write
+    # mid-run (exit 3, or 5 once every restart meets another one), a
+    # write a restart carried on past (3 at close), and a failed closing
+    # flush of the few bytes stdio still buffers (3).
+    if [ -c /dev/full ]; then
+        full="$BIN examples/zir/scrambler.zir --opt none --out /dev/full"
+        check 3 "recovery/out short write" $full --bytes 4096
+        check 5 "recovery/out short write exhausts" \
+                $full --bytes 65536 --restart 2 --backoff-ms 1
+        check 3 "recovery/out short write healed" \
+                $full --bytes 4096 --restart 2 --backoff-ms 1
+        check 3 "recovery/out failed close" $full --bytes 64
+    fi
 }
 
 # Serve matrix: a long-lived zirrun --listen server against well- and

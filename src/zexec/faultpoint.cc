@@ -1,5 +1,6 @@
 #include "zexec/faultpoint.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
@@ -41,6 +42,31 @@ countInjection(const char* what)
     metrics::Registry::global()
         .counter(std::string("fault.injected.") + what)
         .inc();
+}
+
+/** Whether a Throw/Stall fault that has fired @p fired times may fire
+ *  again: at most `count` times (0 = forever). */
+bool
+armed(const FaultSpec& spec, uint64_t fired)
+{
+    return spec.count == 0 || fired < spec.count;
+}
+
+/**
+ * One shared firing rule for the tick-indexed faults (Throw/Stall):
+ * fire when the @p run elements from clock @p at reach the tick, at
+ * most `count` times.  The fired counter — not the clock — limits
+ * re-firing, because a throw does NOT advance the clock: a restarted
+ * run would otherwise meet the tick again and the fault would defeat
+ * every restart budget.
+ */
+bool
+fires(const FaultSpec& spec, uint64_t at, uint64_t run, uint64_t& fired)
+{
+    if (at + run <= spec.tick || !armed(spec, fired))
+        return false;
+    ++fired;
+    return true;
 }
 
 } // namespace
@@ -132,27 +158,8 @@ FaultSpec::show() const
     return "none";
 }
 
-/**
- * One shared firing rule for the tick-indexed one-shot faults
- * (Throw/Stall): fire once the clock reaches the tick, at most `count`
- * times (0 = forever).  The fired counter — not the clock — limits
- * re-firing, because a throwing next() does NOT advance the clock: a
- * restarted run would otherwise meet `n_ == tick` again and the fault
- * would defeat every restart budget.
- */
-bool
-FaultySource::shouldFire()
-{
-    if (n_ < spec_.tick)
-        return false;
-    if (spec_.count != 0 && fired_ >= spec_.count)
-        return false;
-    ++fired_;
-    return true;
-}
-
 const uint8_t*
-FaultySource::next()
+FaultySource::window(size_t* n)
 {
     if (cancelled_.load(std::memory_order_relaxed))
         return nullptr;
@@ -164,36 +171,82 @@ FaultySource::next()
         }
         break;
       case FaultSpec::Kind::Throw:
-        if (shouldFire()) {
+        if (fires(spec_, n_, 1, fired_)) {
             countInjection("throw");
             throw InjectedFault("injected fault: throw at source tick " +
                                 std::to_string(n_));
         }
         break;
       case FaultSpec::Kind::Stall:
-        if (shouldFire()) {
+        // Once per element: a window handed out again at the same clock
+        // does not stall again, unless a cancel cut the stall short.
+        if (n_ != stalledAt_ && fires(spec_, n_, 1, fired_)) {
             countInjection("stall");
             if (cancellableSleep(spec_.stallMs, cancelled_))
                 return nullptr;
+            stalledAt_ = n_;
         }
         break;
       case FaultSpec::Kind::ShortRead:
-        if (n_ >= spec_.tick) {
-            // Drop (skip) inner elements with probability 1/8 each.
-            while ((rng_.next() & 7) == 0) {
-                countInjection("shortread");
-                if (!inner_.next())
-                    return nullptr;
-            }
-        }
+        if (n_ >= spec_.tick)
+            return shortRead(n);
         break;
       case FaultSpec::Kind::None:
-        break;
+        return inner_.window(n);
     }
-    const uint8_t* p = inner_.next();
-    if (p)
-        ++n_;
+    const uint8_t* p = inner_.window(n);
+    // End the window where the fault can next fire: at the tick, and
+    // past it one element at a time while a stall has fires left.
+    const bool oneShot = spec_.kind == FaultSpec::Kind::Throw ||
+                         spec_.kind == FaultSpec::Kind::Stall;
+    if (p && (!oneShot || armed(spec_, fired_)))
+        *n = static_cast<size_t>(std::min<uint64_t>(
+            *n, n_ < spec_.tick ? spec_.tick - n_ : 1));
     return p;
+}
+
+/**
+ * ShortRead past the tick: every inner element takes one draw, which
+ * drops it with probability 1/8.  A window is the run of kept elements
+ * at the front of the inner one; a drawn drop waits for the next
+ * window, and kept elements drawn but not committed stay drawn.
+ */
+const uint8_t*
+FaultySource::shortRead(size_t* n)
+{
+    auto drop = [this] { return (rng_.next() & 7) == 0; };
+    for (;;) {
+        size_t m = 0;
+        const uint8_t* p = inner_.window(&m);
+        if (!p)
+            return nullptr;
+        if (takes_ == 0) {
+            const bool dropped = dropNext_ || drop();
+            dropNext_ = false;
+            if (dropped) {
+                countInjection("shortread");
+                inner_.commit(1);
+                continue;
+            }
+            takes_ = 1;
+        }
+        while (!dropNext_ && takes_ < m) {
+            if (drop())
+                dropNext_ = true;
+            else
+                ++takes_;
+        }
+        *n = std::min(takes_, m);
+        return p;
+    }
+}
+
+void
+FaultySource::commit(size_t n)
+{
+    inner_.commit(n);
+    n_ += n;
+    takes_ -= std::min(takes_, n);
 }
 
 void
@@ -210,44 +263,37 @@ FaultySource::rearm()
     inner_.rearm();
 }
 
-bool
-FaultySink::shouldFire()
-{
-    // Same rule as FaultySource::shouldFire(); see the comment there.
-    if (n_ < spec_.tick)
-        return false;
-    if (spec_.count != 0 && fired_ >= spec_.count)
-        return false;
-    ++fired_;
-    return true;
-}
-
 void
-FaultySink::put(const uint8_t* elem)
+FaultySink::putRun(const uint8_t* elems, size_t n, size_t width)
 {
     switch (spec_.kind) {
       case FaultSpec::Kind::Truncate:
-      case FaultSpec::Kind::ShortRead:
-        if (n_ >= spec_.tick) {
+      case FaultSpec::Kind::ShortRead: {
+        const size_t keep = n_ < spec_.tick
+            ? static_cast<size_t>(std::min<uint64_t>(n, spec_.tick - n_))
+            : 0;
+        if (keep)
+            inner_.putRun(elems, keep, width);
+        if (keep < n) {
             if (dropped_ == 0)
                 countInjection("short_write");
-            ++n_;
-            ++dropped_;
-            return;
+            dropped_ += n - keep;
         }
-        break;
+        n_ += n;
+        return;
+      }
       case FaultSpec::Kind::Throw:
-        if (shouldFire()) {
+        if (fires(spec_, n_, n, fired_)) {
             countInjection("throw");
             throw InjectedFault("injected fault: throw at sink tick " +
-                                std::to_string(n_));
+                                std::to_string(std::max(n_, spec_.tick)));
         }
         break;
       case FaultSpec::Kind::Stall:
-        // A stall delays the element, never drops it: the pipeline
-        // counts a returned put() as delivered, so a watchdog cancel
-        // only cuts the sleep short.
-        if (shouldFire()) {
+        // A stall delays the run, never drops it: the pipeline counts a
+        // returned putRun() as delivered, so a watchdog cancel only cuts
+        // the sleep short.
+        if (fires(spec_, n_, n, fired_)) {
             countInjection("stall");
             cancellableSleep(spec_.stallMs, cancelled_);
         }
@@ -255,8 +301,8 @@ FaultySink::put(const uint8_t* elem)
       case FaultSpec::Kind::None:
         break;
     }
-    inner_.put(elem);
-    ++n_;
+    inner_.putRun(elems, n, width);
+    n_ += n;
 }
 
 void

@@ -18,6 +18,7 @@
 #define ZIRIA_ZEXEC_FAULTPOINT_H
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 
 #include "support/panic.h"
@@ -72,7 +73,12 @@ class InjectedFault : public FatalError
 };
 
 /**
- * InputSource decorator applying one FaultSpec.  Stalls poll the cancel
+ * InputSource decorator applying one FaultSpec, a window at a time.
+ * Windows are clipped at the fault tick, so Truncate, Throw and Stall
+ * fire at the element index they name whatever the inner source's
+ * window size, and ShortRead draws once per inner element from the
+ * tick on (a drop ends the window before it), so a seed drops the same
+ * elements however the drive takes its windows.  Stalls poll the cancel
  * flag every few ms, so a supervised teardown (InputSource::cancel)
  * unblocks the stage promptly instead of waiting out the stall.
  */
@@ -84,7 +90,8 @@ class FaultySource : public InputSource
     {
     }
 
-    const uint8_t* next() override;
+    const uint8_t* window(size_t* n) override;
+    void commit(size_t n) override;
     void cancel() override;
 
     /** End once the fault or a cancel ended the read, else the inner
@@ -111,23 +118,27 @@ class FaultySource : public InputSource
     uint64_t fired() const { return fired_; }
 
   private:
-    bool shouldFire();
+    const uint8_t* shortRead(size_t* n);
 
     InputSource& inner_;
     FaultSpec spec_;
-    uint64_t n_ = 0;
+    uint64_t n_ = 0;  ///< elements committed: the fault clock
     uint64_t fired_ = 0;
+    uint64_t stalledAt_ = UINT64_MAX;  ///< clock of the last whole stall
+    size_t takes_ = 0;       ///< ShortRead: inner elements drawn as kept
+    bool dropNext_ = false;  ///< ShortRead: the one after them is dropped
     std::atomic<bool> cancelled_{false};
     Rng rng_;
 };
 
 /**
- * OutputSink decorator applying one FaultSpec.  Truncate becomes a
- * short *write*: elements from tick K on are silently dropped (the
- * stream keeps flowing, the capture file is short).  A stall sleeps
- * before writing the element (cancel() cuts the sleep short); the
- * element is still written, since every put() that returns counts as
- * delivered.
+ * OutputSink decorator applying one FaultSpec, a run at a time.
+ * Truncate becomes a short *write*: the part of a run before tick K is
+ * delivered and every element from K on is silently dropped (the
+ * stream keeps flowing, the capture file is short).  Throw and Stall
+ * fire on the run that reaches tick K, before any of it is taken, as
+ * putRun()'s take-all-or-none rule asks.  A stall delays the run, never
+ * drops it (cancel() cuts the sleep short).
  */
 class FaultySink : public OutputSink
 {
@@ -137,7 +148,8 @@ class FaultySink : public OutputSink
     {
     }
 
-    void put(const uint8_t* elem) override;
+    void putRun(const uint8_t* elems, size_t n, size_t width) override;
+    bool full() const override { return inner_.full(); }
     void cancel() override;
     void rearm() override;  ///< see FaultySource::rearm()
 
@@ -146,8 +158,6 @@ class FaultySink : public OutputSink
     uint64_t fired() const { return fired_; }
 
   private:
-    bool shouldFire();
-
     OutputSink& inner_;
     FaultSpec spec_;
     uint64_t n_ = 0;

@@ -28,44 +28,38 @@ namespace ziria {
 
 class CkptStore;
 
-/** Pull-style input: elements of a fixed byte width. */
+/**
+ * Pull-style input, a window at a time: elements of a fixed byte width.
+ * window() hands out the elements available now and commit() marks how
+ * many of them the drive took; a window stays valid until the next
+ * window() call.
+ */
 class InputSource
 {
   public:
     virtual ~InputSource() = default;
 
-    /** Pointer to the next element, or null at end of stream. */
-    virtual const uint8_t* next() = 0;
-
     /**
      * The elements available now, as a run: sets @p n (>= 1) and
-     * returns the first, or null at end of stream.  commit(k) then
-     * marks the first k of them consumed; the rest stay in the source
-     * and lead the next window.  The default is next() as a run of
-     * one, already consumed (its commit is a no-op), so a caller must
-     * use a window's first element before asking for another.
+     * returns the first, or null (see state()).  commit(k) then marks
+     * the first k of them consumed; the rest stay in the source and
+     * lead the next window.
      */
-    virtual const uint8_t*
-    window(size_t* n)
-    {
-        const uint8_t* p = next();
-        *n = p ? 1 : 0;
-        return p;
-    }
+    virtual const uint8_t* window(size_t* n) = 0;
 
     /** Consume the first @p n elements of the last window(). */
-    virtual void commit(size_t n) { (void)n; }
+    virtual void commit(size_t n) = 0;
 
-    /** Why the last window() or next() returned null: End (the
-     *  default) or Empty (nothing now; more may come, so park). */
+    /** Why the last window() returned null: End (the default) or
+     *  Empty (nothing now; more may come, so park). */
     virtual Feed state() const { return Feed::End; }
 
     /**
-     * Ask a blocked next() to give up and return null as soon as it can.
-     * Called by the ThreadedPipeline supervisor from another thread when
-     * a run is aborted; sources that can block (radios, sockets, fault
-     * injectors) should honor it.  Default: no-op (memory sources never
-     * block).
+     * Ask a blocked window() to give up and return null as soon as it
+     * can.  Called by the ThreadedPipeline supervisor from another
+     * thread when a run is aborted; sources that can block (radios,
+     * sockets, fault injectors) should honor it.  Default: no-op
+     * (memory sources never block).
      */
     virtual void cancel() {}
 
@@ -92,16 +86,6 @@ class MemSource : public InputSource
     {
     }
 
-    const uint8_t*
-    next() override
-    {
-        if (width_ == 0 || pos_ + width_ > bytes_)
-            return nullptr;
-        const uint8_t* p = data_ + pos_;
-        pos_ += width_;
-        return p;
-    }
-
     /** Everything not yet consumed. */
     const uint8_t*
     window(size_t* n) override
@@ -111,8 +95,6 @@ class MemSource : public InputSource
     }
 
     void commit(size_t n) override { pos_ += n * width_; }
-
-    void rewind() { pos_ = 0; }
 
   private:
     const uint8_t* data_;
@@ -129,26 +111,13 @@ class CyclicSource : public InputSource
                  uint64_t total_elems)
         : buf_(buf), width_(elem_width), remaining_(total_elems)
     {
-        // The wrap check in next() resets pos_ but still reads width_
-        // bytes, so a buffer shorter than one element would read past
-        // its end.  Reject it up front.
+        // The wrap check in window() resets pos_ but still hands out
+        // width_ bytes, so a buffer shorter than one element would read
+        // past its end.  Reject it up front.
         if (elem_width > 0 && buf.size() < elem_width)
             fatalf("CyclicSource: buffer of ", buf.size(),
                    " byte(s) is smaller than one ", elem_width,
                    "-byte element");
-    }
-
-    const uint8_t*
-    next() override
-    {
-        if (remaining_ == 0)
-            return nullptr;
-        --remaining_;
-        if (pos_ + width_ > buf_.size())
-            pos_ = 0;
-        const uint8_t* p = buf_.data() + pos_;
-        pos_ += width_;
-        return p;
     }
 
     /** Up to the end of the buffer or of the total, whichever is first. */
@@ -180,35 +149,24 @@ class CyclicSource : public InputSource
     size_t pos_ = 0;
 };
 
-/** Push-style output sink. */
+/** Push-style output, a run at a time. */
 class OutputSink
 {
   public:
     virtual ~OutputSink() = default;
 
-    virtual void put(const uint8_t* elem) = 0;
-
     /**
-     * Whether putRun() takes a run in one step.  Only then does a
-     * driver stage outputs into runs for this sink; otherwise every
-     * element goes through put() as it is produced.  A sink that takes
-     * runs must take all of one or throw having taken none.
+     * Consume @p n elements of @p width bytes each.  A sink takes all
+     * of a run or throws having taken none: the drive counts a run as
+     * delivered once putRun() returns.
      */
-    virtual bool takesRuns() const { return false; }
-
-    /** Consume @p n elements of @p width bytes each (default: put()). */
-    virtual void
-    putRun(const uint8_t* elems, size_t n, size_t width)
-    {
-        for (size_t i = 0; i < n; ++i)
-            put(elems + i * width);
-    }
+    virtual void putRun(const uint8_t* elems, size_t n, size_t width) = 0;
 
     /** Whether the driver should return after this push, as it does
      *  at max_out: a session over its high water, a torn-down queue. */
     virtual bool full() const { return false; }
 
-    /** Ask a blocked put() to give up (see InputSource::cancel()). */
+    /** Ask a blocked putRun() to give up (see InputSource::cancel()). */
     virtual void cancel() {}
 
     /** Clear a sticky cancel() (see InputSource::rearm()). */
@@ -220,14 +178,6 @@ class VecSink : public OutputSink
 {
   public:
     explicit VecSink(size_t elem_width) : width_(elem_width) {}
-
-    void
-    put(const uint8_t* elem) override
-    {
-        data_.insert(data_.end(), elem, elem + width_);
-    }
-
-    bool takesRuns() const override { return true; }
 
     void
     putRun(const uint8_t* elems, size_t n, size_t width) override
@@ -247,8 +197,6 @@ class VecSink : public OutputSink
 class NullSink : public OutputSink
 {
   public:
-    void put(const uint8_t*) override { ++count_; }
-    bool takesRuns() const override { return true; }
     void putRun(const uint8_t*, size_t n, size_t) override { count_ += n; }
 
     uint64_t count() const { return count_; }
@@ -263,7 +211,11 @@ class NullSink : public OutputSink
  * A null window ends the drive as src.state() says (Empty parks, End
  * finishes); the drive returns after a push that reaches maxOut, fills
  * the sink or meets the abort flag.  Spans are stamped here: input on
- * commit, output on push, in windows and runs of one element.
+ * commit, output on push.  An input-side tracker gets windows of one
+ * element: a span opens when its element is committed, and a window
+ * commits only after run() returns, so a wider window would open its
+ * spans after the work they time.  Output runs close spans at push,
+ * when the sink has them, and stay whole.
  */
 struct RunIo
 {
@@ -285,7 +237,7 @@ struct RunIo
             return Feed::End;
         if (!(*p = src.window(n)))
             return src.state();
-        *n = std::min(*n, inSpans || outSpans ? size_t{1} : cap);
+        *n = std::min(*n, inSpans ? size_t{1} : cap);
         return Feed::Ready;
     }
 
@@ -302,8 +254,6 @@ struct RunIo
     size_t
     outRoom() const
     {
-        if (inSpans || outSpans || !sink.takesRuns())
-            return 0;
         if (!maxOut)
             return cap;
         // Leave one for the element a full window yields.

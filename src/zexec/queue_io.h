@@ -64,15 +64,6 @@ class QueueSource : public InputSource
     }
 
     const uint8_t*
-    next() override
-    {
-        size_t n;
-        const uint8_t* p = window(&n);
-        pos_ += p ? 1 : 0;
-        return p;
-    }
-
-    const uint8_t*
     window(size_t* n) override
     {
         if (pos_ == len_) {
@@ -131,8 +122,6 @@ class QueueSink : public OutputSink
   public:
     QueueSink(SpscQueue& q, QueuePoll p) : poll(p), q_(q) {}
 
-    void put(const uint8_t* e) override { putRun(e, 1, q_.elemWidth()); }
-    bool takesRuns() const override { return true; }
     bool full() const override { return !held_.empty(); }
 
     void

@@ -11,10 +11,10 @@
  * (zexec/pipeline.h): Pipeline::run to completion from a blocking
  * source; zserve::Session::step in bursts from a QueueSource that
  * reports Empty when the session should park; each ThreadedPipeline
- * stage from and to its SPSC queues (zexec/queue_io.h).  A source that
- * only hands out one element at a time, or a sink that takes none as a
- * run, gets windows of one element and no output run, which is the
- * per-element protocol.  SupervisedStepper adds the checkpoint carry and
+ * stage from and to its SPSC queues (zexec/queue_io.h).  Every source
+ * hands out windows and every sink takes runs; only an input-side span
+ * tracker narrows the windows to one element (RunIo says why).
+ * SupervisedStepper adds the checkpoint carry and
  * restore-else-reset healing, shared by all three, so a served session
  * or a `|>>>|` stage heals exactly as a solo run does.
  */

@@ -1348,6 +1348,25 @@ Server::driveDrain()
 }
 
 /**
+ * Whether @p s is Parked (I/O thread), which it stays until this thread
+ * enqueues it again.  A session that is not gets its further input held
+ * back (tryFlushPending) so the worker drains its queue and parks — a
+ * saturated session would otherwise never be caught quiescent — and the
+ * caller retries on a later pass.
+ */
+bool
+Server::quiesced(Session& s)
+{
+    {
+        std::lock_guard<std::mutex> lk(schedMu_);
+        if (s.sched == Session::Sched::Parked)
+            return true;
+    }
+    s.quiescing = true;
+    return false;
+}
+
+/**
  * Periodic durable persist (I/O thread): every keyed session observed
  * Parked — and a Parked session stays Parked for the duration, because
  * this thread is the only enqueue() caller — is snapshotted
@@ -1368,18 +1387,8 @@ Server::drivePersist()
             continue;
         if (now - s->lastPersistNs < interval)
             continue;
-        bool parked;
-        {
-            std::lock_guard<std::mutex> lk(schedMu_);
-            parked = s->sched == Session::Sched::Parked;
-        }
-        if (!parked) {
-            // Due but busy: hold further input back (tryFlushPending)
-            // so the worker drains its queue and parks — a saturated
-            // session would otherwise never be caught quiescent.
-            s->quiescing = true;
-            continue;
-        }
+        if (!quiesced(*s))
+            continue;  // due but busy
         s->quiescing = false;
         s->lastPersistNs = now;
         uint64_t consumed = s->quiescentConsumed();
@@ -1550,20 +1559,9 @@ Server::driveMigrations()
         } else if (nowNs() >= job.deadlineNs) {
             fail = "timed out waiting for the session to quiesce";
             done = true;
-        } else {
-            bool parked = false;
-            {
-                std::lock_guard<std::mutex> lk(schedMu_);
-                parked = target->sched == Session::Sched::Parked;
-            }
-            if (parked) {
-                fail = migrateNow(target, job);
-                done = true;
-            } else {
-                // Worker mid-burst: hold its input back so it parks
-                // (same quiesce mechanism as drivePersist), retry.
-                target->quiescing = true;
-            }
+        } else if (quiesced(*target)) {
+            fail = migrateNow(target, job);
+            done = true;
         }
         if (!done) {
             ++i;

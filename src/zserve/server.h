@@ -208,6 +208,7 @@ class Server
     bool stageOutput(const std::shared_ptr<Session>& s, size_t wire_cap);
     void handleAttach(const std::shared_ptr<Session>& s, Frame& f);
     void handleMigrate(const std::shared_ptr<Session>& s, Frame& f);
+    bool quiesced(Session& s);
     void drivePersist();
     void driveMigrations();
     std::string migrateNow(const std::shared_ptr<Session>& s,

@@ -76,9 +76,6 @@ class Session::RawSink final : public OutputSink
   public:
     explicit RawSink(Session& s) : s_(s) {}
 
-    void put(const uint8_t* e) override { putRun(e, 1, s_.outW_); }
-    bool takesRuns() const override { return true; }
-
     void
     putRun(const uint8_t* e, size_t n, size_t width) override
     {

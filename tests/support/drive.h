@@ -94,6 +94,18 @@ driveYields(Pipeline& p, const std::vector<uint8_t>& bytes, size_t k)
     return r;
 }
 
+/** Take the next element of @p src as a window of one: the element, or
+ *  null at the end (valid until the next window() call). */
+inline const uint8_t*
+takeOne(InputSource& src)
+{
+    size_t n = 0;
+    const uint8_t* p = src.window(&n);
+    if (p)
+        src.commit(1);
+    return p;
+}
+
 /** The frame range a Pipeline's snapshots carry: all of it. */
 inline FrameRange
 cells(Pipeline& p)

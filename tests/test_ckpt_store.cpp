@@ -401,28 +401,25 @@ TEST(CkptStore, ConcurrentWriterTmpFileIsIgnored)
 
 // ------------------------------------------- solo crash-resume, e2e
 
-/** Collects output and throws once a byte budget is reached — the
- *  in-process stand-in for kill -9 mid-run. */
+/** Collects output runs and throws on the one that reaches a byte
+ *  budget, having taken none of it — the in-process stand-in for
+ *  kill -9 mid-run. */
 class CrashingSink : public OutputSink
 {
   public:
-    CrashingSink(size_t width, size_t crashAfterBytes)
-        : width_(width), budget_(crashAfterBytes)
-    {
-    }
+    explicit CrashingSink(size_t crashAtBytes) : budget_(crashAtBytes) {}
 
     void
-    put(const uint8_t* elem) override
+    putRun(const uint8_t* elems, size_t n, size_t width) override
     {
-        data_.insert(data_.end(), elem, elem + width_);
-        if (data_.size() >= budget_)
+        if (data_.size() + n * width >= budget_)
             throw std::runtime_error("simulated crash");
+        data_.insert(data_.end(), elems, elems + n * width);
     }
 
     const std::vector<uint8_t>& data() const { return data_; }
 
   private:
-    size_t width_;
     size_t budget_;
     std::vector<uint8_t> data_;
 };
@@ -456,7 +453,7 @@ durableResumeByteIdentity(Backend backend)
     const size_t inW = p1->inWidth();
     const size_t outW = p1->outWidth();
     MemSource src1(input, inW);
-    CrashingSink sink1(outW, 1500 * outW);
+    CrashingSink sink1(1500 * outW);
     EXPECT_THROW(p1->run(src1, sink1), std::runtime_error);
 
     // The durable generation survived the crash.

@@ -337,16 +337,24 @@ TEST(Exec, CyclicSourceRejectsBufferShorterThanOneElement)
 
 TEST(Exec, CyclicSourceWrapsWholeElements)
 {
-    // 8-byte buffer, 4-byte elements, 5 reads: wraps after 2 elements.
+    // 8-byte buffer, 4-byte elements, 5 elements: windows end at the
+    // buffer's end, and the next wraps after 2 elements.
     auto bytes = fromInts({11, 22});
     CyclicSource src(bytes, 4, 5);
     std::vector<int32_t> got;
-    while (const uint8_t* p = src.next()) {
-        int32_t v;
-        std::memcpy(&v, p, 4);
-        got.push_back(v);
+    std::vector<size_t> windows;
+    size_t n = 0;
+    while (const uint8_t* p = src.window(&n)) {
+        windows.push_back(n);
+        for (size_t i = 0; i < n; ++i) {
+            int32_t v;
+            std::memcpy(&v, p + 4 * i, 4);
+            got.push_back(v);
+        }
+        src.commit(n);
     }
     EXPECT_EQ(got, (std::vector<int32_t>{11, 22, 11, 22, 11}));
+    EXPECT_EQ(windows, (std::vector<size_t>{2, 2, 1}));
 }
 
 TEST(Exec, RunStopsAtMaxOut)

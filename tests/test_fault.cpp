@@ -73,6 +73,21 @@ TEST(FaultSpec_, RejectsMalformedSpecs)
 
 // ---------------------------------------------------- Faulty endpoints
 
+/** Everything @p src hands out, committing at most @p cap elements of
+ *  each window (the rest leads the next one). */
+std::vector<uint8_t>
+drain(InputSource& src, size_t cap = SIZE_MAX)
+{
+    std::vector<uint8_t> seen;
+    size_t n = 0;
+    while (const uint8_t* p = src.window(&n)) {
+        n = std::min(n, cap);
+        seen.insert(seen.end(), p, p + n);
+        src.commit(n);
+    }
+    return seen;
+}
+
 TEST(FaultyEndpoints, TruncateEndsStreamAtTick)
 {
     std::vector<uint8_t> data(100);
@@ -80,10 +95,11 @@ TEST(FaultyEndpoints, TruncateEndsStreamAtTick)
     FaultSpec spec = FaultSpec::parse("truncate@10");
     FaultySource src(mem, spec);
     size_t n = 0;
-    while (src.next())
-        ++n;
-    EXPECT_EQ(n, 10u);
-    EXPECT_EQ(src.next(), nullptr);  // stays ended
+    EXPECT_NE(src.window(&n), nullptr);
+    EXPECT_EQ(n, 10u);  // the window ends at the tick
+    EXPECT_EQ(drain(src).size(), 10u);
+    EXPECT_EQ(src.window(&n), nullptr);  // stays ended
+    EXPECT_EQ(src.state(), Feed::End);
 }
 
 TEST(FaultyEndpoints, ThrowRaisesInjectedFaultAtTick)
@@ -91,14 +107,19 @@ TEST(FaultyEndpoints, ThrowRaisesInjectedFaultAtTick)
     std::vector<uint8_t> data(100);
     MemSource mem(data, 1);
     FaultySource src(mem, FaultSpec::parse("throw@3"));
-    for (int i = 0; i < 3; ++i)
-        ASSERT_NE(src.next(), nullptr);
-    EXPECT_THROW(src.next(), InjectedFault);
+    size_t n = 0;
+    ASSERT_NE(src.window(&n), nullptr);
+    EXPECT_EQ(n, 3u);
+    src.commit(2);
+    ASSERT_NE(src.window(&n), nullptr);  // the rest before the tick
+    EXPECT_EQ(n, 1u);
+    src.commit(1);
+    EXPECT_THROW(src.window(&n), InjectedFault);
 }
 
 TEST(FaultyEndpoints, ShortReadDropsDeterministically)
 {
-    auto run = [](uint64_t seed) {
+    auto run = [](uint64_t seed, size_t cap) {
         std::vector<uint8_t> data(4000);
         for (size_t i = 0; i < data.size(); ++i)
             data[i] = static_cast<uint8_t>(i);
@@ -108,16 +129,16 @@ TEST(FaultyEndpoints, ShortReadDropsDeterministically)
         spec.tick = 100;
         spec.seed = seed;
         FaultySource src(mem, spec);
-        std::vector<uint8_t> seen;
-        while (const uint8_t* p = src.next())
-            seen.push_back(*p);
-        return seen;
+        return drain(src, cap);
     };
-    auto a = run(7);
-    auto b = run(7);
-    EXPECT_EQ(a, b);              // seeded: replays exactly
-    EXPECT_LT(a.size(), 4000u);   // something was dropped
-    EXPECT_GT(a.size(), 3000u);   // ...but only ~1/8
+    auto a = run(7, SIZE_MAX);
+    EXPECT_EQ(a, run(7, SIZE_MAX));  // seeded: replays exactly
+    EXPECT_LT(a.size(), 4000u);      // something was dropped
+    EXPECT_GT(a.size(), 3000u);      // ...but only ~1/8
+    // One draw per element: the same drops whatever the drive commits.
+    EXPECT_EQ(run(7, 1), a);
+    EXPECT_EQ(run(7, 3), a);
+    EXPECT_NE(run(8, SIZE_MAX), a);
 }
 
 TEST(FaultyEndpoints, SinkShortWriteDropsTail)
@@ -126,9 +147,155 @@ TEST(FaultyEndpoints, SinkShortWriteDropsTail)
     FaultySink sink(inner, FaultSpec::parse("truncate@5"));
     uint8_t b = 1;
     for (int i = 0; i < 20; ++i)
-        sink.put(&b);
+        sink.putRun(&b, 1, 1);
     EXPECT_EQ(inner.data().size(), 5u);
     EXPECT_EQ(sink.dropped(), 15u);
+
+    // A run across the tick delivers the part before it.
+    VecSink whole(1);
+    FaultySink runSink(whole, FaultSpec::parse("truncate@5"));
+    std::vector<uint8_t> run(20, 1);
+    runSink.putRun(run.data(), 3, 1);
+    runSink.putRun(run.data(), 17, 1);
+    EXPECT_EQ(whole.data().size(), 5u);
+    EXPECT_EQ(runSink.dropped(), 15u);
+}
+
+TEST(FaultyEndpoints, SinkThrowTakesNoneOfTheRunReachingTheTick)
+{
+    VecSink inner(1);
+    FaultySink sink(inner, FaultSpec::parse("throw@5"));
+    std::vector<uint8_t> run(4, 1);
+    sink.putRun(run.data(), 4, 1);           // elements 0-3
+    EXPECT_THROW(sink.putRun(run.data(), 4, 1), InjectedFault);  // 4-7
+    EXPECT_EQ(inner.data().size(), 4u);      // none of the second run
+    EXPECT_EQ(sink.ticks(), 4u);
+    sink.putRun(run.data(), 4, 1);           // transient: fired once
+    EXPECT_EQ(inner.data().size(), 8u);
+    EXPECT_EQ(sink.fired(), 1u);
+}
+
+/** letvar acc = 0; repeat { x <- take; acc += x; emit acc;
+ *  if acc % 3 == 0 then emit x }: stateful and not rate-1, so a
+ *  dropped, repeated or reordered input element changes the output. */
+CompPtr
+pinnedProgram()
+{
+    VarRef acc = freshVar("acc", Type::int32());
+    VarRef x = freshVar("x", Type::int32());
+    return letvar(
+        acc, cInt(0),
+        repeatc(seqc({bindc(x, take(Type::int32())),
+                      just(doS({assign(var(acc), var(acc) + var(x))})),
+                      just(emit(var(acc))),
+                      just(ifc(var(acc) % cInt(3) == cInt(0),
+                               emit(var(x))))})));
+}
+
+struct Pinned
+{
+    const char* fault;
+    bool heal;        ///< restart 3, checkpoint every 64 elements
+    uint64_t digest;  ///< FNV-1a 64 of the output bytes
+    uint64_t consumed;
+    uint64_t emitted;
+};
+
+/** Pipeline::run of pinnedProgram() over 4096 elements through a
+ *  FaultySource applying @p want.fault; fills in what it observed. */
+Pinned
+runPinned(Backend be, const Pinned& want)
+{
+    CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
+    opt.backend = be;
+    if (want.heal) {
+        opt.restart.mode = RestartMode::OnFailure;
+        opt.restart.maxRestarts = 3;
+        opt.restart.backoffInitialMs = 1;
+        opt.checkpoint.interval = 64;
+    }
+    auto p = compilePipeline(pinnedProgram(), opt);
+    std::vector<int32_t> in(4096);
+    for (size_t i = 0; i < in.size(); ++i)
+        in[i] = static_cast<int32_t>((i * 7 + 3) % 101);
+    auto bytes = intBytes(in);
+    MemSource mem(bytes, 4);
+    FaultySource src(mem, FaultSpec::parse(want.fault));
+    VecSink sink(4);
+    RunStats st = p->run(src, sink);
+    uint64_t h = 1469598103934665603ull;
+    for (uint8_t b : sink.data())
+        h = (h ^ b) * 1099511628211ull;
+    return {want.fault, want.heal, h, st.consumed, st.emitted};
+}
+
+TEST(FaultyEndpoints, PinnedFaultOutcomes)
+{
+    // Recorded with the element-at-a-time decorator: clipping windows
+    // at the tick must fire every fault at the same element, and
+    // ShortRead must drop the same elements.  throw@777 heals to the
+    // clean output, and a 1 ms stall only delays it.
+    const Pinned pins[] = {
+        {"truncate@1000", false, 0xb91a21c4015bc6a8ull, 1000, 1330},
+        {"shortread@100:7", false, 0xc2c7100b6f0846feull, 3595, 4763},
+        {"shortread@100:42", false, 0x26cbc5f5143eb154ull, 3555, 4732},
+        {"throw@777", true, 0x93f6e896086b55dfull, 4096, 5457},
+        {"stall@500:1", false, 0x93f6e896086b55dfull, 4096, 5457},
+    };
+    for (Backend be : {Backend::Vm, Backend::Fused})
+        for (const Pinned& want : pins) {
+            SCOPED_TRACE(std::string(want.fault) +
+                         (be == Backend::Vm ? " on vm" : " on fused"));
+            Pinned got = runPinned(be, want);
+            EXPECT_EQ(got.digest, want.digest);
+            EXPECT_EQ(got.consumed, want.consumed);
+            EXPECT_EQ(got.emitted, want.emitted);
+        }
+}
+
+/** Counts the window() calls a decorator makes on a MemSource. */
+class CountingSource : public InputSource
+{
+  public:
+    explicit CountingSource(MemSource& m) : m_(m) {}
+
+    const uint8_t*
+    window(size_t* n) override
+    {
+        ++calls;
+        return m_.window(n);
+    }
+
+    void commit(size_t n) override { m_.commit(n); }
+
+    uint64_t calls = 0;
+
+  private:
+    MemSource& m_;
+};
+
+TEST(FaultyEndpoints, UnfiredFaultKeepsWholeWindows)
+{
+    // A fault whose tick lies past the stream must not cost the drive
+    // its windows: 4096 elements take a handful of inner windows, not
+    // one per element.
+    for (const char* fault : {"truncate@999999999", "throw@999999999",
+                              "stall@999999999:1", "shortread@999999999:3"}) {
+        SCOPED_TRACE(fault);
+        const CompilerOptions opt =
+            CompilerOptions::forLevel(OptLevel::None);
+        auto bytes = intBytes(std::vector<int32_t>(4096, 5));
+        auto p = compilePipeline(pinnedProgram(), opt);
+        MemSource mem(bytes, 4);
+        CountingSource counting(mem);
+        FaultySource src(counting, FaultSpec::parse(fault));
+        VecSink sink(4);
+        RunStats st = p->run(src, sink);
+        EXPECT_EQ(st.consumed, 4096u);
+        EXPECT_EQ(sink.data(),
+                  compilePipeline(pinnedProgram(), opt)->runBytes(bytes));
+        EXPECT_LT(counting.calls, 10u);
+    }
 }
 
 // ------------------------------------------------- channel validation

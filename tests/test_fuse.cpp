@@ -22,6 +22,7 @@
 
 #include "support/backends.h"
 #include "support/diff_runner.h"
+#include "support/drive.h"
 #include "support/fault_injector.h"
 #include "support/metrics.h"
 #include "support/shapes.h"
@@ -44,6 +45,7 @@ using testsupport::intBytes;
 using testsupport::nativeUnavailable;
 using testsupport::resetShapes;
 using testsupport::Shape;
+using testsupport::takeOne;
 using testsupport::throwAtBlock;
 using zgen::GenConfig;
 using zgen::GenDomain;
@@ -318,7 +320,7 @@ drive(Pipeline& p, MemSource& src, bool init)
         if (s == Status::Yield) {
             out.insert(out.end(), root.out(), root.out() + p.outWidth());
         } else if (s == Status::NeedInput) {
-            const uint8_t* q = src.next();
+            const uint8_t* q = takeOne(src);
             if (!q)
                 break;
             root.supply(f, q);
@@ -339,7 +341,7 @@ consumePartial(Pipeline& p, MemSource& src, size_t elems)
     while (used < elems) {
         Status s = root.advance(f);
         if (s == Status::NeedInput) {
-            const uint8_t* q = src.next();
+            const uint8_t* q = takeOne(src);
             if (!q)
                 break;
             root.supply(f, q);

@@ -21,6 +21,7 @@
 
 #include "channel/channel.h"
 #include "sora/sora.h"
+#include "support/drive.h"
 #include "support/fault_injector.h"
 #include "support/metrics.h"
 #include "support/rng.h"
@@ -38,6 +39,7 @@ using testsupport::incBlock;
 using testsupport::intBytes;
 using testsupport::resetShapes;
 using testsupport::Shape;
+using testsupport::takeOne;
 using testsupport::throwAtBlock;
 
 // ------------------------------------------------------------- helpers
@@ -61,7 +63,7 @@ drive(Pipeline& p, MemSource& src, bool init)
         if (s == Status::Yield) {
             out.insert(out.end(), root.out(), root.out() + p.outWidth());
         } else if (s == Status::NeedInput) {
-            const uint8_t* q = src.next();
+            const uint8_t* q = takeOne(src);
             if (!q)
                 break;
             root.supply(f, q);
@@ -83,7 +85,7 @@ consumePartial(Pipeline& p, MemSource& src, size_t elems)
     while (used < elems) {
         Status s = root.advance(f);
         if (s == Status::NeedInput) {
-            const uint8_t* q = src.next();
+            const uint8_t* q = takeOne(src);
             if (!q)
                 break;
             root.supply(f, q);
@@ -202,14 +204,14 @@ TEST(FaultCount, TransientThrowStaysFiredAcrossRearm)
     MemSource mem(bytes, 4);
     FaultySource src(mem, FaultSpec::parse("throw@2"));
 
-    EXPECT_NE(src.next(), nullptr);
-    EXPECT_NE(src.next(), nullptr);
-    EXPECT_THROW(src.next(), InjectedFault);
+    EXPECT_NE(takeOne(src), nullptr);
+    EXPECT_NE(takeOne(src), nullptr);
+    EXPECT_THROW(takeOne(src), InjectedFault);
     EXPECT_EQ(src.fired(), 1u);
 
     src.rearm();
     int delivered = 0;
-    while (src.next())
+    while (takeOne(src))
         ++delivered;
     EXPECT_EQ(delivered, 4);  // the throw itself consumed no element
     EXPECT_EQ(src.fired(), 1u);
@@ -222,10 +224,10 @@ TEST(FaultCount, PermanentThrowRefiresAfterRearm)
     MemSource mem(bytes, 4);
     FaultySource src(mem, FaultSpec::parse("throw@1:0"));
 
-    EXPECT_NE(src.next(), nullptr);
-    EXPECT_THROW(src.next(), InjectedFault);
+    EXPECT_NE(takeOne(src), nullptr);
+    EXPECT_THROW(takeOne(src), InjectedFault);
     src.rearm();
-    EXPECT_THROW(src.next(), InjectedFault);
+    EXPECT_THROW(takeOne(src), InjectedFault);
     EXPECT_EQ(src.fired(), 2u);
 }
 
@@ -236,12 +238,12 @@ TEST(FaultCount, CountLimitsFiringsWithinOneRun)
     MemSource mem(bytes, 4);
     FaultySource src(mem, FaultSpec::parse("throw@1:2"));
 
-    EXPECT_NE(src.next(), nullptr);
-    EXPECT_THROW(src.next(), InjectedFault);
-    EXPECT_THROW(src.next(), InjectedFault);
+    EXPECT_NE(takeOne(src), nullptr);
+    EXPECT_THROW(takeOne(src), InjectedFault);
+    EXPECT_THROW(takeOne(src), InjectedFault);
     EXPECT_EQ(src.fired(), 2u);
     int delivered = 0;
-    while (src.next())
+    while (takeOne(src))
         ++delivered;
     EXPECT_EQ(delivered, 3);
 }

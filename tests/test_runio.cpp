@@ -507,8 +507,8 @@ struct MemIo
     }
 };
 
-/** The per-element protocol as endpoints: windows of one element from
- *  next(), and every output pushed as it is made. */
+/** The per-element protocol as endpoints: windows of one element, and
+ *  every output pushed as it is made. */
 struct OneByOneIo
 {
     MemSource& src;
@@ -518,12 +518,12 @@ struct OneByOneIo
     Feed
     pull(const uint8_t** p, size_t* n)
     {
+        *p = src.window(n);
         *n = 1;
-        *p = src.next();
         return *p ? Feed::Ready : Feed::End;
     }
 
-    void commit(size_t) {}
+    void commit(size_t n) { src.commit(n); }
     size_t outRoom() const { return 0; }
 
     bool
@@ -647,28 +647,34 @@ faultyAccumulator(std::shared_ptr<TransientThrowKernel::Shared> s)
                                           just(emit(var(acc)))})))));
 }
 
-/** Hands out one element per next(): the per-element source. */
-class OneByOne : public InputSource
+/**
+ * @p p's Pipeline::run over @p in at the Stepper::drive level, through
+ * @p io's endpoints: its stepper driven, healed after each failure up
+ * to the pipeline's restart budget (no backoff), and driven again.
+ */
+template <typename Io>
+Outcome
+superviseDrive(Pipeline& p, Io& io)
 {
-  public:
-    explicit OneByOne(MemSource& m) : m_(m) {}
-    const uint8_t* next() override { return m_.next(); }
-
-  private:
-    MemSource& m_;
-};
-
-/** A sink that takes no runs: the per-element sink. */
-class ElementSink : public OutputSink
-{
-  public:
-    explicit ElementSink(size_t w) : w_(w) {}
-    void put(const uint8_t* e) override { out.insert(out.end(), e, e + w_); }
-    std::vector<uint8_t> out;
-
-  private:
-    size_t w_;
-};
+    SupervisedStepper& ss = p.stepper();
+    p.configureStepper();
+    ss.begin();
+    for (uint32_t restarts = 0;; ++restarts) {
+        try {
+            ss.drive(io);
+            break;
+        } catch (const std::exception&) {
+            if (restarts == p.restartPolicy().maxRestarts)
+                throw;
+            ss.heal();
+        }
+    }
+    Outcome o;
+    o.out = std::move(io.out);
+    o.consumed = ss.stepper().consumed();
+    o.emitted = ss.stepper().emitted();
+    return o;
+}
 
 TEST(RunWindows, TrapMidWindowHealsLikeThePerElementVm)
 {
@@ -688,20 +694,15 @@ TEST(RunWindows, TrapMidWindowHealsLikeThePerElementVm)
                 p->setCheckpoint(CheckpointPolicy{interval});
                 MemSource src(in, p->inWidth());
                 Outcome o;
-                RunStats st;
                 if (windows) {
                     VecSink sink(p->outWidth());
-                    st = p->run(src, sink);
-                    o.out = sink.data();
+                    RunStats st = p->run(src, sink);
+                    o = {sink.data(), {}, st.consumed, st.emitted, false};
                 } else {
-                    OneByOne one(src);
-                    ElementSink sink(p->outWidth());
-                    st = p->run(one, sink);
-                    o.out = sink.out;
+                    OneByOneIo one{src, p->outWidth(), {}};
+                    o = superviseDrive(*p, one);
                 }
                 EXPECT_EQ(s->fires, 0) << "the fault never fired";
-                o.consumed = st.consumed;
-                o.emitted = st.emitted;
                 return o;
             };
             const Outcome want = run(Backend::Vm, false);

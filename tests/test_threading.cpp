@@ -866,10 +866,10 @@ checkCheckpointedRestart(Backend be, const char* fault, bool atSink,
 namespace {
 
 /**
- * Int source for the batch-carry tests: element 0 comes at once, the
- * rest after a 60 ms pause (so element 0's outputs cross the queues on
- * their own), and reading element @p throwAt throws once without
- * consuming it.
+ * Int source for the batch-carry tests: element 0 comes at once, in a
+ * window of its own, the rest after a 60 ms pause (so element 0's
+ * outputs cross the queues on their own), and asking for element
+ * @p throwAt throws once without consuming it.
  */
 class PausingSource : public InputSource
 {
@@ -880,7 +880,7 @@ class PausingSource : public InputSource
     }
 
     const uint8_t*
-    next() override
+    window(size_t* n) override
     {
         const size_t i = pos_ / 4;
         if (i == 1 && !paused_) {
@@ -893,9 +893,17 @@ class PausingSource : public InputSource
         }
         if (pos_ >= bytes_.size())
             return nullptr;
-        pos_ += 4;
-        return bytes_.data() + pos_ - 4;
+        // Windows end at the pause and at the throw.
+        size_t end = bytes_.size() / 4;
+        if (i == 0)
+            end = 1;
+        else if (i < throwAt_ && !thrown_)
+            end = std::min(end, throwAt_);
+        *n = end - i;
+        return bytes_.data() + pos_;
     }
+
+    void commit(size_t n) override { pos_ += 4 * n; }
 
   private:
     const std::vector<uint8_t>& bytes_;
@@ -906,25 +914,25 @@ class PausingSource : public InputSource
 };
 
 /**
- * Sink for the batch-carry tests: the first put sleeps 150 ms, which
- * lets the upstream fill the last stage's input queue, and the third
- * blocks until the run is torn down, while the last stage holds the
- * rest of the batch it popped after the sleep.
+ * Sink for the batch-carry tests: the first run sleeps 150 ms, which
+ * lets the upstream fill the last stage's input queue, and the run that
+ * holds the third element blocks until the run is torn down, with the
+ * last stage inside its drive.  A blocked run is still taken whole.
  */
 class StallingSink : public OutputSink
 {
   public:
     void
-    put(const uint8_t* e) override
+    putRun(const uint8_t* e, size_t n, size_t width) override
     {
-        if (puts_ == 0)
+        if (runs_++ == 0)
             std::this_thread::sleep_for(std::chrono::milliseconds(150));
-        if (puts_ == 2) {
+        if (elems_ <= 2 && elems_ + n > 2) {
             std::unique_lock<std::mutex> lk(mu_);
             cv_.wait(lk, [&] { return cancelled_; });
         }
-        ++puts_;
-        data_.insert(data_.end(), e, e + 4);
+        elems_ += n;
+        data_.insert(data_.end(), e, e + n * width);
     }
 
     void
@@ -950,7 +958,8 @@ class StallingSink : public OutputSink
     std::mutex mu_;
     std::condition_variable cv_;
     bool cancelled_ = false;
-    size_t puts_ = 0;
+    size_t runs_ = 0;
+    size_t elems_ = 0;
     std::vector<uint8_t> data_;
 };
 
@@ -970,10 +979,10 @@ fanOut8()
  * Stage 0 of @p mk(true) throws once, transiently, at input 8, under a
  * stage-scoped restart with a watchdog.  By then stage 0's output queue
  * is drained, and the downstream stages hold work that a restart of
- * stage 0 must not touch: the last stage is blocked in the sink with
- * the rest of a popped batch, and in the four-stage shape the fan-out
- * stage is blocked pushing a batch of outputs into the full queue
- * behind it.  The watchdog tears the run down, the stage-0 failure
+ * stage 0 must not touch: the last stage is blocked in the sink
+ * delivering the run it made from a popped batch, and in the
+ * four-stage shape the fan-out stage is blocked pushing a batch of
+ * outputs into the full queue behind it.  The watchdog tears the run down, the stage-0 failure
  * wins, and the resumed run must deliver exactly what an uninterrupted
  * run does.
  */
