@@ -33,6 +33,7 @@
  * pool (I/O thread, run queue, park/wake) — the regime a production
  * receiver shares a box with.  Registered as `bench_latency_sifs_serve`.
  */
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -388,10 +389,21 @@ main(int argc, char** argv)
     rows.push_back(r);
 
     rule();
-    printf("=> per-frame e2e latency tracks 1/throughput per rate; "
-           "tracking overhead\n   stays in the low single digits "
-           "(the off-path is gated separately by\n   "
-           "scripts/check_overhead.sh).\n");
+    double txLo = rows.front().trackedOverheadPct, txHi = txLo;
+    for (size_t i = 0; i + 1 < rows.size(); ++i) {
+        txLo = std::min(txLo, rows[i].trackedOverheadPct);
+        txHi = std::max(txHi, rows[i].trackedOverheadPct);
+    }
+    printf("=> per-frame e2e latency tracks 1/throughput per rate.  "
+           "Tracking costs %.1f..%.1f%%\n   on the TX rows and %.1f%% on "
+           "the scrambler: an input-side span tracker\n   makes RunIo hand "
+           "out one-element windows (a span opens at commit, and a\n   "
+           "window commits only after run() returns), so the tracked "
+           "pipeline steps an\n   element at a time while its untracked "
+           "twin moves whole windows; the cheaper\n   the per-element "
+           "work, the larger the share.  The off-path is gated\n   "
+           "separately by scripts/check_overhead.sh.\n",
+           txLo, txHi, rows.back().trackedOverheadPct);
 
     metrics::JsonWriter w;
     w.beginObject();

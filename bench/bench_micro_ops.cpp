@@ -10,6 +10,7 @@
 #include "bench_util.h"
 #include "dsp/conv_code.h"
 #include "dsp/fft.h"
+#include "dsp/isa.h"
 #include "dsp/viterbi.h"
 #include "wifi/blocks_tx.h"
 #include "wifi/native_blocks.h"
@@ -108,9 +109,27 @@ BM_PipeDepth(benchmark::State& state)
 }
 BENCHMARK(BM_PipeDepth)->Arg(1)->Arg(4)->Arg(16);
 
-void
-BM_FftSymbol(benchmark::State& state)
+/**
+ * Pin the DSP kernels to @p isa for one benchmark row; false (and the
+ * row skipped with the reason) where the host lacks it.
+ */
+bool
+pinnable(benchmark::State& state, dsp::Isa isa)
 {
+    if (dsp::isaSupported(isa))
+        return true;
+    state.SkipWithError((std::string("host has no ") + dsp::isaName(isa))
+                            .c_str());
+    return false;
+}
+
+/** One 64-point transform, forward or inverse, on @p isa's path. */
+void
+BM_FftSymbolOn(benchmark::State& state, dsp::Isa isa, bool inverse)
+{
+    if (!pinnable(state, isa))
+        return;
+    dsp::detail::IsaPin pin(isa);
     dsp::Fft plan(64);
     Rng rng(3);
     std::vector<Complex16> in(64), out(64);
@@ -119,18 +138,39 @@ BM_FftSymbol(benchmark::State& state)
         v.im = static_cast<int16_t>(rng.below(4000)) - 2000;
     }
     for (auto _ : state) {
-        plan.forward(in.data(), out.data());
+        if (inverse)
+            plan.inverse(in.data(), out.data());
+        else
+            plan.forward(in.data(), out.data());
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_FftSymbol);
 
 void
-BM_ViterbiPair(benchmark::State& state)
+BM_FftSymbol(benchmark::State& state, dsp::Isa isa)
+{
+    BM_FftSymbolOn(state, isa, false);
+}
+BENCHMARK_CAPTURE(BM_FftSymbol, base, dsp::Isa::Base);
+BENCHMARK_CAPTURE(BM_FftSymbol, avx2, dsp::Isa::Avx2);
+
+void
+BM_IfftSymbol(benchmark::State& state, dsp::Isa isa)
+{
+    BM_FftSymbolOn(state, isa, true);
+}
+BENCHMARK_CAPTURE(BM_IfftSymbol, base, dsp::Isa::Base);
+BENCHMARK_CAPTURE(BM_IfftSymbol, avx2, dsp::Isa::Avx2);
+
+void
+BM_ViterbiPair(benchmark::State& state, dsp::Isa isa)
 {
     // One decoder step on a pre-generated rate-1/2 lattice with 1/5
     // erasures (the punctured-rate shape), so only the decoder is timed.
+    if (!pinnable(state, isa))
+        return;
+    dsp::detail::IsaPin pin(isa);
     constexpr size_t kPairs = 1 << 16;
     Rng rng(4);
     std::vector<uint8_t> lattice(2 * kPairs);
@@ -148,7 +188,8 @@ BM_ViterbiPair(benchmark::State& state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ViterbiPair);
+BENCHMARK_CAPTURE(BM_ViterbiPair, base, dsp::Isa::Base);
+BENCHMARK_CAPTURE(BM_ViterbiPair, avx2, dsp::Isa::Avx2);
 
 /** Counts emitted elements and keeps the last one live. */
 class CountingEmitter : public Emitter

@@ -10,6 +10,10 @@
  * The plan is immutable after construction, so one instance may be
  * shared across threads; each transform works in a stack buffer.
  *
+ * From n = 8 up, hosts with AVX2 (dsp/isa.h) run each stage four
+ * butterflies per 256-bit vector with the scalar butterfly's exact
+ * arithmetic, so both paths give bit-identical spectra at every size.
+ *
  * Scaling convention: `forward` divides by N (one >>1 per stage), so a
  * WiFi receiver recovers constellation points at their transmitted
  * amplitude; `inverse` applies no scaling, so inverse(forward(x)) == x up
@@ -44,6 +48,10 @@ class Fft
     static constexpr int kMaxSize = 4096;
 
   private:
+    /** Run the active path of dsp/isa.h: AVX2 from n = 8, else run(). */
+    template <bool Inverse, bool Scale>
+    void dispatch(const Complex16* in, Complex16* out) const;
+    /** The scalar transform, fallback and reference of every path. */
     template <bool Inverse, bool Scale>
     void run(const Complex16* in, Complex16* out) const;
 

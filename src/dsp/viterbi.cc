@@ -1,10 +1,11 @@
 #include "dsp/viterbi.h"
 
-#include <emmintrin.h>
+#include <immintrin.h>
 
 #include <algorithm>
 #include <cstring>
 
+#include "dsp/isa.h"
 #include "support/panic.h"
 
 namespace ziria {
@@ -65,8 +66,8 @@ latticeClass(uint8_t r)
  */
 struct BranchCosts
 {
-    alignas(16) int16_t c[16][4][8];
-    alignas(16) int16_t cbar[16][4][8];
+    alignas(32) int16_t c[16][4][8];
+    alignas(32) int16_t cbar[16][4][8];
 
     constexpr BranchCosts() : c(), cbar()
     {
@@ -98,6 +99,216 @@ fold16(__m128i v, Op op)
     return static_cast<int16_t>(_mm_cvtsi128_si32(v));
 }
 
+/**
+ * Add-compare-select of one step over @p metric with the costs of
+ * lattice class @p k, eight butterflies per 128-bit vector; returns the
+ * step's decision word (bit s set when state s keeps its odd
+ * predecessor).
+ */
+inline uint64_t
+acsSse2(int16_t* metric, int k)
+{
+    const auto* cost = reinterpret_cast<const __m128i*>(kCosts.c[k]);
+    const auto* costBar = reinterpret_cast<const __m128i*>(kCosts.cbar[k]);
+
+    __m128i m[8];
+#pragma GCC unroll 8
+    for (int v = 0; v < 8; ++v)
+        m[v] = _mm_load_si128(reinterpret_cast<const __m128i*>(metric + 8 * v));
+
+    // States 16q..16q+15 hold the predecessors of j = 8q..8q+7; a mask
+    // or a shift and a pack split them into even (2j) and odd (2j+1)
+    // (every metric is a non-negative int16, so the saturating pack is
+    // exact).  The saturating adds keep an unreachable predecessor at
+    // kCap16, and the odd one wins only on a strictly smaller cost; its
+    // decision bit is the dropped oldest bit.
+    const __m128i low16 = _mm_set1_epi32(0xffff);
+    __m128i oddWins[8];  // states 8v..8v+7
+#pragma GCC unroll 8
+    for (int q = 0; q < 4; ++q) {
+        const __m128i lo = m[2 * q], hi = m[2 * q + 1];
+        const __m128i even = _mm_packs_epi32(_mm_and_si128(lo, low16),
+                                             _mm_and_si128(hi, low16));
+        const __m128i odd =
+            _mm_packs_epi32(_mm_srli_epi32(lo, 16), _mm_srli_epi32(hi, 16));
+        const __m128i c = _mm_load_si128(cost + q);
+        const __m128i cbar = _mm_load_si128(costBar + q);
+
+        const __m128i p0u0 = _mm_adds_epi16(even, c);     // ns = j
+        const __m128i p1u0 = _mm_adds_epi16(odd, cbar);
+        const __m128i p0u1 = _mm_adds_epi16(even, cbar);  // ns = j + 32
+        const __m128i p1u1 = _mm_adds_epi16(odd, c);
+        oddWins[q] = _mm_cmplt_epi16(p1u0, p0u0);
+        oddWins[q + 4] = _mm_cmplt_epi16(p1u1, p0u1);
+        _mm_store_si128(reinterpret_cast<__m128i*>(metric + 8 * q),
+                        _mm_min_epi16(p0u0, p1u0));
+        _mm_store_si128(reinterpret_cast<__m128i*>(metric + 32 + 8 * q),
+                        _mm_min_epi16(p0u1, p1u1));
+    }
+    // One movemask per 16 states.
+    uint64_t word = 0;
+#pragma GCC unroll 8
+    for (int h = 0; h < 4; ++h) {
+        const auto bits = static_cast<uint64_t>(_mm_movemask_epi8(
+            _mm_packs_epi16(oddWins[2 * h], oddWins[2 * h + 1])));
+        word |= bits << (16 * h);
+    }
+    return word;
+}
+
+/**
+ * acsSse2 with sixteen butterflies per 256-bit vector.  The packs work
+ * within 128-bit lanes, so the predecessors are loaded lane-swapped
+ * (states 0-7 | 16-23 and 8-15 | 24-31 for j = 0..15) and the packed
+ * even and odd metrics come out in natural j order: no cross-lane
+ * shuffle lies between one step's metrics and the next.
+ */
+__attribute__((target("avx2"))) uint64_t
+acsAvx2(int16_t* metric, int k)
+{
+    const auto* cost = reinterpret_cast<const __m256i*>(kCosts.c[k]);
+    const auto* costBar = reinterpret_cast<const __m256i*>(kCosts.cbar[k]);
+    auto half = [metric](int s) {
+        return reinterpret_cast<const __m128i*>(metric + s);
+    };
+
+    __m256i lo[2], hi[2];  // the predecessors of j = 16q..16q+15
+#pragma GCC unroll 8
+    for (int q = 0; q < 2; ++q) {
+        lo[q] = _mm256_loadu2_m128i(half(32 * q + 16), half(32 * q));
+        hi[q] = _mm256_loadu2_m128i(half(32 * q + 24), half(32 * q + 8));
+    }
+
+    const __m256i low16 = _mm256_set1_epi32(0xffff);
+    __m256i oddWins[4];  // states 16v..16v+15
+    __m256i next[4];
+#pragma GCC unroll 8
+    for (int q = 0; q < 2; ++q) {
+        const __m256i even =
+            _mm256_packs_epi32(_mm256_and_si256(lo[q], low16),
+                               _mm256_and_si256(hi[q], low16));
+        const __m256i odd = _mm256_packs_epi32(_mm256_srli_epi32(lo[q], 16),
+                                               _mm256_srli_epi32(hi[q], 16));
+        const __m256i c = _mm256_load_si256(cost + q);
+        const __m256i cbar = _mm256_load_si256(costBar + q);
+
+        const __m256i p0u0 = _mm256_adds_epi16(even, c);     // ns = j
+        const __m256i p1u0 = _mm256_adds_epi16(odd, cbar);
+        const __m256i p0u1 = _mm256_adds_epi16(even, cbar);  // ns = j + 32
+        const __m256i p1u1 = _mm256_adds_epi16(odd, c);
+        oddWins[q] = _mm256_cmpgt_epi16(p0u0, p1u0);
+        oddWins[q + 2] = _mm256_cmpgt_epi16(p0u1, p1u1);
+        next[q] = _mm256_min_epi16(p0u0, p1u0);
+        next[q + 2] = _mm256_min_epi16(p0u1, p1u1);
+    }
+#pragma GCC unroll 8
+    for (int v = 0; v < 4; ++v)
+        _mm256_store_si256(reinterpret_cast<__m256i*>(metric + 16 * v),
+                           next[v]);
+    // One movemask per 32 states, the pack's lane order undone first.
+    uint64_t word = 0;
+#pragma GCC unroll 8
+    for (int h = 0; h < 2; ++h) {
+        const __m256i packed = _mm256_permute4x64_epi64(
+            _mm256_packs_epi16(oddWins[2 * h], oddWins[2 * h + 1]),
+            _MM_SHUFFLE(3, 1, 2, 0));
+        word |= static_cast<uint64_t>(static_cast<uint32_t>(
+                    _mm256_movemask_epi8(packed)))
+                << (32 * h);
+    }
+    return word;
+}
+
+/**
+ * Walk @p steps decision words back from @p state, the newest word at
+ * ring index (head + steps - 1) & mask, and write the input bit of each
+ * of the oldest @p emit steps to @p bits.  Step t moves to the
+ * predecessor state << 1 | dropped, with the dropped bit read from word
+ * t at the current state.  The state's bits above the low six are left
+ * to shift out: a 64-bit shift only reads its count's low six bits.
+ */
+inline __attribute__((always_inline)) void
+walkBackBody(const uint64_t* ring, size_t mask, size_t head, int steps,
+             int emit, int best, uint8_t* bits)
+{
+    uint32_t state = static_cast<uint32_t>(best);
+    auto word = [&](int t) {
+        return ring[(head + static_cast<size_t>(t)) & mask];
+    };
+    auto stepBack = [&](int t) {
+        state = (state << 1) | ((word(t) >> (state & 63)) & 1);
+    };
+    // Two steps at once: step t - 1 reads bit s1 or s1 | 1 of its word,
+    // with s1 = state << 1 known before step t resolves, so both
+    // candidates load in parallel and step t's bit only selects one.
+    auto stepBack2 = [&](int t) {
+        const uint64_t pair = word(t - 1) >> ((state << 1) & 63);
+        const auto dropped =
+            static_cast<uint32_t>((word(t) >> (state & 63)) & 1);
+        state = (state << 2) | (dropped << 1) |
+                static_cast<uint32_t>((pair >> dropped) & 1);
+    };
+    int t = steps - 1;
+    if ((steps - emit) % 2 != 0)
+        stepBack(t--);
+    for (; t >= emit; t -= 2)
+        stepBack2(t);
+    // The input at time t is the newest bit, bit 5, of the state after
+    // step t.
+    if (emit % 2 != 0) {
+        bits[t] = static_cast<uint8_t>((state >> 5) & 1);
+        stepBack(t--);
+    }
+    for (; t >= 0; t -= 2) {
+        bits[t] = static_cast<uint8_t>((state >> 5) & 1);
+        bits[t - 1] = static_cast<uint8_t>((state >> 4) & 1);
+        stepBack2(t);
+    }
+}
+
+using TracebackWalk = void (*)(const uint64_t*, size_t, size_t, int, int,
+                               int, uint8_t*);
+
+void
+walkBackBase(const uint64_t* ring, size_t mask, size_t head, int steps,
+             int emit, int best, uint8_t* bits)
+{
+    walkBackBody(ring, mask, head, steps, emit, best, bits);
+}
+
+/** walkBackBase with BMI2's flag-free shifts (every AVX2 host has them). */
+__attribute__((target("avx2,bmi2"))) void
+walkBackAvx2(const uint64_t* ring, size_t mask, size_t head, int steps,
+             int emit, int best, uint8_t* bits)
+{
+    walkBackBody(ring, mask, head, steps, emit, best, bits);
+}
+
+/**
+ * Lowest-numbered state with the smallest metric: a vector minimum,
+ * then one compare and movemask per 16 states.
+ */
+inline int
+bestState(const int16_t* metric)
+{
+    __m128i m[8];
+    __m128i lo = _mm_set1_epi16(kCap16);
+    for (int v = 0; v < 8; ++v) {
+        m[v] = _mm_load_si128(reinterpret_cast<const __m128i*>(metric + 8 * v));
+        lo = _mm_min_epi16(lo, m[v]);
+    }
+    const __m128i min = _mm_set1_epi16(static_cast<int16_t>(fold16(
+        lo, [](__m128i x, __m128i y) { return _mm_min_epi16(x, y); })));
+    uint64_t atMin = 0;
+    for (int h = 0; h < 4; ++h) {
+        const auto bits = static_cast<uint64_t>(_mm_movemask_epi8(
+            _mm_packs_epi16(_mm_cmpeq_epi16(m[2 * h], min),
+                            _mm_cmpeq_epi16(m[2 * h + 1], min))));
+        atMin |= bits << (16 * h);
+    }
+    return __builtin_ctzll(atMin);
+}
+
 } // namespace
 
 ViterbiDecoder::ViterbiDecoder(int traceback, int block)
@@ -127,53 +338,8 @@ void
 ViterbiDecoder::inputPair(uint8_t a, uint8_t b, std::vector<uint8_t>& out)
 {
     const int k = latticeClass(a) * 4 + latticeClass(b);
-    const auto* cost = reinterpret_cast<const __m128i*>(kCosts.c[k]);
-    const auto* costBar = reinterpret_cast<const __m128i*>(kCosts.cbar[k]);
-
-    __m128i m[8];
-    for (int v = 0; v < 8; ++v)
-        m[v] = _mm_load_si128(
-            reinterpret_cast<const __m128i*>(metric16_ + 8 * v));
-
-    // Add-compare-select, eight butterflies per vector.  States
-    // 16q..16q+15 hold the predecessors of j = 8q..8q+7; a mask or a
-    // shift and a pack split them into even (2j) and odd (2j+1) (every
-    // metric is a non-negative int16, so the saturating pack is exact).
-    // The saturating adds keep an unreachable predecessor at kCap16,
-    // and the odd one wins only on a strictly smaller cost; its decision
-    // bit is the dropped oldest bit.
-    const __m128i low16 = _mm_set1_epi32(0xffff);
-    __m128i oddWins[8];  // states 8v..8v+7
-    for (int q = 0; q < 4; ++q) {
-        const __m128i lo = m[2 * q], hi = m[2 * q + 1];
-        const __m128i even = _mm_packs_epi32(_mm_and_si128(lo, low16),
-                                             _mm_and_si128(hi, low16));
-        const __m128i odd =
-            _mm_packs_epi32(_mm_srli_epi32(lo, 16), _mm_srli_epi32(hi, 16));
-        const __m128i c = _mm_load_si128(cost + q);
-        const __m128i cbar = _mm_load_si128(costBar + q);
-
-        const __m128i p0u0 = _mm_adds_epi16(even, c);     // ns = j
-        const __m128i p1u0 = _mm_adds_epi16(odd, cbar);
-        const __m128i p0u1 = _mm_adds_epi16(even, cbar);  // ns = j + 32
-        const __m128i p1u1 = _mm_adds_epi16(odd, c);
-        oddWins[q] = _mm_cmplt_epi16(p1u0, p0u0);
-        oddWins[q + 4] = _mm_cmplt_epi16(p1u1, p0u1);
-        _mm_store_si128(reinterpret_cast<__m128i*>(metric16_ + 8 * q),
-                        _mm_min_epi16(p0u0, p1u0));
-        _mm_store_si128(
-            reinterpret_cast<__m128i*>(metric16_ + 32 + 8 * q),
-            _mm_min_epi16(p0u1, p1u1));
-    }
-    // One movemask per 16 states.
-    uint64_t word = 0;
-    for (int h = 0; h < 4; ++h) {
-        const auto bits = static_cast<uint64_t>(_mm_movemask_epi8(
-            _mm_packs_epi16(oddWins[2 * h], oddWins[2 * h + 1])));
-        word |= bits << (16 * h);
-    }
-    decisionAt(count_++) = word;
-
+    decisionAt(count_++) = activeIsa() == Isa::Avx2 ? acsAvx2(metric16_, k)
+                                                    : acsSse2(metric16_, k);
     if (slack_-- == 0)
         settle();
     if (count_ >= tb_ + block_)
@@ -227,28 +393,14 @@ void
 ViterbiDecoder::traceback(int emit_count, std::vector<uint8_t>& out)
 {
     // Start from the best current state and walk the whole history.
-    int best = 0;
-    for (int s = 1; s < convStates; ++s) {
-        if (metric16_[s] < metric16_[best])
-            best = s;
-    }
     const int steps = count_;
     emit_count = std::min(emit_count, steps);
-    int state = best;
-    auto stepBack = [&](int t) {
-        int dropped = static_cast<int>((decisionAt(t) >> state) & 1);
-        state = ((state << 1) & 0x3f) | dropped;
-    };
-    for (int t = steps - 1; t >= emit_count; --t)
-        stepBack(t);
-    // Release the oldest emit_count bits (the input at time t).
     const size_t base = out.size();
     out.resize(base + static_cast<size_t>(emit_count));
-    for (int t = emit_count - 1; t >= 0; --t) {
-        out[base + static_cast<size_t>(t)] =
-            static_cast<uint8_t>(state >> 5);
-        stepBack(t);
-    }
+    const TracebackWalk walk =
+        activeIsa() == Isa::Avx2 ? walkBackAvx2 : walkBackBase;
+    walk(ring_.data(), ringMask_, head_, steps, emit_count,
+         bestState(metric16_), out.data() + base);
     head_ = (head_ + static_cast<size_t>(emit_count)) & ringMask_;
     count_ -= emit_count;
 }

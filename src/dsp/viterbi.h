@@ -9,19 +9,23 @@
  * Viterbi block's output granularity is data dependent, which is why it
  * cannot be auto-vectorized and uses annotations instead).
  *
- * The add-compare-select step runs as a 16-bit SSE2 butterfly pass:
- * next state ns = j | u<<5 has exactly the two predecessors 2j and 2j+1,
- * so the 64 path metrics sit in eight 128-bit vectors, the even and odd
- * predecessors are split out with shifts and packs, and eight states
- * are decided per instruction (one movemask yields 16 decision bits).
- * Metrics are held relative to a tracked 32-bit base; the snapshot
- * format still records the absolute 32-bit metrics of the earlier
- * 32-bit pass, and restore() refuses a state the 16-bit form cannot
- * continue exactly.  That earlier pass was a plain C++ loop that g++
- * -O2 auto-vectorized only four 32-bit lanes wide, with unsigned min
- * and compare emulated; `BM_ViterbiPair` put it at 88-159 ns per step
- * against 21-34 ns for this one on a shared 4-vCPU VM (EXPERIMENTS.md
- * E13).
+ * The add-compare-select step runs as a 16-bit butterfly pass: next
+ * state ns = j | u<<5 has exactly the two predecessors 2j and 2j+1, so
+ * the even and odd predecessors are split out of the 64 path metrics
+ * with shifts and packs and a whole vector of states is decided per
+ * instruction.  Two passes exist behind the one dispatch of dsp/isa.h:
+ * SSE2 (eight states per 128-bit vector, the generic x86-64 fallback)
+ * and AVX2 (sixteen per 256-bit vector).  Both emit the same 64-bit
+ * decision word per step and leave the same metrics, so a snapshot
+ * taken on one path continues on the other.  Metrics are held relative
+ * to a tracked 32-bit base; the snapshot format still records the
+ * absolute 32-bit metrics of the earlier 32-bit pass, and restore()
+ * refuses a state the 16-bit form cannot continue exactly.  That
+ * earlier pass was a plain C++ loop that g++ -O2 auto-vectorized only
+ * four 32-bit lanes wide, with unsigned min and compare emulated;
+ * `BM_ViterbiPair` put it at 88-159 ns per step against 21-34 ns for
+ * the SSE2 pass on a shared 4-vCPU VM (EXPERIMENTS.md E13, which also
+ * holds the AVX2 figures).
  */
 #ifndef ZIRIA_DSP_VITERBI_H
 #define ZIRIA_DSP_VITERBI_H
@@ -89,7 +93,7 @@ class ViterbiDecoder
      * Path metrics relative to base_: state s has the absolute metric
      * base_ + metric16_[s], or is unreachable at the 16-bit cap.
      */
-    alignas(16) int16_t metric16_[convStates] = {};
+    alignas(32) int16_t metric16_[convStates] = {};
     uint32_t base_ = 0;
     /** Steps that can neither cross the normalization threshold nor
      *  approach the 16-bit cap, so the minimum need not be read. */

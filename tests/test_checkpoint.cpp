@@ -31,6 +31,7 @@
 #include "support/backends.h"
 #include "support/drive.h"
 #include "support/fault_injector.h"
+#include "support/isa_paths.h"
 #include "support/metrics.h"
 #include "support/rng.h"
 #include "support/shapes.h"
@@ -528,7 +529,12 @@ expectFixtureRestores(const std::string& name,
                            whole.out.end()));
 }
 
-TEST(SnapshotFixtures, KernelFreeImagesRestoreByteIdentically)
+/** The fixtures restore the same way on every kernel path. */
+class SnapshotFixtures : public IsaPinned
+{
+};
+
+TEST_P(SnapshotFixtures, KernelFreeImagesRestoreByteIdentically)
 {
     // A kernel-free region appends nothing to its image, so images from
     // before kernels joined regions still restore on every backend.
@@ -541,7 +547,7 @@ TEST(SnapshotFixtures, KernelFreeImagesRestoreByteIdentically)
     }
 }
 
-TEST(SnapshotFixtures, KernelProgramVmImageRestoresFusedImageIsRefused)
+TEST_P(SnapshotFixtures, KernelProgramVmImageRestoresFusedImageIsRefused)
 {
     // The VM tree is unchanged, so its image still restores.  The fused
     // image describes a VM pipe spine over a region and a NativeNode;
@@ -556,6 +562,8 @@ TEST(SnapshotFixtures, KernelProgramVmImageRestoresFusedImageIsRefused)
     EXPECT_THROW(restoreSnapshot(p->root(), p->frame(), cells(*p), img),
                  StateFormatError);
 }
+
+INSTANTIATE_TEST_SUITE_P(Paths, SnapshotFixtures, allIsas(), isaTestName);
 
 // --------------------------------------------- WiFi RX mid-packet
 

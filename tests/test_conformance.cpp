@@ -25,6 +25,7 @@
 #include "dsp/conv_code.h"
 #include "sora/sora.h"
 #include "support/backends.h"
+#include "support/isa_paths.h"
 #include "support/rng.h"
 #include "wifi/blocks_tx.h"
 #include "wifi/rx.h"
@@ -35,6 +36,14 @@ namespace ziria {
 namespace {
 
 using namespace wifi;
+
+/** The eight 802.11a/g rates, for suites that also run per kernel path. */
+auto
+rateValues()
+{
+    return ::testing::Values(Rate::R6, Rate::R9, Rate::R12, Rate::R18,
+                             Rate::R24, Rate::R36, Rate::R48, Rate::R54);
+}
 
 // ------------------------------------------------- golden-file access
 
@@ -326,13 +335,13 @@ TEST(SignalField, MatchesGoldenAndParsesBack)
 
 // ------------------------------------------------------ full TX chain
 
-class TxChainGolden : public ::testing::TestWithParam<Rate>
+class TxChainGolden : public OnEachIsa<Rate>
 {
 };
 
 TEST_P(TxChainGolden, FrequencyDomainPointsMatch)
 {
-    Rate rate = GetParam();
+    Rate rate = param();
     const RateInfo& ri = rateInfo(rate);
     auto golden = parsePoints(goldenLines(
         std::string("txchain_r") + std::to_string(ri.mbps) + ".txt"));
@@ -377,14 +386,11 @@ TEST_P(TxChainGolden, FrequencyDomainPointsMatch)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllRates, TxChainGolden,
-                         ::testing::Values(Rate::R6, Rate::R9, Rate::R12,
-                                           Rate::R18, Rate::R24, Rate::R36,
-                                           Rate::R48, Rate::R54));
+INSTANTIATE_TEST_SUITE_P(AllRatesOnEachIsa, TxChainGolden, eachIsa(rateValues()));
 
 // ------------------------------------------------- TX->RX round trips
 
-class ZiriaRoundTrip : public ::testing::TestWithParam<Rate>
+class ZiriaRoundTrip : public OnEachIsa<Rate>
 {
 };
 
@@ -393,7 +399,7 @@ TEST_P(ZiriaRoundTrip, ReceiverDecodesZiriaTransmitter)
     // Ziria TX pipeline -> benign channel -> Ziria receiver, at every
     // rate.  (The other RX suites pair the receiver with the Sora
     // reference TX; this closes the loop inside the DSL.)
-    Rate rate = GetParam();
+    Rate rate = param();
     Rng rng(600 + static_cast<uint64_t>(rate));
     std::vector<uint8_t> payload(72);
     for (auto& b : payload)
@@ -430,10 +436,7 @@ TEST_P(ZiriaRoundTrip, ReceiverDecodesZiriaTransmitter)
         << rateInfo(rate).mbps << " Mbps: payload mismatch";
 }
 
-INSTANTIATE_TEST_SUITE_P(AllRates, ZiriaRoundTrip,
-                         ::testing::Values(Rate::R6, Rate::R9, Rate::R12,
-                                           Rate::R18, Rate::R24, Rate::R36,
-                                           Rate::R48, Rate::R54));
+INSTANTIATE_TEST_SUITE_P(AllRatesOnEachIsa, ZiriaRoundTrip, eachIsa(rateValues()));
 
 // ------------------------------------------- fused-backend conformance
 //
@@ -569,7 +572,7 @@ INSTANTIATE_TEST_SUITE_P(AllRates, FusedTxChainGolden,
                                            Rate::R18, Rate::R24, Rate::R36,
                                            Rate::R48, Rate::R54));
 
-class FusedRoundTrip : public ::testing::TestWithParam<Rate>
+class FusedRoundTrip : public OnEachIsa<Rate>
 {
 };
 
@@ -578,7 +581,7 @@ TEST_P(FusedRoundTrip, FusedTxToFusedRxDecodes)
     // Fused TX -> channel -> fused RX.  The receiver leans on native
     // blocks (FFT, CCA), so this path also proves kernels run inline in
     // a fused region inside one real pipeline.
-    Rate rate = GetParam();
+    Rate rate = param();
     Rng rng(600 + static_cast<uint64_t>(rate));
     std::vector<uint8_t> payload(72);
     for (auto& b : payload)
@@ -616,10 +619,68 @@ TEST_P(FusedRoundTrip, FusedTxToFusedRxDecodes)
         << rateInfo(rate).mbps << " Mbps: payload mismatch";
 }
 
-INSTANTIATE_TEST_SUITE_P(AllRates, FusedRoundTrip,
-                         ::testing::Values(Rate::R6, Rate::R9, Rate::R12,
-                                           Rate::R18, Rate::R24, Rate::R36,
-                                           Rate::R48, Rate::R54));
+INSTANTIATE_TEST_SUITE_P(AllRatesOnEachIsa, FusedRoundTrip, eachIsa(rateValues()));
+
+// ------------------------------------------ kernel paths, end to end
+
+TEST(KernelPaths, WholeChainsAreBitIdenticalAcrossPaths)
+{
+    // Ziria TX (IFFT) -> a channel noisy enough that the Viterbi
+    // corrects errors -> Ziria RX (FFT, Viterbi, header decoder), and
+    // the Sora control, once per kernel path: every sample, decoded bit
+    // and verdict must agree.
+    if (!dsp::isaSupported(dsp::Isa::Avx2))
+        GTEST_SKIP() << "host has no avx2 kernel path";
+    struct Chain
+    {
+        std::vector<uint8_t> tx, rx, ctrl;
+        std::vector<Complex16> soraTx;
+        sora::RxResult soraRx;
+    };
+    for (Rate rate : allRates()) {
+        SCOPED_TRACE(rateInfo(rate).mbps);
+        Rng rng(1100 + static_cast<uint64_t>(rate));
+        std::vector<uint8_t> payload(90);
+        for (auto& b : payload)
+            b = static_cast<uint8_t>(rng.next());
+        channel::ChannelConfig cfg;
+        cfg.snrDb = 16.0;
+        cfg.delaySamples = 180;
+        cfg.trailSamples = 100;
+        cfg.phaseRad = 0.2;
+        cfg.seed = 1200 + static_cast<uint64_t>(rate);
+        auto runOn = [&](dsp::Isa isa) {
+            dsp::detail::IsaPin pin(isa);
+            Chain c;
+            c.tx = compilePipeline(
+                       wifiTxFrameComp(rate,
+                                       static_cast<int>(payload.size())),
+                       CompilerOptions::forLevel(OptLevel::None))
+                       ->runBytes(bytesToBits(payload));
+            auto rxIn = samplesToBytes(
+                channel::applyChannel(bytesToSamples(c.tx), cfg));
+            RunStats st;
+            c.rx = compilePipeline(wifiReceiverComp(),
+                                   CompilerOptions::forLevel(OptLevel::None))
+                       ->runBytes(rxIn, &st);
+            c.ctrl = st.ctrl;
+            c.soraTx = sora::txFrame(payload, rate);
+            c.soraRx = sora::rxFrame(
+                channel::applyChannel(c.soraTx, cfg));
+            return c;
+        };
+        const Chain base = runOn(dsp::Isa::Base);
+        const Chain avx2 = runOn(dsp::Isa::Avx2);
+        ASSERT_FALSE(base.rx.empty()) << "the receiver decoded nothing";
+        EXPECT_EQ(base.tx, avx2.tx);
+        EXPECT_EQ(base.rx, avx2.rx);
+        EXPECT_EQ(base.ctrl, avx2.ctrl);
+        EXPECT_EQ(base.soraTx, avx2.soraTx);
+        EXPECT_EQ(base.soraRx.detected, avx2.soraRx.detected);
+        EXPECT_EQ(base.soraRx.crcOk, avx2.soraRx.crcOk);
+        EXPECT_EQ(base.soraRx.psduBytes, avx2.soraRx.psduBytes);
+    }
+}
 
 // ------------------------------------------ whole receivers, one region
 //

@@ -15,8 +15,11 @@
 #include "dsp/conv_code.h"
 #include "dsp/crc.h"
 #include "dsp/fft.h"
+#include "dsp/isa.h"
 #include "dsp/viterbi.h"
 #include "support/bits.h"
+#include "support/isa_paths.h"
+#include "support/metrics.h"
 #include "support/rng.h"
 #include "support/state_io.h"
 #include "wifi/native_blocks.h"
@@ -28,7 +31,12 @@ namespace {
 using dsp::CodingRate;
 using dsp::Modulation;
 
-TEST(Fft, MatchesReferenceDft)
+/** The FFT suite runs once per kernel path (both give the same bits). */
+class Fft : public IsaPinned
+{
+};
+
+TEST_P(Fft, MatchesReferenceDft)
 {
     Rng rng(11);
     dsp::Fft plan(64);
@@ -50,7 +58,7 @@ TEST(Fft, MatchesReferenceDft)
     }
 }
 
-TEST(Fft, InverseOfForwardIsIdentity)
+TEST_P(Fft, InverseOfForwardIsIdentity)
 {
     Rng rng(12);
     dsp::Fft plan(64);
@@ -92,7 +100,7 @@ TEST_P(FftSizes, RoundTripAtSize)
 INSTANTIATE_TEST_SUITE_P(PowerOfTwo, FftSizes,
                          ::testing::Values(8, 16, 32, 64, 128, 256));
 
-TEST(Fft, OutputDigestIsPinned)
+TEST_P(Fft, OutputDigestIsPinned)
 {
     // FNV-1a over forward and inverse outputs of seeded inputs at every
     // size 2..1024, half of them full-range so the inverse saturates.
@@ -132,6 +140,76 @@ TEST(Fft, OutputDigestIsPinned)
         }
     }
     EXPECT_EQ(h, 0x6837d156871e0953ull) << std::hex << h;
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, Fft, allIsas(), isaTestName);
+
+/** Transforms of @p in on the scalar and the AVX2 path. */
+void
+expectPathsAgree(const dsp::Fft& plan, const std::vector<Complex16>& in)
+{
+    const size_t n = in.size();
+    std::vector<Complex16> scalar(n), simd(n);
+    for (bool inverse : {false, true}) {
+        SCOPED_TRACE(inverse ? "inverse" : "forward");
+        for (dsp::Isa isa : {dsp::Isa::Base, dsp::Isa::Avx2}) {
+            dsp::detail::IsaPin pin(isa);
+            std::vector<Complex16>& out =
+                isa == dsp::Isa::Base ? scalar : simd;
+            if (inverse)
+                plan.inverse(in.data(), out.data());
+            else
+                plan.forward(in.data(), out.data());
+        }
+        ASSERT_EQ(scalar, simd);
+    }
+}
+
+TEST(FftPaths, AvxMatchesScalarAtEverySize)
+{
+    // Random inputs, narrow and full range, and saturation corners:
+    // every element at -32768 or 32767 (the inverse grows them to
+    // N * 32767 before it saturates), constants, alternating signs and
+    // lone impulses.
+    if (!dsp::isaSupported(dsp::Isa::Avx2))
+        GTEST_SKIP() << "host has no avx2 kernel path";
+    for (int n = 2; n <= dsp::Fft::kMaxSize; n *= 2) {
+        SCOPED_TRACE(n);
+        dsp::Fft plan(n);
+        Rng rng(static_cast<uint64_t>(5000 + n));
+        std::vector<Complex16> in(static_cast<size_t>(n));
+        auto fill = [&](auto gen) {
+            for (size_t i = 0; i < in.size(); ++i)
+                in[i] = gen(i);
+            expectPathsAgree(plan, in);
+        };
+        auto any = [&] {
+            return static_cast<int16_t>(
+                static_cast<int32_t>(rng.below(65536)) - 32768);
+        };
+        auto corner = [&] {
+            return static_cast<int16_t>(rng.bit() ? 32767 : -32768);
+        };
+        for (int trial = 0; trial < 4; ++trial) {
+            fill([&](size_t) {
+                return Complex16{
+                    static_cast<int16_t>(rng.below(4000) - 2000),
+                    static_cast<int16_t>(rng.below(4000) - 2000)};
+            });
+            fill([&](size_t) { return Complex16{any(), any()}; });
+            fill([&](size_t) { return Complex16{corner(), corner()}; });
+        }
+        for (int16_t v : {int16_t{32767}, int16_t{-32768}}) {
+            fill([&](size_t) { return Complex16{v, v}; });
+            fill([&](size_t i) {
+                return Complex16{i % 2 ? v : int16_t(-v - 1), v};
+            });
+            const size_t at = rng.below(static_cast<uint64_t>(n));
+            fill([&](size_t i) {
+                return i == at ? Complex16{v, v} : Complex16{};
+            });
+        }
+    }
 }
 
 TEST(ConvCode, KnownRateHalfOutput)
@@ -383,7 +461,12 @@ feedBoth(PushViterbi& ref, dsp::ViterbiDecoder& dec, long n, Gen gen,
     ASSERT_EQ(refOut, decOut);
 }
 
-TEST(ViterbiEquivalence, RandomPairsWithErasuresAcrossNormalization)
+/** The equivalence suite runs once per kernel path. */
+class ViterbiEquivalence : public IsaPinned
+{
+};
+
+TEST_P(ViterbiEquivalence, RandomPairsWithErasuresAcrossNormalization)
 {
     // Start both decoders from the same state just below the
     // normalization threshold (some states unreachable), so the run
@@ -413,7 +496,7 @@ TEST(ViterbiEquivalence, RandomPairsWithErasuresAcrossNormalization)
     EXPECT_GT(decOut.size(), 999'000u);
 }
 
-TEST(ViterbiEquivalence, AllZeroPrefixThenNoise)
+TEST_P(ViterbiEquivalence, AllZeroPrefixThenNoise)
 {
     // From reset only state 0 is reachable: the first steps exercise
     // predecessors with no reachable path, then a long all-zero run
@@ -436,7 +519,7 @@ TEST(ViterbiEquivalence, AllZeroPrefixThenNoise)
     EXPECT_EQ(refOut, decOut);
 }
 
-TEST(ViterbiEquivalence, SnapshotMidStreamCrossesImplementations)
+TEST_P(ViterbiEquivalence, SnapshotMidStreamCrossesImplementations)
 {
     // A snapshot from either implementation restores into the other and
     // both continue identically (the checkpoint format is unchanged).
@@ -465,7 +548,7 @@ TEST(ViterbiEquivalence, SnapshotMidStreamCrossesImplementations)
     EXPECT_EQ(refOut, refOut2);
 }
 
-TEST(ViterbiEquivalence, RejectsOutOfRangeMetric)
+TEST_P(ViterbiEquivalence, RejectsOutOfRangeMetric)
 {
     StateWriter w;
     for (int s = 0; s < dsp::convStates; ++s)
@@ -507,7 +590,7 @@ crossRestoreAndContinue(PushViterbi& ref, dsp::ViterbiDecoder& dec,
     EXPECT_EQ(refOut, refOut2);
 }
 
-TEST(ViterbiEquivalence, SnapshotInFirstStepsCrossesImplementations)
+TEST_P(ViterbiEquivalence, SnapshotInFirstStepsCrossesImplementations)
 {
     // 1-5 steps after reset some states are still unreachable (the
     // 16-bit pass holds them at its cap, the scalar one at 2^29).
@@ -524,7 +607,7 @@ TEST(ViterbiEquivalence, SnapshotInFirstStepsCrossesImplementations)
     }
 }
 
-TEST(ViterbiEquivalence, SnapshotAfterNormalizationCrossesImplementations)
+TEST_P(ViterbiEquivalence, SnapshotAfterNormalizationCrossesImplementations)
 {
     // Seed both just below the 2^20 threshold, step until the reference
     // normalizes, and cross-restore the state that step left.
@@ -558,7 +641,7 @@ metricSnapshot(const std::vector<uint32_t>& metric)
     return w.take();
 }
 
-TEST(ViterbiEquivalence, RejectsMetricsSixteenBitsCannotHold)
+TEST_P(ViterbiEquivalence, RejectsMetricsSixteenBitsCannotHold)
 {
     // Reachable metrics 2^16 apart.
     std::vector<uint32_t> apart(dsp::convStates, 100);
@@ -586,6 +669,59 @@ TEST(ViterbiEquivalence, RejectsMetricsSixteenBitsCannotHold)
     StateReader r(bytes);
     dec.restore(r);
     EXPECT_EQ(snapBytes(dec), bytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, ViterbiEquivalence, allIsas(), isaTestName);
+
+TEST(ViterbiPaths, SnapshotCrossesPathsMidStream)
+{
+    // Decode on one path, snapshot, restore on the other and continue:
+    // both directions must match the scalar reference step for step.
+    if (!dsp::isaSupported(dsp::Isa::Avx2))
+        GTEST_SKIP() << "host has no avx2 kernel path";
+    for (dsp::Isa first : {dsp::Isa::Avx2, dsp::Isa::Base}) {
+        const dsp::Isa second =
+            first == dsp::Isa::Avx2 ? dsp::Isa::Base : dsp::Isa::Avx2;
+        SCOPED_TRACE(dsp::isaName(first));
+        Rng rng(46);
+        auto gen = [&] { return latticeValue(rng); };
+        PushViterbi ref;
+        std::vector<uint8_t> refOut, decOut;
+        std::vector<uint8_t> bytes;
+        {
+            dsp::detail::IsaPin pin(first);
+            dsp::ViterbiDecoder dec;
+            feedBoth(ref, dec, 20'000 + 33, gen, refOut, decOut, 101);
+            bytes = snapBytes(dec);
+        }
+        dsp::detail::IsaPin pin(second);
+        dsp::ViterbiDecoder dec;
+        StateReader r(bytes);
+        dec.restore(r);
+        EXPECT_EQ(snapBytes(dec), bytes);
+        feedBoth(ref, dec, 20'000, gen, refOut, decOut, 101);
+        ref.flush(refOut);
+        dec.flush(decOut);
+        EXPECT_EQ(refOut, decOut);
+    }
+}
+
+TEST(DspIsa, GaugeNamesThePathInForce)
+{
+    // The first kernel call resolves the path and publishes it; a pin
+    // republishes it while it lives.
+    const dsp::Isa best = dsp::activeIsa();
+    EXPECT_EQ(best, dsp::isaSupported(dsp::Isa::Avx2) ? dsp::Isa::Avx2
+                                                      : dsp::Isa::Base);
+    metrics::Gauge& g = metrics::Registry::global().gauge("dsp.isa.avx2");
+    EXPECT_EQ(g.value(), best == dsp::Isa::Avx2 ? 1.0 : 0.0);
+    {
+        dsp::detail::IsaPin pin(dsp::Isa::Base);
+        EXPECT_EQ(dsp::activeIsa(), dsp::Isa::Base);
+        EXPECT_EQ(g.value(), 0.0);
+    }
+    EXPECT_EQ(dsp::activeIsa(), best);
+    EXPECT_EQ(g.value(), best == dsp::Isa::Avx2 ? 1.0 : 0.0);
 }
 
 /** Collects a native kernel's output bits. */
