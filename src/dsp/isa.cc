@@ -28,9 +28,8 @@ isaSupported(Isa isa)
 {
     if (isa == Isa::Base)
         return true;
-    // The AVX2 paths also use BMI2 shifts, which every AVX2 CPU has.
     __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi2");
+    return __builtin_cpu_supports("avx2");
 }
 
 namespace detail {

@@ -5,11 +5,10 @@
  * The build targets generic x86-64, so the SSE2 Viterbi pass and the
  * scalar FFT are always there; the AVX2 paths are compiled function by
  * function under `__attribute__((target("avx2")))` and run only where
- * `__builtin_cpu_supports` says the host has AVX2 (and BMI2, which the
- * Viterbi traceback uses and every AVX2 CPU carries).  The check
- * is made once per process, at the first kernel call, which also sets
- * the registry gauge `dsp.isa.avx2` to 1 or 0 so `--profile` and a
- * Stat reply show which path produced a figure.  Every path computes
+ * `__builtin_cpu_supports` says the host has AVX2.  The check is made
+ * once per process, at the first kernel call, which also sets the
+ * registry gauge `dsp.isa.avx2` to 1 or 0 so `--profile` and a Stat
+ * reply show which path produced a figure.  Every path computes
  * bit-identical output (tests/test_dsp.cpp holds each against the
  * scalar references), so decisions, spectra and snapshots never depend
  * on the host.

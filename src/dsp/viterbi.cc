@@ -220,16 +220,16 @@ acsAvx2(int16_t* metric, int k)
 }
 
 /**
- * Walk @p steps decision words back from @p state, the newest word at
+ * Walk @p steps decision words back from state @p best, the newest word at
  * ring index (head + steps - 1) & mask, and write the input bit of each
  * of the oldest @p emit steps to @p bits.  Step t moves to the
  * predecessor state << 1 | dropped, with the dropped bit read from word
  * t at the current state.  The state's bits above the low six are left
  * to shift out: a 64-bit shift only reads its count's low six bits.
  */
-inline __attribute__((always_inline)) void
-walkBackBody(const uint64_t* ring, size_t mask, size_t head, int steps,
-             int emit, int best, uint8_t* bits)
+void
+walkBack(const uint64_t* ring, size_t mask, size_t head, int steps, int emit,
+         int best, uint8_t* bits)
 {
     uint32_t state = static_cast<uint32_t>(best);
     auto word = [&](int t) {
@@ -264,24 +264,6 @@ walkBackBody(const uint64_t* ring, size_t mask, size_t head, int steps,
         bits[t - 1] = static_cast<uint8_t>((state >> 4) & 1);
         stepBack2(t);
     }
-}
-
-using TracebackWalk = void (*)(const uint64_t*, size_t, size_t, int, int,
-                               int, uint8_t*);
-
-void
-walkBackBase(const uint64_t* ring, size_t mask, size_t head, int steps,
-             int emit, int best, uint8_t* bits)
-{
-    walkBackBody(ring, mask, head, steps, emit, best, bits);
-}
-
-/** walkBackBase with BMI2's flag-free shifts (every AVX2 host has them). */
-__attribute__((target("avx2,bmi2"))) void
-walkBackAvx2(const uint64_t* ring, size_t mask, size_t head, int steps,
-             int emit, int best, uint8_t* bits)
-{
-    walkBackBody(ring, mask, head, steps, emit, best, bits);
 }
 
 /**
@@ -397,10 +379,8 @@ ViterbiDecoder::traceback(int emit_count, std::vector<uint8_t>& out)
     emit_count = std::min(emit_count, steps);
     const size_t base = out.size();
     out.resize(base + static_cast<size_t>(emit_count));
-    const TracebackWalk walk =
-        activeIsa() == Isa::Avx2 ? walkBackAvx2 : walkBackBase;
-    walk(ring_.data(), ringMask_, head_, steps, emit_count,
-         bestState(metric16_), out.data() + base);
+    walkBack(ring_.data(), ringMask_, head_, steps, emit_count,
+             bestState(metric16_), out.data() + base);
     head_ = (head_ + static_cast<size_t>(emit_count)) & ringMask_;
     count_ -= emit_count;
 }

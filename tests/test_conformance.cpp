@@ -335,13 +335,13 @@ TEST(SignalField, MatchesGoldenAndParsesBack)
 
 // ------------------------------------------------------ full TX chain
 
-class TxChainGolden : public OnEachIsa<Rate>
+class TxChainGolden : public ::testing::TestWithParam<Rate>
 {
 };
 
 TEST_P(TxChainGolden, FrequencyDomainPointsMatch)
 {
-    Rate rate = param();
+    Rate rate = GetParam();
     const RateInfo& ri = rateInfo(rate);
     auto golden = parsePoints(goldenLines(
         std::string("txchain_r") + std::to_string(ri.mbps) + ".txt"));
@@ -386,7 +386,7 @@ TEST_P(TxChainGolden, FrequencyDomainPointsMatch)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllRatesOnEachIsa, TxChainGolden, eachIsa(rateValues()));
+INSTANTIATE_TEST_SUITE_P(AllRates, TxChainGolden, rateValues());
 
 // ------------------------------------------------- TX->RX round trips
 
